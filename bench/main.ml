@@ -1975,22 +1975,16 @@ let micro report =
   let sa = Sa.derive_params ~spi:0x9l ~secret:"bench" () in
   let payload = String.make 256 'x' in
   let packet = Esp.encap ~sa ~seq:1 ~payload in
-  let make_window impl =
-    let w = Replay_window.create impl ~w:64 in
-    let counter = ref 0 in
-    fun () ->
-      incr counter;
-      ignore (Replay_window.admit w !counter)
-  in
   (* One (name, thunk) list drives both measurements: bechamel's OLS
      ns/run and a Gc.minor_words delta for allocation per run. *)
   let ops =
     [
-      ("window-admit-paper", make_window Replay_window.Paper_impl);
-      ("window-admit-bitmap", make_window Replay_window.Bitmap_impl);
-      ("window-admit-block", make_window Replay_window.Block_impl);
-      ( "window-admit-flat",
-        make_window (Replay_window.Flat_impl (Sadb_flat.create ~w:64 ())) );
+      ( "window-admit",
+        let w = Replay_window.create_private ~w:64 in
+        let counter = ref 0 in
+        fun () ->
+          incr counter;
+          ignore (Replay_window.admit w !counter) );
       ( "engine-wheel-event",
         let eng = Engine.create () in
         let gap = us 100 in
@@ -2179,7 +2173,7 @@ let micro report =
     let tx =
       Transport_udp.create ~peer:(Transport_udp.Unix_dgram path) ~batch ()
     in
-    let window = Replay_window.create Replay_window.Bitmap_impl ~w:64 in
+    let window = Replay_window.create_private ~w:64 in
     let delivered = ref 0 in
     Transport_udp.set_slice_handler rx (fun frame ->
         match Esp.decap_of_slice ~sa frame with

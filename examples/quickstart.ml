@@ -27,7 +27,7 @@ let () =
   | Error e -> Format.printf "tampered packet rejected: %a@." Esp.pp_error e);
 
   (* --- 2. The anti-replay window ------------------------------------ *)
-  let window = Replay_window.create Replay_window.Bitmap_impl ~w:8 in
+  let window = Replay_window.create_private ~w:8 in
   let admit s =
     Format.printf "  admit #%d -> %s@." s
       (Replay_window.verdict_to_string (Replay_window.admit window s))

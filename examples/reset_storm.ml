@@ -62,15 +62,4 @@ let () =
   (match File_store.fetch store ~key:"sa-0x42/send_seq" with
   | Some v ->
     Format.printf "  fetched %d after 'reboot'; resuming at %d (leap 2K = 50)@." v (v + 50)
-  | None -> Format.printf "  nothing stored (unexpected)@.");
-  let journal = Journal.create ~file:(Filename.concat dir "journal.log") in
-  List.iter
-    (fun v -> Journal.save journal ~key:"sa-0x42/recv_edge" ~value:v ~on_complete:ignore)
-    [ 100; 200; 300 ];
-  Format.printf "  journal holds %d records; fetch -> %s; compacting -> "
-    (Journal.record_count journal)
-    (match Journal.fetch journal ~key:"sa-0x42/recv_edge" with
-    | Some v -> string_of_int v
-    | None -> "none");
-  Journal.compact journal;
-  Format.printf "%d record(s)@." (Journal.record_count journal)
+  | None -> Format.printf "  nothing stored (unexpected)@.")

@@ -24,12 +24,12 @@ type t = {
 
 let create ?trace ?(sender_name = "p") ?(receiver_name = "q")
     ?(link_name = "link") ?payload ?(framing = Packet.Seq64) ?(window = 64)
-    ?(window_impl = Replay_window.Bitmap_impl) ?(faults = Link.no_faults)
+    ?arena ?(faults = Link.no_faults)
     ?(link_jitter = Time.zero) ?link_prng ?(tap = Tap { capacity = None })
     ~spi ~secret ~link_latency ~traffic ~metrics ~sender_persistence
     ~receiver_persistence engine =
   let params =
-    Sa.derive_params ~window_width:window ~window_impl ~spi ~secret ()
+    Sa.derive_params ~window_width:window ?arena ~spi ~secret ()
   in
   let sa_p = Sa.create params and sa_q = Sa.create params in
   let link_prng =

@@ -46,7 +46,7 @@ val create :
   ?payload:(seq:int -> string) ->
   ?framing:Packet.framing ->
   ?window:int ->
-  ?window_impl:Resets_ipsec.Replay_window.impl ->
+  ?arena:Resets_ipsec.Sadb_flat.t ->
   ?faults:Link.faults ->
   ?link_jitter:Time.t ->
   ?link_prng:Resets_util.Prng.t ->
@@ -60,7 +60,8 @@ val create :
   receiver_persistence:Receiver.persistence option ->
   Engine.t ->
   t
-(** Derives both sides' SA from [spi]/[secret], creates the link, taps
+(** Derives both sides' SA from [spi]/[secret] (in slots of [arena]
+    when given, else each in a private arena), creates the link, taps
     it (default: yes, unbounded), creates sender and receiver, and
     connects the deliver hook. [metrics] should be per-endpoint when
     many endpoints run in one engine: sequence numbers of distinct SAs

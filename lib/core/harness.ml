@@ -31,7 +31,6 @@ type scenario = {
   link_jitter : Time.t;
   faults : Link.faults;
   window : int;
-  window_impl : Replay_window.impl;
   framing : Packet.framing;
   resets : Reset_schedule.t;
   attack : attack;
@@ -54,7 +53,6 @@ let default =
     link_jitter = Time.zero;
     faults = Link.no_faults;
     window = 64;
-    window_impl = Replay_window.Bitmap_impl;
     framing = Packet.Seq64;
     resets = Reset_schedule.none;
     attack = No_attack;
@@ -220,7 +218,7 @@ let run scenario =
   let traffic = make_traffic scenario (Prng.split master) in
   let endpoint =
     Endpoint.create ?trace ~framing:scenario.framing ~window:scenario.window
-      ~window_impl:scenario.window_impl ~faults:scenario.faults
+      ~faults:scenario.faults
       ~link_jitter:scenario.link_jitter ~link_prng ~spi:0x1001l
       ~secret:"harness-shared-secret" ~link_latency:scenario.link_latency
       ~traffic ~metrics ~sender_persistence:persistence_p
@@ -269,7 +267,7 @@ let run scenario =
   let reestablish_wakeup ~cost ~on_ready () =
     let spi = !next_spi in
     next_spi := Int32.add spi 1l;
-    Ike.establish ~window_width:scenario.window ~window_impl:scenario.window_impl engine
+    Ike.establish ~window_width:scenario.window engine
       ~cost ~prng:ike_prng ~spi ~on_complete:(fun params ->
         Sender.install_sa sender (Sa.create params);
         Receiver.install_sa receiver (Sa.create params);
@@ -282,8 +280,7 @@ let run scenario =
   let degrade_reestablish () =
     let spi = !next_spi in
     next_spi := Int32.add spi 1l;
-    Ike.establish ~window_width:scenario.window
-      ~window_impl:scenario.window_impl engine ~cost:Ike.default_cost
+    Ike.establish ~window_width:scenario.window engine ~cost:Ike.default_cost
       ~prng:ike_prng ~spi
       ~on_complete:(fun params ->
         Sender.install_sa sender (Sa.create params);

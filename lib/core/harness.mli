@@ -71,8 +71,6 @@ type scenario = {
       (** uniform extra delay in [0, jitter] — drives reordering *)
   faults : Resets_sim.Link.faults;  (** drop/duplicate probabilities *)
   window : int;  (** receiver anti-replay window width w (RFC 2401) *)
-  window_impl : Resets_ipsec.Replay_window.impl;
-      (** bitmap vs ring window implementation (MICRO compares them) *)
   framing : Packet.framing;  (** ESP sequence-number encoding *)
   resets : Resets_workload.Reset_schedule.t;
       (** when each endpoint crashes and for how long *)

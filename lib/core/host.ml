@@ -19,7 +19,7 @@ type t = {
   keys : string array;
   lst : int array; (* per-SA edge as of the last begun periodic save *)
   window : int;
-  window_impl : Replay_window.impl;
+  arena : Sadb_flat.t option;
   ike_prngs : Prng.t array option;
   spi_base : int32;
   retries : int;
@@ -82,7 +82,7 @@ let establish_sa t ~cost ~prngs i ~on_done =
   let g = t.first_sa + i in
   t.handshake_messages <- t.handshake_messages + Ike.message_count;
   let spi = Int32.add t.spi_base (Int32.of_int g) in
-  Ike.establish ~window_width:t.window ~window_impl:t.window_impl t.engine
+  Ike.establish ~window_width:t.window ?arena:t.arena t.engine
     ~cost ~prng:prngs.(i) ~spi
     ~on_complete:(fun params ->
       let ep = t.endpoints.(i) in
@@ -108,8 +108,7 @@ let degrade_sa t i =
           Sender.resume_fresh (Endpoint.sender ep)
         else Sender.resync_store (Endpoint.sender ep))
 
-let create ?(k = 25) ?leap ?(window = 64)
-    ?(window_impl = Replay_window.Bitmap_impl) ?ike_prngs ?(first_sa = 0)
+let create ?(k = 25) ?leap ?(window = 64) ?arena ?ike_prngs ?(first_sa = 0)
     ?(spi_base = 0x6000l) ?flush_period ?(retries = 3) ~disk ~discipline
     endpoints engine =
   let n = Array.length endpoints in
@@ -135,7 +134,7 @@ let create ?(k = 25) ?leap ?(window = 64)
       keys = Array.init n (fun i -> sa_key (first_sa + i));
       lst = Array.make n 0;
       window;
-      window_impl;
+      arena;
       ike_prngs;
       spi_base;
       retries;

@@ -55,7 +55,7 @@ val create :
   ?k:int ->
   ?leap:int ->
   ?window:int ->
-  ?window_impl:Resets_ipsec.Replay_window.impl ->
+  ?arena:Resets_ipsec.Sadb_flat.t ->
   ?ike_prngs:Resets_util.Prng.t array ->
   ?first_sa:int ->
   ?spi_base:int32 ->
@@ -66,8 +66,9 @@ val create :
   Endpoint.t array ->
   Engine.t ->
   t
-(** Defaults: [k = 25], [leap = 2k], window 64/bitmap (used when
-    [Reestablish] derives fresh SAs, along with [ike_prngs] — one
+(** Defaults: [k = 25], [leap = 2k], window 64 in private arenas
+    unless [arena] names a shared one (used when [Reestablish] derives
+    fresh SAs, along with [ike_prngs] — one
     generator per endpoint, required for [Reestablish] — and
     [spi_base], default 0x6000). [first_sa] (default 0) is the global
     index of [endpoints.(0)]; a shard carrying SAs [lo..hi) passes

@@ -145,7 +145,6 @@ let run_range ?(seed = 11) ?engine discipline config ~lo ~hi =
   (* Two slots per SA (sender side + receiver side); re-established SAs
      take fresh slots, which the doubling growth absorbs. *)
   let hot = Sadb_flat.create ~capacity:(2 * n) ~w:window_width () in
-  let window_impl = Replay_window.Flat_impl hot in
   let endpoint_of i =
     let g = lo + i in
     let sa_prng = Prng.keyed ~seed ~stream:g in
@@ -175,7 +174,7 @@ let run_range ?(seed = 11) ?engine discipline config ~lo ~hi =
       ~sender_name:(Printf.sprintf "p%d" g)
       ~receiver_name:(Printf.sprintf "q%d" g)
       ~link_name:(Printf.sprintf "link%d" g)
-      ~window:window_width ~window_impl ~link_prng ~tap
+      ~window:window_width ~arena:hot ~link_prng ~tap
       ~spi:(Int32.of_int (0x4000 + g))
       ~secret:(Printf.sprintf "multi-sa-%d" g)
       ~link_latency:config.link_latency
@@ -186,7 +185,7 @@ let run_range ?(seed = 11) ?engine discipline config ~lo ~hi =
   let endpoints = Array.init n endpoint_of in
   let host =
     Host.create ~k:config.k ~leap:(2 * config.k) ~ike_prngs ~first_sa:lo
-      ~window:window_width ~window_impl ~spi_base:0x6000l
+      ~window:window_width ~arena:hot ~spi_base:0x6000l
       ~flush_period:(Time.mul config.message_gap config.k)
       ~disk ~discipline:host_discipline endpoints engine
   in

@@ -17,22 +17,3 @@ let infer ~edge ~w ~seq_low =
     seq_low >= tl - (w - 1) + epoch
   then (((th - 1) lsl 32) lor seq_low)
   else (th lsl 32) lor seq_low
-
-type t = {
-  window : Replay_window.t;
-}
-
-let create ?(impl = Replay_window.Bitmap_impl) ~w () =
-  { window = Replay_window.create impl ~w }
-
-let edge t = Replay_window.right_edge t.window
-
-let admit_low t seq_low =
-  let full =
-    infer ~edge:(edge t) ~w:(Replay_window.w t.window) ~seq_low
-  in
-  (Replay_window.admit t.window full, full)
-
-let resume_at t full = Replay_window.resume_at t.window full
-
-let volatile_reset t = Replay_window.volatile_reset t.window

@@ -3,10 +3,10 @@
     The paper treats sequence numbers as unbounded integers, but the
     ESP header carries only 32 bits; real IPsec recovers the full
     64-bit value from the low half plus the receiver's window state.
-    This module implements that inference and an ESN-aware receiver
-    facade, because SAVE/FETCH interacts with it: the persisted value
-    is the full 64-bit number, and a wakeup leap can push the edge
-    across a 2^32 epoch boundary, which the inference must survive.
+    This module implements that inference, because SAVE/FETCH
+    interacts with it: the persisted value is the full 64-bit number,
+    and a wakeup leap can push the edge across a 2^32 epoch boundary,
+    which the inference must survive.
 
     Terminology matches RFC 4304: [t] is the receiver's highest
     authenticated 64-bit number (our window's right edge), [w] the
@@ -34,21 +34,3 @@ val infer : edge:int -> w:int -> seq_low:int -> int
 
     @raise Invalid_argument if [seq_low] is outside [\[0, 2^32)] or
     [w] is not positive. *)
-
-(** {1 ESN-aware receiving window} *)
-
-type t
-
-val create : ?impl:Replay_window.impl -> w:int -> unit -> t
-
-val admit_low : t -> int -> Replay_window.verdict * int
-(** Classify a wire (32-bit) sequence number; also returns the
-    inferred full number. *)
-
-val edge : t -> int
-
-val resume_at : t -> int
- -> unit
-(** Wakeup with a recovered 64-bit edge (possibly in a later epoch). *)
-
-val volatile_reset : t -> unit

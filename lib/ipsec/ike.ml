@@ -17,15 +17,15 @@ let handshake_duration cost = Time.add (Time.mul cost.compute 4) (Time.mul cost.
 let random_nonce prng =
   String.init 32 (fun _ -> Char.chr (Prng.int prng 256))
 
-let derive_shared_params ?algo ?window_width ?window_impl ~spi ~nonce_i ~nonce_r
+let derive_shared_params ?algo ?window_width ?arena ~spi ~nonce_i ~nonce_r
     ~kdf_iterations () =
   (* Models the Diffie-Hellman agreement: an expensive stretch standing
      in for exponentiation, then HKDF over both nonces. Both peers
      compute the same value from the same exchanged inputs. *)
   let shared = Resets_crypto.Kdf.stretch ~iterations:kdf_iterations (nonce_i ^ nonce_r) in
-  Sa.derive_params ?algo ?window_width ?window_impl ~spi ~secret:shared ()
+  Sa.derive_params ?algo ?window_width ?arena ~spi ~secret:shared ()
 
-let establish ?algo ?window_width ?window_impl engine ~cost ~prng ~spi ~on_complete =
+let establish ?algo ?window_width ?arena engine ~cost ~prng ~spi ~on_complete =
   let nonce_i = random_nonce prng in
   let nonce_r = random_nonce prng in
   (* Timeline: IKE_SA_INIT request (compute, rtt/2), response (compute,
@@ -36,7 +36,7 @@ let establish ?algo ?window_width ?window_impl engine ~cost ~prng ~spi ~on_compl
   let total = handshake_duration cost in
   Engine.schedule_after engine ~after:total (fun () ->
       let params =
-        derive_shared_params ?algo ?window_width ?window_impl ~spi ~nonce_i ~nonce_r
+        derive_shared_params ?algo ?window_width ?arena ~spi ~nonce_i ~nonce_r
           ~kdf_iterations:cost.kdf_iterations ()
       in
       on_complete params)

@@ -34,7 +34,7 @@ val handshake_duration : cost -> Resets_sim.Time.t
 val establish :
   ?algo:Sa.algo ->
   ?window_width:int ->
-  ?window_impl:Replay_window.impl ->
+  ?arena:Sadb_flat.t ->
   Resets_sim.Engine.t ->
   cost:cost ->
   prng:Resets_util.Prng.t ->
@@ -49,7 +49,7 @@ val establish :
 val derive_shared_params :
   ?algo:Sa.algo ->
   ?window_width:int ->
-  ?window_impl:Replay_window.impl ->
+  ?arena:Sadb_flat.t ->
   spi:int32 ->
   nonce_i:string ->
   nonce_r:string ->

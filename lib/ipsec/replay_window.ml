@@ -1,4 +1,5 @@
 open Resets_util
+module A = Bigarray.Array1
 
 type verdict = Accept_new | Accept_in_window | Reject_duplicate | Reject_stale
 
@@ -16,452 +17,135 @@ let pp_verdict ppf v = Format.pp_print_string ppf (verdict_to_string v)
 
 let equal_verdict (a : verdict) (b : verdict) = a = b
 
-module type S = sig
-  type t
+(* Sadb_flat.word_bits as a literal, so that / and mod by it compile to
+   multiplies rather than divisions. *)
+let word_bits = 63
 
-  val create : w:int -> t
-  val w : t -> int
-  val right_edge : t -> Seqno.t
-  val check : t -> Seqno.t -> verdict
-  val admit : t -> Seqno.t -> verdict
-  val volatile_reset : t -> unit
-  val resume_at : t -> Seqno.t -> unit
-  val seen : t -> Seqno.t -> bool
-end
+let () = assert (word_bits = Sadb_flat.word_bits)
 
-(* Transliteration of the paper's process q: wdw : array [1..w] of
-   boolean (0-based here), right edge r, and the two shift loops of the
-   [r < s] case executed literally. *)
-module Paper = struct
-  type t = {
-    mutable wdw : bool array;
-    mutable r : Seqno.t;
-  }
+type impl = Flat_impl of Sadb_flat.t
 
-  let create ~w =
-    if w <= 0 then invalid_arg "Replay_window.Paper.create: w must be positive";
-    { wdw = Array.make w true; r = Seqno.zero }
+(* The slot's geometry, fixed at creation: indices into the arena's
+   data of the right-edge word and of window word 0 (stable across
+   arena growth), and the ring of [nwords] words, [nbits] bits. *)
+type t = {
+  arena : Sadb_flat.t;
+  slot : int;
+  edge : int;
+  words : int;
+  w : int;
+  nwords : int;
+  nbits : int;
+}
 
-  let w t = Array.length t.wdw
+let w t = t.w
+let slot t = t.slot
+let right_edge t = A.get (Sadb_flat.data t.arena) t.edge
 
-  let right_edge t = t.r
+(* Ring position of [s]: s mod nbits, non-negative. *)
+let ring t s =
+  let i = s mod t.nbits in
+  if i < 0 then i + t.nbits else i
 
-  let check t s =
-    let w = w t in
-    if Seqno.is_stale ~right:t.r ~w s then Reject_stale
-    else if Seqno.in_window ~right:t.r ~w s then
-      if t.wdw.(Seqno.window_index ~right:t.r ~w s - 1) then Reject_duplicate
-      else Accept_in_window
-    else Accept_new
+let clear t (data : Sadb_flat.data) =
+  for k = t.words to t.words + t.nwords - 1 do
+    A.set data k 0
+  done
 
-  let slide t s =
-    (* The paper's two loops:
-         r, i, j := s, s - r + 1, 1;
-         do i <= w -> wdw[j], i, j := wdw[i], i + 1, j + 1 od;
-         do j < w  -> wdw[j], j := false, j + 1 od
-       followed by marking the new right edge as received (the loops
-       preserve the invariant wdw[w] = true because r only ever advances
-       to a sequence number that was just accepted). *)
-    let w = w t in
-    let i = ref (s - t.r + 1) and j = ref 1 in
-    t.r <- s;
-    while !i <= w do
-      t.wdw.(!j - 1) <- t.wdw.(!i - 1);
-      incr i;
-      incr j
-    done;
-    while !j < w do
-      t.wdw.(!j - 1) <- false;
-      incr j
-    done;
-    t.wdw.(w - 1) <- true
+(* Mark ring position [i] seen. *)
+let set_bit t (data : Sadb_flat.data) i =
+  let k = t.words + (i / word_bits) in
+  A.set data k (A.get data k lor (1 lsl (i mod word_bits)))
 
-  let admit t s =
-    match check t s with
-    | Reject_stale -> Reject_stale
-    | Reject_duplicate -> Reject_duplicate
-    | Accept_in_window ->
-      t.wdw.(Seqno.window_index ~right:t.r ~w:(w t) s - 1) <- true;
-      Accept_in_window
-    | Accept_new ->
-      slide t s;
-      Accept_new
+(* The three-case rule for [s] against right edge [r]. *)
+let classify t (data : Sadb_flat.data) r s =
+  if s > r then Accept_new
+  else if s <= r - t.w then Reject_stale
+  else
+    let i = ring t s in
+    if A.get data (t.words + (i / word_bits)) land (1 lsl (i mod word_bits)) <> 0
+    then Reject_duplicate
+    else Accept_in_window
 
-  let volatile_reset t =
-    t.r <- Seqno.zero;
-    Array.fill t.wdw 0 (Array.length t.wdw) true
-
-  let resume_at t s =
-    t.r <- s;
-    Array.fill t.wdw 0 (Array.length t.wdw) true
-
-  let seen t s =
-    let w = w t in
-    if Seqno.is_stale ~right:t.r ~w s then true
-    else if Seqno.in_window ~right:t.r ~w s then
-      t.wdw.(Seqno.window_index ~right:t.r ~w s - 1)
-    else false
-end
-
-(* RFC 2401-style circular bitmap: bit (s mod w) holds the seen flag
-   for s while s is in window. Sliding clears only the bits that leave
-   the window, so a slide costs O(min(distance, w)) instead of O(w). *)
-module Bitmap = struct
-  type t = {
-    bits : Bytes.t; (* one bit per window slot *)
-    w : int;
-    mutable r : Seqno.t;
-  }
-
-  let create ~w =
-    if w <= 0 then invalid_arg "Replay_window.Bitmap.create: w must be positive";
-    let bits = Bytes.make ((w + 7) / 8) '\xff' in
-    { bits; w; r = Seqno.zero }
-
-  let w t = t.w
-
-  let right_edge t = t.r
-
-  let get_bit t s =
-    let i = ((s mod t.w) + t.w) mod t.w in
-    Char.code (Bytes.get t.bits (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-  let set_bit t s v =
-    let i = ((s mod t.w) + t.w) mod t.w in
-    let current = Char.code (Bytes.get t.bits (i / 8)) in
-    let mask = 1 lsl (i mod 8) in
-    let updated = if v then current lor mask else current land lnot mask in
-    Bytes.set t.bits (i / 8) (Char.chr updated)
-
-  let check t s =
-    if Seqno.is_stale ~right:t.r ~w:t.w s then Reject_stale
-    else if Seqno.in_window ~right:t.r ~w:t.w s then
-      if get_bit t s then Reject_duplicate else Accept_in_window
-    else Accept_new
-
-  let fill t v = Bytes.fill t.bits 0 (Bytes.length t.bits) (if v then '\xff' else '\x00')
-
-  let slide t s =
-    let distance = s - t.r in
-    if distance >= t.w then fill t false
-    else
-      (* Clear slots for the numbers entering the window: r+1 .. s-1. *)
-      for n = t.r + 1 to s - 1 do
-        set_bit t n false
-      done;
-    t.r <- s;
-    set_bit t s true
-
-  let admit t s =
-    match check t s with
-    | Reject_stale -> Reject_stale
-    | Reject_duplicate -> Reject_duplicate
-    | Accept_in_window ->
-      set_bit t s true;
-      Accept_in_window
-    | Accept_new ->
-      slide t s;
-      Accept_new
-
-  let volatile_reset t =
-    t.r <- Seqno.zero;
-    fill t true
-
-  let resume_at t s =
-    t.r <- s;
-    fill t true
-
-  let seen t s =
-    if Seqno.is_stale ~right:t.r ~w:t.w s then true
-    else if Seqno.in_window ~right:t.r ~w:t.w s then get_bit t s
-    else false
-end
-
-(* RFC 6479-style blocked bitmap (the WireGuard scheme): the slot space
-   is over-provisioned to ceil(w / word) + 1 machine words so a slide
-   only ever zeroes whole words — no per-slot clearing loop and no
-   byte-level masking on the fast path. The effective window it
-   enforces is exactly [w] because checks still use the w-based range
-   predicates; the extra word is slack for the word-aligned clear. *)
-module Block = struct
-  let word_bits = 63 (* OCaml native int payload *)
-
-  type t = {
-    words : int array;
-    w : int;
-    slots : int; (* words * word_bits, > w *)
-    mutable r : Seqno.t;
-  }
-
-  (* Invariant (RFC 6479): every slot cyclically ahead of the right
-     edge's word is zero. Initialization therefore zeroes the ring and
-     marks only the in-window slots as seen (the paper's "initially
-     true" covers exactly the window). *)
-
-  let create ~w =
-    if w <= 0 then invalid_arg "Replay_window.Block.create: w must be positive";
-    let nwords = ((w + word_bits - 1) / word_bits) + 1 in
-    let t =
-      { words = Array.make nwords 0; w; slots = nwords * word_bits; r = Seqno.zero }
-    in
-    for s = t.r - w + 1 to t.r do
-      let i = ((s mod t.slots) + t.slots) mod t.slots in
-      t.words.(i / word_bits) <- t.words.(i / word_bits) lor (1 lsl (i mod word_bits))
-    done;
-    t
-
-  let w t = t.w
-
-  let right_edge t = t.r
-
-  let slot t s = ((s mod t.slots) + t.slots) mod t.slots
-
-  let get_bit t s =
-    let i = slot t s in
-    t.words.(i / word_bits) land (1 lsl (i mod word_bits)) <> 0
-
-  let set_bit t s =
-    let i = slot t s in
-    t.words.(i / word_bits) <- t.words.(i / word_bits) lor (1 lsl (i mod word_bits))
-
-  let check t s =
-    if Seqno.is_stale ~right:t.r ~w:t.w s then Reject_stale
-    else if Seqno.in_window ~right:t.r ~w:t.w s then
-      if get_bit t s then Reject_duplicate else Accept_in_window
-    else Accept_new
-
-  let fill t v = Array.fill t.words 0 (Array.length t.words) (if v then -1 else 0)
-
-  let slide t s =
-    let nwords = Array.length t.words in
-    let old_word = slot t t.r / word_bits and new_word = slot t s / word_bits in
-    let distance = s - t.r in
-    (* A slide that laps (or nearly laps) the whole ring can alias the
-       old and new word positions; clear everything conservatively. *)
-    if distance + word_bits > t.slots then fill t false
-    else begin
-      (* zero every word strictly between the old and the new position
-         (cyclically), then the new word itself if we entered it *)
-      let steps = (new_word - old_word + nwords) mod nwords in
-      for k = 1 to steps do
-        t.words.((old_word + k) mod nwords) <- 0
-      done
-    end;
-    t.r <- s;
-    set_bit t s
-
-  let admit t s =
-    match check t s with
-    | Reject_stale -> Reject_stale
-    | Reject_duplicate -> Reject_duplicate
-    | Accept_in_window ->
-      set_bit t s;
-      Accept_in_window
-    | Accept_new ->
-      slide t s;
-      Accept_new
-
-  let mark_window_seen t =
-    fill t false;
-    for s = t.r - t.w + 1 to t.r do
-      set_bit t s
+(* RFC 6479 slide from [r] to [s > r]: every ring word the edge enters
+   is zeroed whole (the ring's extra word of slack keeps the w-window
+   out of them), then [s] is marked. *)
+let slide t (data : Sadb_flat.data) r s =
+  let j = ring t s in
+  let d = s - r in
+  if d + word_bits > t.nbits then
+    (* the slide laps, or nearly laps, the ring *)
+    clear t data
+  else begin
+    let i = j - d in
+    let k = ref ((if i < 0 then i + t.nbits else i) / word_bits)
+    and last = j / word_bits in
+    while !k <> last do
+      k := if !k + 1 = t.nwords then 0 else !k + 1;
+      A.set data (t.words + !k) 0
     done
-
-  let volatile_reset t =
-    t.r <- Seqno.zero;
-    mark_window_seen t
-
-  let resume_at t s =
-    t.r <- s;
-    mark_window_seen t
-
-  let seen t s =
-    if Seqno.is_stale ~right:t.r ~w:t.w s then true
-    else if Seqno.in_window ~right:t.r ~w:t.w s then get_bit t s
-    else false
-end
-
-(* The Block scheme again, but over arena storage: the window words and
-   the right edge live in a Sadb_flat slot instead of a private record,
-   so one shard's windows share one unboxed backing store. The
-   algorithms are a word-for-word mirror of [Block] (word_bits matches),
-   which is what keeps the two observationally equivalent — the qcheck
-   agreement suite pins that down. *)
-module Flat = struct
-  let word_bits = Sadb_flat.word_bits
-
-  type t = { arena : Sadb_flat.t; islot : int }
-
-  let w t = Sadb_flat.w t.arena
-
-  let nwords t = Sadb_flat.wwords t.arena
-
-  let slots t = nwords t * word_bits
-
-  let right_edge t = Sadb_flat.right_edge t.arena t.islot
-
-  let slot t s =
-    let n = slots t in
-    ((s mod n) + n) mod n
-
-  let get_bit t s =
-    let i = slot t s in
-    Sadb_flat.wword t.arena t.islot (i / word_bits) land (1 lsl (i mod word_bits))
-    <> 0
-
-  let set_bit t s =
-    let i = slot t s in
-    Sadb_flat.set_wword t.arena t.islot (i / word_bits)
-      (Sadb_flat.wword t.arena t.islot (i / word_bits)
-      lor (1 lsl (i mod word_bits)))
-
-  let check t s =
-    let r = right_edge t in
-    if Seqno.is_stale ~right:r ~w:(w t) s then Reject_stale
-    else if Seqno.in_window ~right:r ~w:(w t) s then
-      if get_bit t s then Reject_duplicate else Accept_in_window
-    else Accept_new
-
-  let fill t v = Sadb_flat.fill_wwords t.arena t.islot (if v then -1 else 0)
-
-  let slide t s =
-    let nwords = nwords t in
-    let r = right_edge t in
-    let old_word = slot t r / word_bits and new_word = slot t s / word_bits in
-    let distance = s - r in
-    if distance + word_bits > slots t then fill t false
-    else begin
-      let steps = (new_word - old_word + nwords) mod nwords in
-      for k = 1 to steps do
-        Sadb_flat.set_wword t.arena t.islot ((old_word + k) mod nwords) 0
-      done
-    end;
-    Sadb_flat.set_right_edge t.arena t.islot s;
-    set_bit t s
-
-  let admit t s =
-    match check t s with
-    | Reject_stale -> Reject_stale
-    | Reject_duplicate -> Reject_duplicate
-    | Accept_in_window ->
-      set_bit t s;
-      Accept_in_window
-    | Accept_new ->
-      slide t s;
-      Accept_new
-
-  let mark_window_seen t =
-    fill t false;
-    let r = right_edge t in
-    for s = r - w t + 1 to r do
-      set_bit t s
-    done
-
-  let volatile_reset t =
-    Sadb_flat.bump_epoch t.arena t.islot;
-    Sadb_flat.set_right_edge t.arena t.islot Seqno.zero;
-    mark_window_seen t
-
-  let resume_at t s =
-    Sadb_flat.bump_epoch t.arena t.islot;
-    Sadb_flat.set_right_edge t.arena t.islot s;
-    mark_window_seen t
-
-  let seen t s =
-    let r = right_edge t in
-    if Seqno.is_stale ~right:r ~w:(w t) s then true
-    else if Seqno.in_window ~right:r ~w:(w t) s then get_bit t s
-    else false
-
-  (* A freshly [alloc]ed slot is all-zero: right edge 0, epoch 0, no
-     bits. The paper's declared initial state marks the whole window
-     seen, exactly like [Block.create]. *)
-  let init t = mark_window_seen t
-end
-
-type impl = Paper_impl | Bitmap_impl | Block_impl | Flat_impl of Sadb_flat.t
-
-type packed =
-  | Packed_paper of Paper.t
-  | Packed_bitmap of Bitmap.t
-  | Packed_block of Block.t
-  | Packed_flat of Flat.t
-
-type t = packed ref
-
-let create impl ~w =
-  ref
-    (match impl with
-    | Paper_impl -> Packed_paper (Paper.create ~w)
-    | Bitmap_impl -> Packed_bitmap (Bitmap.create ~w)
-    | Block_impl -> Packed_block (Block.create ~w)
-    | Flat_impl arena ->
-      if w <= 0 then invalid_arg "Replay_window.Flat.create: w must be positive";
-      if w <> Sadb_flat.w arena then
-        invalid_arg
-          "Replay_window.create: Flat_impl arena was provisioned for a \
-           different window width";
-      let f = { Flat.arena; islot = Sadb_flat.alloc arena } in
-      Flat.init f;
-      Packed_flat f)
-
-let impl t =
-  match !t with
-  | Packed_paper _ -> Paper_impl
-  | Packed_bitmap _ -> Bitmap_impl
-  | Packed_block _ -> Block_impl
-  | Packed_flat f -> Flat_impl f.Flat.arena
-
-let flat_slot t =
-  match !t with
-  | Packed_flat f -> Some (f.Flat.arena, f.Flat.islot)
-  | Packed_paper _ | Packed_bitmap _ | Packed_block _ -> None
-
-let w t =
-  match !t with
-  | Packed_paper p -> Paper.w p
-  | Packed_bitmap b -> Bitmap.w b
-  | Packed_block b -> Block.w b
-  | Packed_flat f -> Flat.w f
-
-let right_edge t =
-  match !t with
-  | Packed_paper p -> Paper.right_edge p
-  | Packed_bitmap b -> Bitmap.right_edge b
-  | Packed_block b -> Block.right_edge b
-  | Packed_flat f -> Flat.right_edge f
+  end;
+  A.set data t.edge s;
+  set_bit t data j
 
 let check t s =
-  match !t with
-  | Packed_paper p -> Paper.check p s
-  | Packed_bitmap b -> Bitmap.check b s
-  | Packed_block b -> Block.check b s
-  | Packed_flat f -> Flat.check f s
+  let data = Sadb_flat.data t.arena in
+  classify t data (A.get data t.edge) s
 
 let admit t s =
-  match !t with
-  | Packed_paper p -> Paper.admit p s
-  | Packed_bitmap b -> Bitmap.admit b s
-  | Packed_block b -> Block.admit b s
-  | Packed_flat f -> Flat.admit f s
+  let data = Sadb_flat.data t.arena in
+  let r = A.get data t.edge in
+  match classify t data r s with
+  | Accept_new ->
+    slide t data r s;
+    Accept_new
+  | Accept_in_window ->
+    set_bit t data (ring t s);
+    Accept_in_window
+  | (Reject_duplicate | Reject_stale) as v -> v
+
+let seen t s = not (verdict_accepts (check t s))
+
+(* Edge [r] with the whole window marked seen: the paper's initial
+   state, and its wakeup (every number up to the edge counts as
+   received). *)
+let set_edge t r =
+  let data = Sadb_flat.data t.arena in
+  clear t data;
+  A.set data t.edge r;
+  for s = r - t.w + 1 to r do
+    set_bit t data (ring t s)
+  done
 
 let volatile_reset t =
-  match !t with
-  | Packed_paper p -> Paper.volatile_reset p
-  | Packed_bitmap b -> Bitmap.volatile_reset b
-  | Packed_block b -> Block.volatile_reset b
-  | Packed_flat f -> Flat.volatile_reset f
+  Sadb_flat.bump_epoch t.arena t.slot;
+  set_edge t Seqno.zero
 
 let resume_at t s =
-  match !t with
-  | Packed_paper p -> Paper.resume_at p s
-  | Packed_bitmap b -> Bitmap.resume_at b s
-  | Packed_block b -> Block.resume_at b s
-  | Packed_flat f -> Flat.resume_at f s
+  Sadb_flat.bump_epoch t.arena t.slot;
+  set_edge t s
 
-let seen t s =
-  match !t with
-  | Packed_paper p -> Paper.seen p s
-  | Packed_bitmap b -> Bitmap.seen b s
-  | Packed_block b -> Block.seen b s
-  | Packed_flat f -> Flat.seen f s
+let create (Flat_impl arena) ~w =
+  if w <= 0 then invalid_arg "Replay_window.create: w must be positive";
+  if w <> Sadb_flat.w arena then
+    invalid_arg
+      "Replay_window.create: Flat_impl arena was provisioned for a different \
+       window width";
+  let slot = Sadb_flat.alloc arena in
+  let base = Sadb_flat.base arena slot in
+  let nwords = Sadb_flat.wwords arena in
+  let t =
+    {
+      arena;
+      slot;
+      edge = base + Sadb_flat.right_edge_word;
+      words = base + Sadb_flat.header_words;
+      w;
+      nwords;
+      nbits = nwords * word_bits;
+    }
+  in
+  set_edge t Seqno.zero;
+  t
+
+let create_private ~w = create (Flat_impl (Sadb_flat.create ~capacity:1 ~w ())) ~w

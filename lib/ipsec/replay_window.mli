@@ -11,17 +11,17 @@
     - [s > r]: fresh beyond the edge — accept and slide the window so
       [s] becomes the new right edge.
 
-    Four implementations are provided: {!Paper} transliterates the
-    boolean-array process of Section 2 (including its two shift loops);
-    {!Bitmap} is the RFC 2401-style circular bitmap; {!Block} is the
-    RFC 6479-style blocked bitmap (the WireGuard scheme), which
-    over-provisions the slot space so slides clear whole machine words
-    instead of individual slots; and the flat backend behind
-    {!Flat_impl} runs the same blocked-bitmap algorithm over a slot of
-    a shared {!Sadb_flat} arena, so a million-SA shard keeps every
-    window in one unboxed, cache-linear backing store. QCheck
-    properties in the test suite check them all observationally
-    equivalent; the benchmark harness compares their cost. *)
+    There is one implementation: the RFC 6479-style blocked bitmap (the
+    WireGuard scheme) over a slot of a {!Sadb_flat} arena. The paper's
+    array [wdw\[1..w\]] becomes a ring of [ceil(w / 63) + 1] 63-bit
+    words; the extra word is slack, so a slide zeroes whole words
+    instead of shifting slots. Every window lives in an arena: a
+    shard's windows share one, so a million-SA shard keeps them all in
+    one unboxed, cache-linear backing store, and a window with no
+    shared arena gets a private one-slot arena. The paper's
+    boolean-array process itself is the executable specification in
+    the test suite, and a qcheck property checks this window
+    observationally equivalent to it. *)
 
 type verdict =
   | Accept_new  (** beyond the right edge; window slid *)
@@ -34,72 +34,48 @@ val pp_verdict : Format.formatter -> verdict -> unit
 val verdict_to_string : verdict -> string
 val equal_verdict : verdict -> verdict -> bool
 
-(** Operations every window implementation supports. *)
-module type S = sig
-  type t
-
-  val create : w:int -> t
-  (** Fresh window: right edge 0, every slot marked seen (the paper's
-      declared initial values). @raise Invalid_argument if [w <= 0]. *)
-
-  val w : t -> int
-  val right_edge : t -> Resets_util.Seqno.t
-
-  val check : t -> Resets_util.Seqno.t -> verdict
-  (** Classify without mutating. *)
-
-  val admit : t -> Resets_util.Seqno.t -> verdict
-  (** Classify and, on acceptance, record the sequence number (sliding
-      the window for [Accept_new]). *)
-
-  val volatile_reset : t -> unit
-  (** What a host reset does to RAM: right edge back to 0, history
-      forgotten. (This is the {e problem}; SAVE/FETCH is the cure.) *)
-
-  val resume_at : t -> Resets_util.Seqno.t -> unit
-  (** Wakeup with a recovered right edge: every number up to it is
-      assumed already received (the paper's third action of process q
-      sets the whole array to true). *)
-
-  val seen : t -> Resets_util.Seqno.t -> bool
-  (** Whether an in-window number is marked received; stale numbers
-      report [true], beyond-edge numbers [false]. *)
-end
-
-module Paper : S
-module Bitmap : S
-module Block : S
-
-(** {1 Packed windows}
-
-    A first-class wrapper so harness code can pick the implementation
-    at run time. *)
-
-(** Which backend a packed window uses. {!Flat_impl} carries the
-    {!Sadb_flat} arena the window's state lives in: {!create} claims
-    the arena's next free slot, so every window (and, through
-    {!Sa.create}, every SA) built from the same [Flat_impl a] value
-    shares [a]'s backing store. The arena's provisioned width must
-    equal the [w] passed to {!create}. *)
-type impl = Paper_impl | Bitmap_impl | Block_impl | Flat_impl of Sadb_flat.t
+(** The arena a window's state lives in: {!create} claims the arena's
+    next free slot, so every window (and, through {!Sa.create}, every
+    SA) built from the same [Flat_impl a] value shares [a]'s backing
+    store. The arena's provisioned width must equal the [w] passed to
+    {!create}. *)
+type impl = Flat_impl of Sadb_flat.t
 
 type t
 
 val create : impl -> w:int -> t
-(** @raise Invalid_argument if [w <= 0], or for {!Flat_impl} when the
-    arena was provisioned for a different width. *)
+(** Fresh window in a new slot of the arena: right edge 0, every slot
+    marked seen (the paper's declared initial values).
+    @raise Invalid_argument if [w <= 0] or the arena was provisioned
+    for a different width. *)
 
-val impl : t -> impl
+val create_private : w:int -> t
+(** A window in its own one-slot arena.
+    @raise Invalid_argument if [w <= 0]. *)
 
-val flat_slot : t -> (Sadb_flat.t * int) option
-(** The arena and slot index backing a {!Flat_impl} window — [None]
-    for the boxed backends. {!Sa.create} uses this to co-locate the
-    SA's sequence counter in the same slot as its window. *)
+val slot : t -> int
+(** The arena slot holding the window. {!Sa.create} keeps the SA's
+    sequence counter in the same slot. *)
 
 val w : t -> int
 val right_edge : t -> Resets_util.Seqno.t
+
 val check : t -> Resets_util.Seqno.t -> verdict
+(** Classify without mutating. *)
+
 val admit : t -> Resets_util.Seqno.t -> verdict
+(** Classify and, on acceptance, record the sequence number (sliding
+    the window for [Accept_new]). *)
+
 val volatile_reset : t -> unit
+(** What a host reset does to RAM: right edge back to 0, history
+    forgotten. (This is the {e problem}; SAVE/FETCH is the cure.) *)
+
 val resume_at : t -> Resets_util.Seqno.t -> unit
+(** Wakeup with a recovered right edge: every number up to it is
+    assumed already received (the paper's third action of process q
+    sets the whole array to true). *)
+
 val seen : t -> Resets_util.Seqno.t -> bool
+(** Whether an in-window number is marked received; stale numbers
+    report [true], beyond-edge numbers [false]. *)

@@ -37,7 +37,7 @@ type params = {
   algo : algo;
   keys : keys;
   window_width : int;
-  window_impl : Replay_window.impl;
+  arena : Sadb_flat.t option;
   lifetime_packets : int option;
   crypto : crypto;
 }
@@ -66,8 +66,8 @@ let scratch_bytes (p : params) len =
   end;
   c.scratch
 
-let derive_params ?(algo = default_algo) ?(window_width = 64)
-    ?(window_impl = Replay_window.Bitmap_impl) ?lifetime_packets ~spi ~secret () =
+let derive_params ?(algo = default_algo) ?(window_width = 64) ?arena
+    ?lifetime_packets ~spi ~secret () =
   if window_width <= 0 then invalid_arg "Sa.derive_params: window_width must be positive";
   let info = Printf.sprintf "ipsec-resets sa %ld" spi in
   let material =
@@ -85,80 +85,45 @@ let derive_params ?(algo = default_algo) ?(window_width = 64)
     algo;
     keys;
     window_width;
-    window_impl;
+    arena;
     lifetime_packets;
     crypto = derive_crypto keys;
   }
 
-(* The volatile state either sits in its own boxed record (the classic
-   layout) or in the Sadb_flat slot the SA's window already claimed, so
-   counter and window share one cache line. Which one an SA gets is
-   decided by params.window_impl — Flat_impl windows bring a slot. *)
-type hot_state =
-  | Hot_boxed of {
-      mutable bseq : Seqno.t;
-      mutable bsent : int;
-      mutable brecv : int;
-    }
-  | Hot_flat of { arena : Sadb_flat.t; slot : int }
-
+(* The counters share the window's arena slot, so an SA's whole
+   volatile state is one cache line. *)
 type t = {
   params : params;
   window : Replay_window.t;
-  hot : hot_state;
+  hot : Sadb_flat.t;
+  slot : int;
 }
 
 let create params =
-  let window = Replay_window.create params.window_impl ~w:params.window_width in
+  let w = params.window_width in
   let hot =
-    match Replay_window.flat_slot window with
-    | Some (arena, slot) ->
-      Sadb_flat.set_send_seq arena slot Seqno.first;
-      Hot_flat { arena; slot }
-    | None -> Hot_boxed { bseq = Seqno.first; bsent = 0; brecv = 0 }
+    match params.arena with
+    | Some arena -> arena
+    | None -> Sadb_flat.create ~capacity:1 ~w ()
   in
-  { params; window; hot }
+  let window = Replay_window.create (Replay_window.Flat_impl hot) ~w in
+  let slot = Replay_window.slot window in
+  Sadb_flat.set_send_seq hot slot Seqno.first;
+  { params; window; hot; slot }
 
-let send_seq t =
-  match t.hot with
-  | Hot_boxed b -> b.bseq
-  | Hot_flat f -> Sadb_flat.send_seq f.arena f.slot
-
-let set_send_seq t v =
-  match t.hot with
-  | Hot_boxed b -> b.bseq <- v
-  | Hot_flat f -> Sadb_flat.set_send_seq f.arena f.slot v
-
-let packets_sent t =
-  match t.hot with
-  | Hot_boxed b -> b.bsent
-  | Hot_flat f -> Sadb_flat.packets_sent f.arena f.slot
-
-let packets_received t =
-  match t.hot with
-  | Hot_boxed b -> b.brecv
-  | Hot_flat f -> Sadb_flat.packets_received f.arena f.slot
+let send_seq t = Sadb_flat.send_seq t.hot t.slot
+let set_send_seq t v = Sadb_flat.set_send_seq t.hot t.slot v
+let packets_sent t = Sadb_flat.packets_sent t.hot t.slot
+let packets_received t = Sadb_flat.packets_received t.hot t.slot
 
 let note_received t =
-  match t.hot with
-  | Hot_boxed b -> b.brecv <- b.brecv + 1
-  | Hot_flat f ->
-    Sadb_flat.set_packets_received f.arena f.slot
-      (Sadb_flat.packets_received f.arena f.slot + 1)
+  Sadb_flat.set_packets_received t.hot t.slot (packets_received t + 1)
 
 let next_send_seq t =
-  match t.hot with
-  | Hot_boxed b ->
-    let s = b.bseq in
-    b.bseq <- Seqno.succ s;
-    b.bsent <- b.bsent + 1;
-    s
-  | Hot_flat f ->
-    let s = Sadb_flat.send_seq f.arena f.slot in
-    Sadb_flat.set_send_seq f.arena f.slot (Seqno.succ s);
-    Sadb_flat.set_packets_sent f.arena f.slot
-      (Sadb_flat.packets_sent f.arena f.slot + 1);
-    s
+  let s = send_seq t in
+  set_send_seq t (Seqno.succ s);
+  Sadb_flat.set_packets_sent t.hot t.slot (packets_sent t + 1);
+  s
 
 let lifetime_exceeded t =
   match t.params.lifetime_packets with

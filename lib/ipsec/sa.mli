@@ -6,7 +6,8 @@
     ({!type:params}) is what survives a reset without help — "the other
     attributes … remain the same during the lifetime of this SA" — and
     the per-packet mutable part (sequence number, window) is what the
-    SAVE/FETCH protocol exists to recover. *)
+    SAVE/FETCH protocol exists to recover. That mutable part lives in
+    one slot of a {!Sadb_flat} arena. *)
 
 type integ_alg =
   | Hmac_sha256_128  (** HMAC-SHA-256 truncated to 16 bytes *)
@@ -47,7 +48,9 @@ type params = {
   algo : algo;
   keys : keys;
   window_width : int;  (** the paper's [w] *)
-  window_impl : Replay_window.impl;
+  arena : Sadb_flat.t option;
+      (** the arena shared by the SAs of a shard; [None] gives each
+          {!create} a private one-slot arena *)
   lifetime_packets : int option;  (** soft lifetime, if any *)
   crypto : crypto;  (** derived; not part of the SA's identity *)
 }
@@ -62,7 +65,7 @@ val default_algo : algo
 val derive_params :
   ?algo:algo ->
   ?window_width:int ->
-  ?window_impl:Replay_window.impl ->
+  ?arena:Sadb_flat.t ->
   ?lifetime_packets:int ->
   spi:int32 ->
   secret:string ->
@@ -71,31 +74,17 @@ val derive_params :
 (** Derive the key material for [spi] from a shared [secret] via HKDF;
     both peers calling this with the same inputs get identical SAs. *)
 
-(** Where an SA's volatile words (sequence counter, packet counters)
-    live. [Hot_boxed] is the classic one-record-per-SA layout;
-    [Hot_flat] places them in the same {!Sadb_flat} arena slot as the
-    SA's anti-replay window, so a shard's whole hot set is one unboxed,
-    cache-linear block. Always go through the accessors below — the
-    constructors are exposed only so [t] can stay a transparent
-    record. *)
-type hot_state =
-  | Hot_boxed of {
-      mutable bseq : Resets_util.Seqno.t;
-      mutable bsent : int;
-      mutable brecv : int;
-    }
-  | Hot_flat of { arena : Sadb_flat.t; slot : int }
-
 (** Mutable per-endpoint state layered over shared [params]. A
     unidirectional SA has a sending side (sequence counter) and a
     receiving side (window); each endpoint instantiates the side it
-    plays. Whether the volatile words are boxed or arena-resident
-    follows [params.window_impl]: a {!Replay_window.Flat_impl} window
-    brings an arena slot and the counters move in with it. *)
+    plays. Both live in one {!Sadb_flat} slot — the shared
+    [params.arena] or a private one — so an SA's volatile state is one
+    cache line. *)
 type t = {
   params : params;
   window : Replay_window.t;  (** receiver's anti-replay window *)
-  hot : hot_state;  (** volatile words — use the accessors *)
+  hot : Sadb_flat.t;  (** the arena holding the counters and window *)
+  slot : int;  (** their slot — use the accessors below *)
 }
 
 val create : params -> t

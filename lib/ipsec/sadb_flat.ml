@@ -12,7 +12,7 @@ let header_words = 5
 let off_send_seq = 0
 let off_packets_sent = 1
 let off_packets_received = 2
-let off_right_edge = 3
+let right_edge_word = 3
 let off_epoch = 4
 
 type t = {
@@ -33,7 +33,7 @@ let create ?(capacity = 16) ~w () =
   if w <= 0 then invalid_arg "Sadb_flat.create: w must be positive";
   let capacity = max 1 capacity in
   (* RFC 6479-style over-provisioning: one word of slack beyond the
-     window so slides clear whole words (see Replay_window.Block). *)
+     window so slides clear whole words (see Replay_window). *)
   let wwords = ((w + word_bits - 1) / word_bits) + 1 in
   (* Round the stride up to a multiple of 8 words so slots start on
      64-byte (cache-line) boundaries. With the default w = 64 the raw
@@ -46,6 +46,7 @@ let wwords t = t.wwords
 let stride t = t.stride
 let capacity t = t.capacity
 let used t = t.used
+let data t = t.data
 
 let grow t =
   let capacity = 2 * t.capacity in
@@ -83,26 +84,8 @@ let packets_received t slot =
 let set_packets_received t slot v =
   Bigarray.Array1.set t.data (base t slot + off_packets_received) v
 
-let right_edge t slot =
-  Bigarray.Array1.get t.data (base t slot + off_right_edge)
-
-let set_right_edge t slot v =
-  Bigarray.Array1.set t.data (base t slot + off_right_edge) v
-
 let epoch t slot = Bigarray.Array1.get t.data (base t slot + off_epoch)
 
 let bump_epoch t slot =
   let i = base t slot + off_epoch in
   Bigarray.Array1.set t.data i (Bigarray.Array1.get t.data i + 1)
-
-let wword t slot i =
-  Bigarray.Array1.get t.data (base t slot + header_words + i)
-
-let set_wword t slot i v =
-  Bigarray.Array1.set t.data (base t slot + header_words + i) v
-
-let fill_wwords t slot v =
-  let b = base t slot + header_words in
-  for i = 0 to t.wwords - 1 do
-    Bigarray.Array1.set t.data (b + i) v
-  done

@@ -9,8 +9,8 @@
     unboxed [Bigarray] of native ints, so a shard's hot state is
     cache-linear, GC-invisible, and indexed by a flat slot number.
 
-    One arena serves one shard (all its SAs share a window width [w]);
-    {!alloc} hands out slots append-only and the backing store doubles
+    One arena serves one shard (all its SAs share a window width [w])
+    or, with [~capacity:1], a single SA; {!alloc} hands out slots append-only and the backing store doubles
     on demand, so re-established SAs simply take fresh slots — slots
     are never reclaimed, which is the right trade for bounded-lifetime
     simulation runs.
@@ -34,21 +34,24 @@
     words (the [+1] is the block scheme's word of slack), so the raw
     size is [5 + 3 = 8] words — exactly one cache line per SA.
 
-    The window words hold the same blocked bitmap as
-    {!Replay_window.Block}; the sliding/checking logic itself lives in
-    [Replay_window]'s [Flat] backend, which reads and writes these
-    words through the accessors below. This module is pure storage: it
-    knows byte layout, not protocol. See DESIGN.md §2e for the worked
-    byte-offset diagram and the cache/GC argument. *)
+    The window words hold an RFC 6479-style blocked bitmap; the
+    sliding/checking logic lives in {!Replay_window}, which reads and
+    writes the right-edge and window words directly in {!data} at
+    offsets from {!base}. This module is pure storage: it knows byte
+    layout, not protocol. See DESIGN.md §2e for the worked byte-offset
+    diagram and the cache/GC argument. *)
 
 type t
 
 val word_bits : int
-(** Usable bits per window word (63: the native-int payload, matching
-    {!Replay_window.Block}). *)
+(** Usable bits per window word (63: the native-int payload). *)
 
 val header_words : int
-(** Number of fixed words before the window words in every slot (5). *)
+(** Number of fixed words before the window words in every slot (5):
+    the offset of window word 0 from {!base}. *)
+
+val right_edge_word : int
+(** Offset of the right-edge word from {!base} (3). *)
 
 val create : ?capacity:int -> w:int -> unit -> t
 (** [create ~w ()] is an empty arena whose slots carry a width-[w]
@@ -79,6 +82,22 @@ val alloc : t -> int
     store when full — existing slot contents are preserved and slot
     indices remain valid across growth. *)
 
+(** {2 Raw storage}
+
+    For the window's hot path, which reads and writes its words in
+    place instead of through one accessor call per word. *)
+
+type data = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val data : t -> data
+(** The current backing store. {!alloc} replaces it when the arena
+    grows, so read it afresh after any [alloc]; offsets from {!base}
+    stay valid across growth. *)
+
+val base : t -> int -> int
+(** [base t slot] is the index in {!data} of [slot]'s word 0
+    ([slot * stride t]). *)
+
 (** {2 Header-word accessors} *)
 
 val send_seq : t -> int -> int
@@ -87,8 +106,6 @@ val packets_sent : t -> int -> int
 val set_packets_sent : t -> int -> int -> unit
 val packets_received : t -> int -> int
 val set_packets_received : t -> int -> int -> unit
-val right_edge : t -> int -> int
-val set_right_edge : t -> int -> int -> unit
 
 val epoch : t -> int -> int
 (** How many volatile resets / recovery resumes this slot has seen — a
@@ -96,16 +113,3 @@ val epoch : t -> int -> int
     through a crash. *)
 
 val bump_epoch : t -> int -> unit
-
-(** {2 Window-word accessors}
-
-    [wword t slot i] is window word [i] of [slot], [0 <= i < wwords t].
-    The bit semantics (which sequence number lives in which bit) are
-    owned by [Replay_window]'s flat backend. *)
-
-val wword : t -> int -> int -> int
-val set_wword : t -> int -> int -> int -> unit
-
-val fill_wwords : t -> int -> int -> unit
-(** [fill_wwords t slot v] sets every window word of [slot] to [v]
-    (typically 0 or -1 for all-clear / all-seen). *)

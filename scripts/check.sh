@@ -147,15 +147,17 @@ grep -q '"goodput-degraded"' "$out/chaos-stealth.json" \
   || { echo "stealth report carries no goodput-degraded violation" >&2; exit 1; }
 echo "stealth: degradation found, shrunk, replay-identical"
 
-echo "== static-policy compatibility gate (BENCH_E1 byte-identity) =="
-# The K policy refactor must leave the fault-free Static path
-# byte-identical: the E1 artifact regenerated by the bench smoke above
-# has to match the committed one on every protocol field. Only
-# machine-dependent timing fields (wall clock, throughput, speedup)
-# are stripped before the diff.
+echo "== committed-artifact gate (BENCH_E1 and BENCH_E6 byte-identity) =="
+# The fault-free harness paths must stay byte-identical: the E1 and E6
+# artifacts regenerated by the bench smoke above have to match the
+# committed ones on every protocol field. E1 pins the Static K policy
+# path, E6 the SAVE-interval rule; both run the single-SA harness, so
+# together they also pin its replay window. Only machine-dependent
+# timing fields (wall clock, throughput, speedup) are stripped before
+# the diff.
 if command -v python3 >/dev/null 2>&1; then
-  python3 - BENCH_E1.json "$out/BENCH_E1.json" <<'PY'
-import json, sys
+  python3 - "$out" BENCH_E1.json BENCH_E6.json <<'PY'
+import json, os, sys
 
 MACHINE = {"wall_clock_s", "wall_clock_ns", "events_per_sec",
            "speedup_vs_1_domain", "pps_per_core",
@@ -168,13 +170,14 @@ def strip(x):
         return [strip(v) for v in x]
     return x
 
-a, b = (strip(json.load(open(p))) for p in sys.argv[1:3])
-if a != b:
-    sys.exit("regenerated BENCH_E1.json differs from the committed "
-             "artifact on a protocol field: the Static policy path is "
-             "no longer byte-compatible")
-print("regenerated E1 identical to the committed artifact "
-      "(machine-dependent fields stripped)")
+out = sys.argv[1]
+for name in sys.argv[2:]:
+    a, b = (strip(json.load(open(p))) for p in (name, os.path.join(out, name)))
+    if a != b:
+        sys.exit(f"regenerated {name} differs from the committed artifact "
+                 "on a protocol field")
+    print(f"regenerated {name} identical to the committed artifact "
+          "(machine-dependent fields stripped)")
 PY
 else
   echo "byte-identity gate skipped (python3 missing)"
@@ -312,9 +315,9 @@ alloc_gate esp-decap-slice-256B 45
 # allocates ~16 words steady state; anything past 20 means a boxed
 # deadline, a closure, or a list node crept into the per-event path.
 alloc_gate engine-wheel-event 20
-# Flat-SADB replay admission must stay allocation-free like the other
-# window backends (budget 1 tolerates measurement jitter, not boxing).
-alloc_gate window-admit-flat 1
+# Replay admission on the arena window must stay allocation-free
+# (budget 1 tolerates measurement jitter, not boxing).
+alloc_gate window-admit 1
 
 echo "== batched wire sweep gate (MICRO wire table) =="
 # Re-derive the wire sweep verdicts from the JSON: rows at batch 1, 8

@@ -89,48 +89,55 @@ let infer_roundtrip_property =
       || Esn.infer ~edge ~w ~seq_low:(Esn.low_of full) = full)
 
 (* ------------------------------------------------------------------ *)
-(* ESN window facade *)
+(* ESN receiving window: infer the full number from the wire's low
+   half and the window's edge, then admit it *)
+
+let admit_low t seq_low =
+  let full =
+    Esn.infer ~edge:(Replay_window.right_edge t) ~w:(Replay_window.w t) ~seq_low
+  in
+  (Replay_window.admit t full, full)
 
 let test_esn_window_in_order () =
-  let t = Esn.create ~w:8 () in
-  let v1, full1 = Esn.admit_low t 1 in
+  let t = Replay_window.create_private ~w:8 in
+  let v1, full1 = admit_low t 1 in
   check_bool "accept 1" true (Replay_window.verdict_accepts v1);
   check_int "full 1" 1 full1;
-  let v2, _ = Esn.admit_low t 1 in
+  let v2, _ = admit_low t 1 in
   check_bool "replay rejected" false (Replay_window.verdict_accepts v2)
 
 let test_esn_window_across_wrap () =
-  let t = Esn.create ~w:8 () in
+  let t = Replay_window.create_private ~w:8 in
   (* jump the edge near the top of epoch 0 via resume *)
-  Esn.resume_at t (epoch - 2);
-  let v, full = Esn.admit_low t (epoch - 1) in
+  Replay_window.resume_at t (epoch - 2);
+  let v, full = admit_low t (epoch - 1) in
   check_bool "accept top of epoch" true (Replay_window.verdict_accepts v);
   check_int "full top" (epoch - 1) full;
   (* the next wire value 0 is the start of epoch 1 *)
-  let v, full = Esn.admit_low t 0 in
+  let v, full = admit_low t 0 in
   check_bool "accept across wrap" true (Replay_window.verdict_accepts v);
   check_int "full wrapped" epoch full;
   (* replaying the top of epoch 0 now fails *)
-  let v, _ = Esn.admit_low t (epoch - 1) in
+  let v, _ = admit_low t (epoch - 1) in
   check_bool "old epoch replay rejected" false (Replay_window.verdict_accepts v)
 
 let test_esn_leap_across_epoch () =
   (* SAVE/FETCH interaction: a wakeup leap lands the edge in the next
      epoch; inference must keep working *)
-  let t = Esn.create ~w:8 () in
-  Esn.resume_at t (epoch + 5) (* recovered edge in epoch 1 *);
-  check_int "edge" (epoch + 5) (Esn.edge t);
-  let v, full = Esn.admit_low t 6 in
+  let t = Replay_window.create_private ~w:8 in
+  Replay_window.resume_at t (epoch + 5) (* recovered edge in epoch 1 *);
+  check_int "edge" (epoch + 5) (Replay_window.right_edge t);
+  let v, full = admit_low t 6 in
   check_bool "fresh accepted" true (Replay_window.verdict_accepts v);
   check_int "fresh is epoch 1" (epoch + 6) full;
-  let v, _ = Esn.admit_low t 5 in
+  let v, _ = admit_low t 5 in
   check_bool "edge replay rejected" false (Replay_window.verdict_accepts v)
 
 let test_esn_volatile_reset () =
-  let t = Esn.create ~w:8 () in
-  Esn.resume_at t (epoch + 5);
-  Esn.volatile_reset t;
-  check_int "edge forgotten" 0 (Esn.edge t)
+  let t = Replay_window.create_private ~w:8 in
+  Replay_window.resume_at t (epoch + 5);
+  Replay_window.volatile_reset t;
+  check_int "edge forgotten" 0 (Replay_window.right_edge t)
 
 (* ------------------------------------------------------------------ *)
 (* ESN ESP framing: ICV over the inferred full sequence number *)

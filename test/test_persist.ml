@@ -1,6 +1,6 @@
 (* Unit tests for the persistence substrate: the simulated disk's
-   crash semantics (the heart of Figures 1 and 2), the file-backed
-   store, and the append-only journal. *)
+   crash semantics (the heart of Figures 1 and 2) and the file-backed
+   store. *)
 
 open Resets_sim
 open Resets_persist
@@ -611,87 +611,34 @@ let test_snap_store_face () =
   check_opt_int "fetch through the face" (Some 5) (st.Store.fetch ~key:"k")
 
 (* ------------------------------------------------------------------ *)
-(* Journal *)
+(* Last-write-wins: any sequence of saves leaves each backend holding
+   the latest value per key (the Store.S durability contract). *)
 
-let temp_journal name =
-  let file = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "resets-journal-%s-%d.log" name (Unix.getpid ())) in
-  if Sys.file_exists file then Sys.remove file;
-  Journal.create ~file
-
-let test_journal_append_and_fetch_last () =
-  let j = temp_journal "j1" in
-  List.iter (fun v -> Journal.save j ~key:"edge" ~value:v ~on_complete:ignore)
-    [ 10; 20; 30 ];
-  check_opt_int "last wins" (Some 30) (Journal.fetch j ~key:"edge");
-  check_int "records" 3 (Journal.record_count j)
-
-let test_journal_multiple_keys () =
-  let j = temp_journal "j2" in
-  Journal.save j ~key:"a" ~value:1 ~on_complete:ignore;
-  Journal.save j ~key:"b" ~value:2 ~on_complete:ignore;
-  Journal.save j ~key:"a" ~value:3 ~on_complete:ignore;
-  check_opt_int "a" (Some 3) (Journal.fetch j ~key:"a");
-  check_opt_int "b" (Some 2) (Journal.fetch j ~key:"b")
-
-let test_journal_torn_record_ignored () =
-  let j = temp_journal "j3" in
-  Journal.save j ~key:"k" ~value:5 ~on_complete:ignore;
-  (* Simulate a torn final append: garbage without a valid checksum. *)
-  let file = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "resets-journal-j3-%d.log" (Unix.getpid ())) in
-  let oc = open_out_gen [ Open_append ] 0o644 file in
-  output_string oc "deadbeef 6b 99\n";
-  close_out oc;
-  check_opt_int "torn record ignored" (Some 5) (Journal.fetch j ~key:"k")
-
-let test_journal_compact () =
-  let j = temp_journal "j4" in
-  for v = 1 to 10 do
-    Journal.save j ~key:"k" ~value:v ~on_complete:ignore
-  done;
-  Journal.save j ~key:"other" ~value:7 ~on_complete:ignore;
-  check_int "before" 11 (Journal.record_count j);
-  Journal.compact j;
-  check_int "after" 2 (Journal.record_count j);
-  check_opt_int "k preserved" (Some 10) (Journal.fetch j ~key:"k");
-  check_opt_int "other preserved" (Some 7) (Journal.fetch j ~key:"other")
-
-let test_journal_empty () =
-  let j = temp_journal "j5" in
-  check_opt_int "empty fetch" None (Journal.fetch j ~key:"k");
-  check_int "empty count" 0 (Journal.record_count j)
-
-(* ------------------------------------------------------------------ *)
-(* Backend equivalence: any sequence of saves against File_store and
-   Journal yields the same fetch results (both implement the Store.S
-   durability contract with synchronous completion). *)
-
-let backend_equivalence =
-  QCheck.Test.make ~name:"File_store and Journal agree on any op sequence" ~count:40
+let file_store_last_write_wins =
+  QCheck.Test.make ~name:"File_store is last-write-wins" ~count:40
     QCheck.(
       list_of_size (Gen.int_range 1 30)
         (pair (int_range 0 3) (int_range 0 1_000_000)))
     (fun ops ->
       let dir =
         Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "resets-eqv-%d-%d" (Unix.getpid ()) (Hashtbl.hash ops))
+          (Printf.sprintf "resets-lww-%d-%d" (Unix.getpid ()) (Hashtbl.hash ops))
       in
-      let file = dir ^ ".journal" in
-      if Sys.file_exists file then Sys.remove file;
       if Sys.file_exists dir then
         Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       let fs = File_store.create ~dir in
-      let j = Journal.create ~file in
+      let reference = Hashtbl.create 8 in
       let keys = [| "a"; "b"; "c"; "d" |] in
       List.for_all
         (fun (ki, v) ->
           let key = keys.(ki) in
+          Hashtbl.replace reference key v;
           File_store.save fs ~key ~value:v ~on_complete:ignore;
-          Journal.save j ~key ~value:v ~on_complete:ignore;
-          File_store.fetch fs ~key = Journal.fetch j ~key)
+          File_store.fetch fs ~key = Some v)
         ops
-      && Array.for_all (fun key -> File_store.fetch fs ~key = Journal.fetch j ~key) keys)
+      && Array.for_all
+           (fun key -> File_store.fetch fs ~key = Hashtbl.find_opt reference key)
+           keys)
 
 let sim_disk_settles_like_file_store =
   (* once the engine drains, the simulated disk's durable contents match
@@ -799,17 +746,9 @@ let () =
           Alcotest.test_case "torn prefix" `Quick test_snap_torn_prefix;
           Alcotest.test_case "store face" `Quick test_snap_store_face;
         ] );
-      ( "journal",
-        [
-          Alcotest.test_case "append/fetch-last" `Quick test_journal_append_and_fetch_last;
-          Alcotest.test_case "multiple keys" `Quick test_journal_multiple_keys;
-          Alcotest.test_case "torn record" `Quick test_journal_torn_record_ignored;
-          Alcotest.test_case "compact" `Quick test_journal_compact;
-          Alcotest.test_case "empty" `Quick test_journal_empty;
-        ] );
       ( "equivalence",
         [
-          QCheck_alcotest.to_alcotest backend_equivalence;
+          QCheck_alcotest.to_alcotest file_store_last_write_wins;
           QCheck_alcotest.to_alcotest sim_disk_settles_like_file_store;
         ] );
     ]
