@@ -1254,7 +1254,8 @@ let e11 report =
   Format.printf
     "Bounded model checking of the APN models (Sec. 5 claims as@.\
      invariants; adversary = record/replay; small bounds).@.@.";
-  Format.printf "%-44s %-12s %10s@." "model / fault budget" "outcome" "states";
+  Format.printf "%-44s %-12s %10s %12s@." "model / fault budget" "outcome" "states"
+    "states/s";
   hr ();
   let open Resets_apn in
   (* ~expect is the paper-derived expectation: the augmented protocol's
@@ -1272,12 +1273,14 @@ let e11 report =
       | Explorer.Violation { states; _ } -> ("VIOLATED", states)
     in
     let violated = match outcome with Explorer.Violation _ -> true | _ -> false in
+    let states_per_s = float_of_int states /. dt in
     Report.row report ~table:"models"
       [
         ("model", Json.String name);
         ("outcome", Json.String verdict);
         ("states", Json.Int states);
         ("explore_s", Json.Float dt);
+        ("states_per_s", Json.Float states_per_s);
       ];
     Report.check report
       ~name:
@@ -1285,7 +1288,7 @@ let e11 report =
            (if expect = `Violated then "VIOLATED" else "holds"))
       ~value:(float_of_int states)
       (violated = (expect = `Violated));
-    Format.printf "%-44s %-12s %10d   (%.1fs)@." name verdict states dt;
+    Format.printf "%-44s %-12s %10d %12.0f   (%.3fs)@." name verdict states states_per_s dt;
     outcome
   in
   let b ~p ~q = Models.{ s_max = 3; p_resets = p; q_resets = q } in

@@ -369,39 +369,50 @@ let run_cmd =
 
 let explore_cmd =
   let go model s_max p_resets q_resets k w capacity adversary max_states print_model =
-    let bounds = Resets_apn.Models.{ s_max; p_resets; q_resets } in
-    if print_model then begin
-      let open Resets_apn in
-      let processes =
+    let open Resets_apn in
+    let bounds = Models.{ s_max; p_resets; q_resets } in
+    let print processes =
+      List.iter (fun p -> Format.printf "%s@.@." (Pp.process_to_string p)) processes
+    in
+    let printed =
+      if not print_model then Ok ()
+      else
         match model with
         | `Original ->
-          [ Models_ast.original_p ~bounds (); Models_ast.original_q ~bounds ~w () ]
-        | `Augmented | `Robust ->
-          [
-            Models_ast.augmented_p ~bounds ~kp:k ();
-            Models_ast.augmented_q ~bounds ~kq:k ~w ();
-          ]
-      in
-      List.iter (fun p -> Format.printf "%s@.@." (Pp.process_to_string p)) processes
-    end;
-    let system, invariant =
-      match model with
-      | `Original ->
-        ( Resets_apn.Models.original_system ~bounds ~capacity ~adversary ~w (),
-          Resets_apn.Models.discrimination_holds )
-      | `Augmented ->
-        ( Resets_apn.Models.augmented_system ~bounds ~capacity ~adversary ~kp:k ~kq:k ~w (),
-          Resets_apn.Models.all_section5_invariants )
-      | `Robust ->
-        ( Resets_apn.Models.augmented_system ~bounds ~capacity ~adversary ~robust:true
-            ~kp:k ~kq:k ~w (),
-          Resets_apn.Models.all_section5_invariants )
+          Ok (print [ Models_ast.original_p ~bounds (); Models_ast.original_q ~bounds ~w () ])
+        | `Augmented ->
+          Ok
+            (print
+               [
+                 Models_ast.augmented_p ~bounds ~kp:k ();
+                 Models_ast.augmented_q ~bounds ~kq:k ~w ();
+               ])
+        | `Robust ->
+          Error
+            "--print-model: the robust model has no AST twin (Models_ast has no robust \
+             augmented_q), so there is nothing to print"
     in
-    let outcome = Resets_apn.Explorer.explore ~max_states ~invariant system in
-    Format.printf "%a@." Resets_apn.Explorer.pp_outcome outcome;
-    match outcome with
-    | Resets_apn.Explorer.Violation _ -> 2
-    | Resets_apn.Explorer.Exhausted _ | Resets_apn.Explorer.Limit_reached _ -> 0
+    match printed with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+      let system, invariant =
+        match model with
+        | `Original ->
+          ( Models.original_system ~bounds ~capacity ~adversary ~w (),
+            Models.discrimination_holds )
+        | `Augmented ->
+          ( Models.augmented_system ~bounds ~capacity ~adversary ~kp:k ~kq:k ~w (),
+            Models.all_section5_invariants )
+        | `Robust ->
+          ( Models.augmented_system ~bounds ~capacity ~adversary ~robust:true ~kp:k ~kq:k
+              ~w (),
+            Models.all_section5_invariants )
+      in
+      let outcome = Explorer.explore ~max_states ~invariant system in
+      Format.printf "%a@." Explorer.pp_outcome outcome;
+      (match outcome with
+      | Explorer.Violation _ -> `Ok 2
+      | Explorer.Exhausted _ | Explorer.Limit_reached _ -> `Ok 0)
   in
   let model =
     Arg.(
@@ -426,12 +437,16 @@ let explore_cmd =
     Arg.(
       value & flag
       & info [ "print-model" ]
-          ~doc:"Print the processes in the paper's Abstract Protocol Notation first.")
+          ~doc:
+            "Print the processes in the paper's Abstract Protocol Notation first. \
+             Only the original and augmented models have AST twins to print; \
+             with the robust model this is an error.")
   in
   let term =
     Term.(
-      const go $ model $ s_max $ p_resets $ q_resets $ k $ w $ capacity $ adversary
-      $ max_states $ print_model)
+      ret
+        (const go $ model $ s_max $ p_resets $ q_resets $ k $ w $ capacity $ adversary
+       $ max_states $ print_model))
   in
   Cmd.v
     (Cmd.info "explore"

@@ -7,11 +7,12 @@ type t = {
   cap : int;
   record_history : bool;
   channels : (string * string, channel) Hashtbl.t;
+  mutable by_id : channel array; (* first-use order: a channel's index is its id *)
 }
 
 let create ?(capacity = 1024) ?(record_history = false) () =
   if capacity <= 0 then invalid_arg "Network.create: capacity must be positive";
-  { cap = capacity; record_history; channels = Hashtbl.create 8 }
+  { cap = capacity; record_history; channels = Hashtbl.create 8; by_id = [||] }
 
 let capacity t = t.cap
 
@@ -21,6 +22,7 @@ let channel t ~src ~dst =
   | None ->
     let c = { queue = []; history = [] } in
     Hashtbl.replace t.channels (src, dst) c;
+    t.by_id <- Array.append t.by_id [| c |];
     c
 
 let can_send t ~src ~dst = List.length (channel t ~src ~dst).queue < t.cap
@@ -65,33 +67,16 @@ let pairs t =
   Hashtbl.fold (fun pair _c acc -> pair :: acc) t.channels []
   |> List.sort compare
 
-(* Snapshots are canonical: channels that exist in the table but are
-   empty are omitted, so a state reached before and after a channel's
-   first use compares equal. *)
-let snapshot t =
-  Hashtbl.fold
-    (fun pair c acc -> if c.queue = [] then acc else (pair, c.queue) :: acc)
-    t.channels []
-  |> List.sort compare
+let iter_channels t f = Array.iteri (fun id c -> f id ~queue:c.queue ~history:c.history) t.by_id
 
-let restore t snap =
-  Hashtbl.iter (fun _pair c -> c.queue <- []) t.channels;
-  List.iter
-    (fun ((src, dst), queue) ->
-      let c = channel t ~src ~dst in
-      c.queue <- queue)
-    snap
+let clear t =
+  Array.iter
+    (fun c ->
+      c.queue <- [];
+      c.history <- [])
+    t.by_id
 
-let snapshot_history t =
-  Hashtbl.fold
-    (fun pair c acc -> if c.history = [] then acc else (pair, c.history) :: acc)
-    t.channels []
-  |> List.sort compare
-
-let restore_history t snap =
-  Hashtbl.iter (fun _pair c -> c.history <- []) t.channels;
-  List.iter
-    (fun ((src, dst), history) ->
-      let c = channel t ~src ~dst in
-      c.history <- history)
-    snap
+let set_channel t id ~queue ~history =
+  let c = t.by_id.(id) in
+  c.queue <- queue;
+  c.history <- history

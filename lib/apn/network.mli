@@ -42,14 +42,15 @@ val inject : t -> src:string -> dst:string -> Message.t -> bool
 val pairs : t -> (string * string) list
 (** Ordered pairs that have ever been used. *)
 
-val snapshot : t -> ((string * string) * Message.t list) list
-(** Sorted queue contents (history excluded — it only grows and is
-    derived from sends, so queue contents identify the channel state
-    for exploration purposes only when combined with bounded send
-    counts; the explorer bounds sends via the process states). *)
+val iter_channels :
+  t -> (int -> queue:Message.t list -> history:Message.t list -> unit) -> unit
+(** Every channel ever used, in first-use order, with its id (that
+    position, fixed for the network's life), its queue (head first)
+    and its history (newest first). For {!System}'s snapshots. *)
 
-val restore : t -> ((string * string) * Message.t list) list -> unit
+val clear : t -> unit
+(** Empty every queue and history. *)
 
-val snapshot_history : t -> ((string * string) * Message.t list) list
-
-val restore_history : t -> ((string * string) * Message.t list) list -> unit
+val set_channel : t -> int -> queue:Message.t list -> history:Message.t list -> unit
+(** Overwrite the queue and history of the channel with the given id.
+    @raise Invalid_argument when no channel has that id. *)

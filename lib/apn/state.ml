@@ -1,22 +1,22 @@
-type t = (string, Value.t) Hashtbl.t
+type var = Value.t ref
+type t = (string, var) Hashtbl.t
 
 let create bindings =
   let t = Hashtbl.create 16 in
   List.iter
     (fun (name, v) ->
       if Hashtbl.mem t name then invalid_arg ("State.create: duplicate variable " ^ name);
-      Hashtbl.replace t name (Value.canonical v))
+      Hashtbl.replace t name (ref (Value.canonical v)))
     bindings;
   t
 
-let get t name =
+let var t name =
   match Hashtbl.find_opt t name with
-  | Some v -> v
+  | Some r -> r
   | None -> raise Not_found
 
-let set t name v =
-  if not (Hashtbl.mem t name) then raise Not_found;
-  Hashtbl.replace t name v
+let get t name = !(var t name)
+let set t name v = var t name := v
 
 let get_int t name = Value.int (get t name)
 let set_int t name i = set t name (Value.Int i)
@@ -24,12 +24,15 @@ let get_bool t name = Value.bool (get t name)
 let set_bool t name b = set t name (Value.Bool b)
 let get_bool_array t name = Value.bool_array (get t name)
 
-let snapshot t =
-  Hashtbl.fold (fun name v acc -> (name, Value.canonical v) :: acc) t []
+let by_name t =
+  Hashtbl.fold (fun name r acc -> (name, r) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let restore t bindings =
-  List.iter (fun (name, v) -> set t name (Value.canonical v)) bindings
+let snapshot t = List.map (fun (name, r) -> (name, Value.canonical !r)) (by_name t)
+
+let vars t = Array.of_list (List.map snd (by_name t))
+let read r = !r
+let write r v = r := v
 
 let copy t = create (snapshot t)
 

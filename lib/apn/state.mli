@@ -20,11 +20,18 @@ val get_bool_array : t -> string -> bool array
 (** The live array — mutating it mutates the state. *)
 
 val snapshot : t -> (string * Value.t) list
-(** Sorted by name, deep-copied: usable as a hash/compare key. *)
+(** Sorted by name, deep-copied. *)
 
-val restore : t -> (string * Value.t) list -> unit
-(** Overwrite from a snapshot taken on a state with the same
-    variables. *)
+type var
+(** One variable of one state: reads and writes through it need no
+    name lookup. *)
+
+val vars : t -> var array
+(** The state's variables in name order. *)
+
+val read : var -> Value.t
+val write : var -> Value.t -> unit
+(** [write] stores the value as given (no copy). *)
 
 val copy : t -> t
 

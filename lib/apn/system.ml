@@ -13,12 +13,22 @@ let step_label = function
 
 let pp_step ppf s = Format.pp_print_string ppf (step_label s)
 
+(* The packed-snapshot layout: every process's variables (processes in
+   declaration order, each one's variables in name order) and the
+   buffer snapshots are written into. Built at the first snapshot, so
+   that building a system stays cheap. *)
+type layout = {
+  vars : State.var array;
+  buf : Buffer.t;
+}
+
 type t = {
   net : Network.t;
   order : string list;
   procs : (string, Process.t * State.t) Hashtbl.t;
   adversary : bool;
   lossy : bool;
+  mutable layout : layout option;
 }
 
 let create ?(capacity = 1024) ?(adversary = false) ?(lossy = false) processes =
@@ -33,7 +43,7 @@ let create ?(capacity = 1024) ?(adversary = false) ?(lossy = false) processes =
         p.name)
       processes
   in
-  { net; order; procs; adversary; lossy }
+  { net; order; procs; adversary; lossy; layout = None }
 
 let state_of t name =
   match Hashtbl.find_opt t.procs name with
@@ -131,26 +141,130 @@ let run_random ?(stop_when = fun _ -> false) prng ~steps t =
   in
   loop 0
 
-type snapshot = {
-  proc_states : (string * (string * Value.t) list) list;
-  queues : ((string * string) * Message.t list) list;
-  histories : ((string * string) * Message.t list) list;
-}
+(* A snapshot is one string:
+   - for each process in declaration order, its variables in name
+     order, each a tagged value: 0 then a zigzag varint (int), 1
+     (false), 2 (true), or 3, a varint length and one byte per element
+     (bool array);
+   - for each channel with a non-empty queue or history, in channel-id
+     order: id + 1, then the queue and the history, each a varint
+     count of messages; a message is its tag (varint length, bytes),
+     then a varint count of arguments and each argument as a zigzag
+     varint;
+   - a 0 byte ending the channels.
+   Every field is tagged or length-prefixed, so the encoding is
+   injective: equal strings are equal states. *)
+type snapshot = string
+
+let add_uint buf n =
+  let rec go n =
+    if n >= 0 && n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (n land 0x7f lor 0x80));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+let add_int buf i = add_uint buf ((i lsl 1) lxor (i asr (Sys.int_size - 1)))
+
+let add_value buf = function
+  | Value.Int i ->
+    Buffer.add_char buf '\000';
+    add_int buf i
+  | Value.Bool b -> Buffer.add_char buf (if b then '\002' else '\001')
+  | Value.Bool_array a ->
+    Buffer.add_char buf '\003';
+    add_uint buf (Array.length a);
+    Array.iter (fun b -> Buffer.add_char buf (if b then '\001' else '\000')) a
+
+let add_messages buf msgs =
+  add_uint buf (List.length msgs);
+  List.iter
+    (fun (m : Message.t) ->
+      add_uint buf (String.length m.tag);
+      Buffer.add_string buf m.tag;
+      add_uint buf (List.length m.args);
+      List.iter (add_int buf) m.args)
+    msgs
+
+let layout t =
+  match t.layout with
+  | Some l -> l
+  | None ->
+    let vars = Array.concat (List.map (fun name -> State.vars (state_of t name)) t.order) in
+    let l = { vars; buf = Buffer.create 128 } in
+    t.layout <- Some l;
+    l
 
 let snapshot t =
-  {
-    proc_states =
-      List.map (fun name -> (name, State.snapshot (state_of t name))) t.order;
-    queues = Network.snapshot t.net;
-    histories = Network.snapshot_history t.net;
-  }
+  let { vars; buf } = layout t in
+  Buffer.clear buf;
+  Array.iter (fun v -> add_value buf (State.read v)) vars;
+  Network.iter_channels t.net (fun id ~queue ~history ->
+      if queue <> [] || history <> [] then begin
+        add_uint buf (id + 1);
+        add_messages buf queue;
+        add_messages buf history
+      end);
+  Buffer.add_char buf '\000';
+  Buffer.contents buf
+
+type cursor = {
+  s : string;
+  mutable pos : int;
+}
+
+let byte c =
+  let b = Char.code c.s.[c.pos] in
+  c.pos <- c.pos + 1;
+  b
+
+let uint c =
+  let rec go acc shift =
+    let b = byte c in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b < 0x80 then acc else go acc (shift + 7)
+  in
+  go 0 0
+
+let int c =
+  let n = uint c in
+  (n lsr 1) lxor -(n land 1)
+
+let value c =
+  match byte c with
+  | 0 -> Value.Int (int c)
+  | 1 -> Value.Bool false
+  | 2 -> Value.Bool true
+  | 3 ->
+    let n = uint c in
+    Value.Bool_array (Array.init n (fun _ -> byte c = 1))
+  | _ -> invalid_arg "System.restore: malformed snapshot"
+
+let messages c =
+  List.init (uint c) (fun _ ->
+      let len = uint c in
+      let tag = String.sub c.s c.pos len in
+      c.pos <- c.pos + len;
+      let args = List.init (uint c) (fun _ -> int c) in
+      { Message.tag; args })
 
 let restore t snap =
-  List.iter (fun (name, bindings) -> State.restore (state_of t name) bindings)
-    snap.proc_states;
-  Network.restore t.net snap.queues;
-  Network.restore_history t.net snap.histories
+  let c = { s = snap; pos = 0 } in
+  Array.iter (fun v -> State.write v (value c)) (layout t).vars;
+  Network.clear t.net;
+  let rec channels () =
+    match uint c with
+    | 0 -> ()
+    | id ->
+      let queue = messages c in
+      let history = messages c in
+      Network.set_channel t.net (id - 1) ~queue ~history;
+      channels ()
+  in
+  channels ()
 
-let snapshot_equal (a : snapshot) (b : snapshot) = a = b
+let snapshot_equal = String.equal
 
 let snapshot_hash (s : snapshot) = Hashtbl.hash s

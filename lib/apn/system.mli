@@ -50,11 +50,37 @@ val run_random :
 (** Execute up to [steps] random steps; returns how many executed.
     Stops early when quiescent or when [stop_when] becomes true. *)
 
-(** {1 Snapshots (for the explorer)} *)
+(** {1 Snapshots (for the explorer)}
+
+    A snapshot is the whole global state packed into one canonical
+    string: every process's variables (processes in declaration order,
+    variables in name order), then every channel whose queue or
+    adversary history is non-empty, with both in full. Empty channels
+    are omitted, so a state reached before and after a channel's first
+    use snapshots the same. Every field is tagged or length-prefixed:
+    two snapshots of one system are equal exactly when the states are.
+
+    Channels are named by their position in the system's first-use
+    order, so a snapshot is restored only into the system that took it
+    (as the explorer does), and compares meaningfully only with
+    snapshots of that system or of one driven through the same
+    steps. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
+(** The first snapshot of a system fixes its layout (the variables'
+    order); building a system does no snapshot work. *)
+
 val restore : t -> snapshot -> unit
+(** Overwrite every process variable and channel of the system with
+    the snapshot's; arrays are freshly allocated, so nothing is shared
+    with an earlier state. The snapshot must come from this system. *)
+
 val snapshot_equal : snapshot -> snapshot -> bool
+(** String equality. *)
+
 val snapshot_hash : snapshot -> int
+(** A hash of the whole string, so states that differ anywhere
+    (deep channel contents included) hash apart with high
+    probability. *)

@@ -20,18 +20,19 @@ fi
 echo "== dune runtest =="
 dune runtest
 
-echo "== bench smoke (E1 E6 E14, JSON artifacts) =="
+echo "== bench smoke (E1 E6 E11 E14, JSON artifacts) =="
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 # E1 exercises the single-SA harness path, E6 the SAVE-interval rule,
-# E14 the unified Endpoint/Host datapath plus the domain sweep: the
-# same workloads at 1 and 2 domains, diffed below. Smoke sizes keep the
-# sweep fast; the committed artifact uses the full 256/1024/4096 sweep
-# and the full 100k/1M scale sweep.
-dune exec bench/main.exe -- E1 E6 E14 --json="$out" \
+# E11 the APN explorer over the eight Section 5 models, E14 the unified
+# Endpoint/Host datapath plus the domain sweep: the same workloads at 1
+# and 2 domains, diffed below. Smoke sizes keep the sweep fast; the
+# committed artifact uses the full 256/1024/4096 sweep and the full
+# 100k/1M scale sweep.
+dune exec bench/main.exe -- E1 E6 E11 E14 --json="$out" \
   --domains=1,2 --sweep-sizes=64,256,1024 --scale-sizes=512,2048
 
-for f in BENCH_E1.json BENCH_E6.json BENCH_E14.json; do
+for f in BENCH_E1.json BENCH_E6.json BENCH_E11.json BENCH_E14.json; do
   test -s "$out/$f" || { echo "missing artifact $f" >&2; exit 1; }
   grep -q '"pass": true' "$out/$f" || { echo "$f reports pass=false" >&2; exit 1; }
   if command -v python3 >/dev/null 2>&1; then
@@ -147,21 +148,23 @@ grep -q '"goodput-degraded"' "$out/chaos-stealth.json" \
   || { echo "stealth report carries no goodput-degraded violation" >&2; exit 1; }
 echo "stealth: degradation found, shrunk, replay-identical"
 
-echo "== committed-artifact gate (BENCH_E1 and BENCH_E6 byte-identity) =="
+echo "== committed-artifact gate (BENCH_E1, BENCH_E6 and BENCH_E11 byte-identity) =="
 # The fault-free harness paths must stay byte-identical: the E1 and E6
 # artifacts regenerated by the bench smoke above have to match the
 # committed ones on every protocol field. E1 pins the Static K policy
 # path, E6 the SAVE-interval rule; both run the single-SA harness, so
-# together they also pin its replay window. Only machine-dependent
-# timing fields (wall clock, throughput, speedup) are stripped before
-# the diff.
+# together they also pin its replay window. E11 pins the explorer:
+# every model's verdict, its state count and the combined-reset
+# counterexample. Only machine-dependent timing fields (wall clock,
+# throughput, speedup) are stripped before the diff.
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out" BENCH_E1.json BENCH_E6.json <<'PY'
+  python3 - "$out" BENCH_E1.json BENCH_E6.json BENCH_E11.json <<'PY'
 import json, os, sys
 
 MACHINE = {"wall_clock_s", "wall_clock_ns", "events_per_sec",
            "speedup_vs_1_domain", "pps_per_core",
-           "shard_events_per_sec_min", "shard_events_per_sec_max"}
+           "shard_events_per_sec_min", "shard_events_per_sec_max",
+           "explore_s", "states_per_s"}
 
 def strip(x):
     if isinstance(x, dict):
@@ -279,6 +282,29 @@ else
   grep -q '"violations": \[\]' "$out/run-stealth.json" \
     || { echo "stealth paired run reports violations" >&2; exit 1; }
 fi
+
+echo "== explore CLI gate (--print-model) =="
+# --print-model prints the AST twins of the explored processes; the
+# robust receiver has none, so that combination must fail with a
+# message naming the missing twin instead of printing another model.
+rc=0
+dune exec bin/ipsec_resets.exe -- explore --model robust --print-model \
+  >"$out/explore-robust.txt" 2>&1 || rc=$?
+if [ "$rc" -eq 0 ]; then
+  echo "explore --model robust --print-model exited 0 (expected a refusal)" >&2; exit 1
+fi
+grep -q "no AST twin" "$out/explore-robust.txt" \
+  || { echo "explore --model robust --print-model does not name the missing twin" >&2; exit 1; }
+rc=0
+dune exec bin/ipsec_resets.exe -- explore --model augmented --print-model \
+  >"$out/explore-augmented.txt" 2>&1 || rc=$?
+case $rc in
+  0|2) ;;
+  *) echo "explore --model augmented --print-model errored (exit $rc)" >&2; exit 1 ;;
+esac
+grep -q "process q" "$out/explore-augmented.txt" \
+  || { echo "explore --model augmented --print-model printed no process q" >&2; exit 1; }
+echo "robust --print-model refused; augmented --print-model prints its twin"
 
 echo "== allocation-regression gate (MICRO) =="
 dune exec bench/main.exe -- MICRO --json="$out" >/dev/null

@@ -32,11 +32,19 @@ let test_state_get_set () =
   Alcotest.check_raises "undeclared" Not_found (fun () -> State.set_int st "nope" 1)
 
 let test_state_snapshot_restore () =
-  let st = State.create [ ("x", Value.Int 1); ("a", Value.Bool_array [| false |]) ] in
-  let snap = State.snapshot st in
+  let sys =
+    System.create
+      [
+        Process.make ~name:"p"
+          ~init:[ ("x", Value.Int 1); ("a", Value.Bool_array [| false |]) ]
+          ~actions:[];
+      ]
+  in
+  let snap = System.snapshot sys in
+  let st = System.state_of sys "p" in
   State.set_int st "x" 99;
   (State.get_bool_array st "a").(0) <- true;
-  State.restore st snap;
+  System.restore sys snap;
   check_int "x restored" 1 (State.get_int st "x");
   check_bool "array restored" false (State.get_bool_array st "a").(0)
 
@@ -205,8 +213,17 @@ let test_combined_resets_find_the_corner_case () =
   let sys =
     Models.augmented_system ~bounds ~capacity:2 ~adversary:true ~kp:1 ~kq:1 ~w:2 ()
   in
-  check_bool "violation found" true
-    (is_violation (explore sys Models.all_section5_invariants))
+  match explore sys Models.all_section5_invariants with
+  | Explorer.Violation { trace; _ } ->
+    (* E11's combined_reset_counterexample, step for step *)
+    Alcotest.(check (list string))
+      "shortest trace"
+      [
+        "p.reset"; "p.wakeup_begin"; "p.wakeup_done"; "p.send"; "q.rcv"; "q.reset";
+        "q.wakeup_begin"; "q.wakeup_done";
+      ]
+      trace
+  | Explorer.Exhausted _ | Explorer.Limit_reached _ -> Alcotest.fail "expected a violation"
 
 let test_robust_receiver_closes_the_corner_case () =
   let bounds = Models.{ s_max = 3; p_resets = 1; q_resets = 1 } in
@@ -268,6 +285,124 @@ let test_explorer_immediate_violation () =
   match Explorer.explore ~max_states:10 ~invariant:(fun _ -> false) sys with
   | Explorer.Violation { trace; _ } -> check_int "empty trace" 0 (List.length trace)
   | Explorer.Exhausted _ | Explorer.Limit_reached _ -> Alcotest.fail "expected violation"
+
+(* E11's eight rows (bench/main.ml), built as E11 builds them, with
+   their verdicts and exact state counts: a snapshot encoding that
+   merged or split states would change a count even where the verdict
+   survives. *)
+let e11_rows =
+  let b ~p ~q = Models.{ s_max = 3; p_resets = p; q_resets = q } in
+  let augmented ?robust ?(adversary = true) ?(capacity = 2) ~p ~q () =
+    Models.augmented_system ~bounds:(b ~p ~q) ~capacity ~adversary ?robust ~kp:1 ~kq:1
+      ~w:2 ()
+  in
+  let leap leap_p () =
+    Models.augmented_system
+      ~bounds:Models.{ s_max = 5; p_resets = 1; q_resets = 0 }
+      ~capacity:2 ?leap_p ~kp:2 ~kq:2 ~w:2 ()
+  in
+  let s5 = Models.all_section5_invariants and fresh = Models.sender_freshness_holds in
+  [
+    ( "original, q resets, adversary",
+      (fun () ->
+        Models.original_system ~bounds:(b ~p:0 ~q:1) ~capacity:2 ~adversary:true ~w:2 ()),
+      Models.discrimination_holds, true, 49 );
+    ("augmented, p resets, adversary", (fun () -> augmented ~p:1 ~q:0 ()), s5, false, 1120);
+    ( "augmented, q resets, no adversary",
+      (fun () -> augmented ~adversary:false ~capacity:6 ~p:0 ~q:2 ()),
+      s5, false, 474 );
+    ("augmented, both reset, adversary", (fun () -> augmented ~p:1 ~q:1 ()), s5, true, 1318);
+    ( "robust receiver, both reset, adversary",
+      (fun () -> augmented ~robust:true ~p:1 ~q:1 ()),
+      s5, false, 5694 );
+    ("sender leap = 2K (the paper's)", leap None, fresh, false, 647);
+    ("sender leap = K (ablation)", leap (Some 2), fresh, true, 65);
+    ("sender leap = 0 (ablation)", leap (Some 0), fresh, true, 25);
+  ]
+
+let test_e11_state_space_pinned () =
+  List.iter
+    (fun (name, build, invariant, violated, states) ->
+      let got_violated, got_states =
+        match explore ~max_states:600_000 (build ()) invariant with
+        | Explorer.Violation { states; _ } -> (true, states)
+        | Explorer.Exhausted { states } -> (false, states)
+        | Explorer.Limit_reached _ -> Alcotest.failf "%s: state budget reached" name
+      in
+      check_bool (name ^ ": violated") violated got_violated;
+      check_int (name ^ ": states") states got_states)
+    e11_rows
+
+(* ------------------------------------------------------------------ *)
+(* Snapshot properties over random walks with the adversary on. *)
+
+let walk_system ~model ~lossy =
+  let bounds = Models.{ s_max = 4; p_resets = 1; q_resets = 1 } in
+  match model with
+  | 0 -> Models.original_system ~bounds ~capacity:2 ~adversary:true ~lossy ~w:2 ()
+  | 1 -> Models.augmented_system ~bounds ~capacity:2 ~adversary:true ~lossy ~kp:1 ~kq:1 ~w:2 ()
+  | _ ->
+    Models.augmented_system ~bounds ~capacity:2 ~adversary:true ~lossy ~robust:true ~kp:1
+      ~kq:1 ~w:2 ()
+
+let labels sys = List.map System.step_label (System.enabled_steps sys)
+
+let snapshot_restore_property =
+  QCheck.Test.make ~name:"snapshot: restore then snapshot is the identity" ~count:60
+    QCheck.(triple (int_range 0 2) bool (int_range 0 10_000))
+    (fun (model, lossy, seed) ->
+      let sys = walk_system ~model ~lossy in
+      let prng = Resets_util.Prng.create seed in
+      let taken =
+        List.init 150 (fun _ ->
+            let seen = (System.snapshot sys, labels sys) in
+            ignore (System.step_random prng sys);
+            seen)
+      in
+      (* restored in reverse: each restore undoes a later state *)
+      List.for_all
+        (fun (snap, seen) ->
+          System.restore sys snap;
+          System.snapshot_equal snap (System.snapshot sys) && labels sys = seen)
+        (List.rev taken)
+      && List.for_all
+           (fun (a, _) ->
+             List.for_all
+               (fun (b, _) ->
+                 (not (System.snapshot_equal a b))
+                 || System.snapshot_hash a = System.snapshot_hash b)
+               taken)
+           taken)
+
+module Snapshots = Hashtbl.Make (struct
+  type t = System.snapshot
+
+  let equal = System.snapshot_equal
+  let hash = System.snapshot_hash
+end)
+
+let snapshot_hash_spread_property =
+  QCheck.Test.make ~name:"snapshot: distinct robust states hash apart" ~count:3
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let sys = walk_system ~model:2 ~lossy:true in
+      let initial = System.snapshot sys in
+      let prng = Resets_util.Prng.create seed in
+      let states = Snapshots.create 2048 in
+      let walks = ref 0 in
+      while Snapshots.length states < 1000 && !walks < 1000 do
+        incr walks;
+        System.restore sys initial;
+        for _ = 1 to 40 do
+          ignore (System.step_random prng sys);
+          Snapshots.replace states (System.snapshot sys) ()
+        done
+      done;
+      let hashes = Hashtbl.create 2048 in
+      Snapshots.iter (fun s () -> Hashtbl.replace hashes (System.snapshot_hash s) ()) states;
+      Snapshots.length states >= 1000
+      && float_of_int (Hashtbl.length hashes)
+         >= 0.99 *. float_of_int (Snapshots.length states))
 
 (* ------------------------------------------------------------------ *)
 (* Randomized soundness: long random executions of the robust system
@@ -341,6 +476,10 @@ let () =
           Alcotest.test_case "replay counterexample" `Quick
             test_replay_reproduces_counterexample;
           Alcotest.test_case "replay bogus trace" `Quick test_replay_rejects_bogus_trace;
+          Alcotest.test_case "E11 state space pinned" `Quick test_e11_state_space_pinned;
         ] );
-      ("random", [ qt random_soundness ]);
+      ( "random",
+        [
+          qt random_soundness; qt snapshot_restore_property; qt snapshot_hash_spread_property;
+        ] );
     ]
