@@ -1988,6 +1988,29 @@ let micro report =
         fun () ->
           incr counter;
           ignore (Replay_window.admit w !counter) );
+      (* One in-order fresh 256 B packet through the receiver: decap,
+         window admit and the delivery ledger, with no trace and no
+         persistence. The packets are encoded up front; when they run
+         out a fresh SA (new window, new ledger epoch) makes them fresh
+         again. check.sh gates its allocation, so per-packet trace
+         formatting or a per-delivery table entry cannot creep back. *)
+      ( "receiver-on-packet",
+        let eng = Engine.create () in
+        let packets =
+          Array.init 4096 (fun i -> Packet.fresh (Esp.encap ~sa ~seq:(i + 1) ~payload))
+        in
+        let rx =
+          Receiver.create ~sa:(Sa.create sa) ~metrics:(Metrics.create ())
+            ~persistence:None eng
+        in
+        let next = ref 0 in
+        fun () ->
+          if !next = Array.length packets then begin
+            Receiver.install_sa rx (Sa.create sa);
+            next := 0
+          end;
+          Receiver.on_packet rx packets.(!next);
+          incr next );
       ( "engine-wheel-event",
         let eng = Engine.create () in
         let gap = us 100 in

@@ -9,7 +9,10 @@
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
-(** Default capacity 1 &lt;&lt; 20 packets. *)
+(** Default capacity [1 lsl 20] packets. The capacity is a bound, not
+    an allocation: the buffer costs at most two words per retained
+    packet (see {!Resets_util.Ring.create}), so an idle tap is nearly
+    free. *)
 
 val tap : 'a t -> 'a -> unit
 

@@ -29,7 +29,8 @@ type attack =
       (** sustained replay flood, one injection per [gap] *)
 
 (** Whether to attach an adversary tap to the link. Tapping records
-    every packet in transit ([capacity] bounds the buffer), so scale
+    every packet in transit, at a cost per captured packet;
+    [capacity] bounds how many are retained (default [1 lsl 20]). Scale
     runs with thousands of endpoints leave it off unless the scenario
     actually attacks. *)
 type tap =
@@ -62,10 +63,11 @@ val create :
   t
 (** Derives both sides' SA from [spi]/[secret] (in slots of [arena]
     when given, else each in a private arena), creates the link, taps
-    it (default: yes, unbounded), creates sender and receiver, and
-    connects the deliver hook. [metrics] should be per-endpoint when
-    many endpoints run in one engine: sequence numbers of distinct SAs
-    overlap, and the delivery table is keyed per metrics object.
+    it (default: yes, retaining up to [1 lsl 20] packets), creates
+    sender and receiver, and connects the deliver hook. [metrics]
+    should be per-endpoint when many endpoints run in one engine:
+    sequence numbers of distinct SAs overlap, and the delivery ledger
+    is kept per metrics object.
     Construction order (link → adversary → sender → receiver) is part
     of the deterministic-replay contract. *)
 

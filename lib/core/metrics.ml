@@ -1,5 +1,98 @@
 open Resets_util
 
+module Int_tbl = Hashtbl.Make (Int)
+
+(* The delivery ledger. The current epoch's delivered numbers are bits
+   in 512-number pages (64 bytes each) keyed by [seq asr page_bits]; a
+   number delivered twice or more keeps its count in [repeats]. Only
+   the current epoch is ever queried, so [bump_epoch] drops its pages
+   and keeps the running [distinct] count. *)
+let page_bits = 9
+let page_mask = (1 lsl page_bits) - 1
+
+type ledger = {
+  pages : Bytes.t Int_tbl.t;
+  mutable last_key : int;  (* the page looked up last, cached *)
+  mutable last_page : Bytes.t;  (* [Bytes.empty] when none is cached *)
+  repeats : int Int_tbl.t;  (* delivery count of numbers delivered >= 2 times *)
+  mutable distinct : int;  (* distinct (epoch, seq) pairs, all epochs *)
+}
+
+(* [min_int] is no page key: keys are [seq asr page_bits]. *)
+let no_page = min_int
+
+let ledger_create () =
+  {
+    pages = Int_tbl.create 1;
+    last_key = no_page;
+    last_page = Bytes.empty;
+    repeats = Int_tbl.create 1;
+    distinct = 0;
+  }
+
+let forget_epoch l =
+  Int_tbl.reset l.pages;
+  Int_tbl.reset l.repeats;
+  l.last_key <- no_page;
+  l.last_page <- Bytes.empty
+
+(* The page holding [seq]; [Bytes.empty] when there is none and
+   [create] is false. *)
+let page l ~seq ~create =
+  let key = seq asr page_bits in
+  if key = l.last_key then l.last_page
+  else
+    let page =
+      match Int_tbl.find l.pages key with
+      | page -> page
+      | exception Not_found ->
+        if create then begin
+          let page = Bytes.make ((page_mask + 1) / 8) '\000' in
+          Int_tbl.add l.pages key page;
+          page
+        end
+        else Bytes.empty
+    in
+    if Bytes.length page > 0 then begin
+      l.last_key <- key;
+      l.last_page <- page
+    end;
+    page
+
+let bit_set page seq =
+  let bit = seq land page_mask in
+  Char.code (Bytes.unsafe_get page (bit lsr 3)) land (1 lsl (bit land 7)) <> 0
+
+let set_bit page seq =
+  let bit = seq land page_mask in
+  let byte = bit lsr 3 in
+  Bytes.unsafe_set page byte
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get page byte) lor (1 lsl (bit land 7))))
+
+(* The count of a number whose bit is set. *)
+let repeat_count l seq =
+  match Int_tbl.find l.repeats seq with n -> n | exception Not_found -> 1
+
+let ledger_count l ~seq =
+  let page = page l ~seq ~create:false in
+  if Bytes.length page = 0 || not (bit_set page seq) then 0 else repeat_count l seq
+
+(* Count one delivery of [seq]; returns how often it was delivered
+   before. *)
+let ledger_add l ~seq =
+  let page = page l ~seq ~create:true in
+  if not (bit_set page seq) then begin
+    set_bit page seq;
+    l.distinct <- l.distinct + 1;
+    0
+  end
+  else begin
+    let previous = repeat_count l seq in
+    Int_tbl.replace l.repeats seq (previous + 1);
+    previous
+  end
+
 type t = {
   mutable sent : int;
   mutable skipped_seqnos : int;
@@ -24,7 +117,7 @@ type t = {
   mutable degraded_reestablish : int;
   recovery_times : Stats.Sample.s;
   disruption_times : Stats.Sample.s;
-  deliveries_by_seq : (int * int, int) Hashtbl.t;
+  deliveries : ledger;
   mutable max_delivered : int;
   mutable epoch : int;
   mutable max_displacement : int;
@@ -57,7 +150,7 @@ let create () =
     degraded_reestablish = 0;
     recovery_times = Stats.Sample.create ();
     disruption_times = Stats.Sample.create ();
-    deliveries_by_seq = Hashtbl.create 4096;
+    deliveries = ledger_create ();
     max_delivered = 0;
     epoch = 0;
     max_displacement = 0;
@@ -65,14 +158,14 @@ let create () =
     goodput_vs_oracle = 1.;
   }
 
-let bump_epoch t = t.epoch <- t.epoch + 1
+let bump_epoch t =
+  t.epoch <- t.epoch + 1;
+  forget_epoch t.deliveries
 
-let delivery_count t ~seq =
-  Option.value ~default:0 (Hashtbl.find_opt t.deliveries_by_seq (t.epoch, seq))
+let delivery_count t ~seq = ledger_count t.deliveries ~seq
 
 let record_delivery t ~seq ~replayed =
-  let previous = delivery_count t ~seq in
-  Hashtbl.replace t.deliveries_by_seq (t.epoch, seq) (previous + 1);
+  let previous = ledger_add t.deliveries ~seq in
   t.delivered <- t.delivered + 1;
   if previous > 0 then t.duplicate_deliveries <- t.duplicate_deliveries + 1;
   if seq > t.max_delivered then t.max_delivered <- seq;
@@ -118,13 +211,13 @@ let absorb ~into src =
     into.max_displacement <- src.max_displacement;
   into.oracle_delivered <- into.oracle_delivered + src.oracle_delivered;
   if into.oracle_delivered > 0 then
-    (* distinct = delivered − duplicates; the per-sequence table is not
+    (* distinct = delivered − duplicates; the delivery ledger is not
        merged, so compute it from the scalar counters *)
     into.goodput_vs_oracle <-
       float_of_int (into.delivered - into.duplicate_deliveries)
       /. float_of_int into.oracle_delivered
 
-let delivered_distinct t = Hashtbl.length t.deliveries_by_seq
+let delivered_distinct t = t.deliveries.distinct
 
 let max_delivered_seq t = t.max_delivered
 

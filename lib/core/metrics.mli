@@ -18,6 +18,15 @@
     - {e duplicate deliveries}: a sequence number delivered twice
       (Discrimination violations observed from outside). *)
 
+type ledger
+(** Which sequence numbers the current epoch delivered, and how often:
+    one bit per number in 512-number pages (64 bytes each), plus a
+    small table of the counts of numbers delivered twice or more. A
+    page and its table entry take 14 words, so a dense stream costs
+    under two bits per delivered number and an isolated number 112
+    bytes. An epoch before the current one keeps only its
+    distinct-delivery count (see {!bump_epoch}). *)
+
 type t = {
   mutable sent : int;  (** fresh messages p put on the wire *)
   mutable skipped_seqnos : int;
@@ -69,10 +78,10 @@ type t = {
       (** reset → endpoint ready again, seconds *)
   disruption_times : Resets_util.Stats.Sample.s;
       (** reset → first delivery after, seconds *)
-  deliveries_by_seq : (int * int, int) Hashtbl.t;
-      (** delivery count per (SA epoch, sequence number) — duplicate
-          detection; the epoch isolates sequence spaces of renegotiated
-          SAs *)
+  deliveries : ledger;
+      (** delivery count per sequence number of the current SA epoch —
+          duplicate detection; read it through {!delivery_count} and
+          {!delivered_distinct} *)
   mutable max_delivered : int;
   mutable epoch : int;
   mutable max_displacement : int;
@@ -90,11 +99,14 @@ val create : unit -> t
 (** All counters zero, empty samples, epoch 0. *)
 
 val bump_epoch : t -> unit
-(** A new SA was installed: its sequence-number space is distinct. *)
+(** A new SA was installed: its sequence-number space is distinct. The
+    ledger drops the old epoch's pages and keeps only its count of
+    distinct deliveries: {!delivery_count} asks about the current
+    epoch only. *)
 
 val record_delivery : t -> seq:int -> replayed:bool -> unit
 (** Updates delivered / duplicate / replay-accepted counters and the
-    per-sequence delivery table. *)
+    delivery ledger. *)
 
 val record_rejection : t -> seq:int -> replayed:bool -> unit
 (** Updates the rejection counters ([replay_rejected] or
@@ -102,18 +114,19 @@ val record_rejection : t -> seq:int -> replayed:bool -> unit
     [seq] had been delivered). *)
 
 val delivery_count : t -> seq:int -> int
-(** How many times a given sequence number was delivered. *)
+(** How many times a given sequence number was delivered in the
+    current epoch. *)
 
 val absorb : into:t -> t -> unit
 (** Add [src]'s scalar counters into [into] and take the max of the
     high-water marks — aggregation over per-endpoint metrics in
-    multi-SA runs. The per-sequence delivery table and the timing
-    samples are {e not} merged: distinct SAs' sequence spaces overlap,
-    so a merged table would manufacture false duplicates. *)
+    multi-SA runs. The delivery ledger and the timing samples are
+    {e not} merged: distinct SAs' sequence spaces overlap, so a merged
+    ledger would manufacture false duplicates. *)
 
 val delivered_distinct : t -> int
-(** Distinct (epoch, sequence-number) pairs delivered — [delivered]
-    minus duplicates. *)
+(** Distinct (epoch, sequence-number) pairs delivered over all epochs —
+    [delivered] minus duplicates. *)
 
 val max_delivered_seq : t -> int
 (** 0 when nothing was delivered. *)

@@ -156,8 +156,9 @@ let rec process t (pkt : Packet.t) =
     if needs_catchup then defer t pkt ~edge:prospective
     else begin
       let verdict = Replay_window.admit (window t) seq in
-      tell t "rcv"
-        (Printf.sprintf "#%d %s" seq (Replay_window.verdict_to_string verdict));
+      if Option.is_some t.trace then
+        tell t "rcv"
+          (Printf.sprintf "#%d %s" seq (Replay_window.verdict_to_string verdict));
       if Replay_window.verdict_accepts verdict then begin
         let displacement = Replay_window.right_edge (window t) - seq in
         if displacement > t.metrics.Metrics.max_displacement then

@@ -41,7 +41,7 @@ type t = {
 }
 
 
-let default_payload ~seq = Printf.sprintf "message-%d" seq
+let default_payload ~seq = "message-" ^ string_of_int seq
 
 let create ?(name = "p") ?trace ?(payload = default_payload)
     ?(framing = Packet.Seq64) ?(preload_store = true) ~sa ~transport ~traffic

@@ -103,8 +103,10 @@ let heap_hint ~sa_count = max 64 (4 * sa_count)
 let window_width = 64
 
 (* A bounded capture buffer per tapped link: enough for any replay the
-   scenarios stage, small enough that thousands of SAs could carry one
-   (the default 2^20-entry recorder would cost megabytes per link). *)
+   scenarios stage. The buffer grows with the packets it retains, not
+   with the bound, so the bound only caps what a long run retains per
+   link (the default 2^20-entry recorder would let each of
+   thousands of links hold a million packets). *)
 let tap_capacity = 4096
 
 let run_range ?(seed = 11) ?engine discipline config ~lo ~hi =

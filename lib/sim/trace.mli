@@ -19,7 +19,8 @@ type entry = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity: 65536 entries. *)
+(** Default capacity: 65536 entries. Storage grows with use up to that
+    bound (see {!Resets_util.Ring.create}). *)
 
 val record :
   t -> time:Time.t -> ?level:level -> source:string -> event:string -> string -> unit

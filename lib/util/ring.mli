@@ -1,12 +1,18 @@
-(** Fixed-capacity ring buffer. When full, pushing evicts the oldest
-    element. Used by the adversary's packet recorder and trace tails. *)
+(** Bounded ring buffer. When full, pushing evicts the oldest element.
+    Used by the adversary's packet recorder and trace tails. *)
 
 type 'a t
 
 val create : int -> 'a t
-(** @raise Invalid_argument if capacity is not positive. *)
+(** [create capacity] retains at most [capacity] elements. Storage
+    grows with use up to that bound: none until the first push, then
+    16 slots, doubling as the ring fills. So an idle ring costs a few
+    words whatever its capacity, and a busy one at most two words per
+    retained element. @raise Invalid_argument if capacity is not
+    positive. *)
 
 val capacity : 'a t -> int
+(** The retention bound given to {!create}. *)
 
 val length : 'a t -> int
 
@@ -38,3 +44,4 @@ val nth : 'a t -> int -> 'a option
     [i] is out of range. *)
 
 val clear : 'a t -> unit
+(** Drop every element and release the storage. *)

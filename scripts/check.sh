@@ -344,6 +344,12 @@ alloc_gate engine-wheel-event 20
 # Replay admission on the arena window must stay allocation-free
 # (budget 1 tolerates measurement jitter, not boxing).
 alloc_gate window-admit 1
+# One in-order fresh packet through Receiver.on_packet (no trace, no
+# persistence): decap plus window admit plus the bitmap delivery
+# ledger, 26 words steady state. A per-delivery (epoch, seq) table
+# entry would add 10 (36), per-packet trace formatting about 55, so
+# the budget sits between: either regression fails the gate.
+alloc_gate receiver-on-packet 32
 
 echo "== batched wire sweep gate (MICRO wire table) =="
 # Re-derive the wire sweep verdicts from the JSON: rows at batch 1, 8

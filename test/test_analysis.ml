@@ -150,6 +150,158 @@ let test_metrics_epochs_isolate_sequence_spaces () =
   check_int "no cross-epoch duplicate" 0 m.Metrics.duplicate_deliveries;
   check_int "fresh count in new epoch" 1 (Metrics.delivery_count m ~seq:1)
 
+(* The reference ledger: the (epoch, seq) -> count table Metrics kept
+   before its bitmap pages, with the counters that read it. *)
+module Table_ledger = struct
+  type t = {
+    counts : (int * int, int) Hashtbl.t;
+    mutable epoch : int;
+    mutable duplicate_deliveries : int;
+    mutable fresh_rejected_undelivered : int;
+  }
+
+  let create () =
+    {
+      counts = Hashtbl.create 64;
+      epoch = 0;
+      duplicate_deliveries = 0;
+      fresh_rejected_undelivered = 0;
+    }
+
+  let bump_epoch t = t.epoch <- t.epoch + 1
+
+  let delivery_count t ~seq =
+    Option.value ~default:0 (Hashtbl.find_opt t.counts (t.epoch, seq))
+
+  let record_delivery t ~seq =
+    let previous = delivery_count t ~seq in
+    Hashtbl.replace t.counts (t.epoch, seq) (previous + 1);
+    if previous > 0 then t.duplicate_deliveries <- t.duplicate_deliveries + 1
+
+  let record_rejection t ~seq ~replayed =
+    if (not replayed) && delivery_count t ~seq = 0 then
+      t.fresh_rejected_undelivered <- t.fresh_rejected_undelivered + 1
+
+  let delivered_distinct t = Hashtbl.length t.counts
+end
+
+(* Which number an op touches, relative to a cursor that the
+   advancing targets move. *)
+type target =
+  | Next  (** the number after the cursor: in order *)
+  | Back of int  (** [d] behind the cursor: reordered, or a duplicate *)
+  | Leap of int  (** [2k] ahead, as after a wakeup *)
+  | Far of int  (** at least 2^32 ahead *)
+  | Edge of bool  (** the last number before the next multiple of 512, or that multiple *)
+
+type ledger_op =
+  | Deliver of target
+  | Reject of target * bool  (** replayed? *)
+  | Bump of bool  (** new epoch; does its numbering restart at 1? *)
+
+let show_target = function
+  | Next -> "next"
+  | Back d -> Printf.sprintf "back %d" d
+  | Leap k -> Printf.sprintf "leap 2*%d" k
+  | Far r -> Printf.sprintf "far +2^32+%d" r
+  | Edge after -> if after then "edge after" else "edge before"
+
+let show_ledger_op = function
+  | Deliver t -> "deliver " ^ show_target t
+  | Reject (t, r) -> Printf.sprintf "reject%s %s" (if r then " replay" else "") (show_target t)
+  | Bump restart -> if restart then "bump restart" else "bump"
+
+let target_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, return Next);
+        (5, map (fun d -> Back d) (int_range 0 70));
+        (2, map (fun k -> Leap k) (int_range 1 64));
+        (1, map (fun r -> Far r) (int_range 0 1_000_000));
+        (2, map (fun a -> Edge a) bool);
+      ])
+
+let ledger_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, map (fun t -> Deliver t) target_gen);
+        (4, map2 (fun t r -> Reject (t, r)) target_gen bool);
+        (1, map (fun r -> Bump r) bool);
+      ])
+
+let ledger_matches_table =
+  QCheck.Test.make ~name:"delivery ledger == (epoch, seq) table" ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_ledger_op ops))
+       QCheck.Gen.(list_size (int_range 1 150) ledger_op_gen))
+    (fun ops ->
+      let m = Metrics.create () and r = Table_ledger.create () in
+      let cursor = ref 0 in
+      let touched = Hashtbl.create 64 in
+      let advance seq =
+        cursor := seq;
+        seq
+      in
+      let pick = function
+        | Back d -> !cursor - d
+        | Next -> advance (!cursor + 1)
+        | Leap k -> advance (!cursor + (2 * k))
+        | Far d -> advance (!cursor + (1 lsl 32) + d)
+        | Edge after ->
+          let next_edge = ((!cursor / 512) + 1) * 512 in
+          advance (if after then next_edge else next_edge - 1)
+      in
+      let agree () =
+        Metrics.delivered_distinct m = Table_ledger.delivered_distinct r
+        && m.Metrics.duplicate_deliveries = r.Table_ledger.duplicate_deliveries
+        && m.Metrics.fresh_rejected_undelivered
+           = r.Table_ledger.fresh_rejected_undelivered
+        && Hashtbl.fold
+             (fun seq () ok ->
+               ok
+               && List.for_all
+                    (fun s ->
+                      Metrics.delivery_count m ~seq:s
+                      = Table_ledger.delivery_count r ~seq:s)
+                    [ seq - 1; seq; seq + 1 ])
+             touched true
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Deliver t ->
+            let seq = pick t in
+            Hashtbl.replace touched seq ();
+            Metrics.record_delivery m ~seq ~replayed:false;
+            Table_ledger.record_delivery r ~seq
+          | Reject (t, replayed) ->
+            let seq = pick t in
+            Hashtbl.replace touched seq ();
+            Metrics.record_rejection m ~seq ~replayed;
+            Table_ledger.record_rejection r ~seq ~replayed
+          | Bump restart ->
+            Metrics.bump_epoch m;
+            Table_ledger.bump_epoch r;
+            if restart then cursor := 0);
+          agree ())
+        ops)
+
+(* 10^6 in-order deliveries: the ledger must stay near one bit per
+   number (a table entry per number would take tens of megabytes), so a
+   receive daemon's metrics do not grow with its uptime. *)
+let test_metrics_ledger_footprint () =
+  let m = Metrics.create () in
+  for seq = 1 to 1_000_000 do
+    Metrics.record_delivery m ~seq ~replayed:false
+  done;
+  check_int "distinct" 1_000_000 (Metrics.delivered_distinct m);
+  let bytes = Obj.reachable_words (Obj.repr m) * (Sys.word_size / 8) in
+  if bytes >= 256 * 1024 then
+    Alcotest.failf "one Metrics.t holds %d bytes after 10^6 deliveries (budget 256 KiB)"
+      bytes
+
 (* ------------------------------------------------------------------ *)
 (* Convergence verdicts (direct) *)
 
@@ -224,6 +376,8 @@ let () =
           Alcotest.test_case "rejection accounting" `Quick test_metrics_rejection_accounting;
           Alcotest.test_case "epoch isolation" `Quick
             test_metrics_epochs_isolate_sequence_spaces;
+          QCheck_alcotest.to_alcotest ledger_matches_table;
+          Alcotest.test_case "ledger footprint" `Quick test_metrics_ledger_footprint;
         ] );
       ( "convergence",
         [

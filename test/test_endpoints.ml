@@ -340,6 +340,45 @@ let test_receiver_non_robust_jump_vulnerability () =
   check_int "replay accepted (documented weakness)" 1
     f.metrics.Metrics.replay_accepted
 
+(* ------------------------------------------------------------------ *)
+(* Per-SA footprint *)
+
+(* 256 endpoints built the way Shard.run_range builds them for an
+   attacked scale run: one shared arena, keyed link generators and a
+   capture tap bounded at Shard's 4096 packets. Before the first packet
+   an SA must cost well under what a preallocated tap ring and
+   delivery table would (4096 words each): capacities are bounds, not
+   allocations. *)
+let test_endpoint_footprint () =
+  let n = 256 in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  let engine = Engine.create ~hint:(Shard.heap_hint ~sa_count:n) () in
+  let hot = Sadb_flat.create ~capacity:(2 * n) ~w:64 () in
+  let endpoint_of g =
+    let link_prng = Resets_util.Prng.split (Resets_util.Prng.keyed ~seed:11 ~stream:g) in
+    Endpoint.create
+      ~sender_name:(Printf.sprintf "p%d" g)
+      ~receiver_name:(Printf.sprintf "q%d" g)
+      ~link_name:(Printf.sprintf "link%d" g)
+      ~window:64 ~arena:hot ~link_prng
+      ~tap:(Endpoint.Tap { capacity = Some 4096 })
+      ~spi:(Int32.of_int (0x4000 + g))
+      ~secret:(Printf.sprintf "multi-sa-%d" g)
+      ~link_latency:(us 10)
+      ~traffic:(Resets_workload.Traffic.constant ~gap:(us 400))
+      ~metrics:(Metrics.create ()) ~sender_persistence:None
+      ~receiver_persistence:None engine
+  in
+  let endpoints = Array.init n endpoint_of in
+  let per_sa = (live_words () - before) / n in
+  check_int "all built" n (Array.length (Sys.opaque_identity endpoints));
+  if per_sa > 1024 then
+    Alcotest.failf "%d live heap words per SA (budget 1024)" per_sa
+
 let () =
   Alcotest.run "endpoints"
     [
@@ -374,4 +413,6 @@ let () =
           Alcotest.test_case "non-robust jump weakness" `Quick
             test_receiver_non_robust_jump_vulnerability;
         ] );
+      ( "footprint",
+        [ Alcotest.test_case "tapped endpoint at setup" `Quick test_endpoint_footprint ] );
     ]

@@ -298,6 +298,93 @@ let test_ring_invalid () =
     (Invalid_argument "Ring.create: capacity must be positive") (fun () ->
       ignore (Ring.create 0))
 
+(* The model: a bounded FIFO as a list, oldest first. *)
+type ring_op =
+  | Push of int
+  | Pop
+  | Nth of int
+  | Peek_oldest
+  | Peek_newest
+  | Fold
+  | Iter
+  | Clear
+
+let show_ring_op = function
+  | Push x -> Printf.sprintf "push %d" x
+  | Pop -> "pop"
+  | Nth i -> Printf.sprintf "nth %d" i
+  | Peek_oldest -> "peek_oldest"
+  | Peek_newest -> "peek_newest"
+  | Fold -> "fold"
+  | Iter -> "iter"
+  | Clear -> "clear"
+
+(* Pushes dominate and clears are rare, so many streams fill rings of
+   up to 300 slots, crossing every doubling of the storage on the way,
+   and then evict. *)
+let ring_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (400, map (fun x -> Push x) small_nat);
+        (40, return Pop);
+        (20, map (fun i -> Nth i) (int_range (-2) 302));
+        (6, return Peek_oldest);
+        (6, return Peek_newest);
+        (6, return Fold);
+        (6, return Iter);
+        (1, return Clear);
+      ])
+
+let rec last = function [] -> None | [ x ] -> Some x | _ :: tl -> last tl
+
+let ring_matches_bounded_list =
+  QCheck.Test.make ~name:"ring == bounded FIFO list" ~count:200
+    QCheck.(
+      pair (int_range 1 300)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_ring_op ops))
+           Gen.(list_size (int_range 1 1200) ring_op_gen)))
+    (fun (cap, ops) ->
+      let r = Ring.create cap and model = ref [] in
+      let step = function
+        | Push x ->
+          let evicted, kept =
+            if List.length !model = cap then
+              (Some (List.hd !model), List.tl !model @ [ x ])
+            else (None, !model @ [ x ])
+          in
+          model := kept;
+          Ring.push r x = evicted
+        | Pop -> (
+          let got = Ring.pop_oldest r in
+          match !model with
+          | [] -> got = None
+          | x :: tl ->
+            model := tl;
+            got = Some x)
+        | Nth i -> Ring.nth r i = if i < 0 then None else List.nth_opt !model i
+        | Peek_oldest -> Ring.peek_oldest r = List.nth_opt !model 0
+        | Peek_newest -> Ring.peek_newest r = last !model
+        | Fold -> Ring.fold (fun acc x -> x :: acc) [] r = List.rev !model
+        | Iter ->
+          let seen = ref [] in
+          Ring.iter (fun x -> seen := x :: !seen) r;
+          List.rev !seen = !model && Ring.to_list r = !model
+        | Clear ->
+          Ring.clear r;
+          model := [];
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Ring.length r = List.length !model
+          && Ring.capacity r = cap
+          && Ring.is_empty r = (!model = [])
+          && Ring.is_full r = (List.length !model = cap))
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Slice *)
 
@@ -457,6 +544,7 @@ let () =
           Alcotest.test_case "nth/fold after wrap" `Quick test_ring_nth_fold;
           Alcotest.test_case "clear" `Quick test_ring_clear;
           Alcotest.test_case "invalid" `Quick test_ring_invalid;
+          qt ring_matches_bounded_list;
         ] );
       ( "slice",
         [
