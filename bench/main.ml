@@ -1321,7 +1321,7 @@ let e11 report =
        (Models.augmented_system ~bounds:(b ~p:1 ~q:1) ~capacity:2 ~adversary:true
           ~robust:true ~kp:1 ~kq:1 ~w:2 ())
        Models.all_section5_invariants);
-  (* the leap itself, machine-checked to be tight *)
+  (* the leap itself: 2K holds, K and 0 are refuted *)
   let leap_bounds = Models.{ s_max = 5; p_resets = 1; q_resets = 0 } in
   List.iter
     (fun (name, leap, expect) ->
@@ -1338,7 +1338,7 @@ let e11 report =
   Format.printf
     "@.the 'both reset' violation is the jump corner the paper's Section 5@.\
      leaves to the reader; the robust (bounded-slide) receiver closes it.@.\
-     The leap rows confirm 2K is tight: K and 0 are refuted.@."
+     The leap rows show that 2K holds and that K and 0 are refuted.@."
 
 (* ------------------------------------------------------------------ *)
 (* E12 *)
@@ -2343,7 +2343,7 @@ let () =
   section "E11" "bounded model checking of the APN models (Sec. 5)"
     ~claim:
       "The Section 5 theorems hold for the augmented protocol; the original \
-       protocol and the under-2K leaps are refuted; the combined-reset corner \
+       protocol and the leaps K and 0 are refuted; the combined-reset corner \
        (our finding) needs the robust receiver."
     e11;
   section "E12" "planned SA rollover (lifetimes)"

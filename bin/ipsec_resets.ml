@@ -370,42 +370,40 @@ let run_cmd =
 let explore_cmd =
   let go model s_max p_resets q_resets k w capacity adversary max_states print_model =
     let open Resets_apn in
-    let bounds = Models.{ s_max; p_resets; q_resets } in
-    let print processes =
-      List.iter (fun p -> Format.printf "%s@.@." (Pp.process_to_string p)) processes
+    let below name least v =
+      let flag = (if String.length name = 1 then "-" else "--") ^ name in
+      if v < least then Some (Printf.sprintf "%s must be at least %d, got %d" flag least v)
+      else None
     in
-    let printed =
-      if not print_model then Ok ()
-      else
-        match model with
-        | `Original ->
-          Ok (print [ Models_ast.original_p ~bounds (); Models_ast.original_q ~bounds ~w () ])
-        | `Augmented ->
-          Ok
-            (print
-               [
-                 Models_ast.augmented_p ~bounds ~kp:k ();
-                 Models_ast.augmented_q ~bounds ~kq:k ~w ();
-               ])
-        | `Robust ->
-          Error
-            "--print-model: the robust model has no AST twin (Models_ast has no robust \
-             augmented_q), so there is nothing to print"
-    in
-    match printed with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
+    match
+      List.find_map Fun.id
+        [
+          below "k" 1 k; below "w" 1 w; below "capacity" 1 capacity;
+          below "max-states" 1 max_states; below "s-max" 0 s_max;
+          below "p-resets" 0 p_resets; below "q-resets" 0 q_resets;
+        ]
+    with
+    | Some msg -> `Error (false, msg)
+    | None ->
+      let bounds = Models.{ s_max; p_resets; q_resets } in
+      let robust = model = `Robust in
+      if print_model then
+        List.iter
+          (fun p -> Format.printf "%s@.@." (Pp.process_to_string p))
+          (match model with
+          | `Original -> [ Models.original_p ~bounds (); Models.original_q ~bounds ~w () ]
+          | `Augmented | `Robust ->
+            [
+              Models.augmented_p ~bounds ~kp:k ();
+              Models.augmented_q ~bounds ~robust ~kq:k ~w ();
+            ]);
       let system, invariant =
         match model with
         | `Original ->
           ( Models.original_system ~bounds ~capacity ~adversary ~w (),
             Models.discrimination_holds )
-        | `Augmented ->
-          ( Models.augmented_system ~bounds ~capacity ~adversary ~kp:k ~kq:k ~w (),
-            Models.all_section5_invariants )
-        | `Robust ->
-          ( Models.augmented_system ~bounds ~capacity ~adversary ~robust:true ~kp:k ~kq:k
-              ~w (),
+        | `Augmented | `Robust ->
+          ( Models.augmented_system ~bounds ~capacity ~adversary ~robust ~kp:k ~kq:k ~w (),
             Models.all_section5_invariants )
       in
       let outcome = Explorer.explore ~max_states ~invariant system in
@@ -438,9 +436,8 @@ let explore_cmd =
       value & flag
       & info [ "print-model" ]
           ~doc:
-            "Print the processes in the paper's Abstract Protocol Notation first. \
-             Only the original and augmented models have AST twins to print; \
-             with the robust model this is an error.")
+            "Print the model's processes p and q in the paper's Abstract Protocol \
+             Notation before exploring them: the same syntax the explorer runs.")
   in
   let term =
     Term.(

@@ -32,6 +32,7 @@ type var_decl = {
   init : Value.t;
   comment : string option;
   ghost : bool;
+  local : bool;
 }
 
 type action =
@@ -67,5 +68,11 @@ let assign name e = Assign ([ Lvar name ], [ e ])
 let assign_many pairs = Assign (List.map fst pairs, List.map snd pairs)
 let seq stmts = Seq stmts
 
-let plain_var ?comment var_name init = { var_name; init; comment; ghost = false }
-let ghost_var ?comment var_name init = { var_name; init; comment; ghost = true }
+let plain_var ?comment var_name init =
+  { var_name; init; comment; ghost = false; local = false }
+
+let ghost_var ?comment var_name init =
+  { var_name; init; comment; ghost = true; local = false }
+
+let local_var ?comment var_name init =
+  { var_name; init; comment; ghost = false; local = true }

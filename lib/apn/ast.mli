@@ -8,9 +8,18 @@
     back in the paper's concrete syntax ({!Pp}) and executed
     ({!Interp.compile} into a {!Process.t}).
 
-    Ghost (history) variables used by the verification harness are
-    ordinary variables here — marked so the printer can set them apart
-    from the protocol proper. *)
+    A variable is one of three sorts. A protocol variable is state, as
+    the paper declares it. A ghost (history) variable is state too, used
+    only by the verification harness; it is marked so the printer can
+    set it apart from the protocol proper. A {e local} is the paper's
+    scratch variable, such as q's received number [s] and its loop
+    indices [i] and [j]: it is dead between actions, so it is not state.
+    Every action starts with its locals at their initial values, a
+    guard may not read one, and no snapshot holds one.
+
+    A process is compiled once ({!Interp.compile}) and instantiated per
+    build with its constants' values and initial values
+    ({!Interp.instantiate}). *)
 
 type expr =
   | Int_lit of int
@@ -47,6 +56,7 @@ type var_decl = {
   init : Value.t;
   comment : string option;  (** the paper's [{…}] annotations *)
   ghost : bool;  (** instrumentation, not protocol state *)
+  local : bool;  (** scratch, not state: reset at every action *)
 }
 
 type action =
@@ -86,3 +96,4 @@ val seq : stmt list -> stmt
 
 val plain_var : ?comment:string -> string -> Value.t -> var_decl
 val ghost_var : ?comment:string -> string -> Value.t -> var_decl
+val local_var : ?comment:string -> string -> Value.t -> var_decl

@@ -1,4 +1,5 @@
-(** The paper's processes, transliterated into the APN interpreter.
+(** The paper's processes, written in the Abstract Protocol Notation
+    ({!Ast}) and compiled by {!Interp}.
 
     Two protocol versions:
 
@@ -14,6 +15,17 @@
       [wakeup_begin]/[wakeup_done] so a second reset can strike during
       it (Section 4's second consideration).
 
+    The builders return the process as syntax: {!Pp} prints it in the
+    paper's notation (`ipsec-resets explore --print-model`). Each
+    model's action list is one value, compiled once when this module is
+    initialised; building a system only instantiates the compiled
+    program with the bounds' values ({!Interp.instantiate}).
+
+    q's scratch variables — the received number [s] and the loop
+    indices [i] and [j] — are locals: printed with q's variables, but
+    not state, so a snapshot holds only what the protocol remembers
+    between actions.
+
     Ghost (history) variables instrument the paper's correctness
     conditions without affecting behaviour:
 
@@ -28,7 +40,9 @@
       claim is [stale_edge = false].
 
     All processes carry bounds so exploration is finite: [s_max] caps
-    how many messages p may send, [max_resets] caps reset actions. *)
+    how many messages p may send, the reset budgets cap reset
+    actions. The builders raise [Invalid_argument] when [kp], [kq] or
+    [w] is below 1. *)
 
 type bounds = {
   s_max : int;  (** largest sequence number p may send *)
@@ -38,16 +52,16 @@ type bounds = {
 
 val default_bounds : bounds
 
-val original_p : ?bounds:bounds -> unit -> Process.t
-val original_q : ?bounds:bounds -> w:int -> unit -> Process.t
+val original_p : ?bounds:bounds -> unit -> Ast.process
+val original_q : ?bounds:bounds -> w:int -> unit -> Ast.process
 
-val augmented_p : ?bounds:bounds -> ?leap:int -> kp:int -> unit -> Process.t
+val augmented_p : ?bounds:bounds -> ?leap:int -> kp:int -> unit -> Ast.process
 (** [leap] defaults to the paper's [2 * kp]; smaller values exist so
     the explorer can demonstrate they are unsound (a reset during the
     in-flight SAVE then resumes on used numbers). *)
 
 val augmented_q :
-  ?bounds:bounds -> ?robust:bool -> ?leap:int -> kq:int -> w:int -> unit -> Process.t
+  ?bounds:bounds -> ?robust:bool -> ?leap:int -> kq:int -> w:int -> unit -> Ast.process
 (** With [robust:false] (the default), the receiver is exactly the
     paper's process q. Exploring it reproduces the paper's receiver
     theorem {e under the paper's implicit assumption} that the right
@@ -60,11 +74,12 @@ val augmented_q :
     last used edge by more than [2 Kq], and a replayed message is then
     accepted. See the model-checking tests and EXPERIMENTS.md (E11).
 
-    With [robust:true], the receiver additionally refuses to let [r]
-    outrun durable state: accepting a message that would make
-    [r > pst + 2 Kq] completes the SAVE synchronously first (modeling a
-    blocking write). The Section 5 claims then hold for every schedule
-    we can explore, including combined p/q resets, loss and replay. *)
+    With [robust:true], the receiver has one more branch after a
+    receive: [r > pst + leap -> pst, lst, pend := r, r, -1]. It refuses
+    to let [r] outrun durable state by more than the wakeup leap,
+    completing the SAVE synchronously first (a blocking write). The
+    Section 5 claims then hold for every schedule we can explore,
+    including combined p/q resets, loss and replay. *)
 
 (** {1 Invariants (Section 5, as state predicates)} *)
 

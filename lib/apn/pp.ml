@@ -96,9 +96,8 @@ let pp_var ppf (d : Ast.var_decl) =
       | Value.Bool_array _ -> ""
       | v -> Printf.sprintf " {initially %s}" (value_text v))
   in
-  if d.Ast.ghost then
-    fprintf ppf "%s : %s%s {ghost}" d.Ast.var_name (type_text d.Ast.init) annotation
-  else fprintf ppf "%s : %s%s" d.Ast.var_name (type_text d.Ast.init) annotation
+  let sort = if d.Ast.ghost then " {ghost}" else if d.Ast.local then " {local}" else "" in
+  fprintf ppf "%s : %s%s%s" d.Ast.var_name (type_text d.Ast.init) annotation sort
 
 let pp_action ppf (a : Ast.action) =
   match a with

@@ -15,8 +15,8 @@ begin
 end
     v}
 
-    Ghost variables and their updates are rendered inside [{ghost: …}]
-    comments so the protocol text stays comparable with the paper. *)
+    Ghost variables are marked [{ghost}] and locals [{local}], so the
+    protocol text stays comparable with the paper. *)
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_stmt : Format.formatter -> Ast.stmt -> unit

@@ -18,11 +18,11 @@ type action =
 
 type t = {
   name : string;
-  init : (string * Value.t) list;
+  init : State.t;
   actions : action list;
 }
 
-let make ~name ~init ~actions = { name; init; actions }
+let make ~name ~init ~actions = { name; init = State.create init; actions }
 
 let action_label = function
   | Internal { label; _ } -> label

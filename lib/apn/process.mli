@@ -1,5 +1,8 @@
 (** APN processes: named variables plus guarded actions.
 
+    The paper's processes are written as {!Ast} values and compiled by
+    {!Interp}; {!make} builds one from OCaml closures instead.
+
     Semantics follow the paper's introduction: an action executes only
     when its guard is true; actions (across all processes) execute one
     at a time; an action whose guard is continuously true is eventually
@@ -34,7 +37,9 @@ type action =
 
 type t = {
   name : string;
-  init : (string * Value.t) list;
+  init : State.t;
+      (** The initial state. Never written: each system that runs the
+          process starts from a copy. *)
   actions : action list;
 }
 

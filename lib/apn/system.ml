@@ -13,42 +13,38 @@ let step_label = function
 
 let pp_step ppf s = Format.pp_print_string ppf (step_label s)
 
-(* The packed-snapshot layout: every process's variables (processes in
-   declaration order, each one's variables in name order) and the
-   buffer snapshots are written into. Built at the first snapshot, so
-   that building a system stays cheap. *)
-type layout = {
-  vars : State.var array;
-  buf : Buffer.t;
-}
-
 type t = {
   net : Network.t;
-  order : string list;
-  procs : (string, Process.t * State.t) Hashtbl.t;
+  procs : (Process.t * State.t) array;  (* declaration order, as snapshots pack them *)
   adversary : bool;
   lossy : bool;
-  mutable layout : layout option;
+  buf : Buffer.t;  (* snapshots are written here *)
 }
 
 let create ?(capacity = 1024) ?(adversary = false) ?(lossy = false) processes =
   let net = Network.create ~capacity ~record_history:adversary () in
-  let procs = Hashtbl.create 4 in
-  let order =
-    List.map
-      (fun (p : Process.t) ->
-        if Hashtbl.mem procs p.name then
-          invalid_arg ("System.create: duplicate process " ^ p.name);
-        Hashtbl.replace procs p.name (p, State.create p.init);
-        p.name)
-      processes
+  let procs =
+    Array.of_list (List.map (fun (p : Process.t) -> (p, State.copy p.init)) processes)
   in
-  { net; order; procs; adversary; lossy; layout = None }
+  Array.iteri
+    (fun i ((p : Process.t), _) ->
+      for j = 0 to i - 1 do
+        if String.equal (fst procs.(j)).name p.name then
+          invalid_arg ("System.create: duplicate process " ^ p.name)
+      done)
+    procs;
+  { net; procs; adversary; lossy; buf = Buffer.create 128 }
 
-let state_of t name =
-  match Hashtbl.find_opt t.procs name with
-  | Some (_p, st) -> st
-  | None -> raise Not_found
+let find t name =
+  let rec go i =
+    if i = Array.length t.procs then raise Not_found
+    else
+      let ((p : Process.t), _) as entry = t.procs.(i) in
+      if String.equal p.name name then entry else go (i + 1)
+  in
+  go 0
+
+let state_of t name = snd (find t name)
 
 let network t = t.net
 
@@ -72,16 +68,15 @@ let action_enabled t name st = function
 let enabled_steps t =
   let proc_steps =
     List.concat_map
-      (fun name ->
-        let p, st = Hashtbl.find t.procs name in
+      (fun ((p : Process.t), st) ->
         List.concat
           (List.mapi
              (fun index action ->
-               if action_enabled t name st action then
-                 [ Proc_action { proc = name; index; label = Process.action_label action } ]
+               if action_enabled t p.name st action then
+                 [ Proc_action { proc = p.name; index; label = Process.action_label action } ]
                else [])
              p.actions))
-      t.order
+      (Array.to_list t.procs)
   in
   let channel_steps =
     List.concat_map
@@ -103,7 +98,7 @@ let enabled_steps t =
 let execute t step =
   match step with
   | Proc_action { proc; index; _ } -> begin
-    let p, st = Hashtbl.find t.procs proc in
+    let p, st = find t proc in
     let action = List.nth p.actions index in
     if not (action_enabled t proc st action) then
       invalid_arg ("System.execute: disabled step " ^ step_label step);
@@ -188,19 +183,16 @@ let add_messages buf msgs =
       List.iter (add_int buf) m.args)
     msgs
 
-let layout t =
-  match t.layout with
-  | Some l -> l
-  | None ->
-    let vars = Array.concat (List.map (fun name -> State.vars (state_of t name)) t.order) in
-    let l = { vars; buf = Buffer.create 128 } in
-    t.layout <- Some l;
-    l
-
 let snapshot t =
-  let { vars; buf } = layout t in
+  let buf = t.buf in
   Buffer.clear buf;
-  Array.iter (fun v -> add_value buf (State.read v)) vars;
+  Array.iter
+    (fun (_, st) ->
+      let slots = State.slots st in
+      for k = 0 to State.length st - 1 do
+        add_value buf slots.(k)
+      done)
+    t.procs;
   Network.iter_channels t.net (fun id ~queue ~history ->
       if queue <> [] || history <> [] then begin
         add_uint buf (id + 1);
@@ -252,7 +244,13 @@ let messages c =
 
 let restore t snap =
   let c = { s = snap; pos = 0 } in
-  Array.iter (fun v -> State.write v (value c)) (layout t).vars;
+  Array.iter
+    (fun (_, st) ->
+      let slots = State.slots st in
+      for k = 0 to State.length st - 1 do
+        slots.(k) <- value c
+      done)
+    t.procs;
   Network.clear t.net;
   let rec channels () =
     match uint c with

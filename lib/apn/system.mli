@@ -59,6 +59,8 @@ val run_random :
     are omitted, so a state reached before and after a channel's first
     use snapshots the same. Every field is tagged or length-prefixed:
     two snapshots of one system are equal exactly when the states are.
+    A process's locals (see {!Ast.var_decl}) are scratch, not state, so
+    no snapshot holds them.
 
     Channels are named by their position in the system's first-use
     order, so a snapshot is restored only into the system that took it
@@ -69,8 +71,6 @@ val run_random :
 type snapshot
 
 val snapshot : t -> snapshot
-(** The first snapshot of a system fixes its layout (the variables'
-    order); building a system does no snapshot work. *)
 
 val restore : t -> snapshot -> unit
 (** Overwrite every process variable and channel of the system with

@@ -27,8 +27,7 @@ let equal a b =
 let compare a b = Stdlib.compare a b
 
 let canonical = function
-  | Int i -> Int i
-  | Bool b -> Bool b
+  | (Int _ | Bool _) as v -> v
   | Bool_array a -> Bool_array (Array.copy a)
 
 let pp ppf = function

@@ -142,6 +142,20 @@ let test_system_snapshot_restore_roundtrip () =
   System.restore sys snap0;
   check_bool "restored" true (System.snapshot_equal snap0 (System.snapshot sys))
 
+let test_builders_reject_out_of_range () =
+  let rejects build =
+    match build () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check_bool "original, w = 0" true (rejects (fun () -> Models.original_system ~w:0 ()));
+  check_bool "augmented, w = 0" true
+    (rejects (fun () -> Models.augmented_system ~kp:1 ~kq:1 ~w:0 ()));
+  check_bool "augmented, kp = 0" true
+    (rejects (fun () -> Models.augmented_system ~kp:0 ~kq:1 ~w:1 ()));
+  check_bool "augmented, kq = 0" true
+    (rejects (fun () -> Models.augmented_system ~kp:1 ~kq:0 ~w:1 ()))
+
 let test_system_random_run_deterministic () =
   let run seed =
     let sys = Models.original_system ~bounds:tiny_bounds ~w:2 () in
@@ -235,9 +249,10 @@ let test_robust_receiver_closes_the_corner_case () =
     (is_exhausted_ok (explore sys Models.all_section5_invariants))
 
 let test_leap_two_k_is_tight () =
-  (* Section 5's choice of 2K, machine-checked to be necessary and
-     sufficient: leap = K (or 0) is refuted, leap = 2K is exhaustively
-     verified, with Kp = 2 so a reset can land mid-interval. *)
+  (* Section 5's choice of 2K: leap = 2K is exhaustively verified and
+     leap = K (or 0) is refuted, with Kp = 2 so a reset can land
+     mid-interval. That does not make 2K tight: leap 2K - 1 holds at
+     these bounds too (pinned with the E11 rows below). *)
   let bounds = Models.{ s_max = 5; p_resets = 1; q_resets = 0 } in
   let explore_leap leap =
     explore ~max_states:500_000
@@ -320,18 +335,56 @@ let e11_rows =
     ("sender leap = 0 (ablation)", leap (Some 0), fresh, true, 25);
   ]
 
+(* Rows that are not part of E11. Theorem (ii) under loss: a channel of
+   capacity 2 overflows, so one q reset with no adversary breaks the
+   paper's receiver, and the robust receiver holds. And a leap of
+   2K - 1, which holds at E11's leap bounds: the leap rows show that 2K
+   holds, not that it is tight. *)
+let beyond_e11_rows =
+  let loss robust () =
+    Models.augmented_system
+      ~bounds:Models.{ s_max = 7; p_resets = 0; q_resets = 1 }
+      ~capacity:2 ~robust ~kp:1 ~kq:1 ~w:2 ()
+  in
+  let s5 = Models.all_section5_invariants in
+  [
+    ( ("not E11: one q reset, overflow loss", loss false, s5, true, 1136),
+      Some
+        [
+          "p.send"; "p.send"; "p.send"; "p.send"; "q.rcv"; "p.send"; "q.rcv"; "q.rcv";
+          "q.reset"; "q.wakeup_begin"; "q.wakeup_done";
+        ] );
+    (("not E11: one q reset, overflow loss, robust", loss true, s5, false, 4408), None);
+    ( ( "not E11: sender leap = 2K - 1",
+        (fun () ->
+          Models.augmented_system
+            ~bounds:Models.{ s_max = 5; p_resets = 1; q_resets = 0 }
+            ~capacity:2 ~leap_p:3 ~kp:2 ~kq:2 ~w:2 ()),
+        Models.sender_freshness_holds, false, 718 ),
+      None );
+  ]
+
+let pin (name, build, invariant, violated, states) =
+  let outcome = explore ~max_states:600_000 (build ()) invariant in
+  let got_violated, got_states =
+    match outcome with
+    | Explorer.Violation { states; _ } -> (true, states)
+    | Explorer.Exhausted { states } -> (false, states)
+    | Explorer.Limit_reached _ -> Alcotest.failf "%s: state budget reached" name
+  in
+  check_bool (name ^ ": violated") violated got_violated;
+  check_int (name ^ ": states") states got_states;
+  outcome
+
 let test_e11_state_space_pinned () =
+  List.iter (fun row -> ignore (pin row)) e11_rows;
   List.iter
-    (fun (name, build, invariant, violated, states) ->
-      let got_violated, got_states =
-        match explore ~max_states:600_000 (build ()) invariant with
-        | Explorer.Violation { states; _ } -> (true, states)
-        | Explorer.Exhausted { states } -> (false, states)
-        | Explorer.Limit_reached _ -> Alcotest.failf "%s: state budget reached" name
-      in
-      check_bool (name ^ ": violated") violated got_violated;
-      check_int (name ^ ": states") states got_states)
-    e11_rows
+    (fun (((name, _, _, _, _) as row), trace) ->
+      match (pin row, trace) with
+      | Explorer.Violation { trace = got; _ }, Some trace ->
+        Alcotest.(check (list string)) (name ^ ": shortest trace") trace got
+      | _ -> ())
+    beyond_e11_rows
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot properties over random walks with the adversary on. *)
@@ -453,6 +506,8 @@ let () =
           Alcotest.test_case "disabled rejected" `Quick test_system_execute_disabled_rejected;
           Alcotest.test_case "snapshot/restore" `Quick test_system_snapshot_restore_roundtrip;
           Alcotest.test_case "deterministic runs" `Quick test_system_random_run_deterministic;
+          Alcotest.test_case "out-of-range builders rejected" `Quick
+            test_builders_reject_out_of_range;
         ] );
       ( "model-check (Section 5)",
         [
