@@ -2174,9 +2174,9 @@ let micro report =
      plays both sides of a UNIX-datagram pair — encap into the tx pool,
      batched send, batched recv, decap straight out of the rx arena,
      replay-window admit per packet — so pps_per_core is the honest
-     single-core number for the daemon's datapath (a deployment scales
-     it by sharding SAs across workers; see the serve verb). The sweep
-     varies the recvmmsg/sendmmsg batch depth.
+     single-core number for the daemon's datapath, which runs all of
+     its SAs in one domain (see the serve verb). The sweep varies the
+     recvmmsg/sendmmsg batch depth.
 
      One kernel limit binds the deepest row: unix(7) caps a datagram
      socket's receive queue at net.unix.max_dgram_qlen datagrams

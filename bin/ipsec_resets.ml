@@ -809,7 +809,7 @@ let chaos_cmd =
 let serve_cmd =
   let open Resets_net in
   let go role addr peer secret spi_base sas k adaptive window rate duration
-      store_dir stats_path json_path workers expect_recovery heartbeat batch
+      store_dir stats_path json_path expect_recovery heartbeat batch
       rcvbuf sndbuf discipline churn impair impair_seed store_faults fault_seed
       graceful quiet =
     let parse_addr label = function
@@ -847,7 +847,6 @@ let serve_cmd =
         store_dir;
         stats_path;
         json_path;
-        workers;
         expect_recovery;
         heartbeat;
         batch;
@@ -960,19 +959,14 @@ let serve_cmd =
       & info [ "stats" ] ~docv:"FILE"
           ~doc:
             "Append heartbeat JSONL here; on restart the previous \
-             incarnation's last line seeds the cross-incarnation replay \
-             check.")
+             incarnation's last heartbeat listing SAs seeds the \
+             cross-incarnation replay check.")
   in
   let json_path =
     Arg.(
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Write the final report to $(docv).")
-  in
-  let workers =
-    Arg.(
-      value & opt positive_int_conv 1
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains (SAs sharded by SPI).")
   in
   let expect_recovery =
     Arg.(
@@ -1031,7 +1025,7 @@ let serve_cmd =
       & info [ "discipline" ] ~docv:"D"
           ~doc:
             "Recovery discipline: $(b,per-sa) (one store key per SA), \
-             $(b,coalesced) (one snapshot file per worker, all SAs recovered \
+             $(b,coalesced) (one snapshot file, all SAs recovered \
              together), or $(b,reestablish) (ignore stored state, fresh \
              sequence space).")
   in
@@ -1102,7 +1096,7 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "fault-seed" ] ~docv:"N"
-          ~doc:"PRNG root for the store-fault plan (keyed per worker).")
+          ~doc:"PRNG root for the store-fault plan.")
   in
   let graceful =
     Arg.(
@@ -1126,7 +1120,7 @@ let serve_cmd =
     Term.(
       const go $ role $ addr $ peer $ secret $ spi_base $ sas $ k $ adaptive
       $ window $ rate $ duration $ store_dir $ stats_path $ json_path
-      $ workers $ expect_recovery $ heartbeat $ batch $ rcvbuf $ sndbuf
+      $ expect_recovery $ heartbeat $ batch $ rcvbuf $ sndbuf
       $ discipline $ churn $ impair $ impair_seed $ store_faults $ fault_seed
       $ graceful $ quiet)
 

@@ -32,6 +32,25 @@ let str_member name j = Option.bind (Json.member name j) Json.as_string
 let bool_member name j = Option.bind (Json.member name j) Json.as_bool
 let geti ?(default = 0) name j = Option.value (int_member name j) ~default
 
+let sa_to_json s =
+  Json.Obj
+    [
+      ("spi", Json.Int s.spi);
+      ("recovered", Json.Bool s.recovered);
+      ("recovered_from", Json.Int s.recovered_from);
+      ("sent", Json.Int s.sent);
+      ("next_seq", Json.Int s.next_seq);
+      ("delivered", Json.Int s.delivered);
+      ("min_seq", Json.Int s.min_seq);
+      ("max_seq", Json.Int s.max_seq);
+      ("fresh_rejected", Json.Int s.fresh_rejected);
+      ("lost", Json.Int s.lost);
+      ("dups", Json.Int s.dups);
+      ("bad_icv", Json.Int s.bad_icv);
+      ("edge", Json.Int s.edge);
+      ("k_now", Json.Int s.k_now);
+    ]
+
 let sa_of_json j =
   match int_member "spi" j with
   | None -> None

@@ -1,4 +1,4 @@
-(** Reader for the daemon's heartbeat JSONL.
+(** The daemon's heartbeat JSONL: its per-SA row, written and read.
 
     The fleet layer's entire view of a daemon is this file: each line
     carries the writer's pid (incarnations tell themselves apart), an
@@ -40,6 +40,10 @@ type line = {
   role : string;  (** ["send"] or ["recv"] *)
   sas : sa list;  (** empty on startup lines *)
 }
+
+val sa_to_json : sa -> Resets_util.Json.t
+(** The row the daemon writes into a heartbeat's ["sas"] list and its
+    report's ["per_sa"]; {!parse_line} reads it back field for field. *)
 
 val parse_line : string -> line option
 val load : string -> line list

@@ -7,7 +7,7 @@
       ([Disk_lost]: the receiver's store directory is wiped before the
       respawn);
     - {b recovery discipline}: how the restarted receiver reloads
-      state — one file per SA ([Per_sa]), one snapshot per worker
+      state — one file per SA ([Per_sa]), one snapshot per daemon
       ([Coalesced]), or none ([Reestablish]);
     - {b background churn}: the sender's traffic shape during the
       reset ([Steady] constant, [Storm] bursty rekey-storm pacing,

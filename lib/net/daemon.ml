@@ -5,6 +5,7 @@ open Resets_ipsec
 open Resets_core
 
 module Batch_io = Resets_net_stubs.Batch_io
+module Heartbeat = Resets_fleet.Heartbeat
 
 type role = Send | Recv
 
@@ -12,7 +13,7 @@ type role = Send | Recv
    the recovery-discipline axis of the E17 matrix. *)
 type discipline =
   | Per_sa  (** one store key per SA, recover each independently *)
-  | Coalesced  (** one snapshot file per worker, all SAs together *)
+  | Coalesced  (** one snapshot file, all SAs together *)
   | Reestablish  (** ignore stored state; establish a fresh space *)
 
 (* Background traffic shape during the run — the churn axis. The wire
@@ -36,7 +37,6 @@ type config = {
   store_dir : string;
   stats_path : string option;
   json_path : string option;
-  workers : int;
   expect_recovery : bool;
   heartbeat : float;
   batch : int;
@@ -69,7 +69,6 @@ let default =
     store_dir = "/tmp/resets-store";
     stats_path = None;
     json_path = None;
-    workers = 1;
     expect_recovery = false;
     heartbeat = 0.25;
     batch = Batch_io.default_batch;
@@ -100,10 +99,10 @@ let policy_mode cfg =
   else K_policy.static cfg.k
 
 (* Wrap a store so every completed save reports its wall-clock latency:
-   into the per-worker sample (heartbeat percentiles) and, when
-   adaptive, into the SA's policy. File-store saves are synchronous, so
-   the callback runs before [save] returns and the measured latency is
-   the real fsync+rename cost. *)
+   into the daemon's sample (heartbeat percentiles) and, when adaptive,
+   into the SA's policy. File-store saves are synchronous, so the
+   callback runs before [save] returns and the measured latency is the
+   real fsync+rename cost. *)
 let timed_store ~sample ~policy store =
   {
     store with
@@ -120,108 +119,110 @@ let timed_store ~sample ~policy store =
             on_complete ()));
   }
 
-(* ------------------------------------------------------------------ *)
-(* Per-SA statistics, snapshotted by workers and aggregated by the
-   main domain for heartbeats, the final report and the gate.          *)
+let role_name = function Send -> "send" | Recv -> "recv"
 
-type sa_stat = {
-  spi : int;
-  recovered : bool;
-  recovered_from : int;  (** stored value found at startup (0 if none) *)
-  sent : int;
-  next_seq : int;
-  delivered : int;
-  min_seq : int;  (** lowest delivered seq this incarnation; 0 if none *)
-  max_seq : int;
-  fresh_rejected : int;
-  lost : int;
-      (** fresh messages rejected with no copy ever delivered — the
-          paper's convergence cost. [fresh_rejected] also counts
-          window rejections of wire-duplicated frames whose original
-          got through, so only [lost] is bounded by 2k. *)
-  dups : int;
-  bad_icv : int;
-  edge : int;
-  k_now : int;  (** currently effective K (static: the configured K) *)
+(* ------------------------------------------------------------------ *)
+(* One record per SA: its endpoint and the counters its heartbeat row
+   reads live.                                                         *)
+
+type endpoint = Tx of Sender.t | Rx of Receiver.t
+
+type sa = {
+  index : int;  (** SPI = spi_base + index *)
+  prior : int option;  (** stored value found at startup *)
+  policy : K_policy.t;
+  metrics : Metrics.t;
+  min_seq : int ref;  (** lowest delivered seq this incarnation; 0 if none *)
+  endpoint : endpoint;
 }
 
-let zero_stat spi =
+(* A sender's metrics count only [sent], a receiver's never do, so one
+   row shape serves both roles. *)
+let stat_of cfg sa =
+  let m = sa.metrics in
   {
-    spi;
-    recovered = false;
-    recovered_from = 0;
-    sent = 0;
-    next_seq = 0;
-    delivered = 0;
-    min_seq = 0;
-    max_seq = 0;
-    fresh_rejected = 0;
-    lost = 0;
-    dups = 0;
-    bad_icv = 0;
-    edge = 0;
-    k_now = 0;
+    Heartbeat.spi = cfg.spi_base + sa.index;
+    recovered = sa.prior <> None;
+    recovered_from = Option.value sa.prior ~default:0;
+    sent = m.Metrics.sent;
+    next_seq = (match sa.endpoint with Tx s -> Sender.next_seq s | Rx _ -> 0);
+    delivered = m.Metrics.delivered;
+    min_seq = !(sa.min_seq);
+    max_seq = Metrics.max_delivered_seq m;
+    fresh_rejected = m.Metrics.fresh_rejected;
+    lost = m.Metrics.fresh_rejected_undelivered;
+    dups = m.Metrics.duplicate_deliveries;
+    bad_icv = m.Metrics.bad_icv;
+    edge = (match sa.endpoint with Rx r -> Receiver.right_edge r | Tx _ -> 0);
+    k_now = K_policy.current sa.policy;
   }
 
-let json_of_stat s =
-  Json.Obj
-    [
-      ("spi", Json.Int s.spi);
-      ("recovered", Json.Bool s.recovered);
-      ("recovered_from", Json.Int s.recovered_from);
-      ("sent", Json.Int s.sent);
-      ("next_seq", Json.Int s.next_seq);
-      ("delivered", Json.Int s.delivered);
-      ("min_seq", Json.Int s.min_seq);
-      ("max_seq", Json.Int s.max_seq);
-      ("fresh_rejected", Json.Int s.fresh_rejected);
-      ("lost", Json.Int s.lost);
-      ("dups", Json.Int s.dups);
-      ("bad_icv", Json.Int s.bad_icv);
-      ("edge", Json.Int s.edge);
-      ("k_now", Json.Int s.k_now);
-    ]
-
-(* The previous incarnation's last heartbeat: spi -> (max_seq,
-   delivered). Read before this incarnation appends anything. *)
+(* The previous incarnation's per-SA counters: the last line of the
+   stats file that parses and lists SAs. A trailing startup line (the
+   previous incarnation died before its first heartbeat) or a line torn
+   by a SIGKILL mid-append is passed over, so the cross-incarnation
+   replay check never loses its old maximum. Read before this
+   incarnation appends anything. *)
 let read_prev_stats path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let last = ref None in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then last := Some line
-       done
-     with End_of_file -> ());
+  List.fold_left
+    (fun prev (l : Heartbeat.line) -> if l.sas = [] then prev else l.sas)
+    [] (Heartbeat.load path)
+
+let append path s =
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  output_string oc s;
+  close_out oc
+
+let append_line path json = append path (Json.to_string json ^ "\n")
+
+(* A previous incarnation killed mid-append leaves its last line without
+   a newline; end that line, so this incarnation's first one parses. *)
+let end_torn_line path =
+  if Sys.file_exists path then begin
+    let ic = open_in_bin path in
+    let n = in_channel_length ic in
+    let torn = n > 0 && (seek_in ic (n - 1); input_char ic <> '\n') in
     close_in ic;
-    match !last with
-    | None -> []
-    | Some line -> (
-      match Json.parse line with
-      | Error _ -> []
-      | Ok j -> (
-        match Option.bind (Json.member "sas" j) Json.as_list with
-        | None -> []
-        | Some sas ->
-          List.filter_map
-            (fun sa ->
-              match
-                ( Option.bind (Json.member "spi" sa) Json.as_int,
-                  Option.bind (Json.member "max_seq" sa) Json.as_int,
-                  Option.bind (Json.member "delivered" sa) Json.as_int )
-              with
-              | Some spi, Some max_seq, Some delivered ->
-                Some (spi, (max_seq, delivered))
-              | _ -> None)
-            sas))
+    if torn then append path "\n"
   end
 
-let append_line path line =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc (line ^ "\n");
-  close_out oc
+(* Wall-clock SAVE-latency percentiles over every SA's saves. *)
+let json_of_latencies sample =
+  let n = Stats.Sample.count sample in
+  let pct p = if n = 0 then 0. else Stats.Sample.percentile sample p in
+  Json.Obj
+    [
+      ("count", Json.Int n);
+      ("p50", Json.Float (pct 50.));
+      ("p99", Json.Float (pct 99.));
+      ("max", Json.Float (pct 100.));
+    ]
+
+(* Wire pressure: batch-fill percentiles on the receive side, flush
+   counts and the tx-pool high-water mark on the send side (DESIGN.md
+   §2f). *)
+let wire_json cfg sock =
+  let int f = Json.Int (f sock) in
+  Json.Obj
+    (match cfg.role with
+    | Recv ->
+      [
+        ("rx_frames", int Transport_udp.rx_frames);
+        ("rx_dropped", int Transport_udp.rx_dropped);
+        ("rx_batches", int Transport_udp.rx_batches);
+        ("rx_batch_p50", Json.Int (Transport_udp.rx_batch_percentile sock 0.5));
+        ("rx_batch_p99", Json.Int (Transport_udp.rx_batch_percentile sock 0.99));
+        ("rx_batch_max", int Transport_udp.rx_batch_max);
+        ("rcvbuf_effective", int Transport_udp.rcvbuf_effective);
+      ]
+    | Send ->
+      [
+        ("tx_frames", int Transport_udp.tx_frames);
+        ("tx_errors", int Transport_udp.tx_errors);
+        ("tx_flushes", int Transport_udp.tx_flushes);
+        ("tx_queue_hwm", int Transport_udp.tx_queue_hwm);
+        ("sndbuf_effective", int Transport_udp.sndbuf_effective);
+      ])
 
 (* Every heartbeat carries the writer's pid and an absolute wall-clock
    stamp: a supervisor reading the JSONL can tell incarnations apart by
@@ -229,168 +230,70 @@ let append_line path line =
    clock with the daemon. [event] marks the terminal line a cleanly
    exiting daemon appends (["shutdown"], with the stop reason); its
    absence at exit is how a crash looks. *)
-let append_heartbeat ?event path ~role ~elapsed_ns ~shards ~wire stats =
+let append_heartbeat ?event path cfg ~elapsed_ns ~save_lat ~wire stats =
   append_line path
-    (Json.to_string
-       (Json.Obj
-          ((match event with
-           | Some (name, reason) ->
-             [
-               ("event", Json.String name); ("reason", Json.String reason);
-             ]
-           | None -> [])
-          @ [
-              ("pid", Json.Int (Unix.getpid ()));
-              ("ts_ns", Json.Int (Int64.to_int (now_ns ())));
-              ("elapsed_ns", Json.Int elapsed_ns);
-              ( "role",
-                Json.String (match role with Send -> "send" | Recv -> "recv")
-              );
-              ("sas", Json.List (List.map json_of_stat (Array.to_list stats)));
-              (* per-shard (worker) wall-clock SAVE-latency percentiles *)
-              ("save_latency_ns", Json.List shards);
-              (* wire pressure: batch-fill percentiles, flush counts,
-                 tx-pool high-water mark (DESIGN.md §2f) *)
-              ("wire", wire);
-            ])))
+    (Json.Obj
+       ((match event with
+        | Some (name, reason) ->
+          [ ("event", Json.String name); ("reason", Json.String reason) ]
+        | None -> [])
+       @ [
+           ("pid", Json.Int (Unix.getpid ()));
+           ("ts_ns", Json.Int (Int64.to_int (now_ns ())));
+           ("elapsed_ns", Json.Int elapsed_ns);
+           ("role", Json.String (role_name cfg.role));
+           ("sas", Json.List (List.map Heartbeat.sa_to_json stats));
+           ("save_latency_ns", Json.List [ json_of_latencies save_lat ]);
+           ("wire", wire);
+         ]))
 
 (* The startup heartbeat carries what a post-mortem needs to interpret
    the run's wire numbers: the configured batch and the socket-buffer
    sizes the kernel actually granted (it clamps and rounds requests). *)
-let append_startup path ~role ~batch ~rcvbuf_effective ~sndbuf_effective =
+let append_startup path cfg sock =
+  end_torn_line path;
   append_line path
-    (Json.to_string
-       (Json.Obj
-          [
-            ("event", Json.String "startup");
-            ("pid", Json.Int (Unix.getpid ()));
-            ("ts_ns", Json.Int (Int64.to_int (now_ns ())));
-            ( "role",
-              Json.String (match role with Send -> "send" | Recv -> "recv") );
-            ("batch", Json.Int batch);
-            ("rcvbuf_effective", Json.Int rcvbuf_effective);
-            ("sndbuf_effective", Json.Int sndbuf_effective);
-          ]))
+    (Json.Obj
+       [
+         ("event", Json.String "startup");
+         ("pid", Json.Int (Unix.getpid ()));
+         ("ts_ns", Json.Int (Int64.to_int (now_ns ())));
+         ("role", Json.String (role_name cfg.role));
+         ("batch", Json.Int cfg.batch);
+         ("rcvbuf_effective", Json.Int (Transport_udp.rcvbuf_effective sock));
+         ("sndbuf_effective", Json.Int (Transport_udp.sndbuf_effective sock));
+       ])
 
 (* ------------------------------------------------------------------ *)
-(* Worker mailbox: the main domain pushes raw frames in (receive role)
-   and reads stat snapshots out; the worker does the reverse. The
-   mutex covers exactly these three fields.                            *)
-
-type save_lat_snapshot = {
-  lat_count : int;
-  lat_p50_ns : float;
-  lat_p99_ns : float;
-  lat_max_ns : float;
-}
-
-let no_latencies = { lat_count = 0; lat_p50_ns = 0.; lat_p99_ns = 0.; lat_max_ns = 0. }
-
-let snapshot_latencies sample =
-  let n = Stats.Sample.count sample in
-  if n = 0 then no_latencies
-  else
-    {
-      lat_count = n;
-      lat_p50_ns = Stats.Sample.percentile sample 50.;
-      lat_p99_ns = Stats.Sample.percentile sample 99.;
-      lat_max_ns = Stats.Sample.percentile sample 100.;
-    }
-
-let json_of_latencies ~worker l =
-  Json.Obj
-    [
-      ("worker", Json.Int worker);
-      ("count", Json.Int l.lat_count);
-      ("p50", Json.Float l.lat_p50_ns);
-      ("p99", Json.Float l.lat_p99_ns);
-      ("max", Json.Float l.lat_max_ns);
-    ]
-
-(* A send worker's view of its private socket, snapshotted under the
-   mailbox mutex alongside the SA stats. *)
-type wire_snapshot = {
-  w_tx : int;
-  w_tx_errors : int;
-  w_tx_flushes : int;
-  w_tx_queue_hwm : int;
-  w_rcvbuf : int;
-  w_sndbuf : int;
-}
-
-let no_wire =
-  {
-    w_tx = 0;
-    w_tx_errors = 0;
-    w_tx_flushes = 0;
-    w_tx_queue_hwm = 0;
-    w_rcvbuf = 0;
-    w_sndbuf = 0;
-  }
-
-let snapshot_wire sock =
-  {
-    w_tx = Transport_udp.tx_frames sock;
-    w_tx_errors = Transport_udp.tx_errors sock;
-    w_tx_flushes = Transport_udp.tx_flushes sock;
-    w_tx_queue_hwm = Transport_udp.tx_queue_hwm sock;
-    w_rcvbuf = Transport_udp.rcvbuf_effective sock;
-    w_sndbuf = Transport_udp.sndbuf_effective sock;
-  }
-
-type mailbox = {
-  m : Mutex.t;
-  mutable frames : string list; (* newest first *)
-  mutable stop : bool;
-  mutable graceful : bool; (* stop came from SIGTERM: flush state *)
-  mutable snapshot : sa_stat array;
-  mutable save_latencies : save_lat_snapshot;
-  mutable wire : wire_snapshot;
-}
-
-let make_mailbox n =
-  {
-    m = Mutex.create ();
-    frames = [];
-    stop = false;
-    graceful = false;
-    snapshot = Array.init n (fun _ -> zero_stat 0);
-    save_latencies = no_latencies;
-    wire = no_wire;
-  }
-
-let shard_indices cfg w =
-  List.filter (fun i -> i mod cfg.workers = w) (List.init cfg.sas Fun.id)
 
 let derive_sa cfg i =
   let spi = Int32.of_int (cfg.spi_base + i) in
   Sa.create (Sa.derive_params ~window_width:cfg.window ~spi ~secret:cfg.secret ())
 
-let key_of cfg role i =
+let key_of cfg i =
   Printf.sprintf "spi-%d-%s" (cfg.spi_base + i)
-    (match role with Send -> "seq" | Recv -> "edge")
+    (match cfg.role with Send -> "seq" | Recv -> "edge")
 
-(* The worker's persistence backend, shaped by the recovery
-   discipline: per-SA file-per-key ([Per_sa], [Reestablish]) or one
-   snapshot file per worker holding every SA together ([Coalesced]).
-   [Reestablish] additionally blinds the startup fetch — stored state
-   is ignored, the SA establishes a fresh sequence space. A store-fault
-   plan (keyed by worker index, so the pattern is independent of how
-   the sharding interleaves) makes the backend misbehave
-   deterministically. *)
-let worker_store cfg ~role w =
+(* The persistence backend, shaped by the recovery discipline: per-SA
+   file-per-key ([Per_sa], [Reestablish]) or one snapshot file holding
+   every SA together ([Coalesced]). [Reestablish] additionally blinds
+   the startup fetch — stored state is ignored, the SA establishes a
+   fresh sequence space. A store-fault plan makes the backend misbehave
+   deterministically. The snapshot's name ("recv-w0"/"send-w0") and the
+   plan's PRNG stream (0) are part of the format: changing either would
+   change what an existing store recovers, or which saves a seeded plan
+   fails. *)
+let open_store cfg =
   let faults =
     if Faults.is_none cfg.store_faults then None
     else
       Some
         (Faults.create ~spec:cfg.store_faults
-           ~prng:(Prng.keyed ~seed:cfg.fault_seed ~stream:w))
+           ~prng:(Prng.keyed ~seed:cfg.fault_seed ~stream:0))
   in
   match cfg.discipline with
   | Coalesced ->
-    let name =
-      Printf.sprintf "%s-w%d" (match role with Send -> "send" | Recv -> "recv") w
-    in
+    let name = role_name cfg.role ^ "-w0" in
     let snap = File_store.Snapshot.load ?faults ~dir:cfg.store_dir ~name () in
     ( File_store.Snapshot.store snap,
       fun ~key -> File_store.Snapshot.fetch snap ~key )
@@ -422,8 +325,7 @@ let final_save (st : Store.t) ~key ~value =
 (* The churn axis as a wire traffic shape, per SA: [Storm] is the
    on/off bursty source (4x the steady rate inside bursts, idle
    between, same long-run average), [Mixed] alternates shapes by SA
-   index. PRNGs are keyed by global SA index so the shape an SA sees
-   is independent of the sharding. *)
+   index. PRNGs are keyed by SA index. *)
 let traffic_of cfg i ~gap =
   let bursty () =
     let on_gap =
@@ -446,282 +348,89 @@ let traffic_of cfg i ~gap =
   | Mixed ->
     if i mod 2 = 0 then Resets_workload.Traffic.constant ~gap else bursty ()
 
-(* ------------------------------------------------------------------ *)
-(* Receive worker: a shard of receivers on its own engine, fed frames
-   through the mailbox by the main domain's socket loop.               *)
-
-let recv_worker cfg (mb : mailbox) w =
-  let indices = shard_indices cfg w in
-  let engine = Engine.create () in
-  let clock = Clock.of_ns_source now_ns in
-  let base_store, fetch_prior = worker_store cfg ~role:Recv w in
-  let save_lat = Stats.Sample.create () in
-  let by_spi = Hashtbl.create 16 in
-  let states =
-    List.map
-      (fun i ->
-        let key = key_of cfg Recv i in
-        let prior = fetch_prior ~key in
-        let recovered = prior <> None in
-        let metrics = Metrics.create () in
-        let sa = derive_sa cfg i in
-        let policy = K_policy.make (policy_mode cfg) in
-        let store =
-          timed_store ~sample:save_lat
-            ~policy:(if cfg.adaptive then Some policy else None)
-            base_store
-        in
-        let receiver =
-          Receiver.create
-            ~name:(Printf.sprintf "q%d" (cfg.spi_base + i))
-            ~preload_store:(not recovered) ~sa ~metrics
-            ~persistence:
-              (Some
-                 {
-                   Receiver.store;
-                   key;
-                   policy;
-                   robust = false;
-                   wakeup_buffer = true;
-                   retries = 3;
-                 })
-            engine
-        in
-        let min_seq = ref 0 in
-        Receiver.on_deliver receiver (fun ~seq ~payload:_ ->
-            if !min_seq = 0 || seq < !min_seq then min_seq := seq);
-        if recovered then begin
-          (* The paper's wakeup: FETCH, leap 2k, blocking SAVE — all
-             synchronous against the file store, so the receiver is up
-             before the first frame is read off the wire. *)
-          Receiver.reset receiver;
-          Receiver.wakeup receiver ()
-        end;
-        Hashtbl.replace by_spi (cfg.spi_base + i)
-          (fun frame -> Receiver.on_packet receiver (Packet.fresh frame));
-        ( i,
-          receiver,
-          metrics,
-          min_seq,
-          recovered,
-          Option.value prior ~default:0,
-          policy ))
-      indices
+(* SA [i] on the daemon's engine: a sender sharing the daemon's socket
+   or a receiver fed by its slice handler. A key already in the store
+   is a previous incarnation's: the SA skips the establishment preload
+   and performs the paper's wakeup — FETCH, leap 2k, blocking SAVE, all
+   synchronous against the file store — before the engine runs. *)
+let make_sa cfg engine ~store ~fetch ~save_lat ~transport i =
+  let key = key_of cfg i in
+  let prior = fetch ~key in
+  let recovered = prior <> None in
+  let metrics = Metrics.create () in
+  let sa = derive_sa cfg i in
+  let policy = K_policy.make (policy_mode cfg) in
+  let store =
+    timed_store ~sample:save_lat
+      ~policy:(if cfg.adaptive then Some policy else None)
+      store
   in
-  let stat_of (i, receiver, (metrics : Metrics.t), min_seq, recovered, prior, policy)
-      =
-    {
-      spi = cfg.spi_base + i;
-      recovered;
-      recovered_from = prior;
-      sent = 0;
-      next_seq = 0;
-      delivered = metrics.Metrics.delivered;
-      min_seq = !min_seq;
-      max_seq = Metrics.max_delivered_seq metrics;
-      fresh_rejected = metrics.Metrics.fresh_rejected;
-      lost = metrics.Metrics.fresh_rejected_undelivered;
-      dups = metrics.Metrics.duplicate_deliveries;
-      bad_icv = metrics.Metrics.bad_icv;
-      edge = Receiver.right_edge receiver;
-      k_now = K_policy.current policy;
-    }
+  let min_seq = ref 0 in
+  let endpoint =
+    match cfg.role with
+    | Recv ->
+      let receiver =
+        Receiver.create
+          ~name:(Printf.sprintf "q%d" (cfg.spi_base + i))
+          ~preload_store:(not recovered) ~sa ~metrics
+          ~persistence:
+            (Some
+               {
+                 Receiver.store;
+                 key;
+                 policy;
+                 robust = false;
+                 wakeup_buffer = true;
+                 retries = 3;
+               })
+          engine
+      in
+      Receiver.on_deliver receiver (fun ~seq ~payload:_ ->
+          if !min_seq = 0 || seq < !min_seq then min_seq := seq);
+      if recovered then begin
+        Receiver.reset receiver;
+        Receiver.wakeup receiver ()
+      end;
+      Rx receiver
+    | Send ->
+      (* The impairment plan sits on the sender's view of the wire, one
+         instance per SA keyed by SA index. *)
+      let transport =
+        if Impair.is_none cfg.impair then transport
+        else
+          Impair.wrap
+            (Impair.create ~spec:cfg.impair
+               ~prng:(Prng.keyed ~seed:cfg.impair_seed ~stream:i))
+            transport
+      in
+      let gap = Time.of_ns (Int64.of_float (1e9 /. cfg.rate_pps)) in
+      let sender =
+        Sender.create
+          ~name:(Printf.sprintf "p%d" (cfg.spi_base + i))
+          ~preload_store:(not recovered) ~sa ~transport
+          ~traffic:(traffic_of cfg i ~gap)
+          ~metrics
+          ~persistence:
+            (Some
+               {
+                 Sender.store;
+                 key;
+                 policy;
+                 trigger = Sender.On_count;
+                 retries = 3;
+               })
+          engine
+      in
+      if recovered then begin
+        Sender.reset sender;
+        Sender.wakeup sender ()
+      end;
+      Sender.start sender;
+      Tx sender
   in
-  let publish () =
-    let snap = Array.of_list (List.map stat_of states) in
-    Mutex.lock mb.m;
-    mb.snapshot <- snap;
-    mb.save_latencies <- snapshot_latencies save_lat;
-    Mutex.unlock mb.m
-  in
-  publish ();
-  let hb = Time.of_ns (Int64.of_float (cfg.heartbeat *. 1e9)) in
-  let rec tick () =
-    publish ();
-    ignore (Engine.schedule_after engine ~after:hb tick)
-  in
-  ignore (Engine.schedule_after engine ~after:hb tick);
-  let process frame =
-    match Esp.spi_of_packet frame with
-    | None -> ()
-    | Some spi -> (
-      match Hashtbl.find_opt by_spi (Int32.to_int spi) with
-      | Some deliver -> deliver frame
-      | None -> ())
-  in
-  let idle ~due:_ =
-    Mutex.lock mb.m;
-    let frames = mb.frames in
-    mb.frames <- [];
-    let stop = mb.stop in
-    Mutex.unlock mb.m;
-    List.iter process (List.rev frames);
-    if stop then Engine.stop engine
-    else if frames = [] then no_eintr ~default:() (fun () -> Unix.sleepf 0.002)
-  in
-  ignore
-    (Engine.run_clocked ~clock ~idle ~until:(Time.of_sec cfg.duration) engine);
-  (* Drain what the main domain pushed between our last pop and its
-     own shutdown, so late frames still count. *)
-  Mutex.lock mb.m;
-  let rest = mb.frames in
-  mb.frames <- [];
-  let graceful = mb.graceful in
-  Mutex.unlock mb.m;
-  List.iter process (List.rev rest);
-  (* Graceful (SIGTERM) stop: make every SA's freshest edge durable
-     before exiting, so the next incarnation recovers from the true
-     edge instead of the last periodic SAVE. *)
-  if graceful then
-    List.iter
-      (fun (i, receiver, _, _, _, _, _) ->
-        final_save base_store ~key:(key_of cfg Recv i)
-          ~value:(Receiver.right_edge receiver))
-      states;
-  publish ()
+  { index = i; prior; policy; metrics; min_seq; endpoint }
 
 (* ------------------------------------------------------------------ *)
-(* Send worker: a shard of senders, each worker with a socket of its
-   own (sockets are single-owner).                                     *)
-
-let send_worker cfg (mb : mailbox) w =
-  let indices = shard_indices cfg w in
-  let engine = Engine.create () in
-  let clock = Clock.of_ns_source now_ns in
-  let base_store, fetch_prior = worker_store cfg ~role:Send w in
-  let save_lat = Stats.Sample.create () in
-  let sock =
-    Transport_udp.create ?peer:cfg.peer ~batch:cfg.batch ?rcvbuf:cfg.rcvbuf
-      ?sndbuf:cfg.sndbuf ()
-  in
-  let transport = Transport_udp.transport sock in
-  let gap = Time.of_ns (Int64.of_float (1e9 /. cfg.rate_pps)) in
-  let states =
-    List.map
-      (fun i ->
-        let key = key_of cfg Send i in
-        let prior = fetch_prior ~key in
-        let recovered = prior <> None in
-        let metrics = Metrics.create () in
-        let sa = derive_sa cfg i in
-        let policy = K_policy.make (policy_mode cfg) in
-        let store =
-          timed_store ~sample:save_lat
-            ~policy:(if cfg.adaptive then Some policy else None)
-            base_store
-        in
-        (* The impairment plan sits on the sender's view of the wire,
-           one instance per SA keyed by global index: deterministic
-           per stream, independent of the sharding. *)
-        let sa_transport =
-          if Impair.is_none cfg.impair then transport
-          else
-            Impair.wrap
-              (Impair.create ~spec:cfg.impair
-                 ~prng:(Prng.keyed ~seed:cfg.impair_seed ~stream:i))
-              transport
-        in
-        let sender =
-          Sender.create
-            ~name:(Printf.sprintf "p%d" (cfg.spi_base + i))
-            ~preload_store:(not recovered) ~sa ~transport:sa_transport
-            ~traffic:(traffic_of cfg i ~gap)
-            ~metrics
-            ~persistence:
-              (Some
-                 {
-                   Sender.store;
-                   key;
-                   policy;
-                   trigger = Sender.On_count;
-                   retries = 3;
-                 })
-            engine
-        in
-        if recovered then begin
-          Sender.reset sender;
-          Sender.wakeup sender ()
-        end;
-        Sender.start sender;
-        (i, sender, metrics, recovered, Option.value prior ~default:0, policy))
-      indices
-  in
-  let stat_of (i, sender, (metrics : Metrics.t), recovered, prior, policy) =
-    {
-      (zero_stat (cfg.spi_base + i)) with
-      recovered;
-      recovered_from = prior;
-      sent = metrics.Metrics.sent;
-      next_seq = Sender.next_seq sender;
-      k_now = K_policy.current policy;
-    }
-  in
-  let publish () =
-    let snap = Array.of_list (List.map stat_of states) in
-    Mutex.lock mb.m;
-    mb.snapshot <- snap;
-    mb.save_latencies <- snapshot_latencies save_lat;
-    mb.wire <- snapshot_wire sock;
-    Mutex.unlock mb.m
-  in
-  publish ();
-  let hb = Time.of_ns (Int64.of_float (cfg.heartbeat *. 1e9)) in
-  let rec tick () =
-    publish ();
-    ignore (Engine.schedule_after engine ~after:hb tick)
-  in
-  ignore (Engine.schedule_after engine ~after:hb tick);
-  let idle ~due =
-    (* About to wait: push whatever the burst staged so a batch never
-       sits in the tx pool across an idle period. *)
-    ignore (Transport_udp.flush sock : int);
-    Mutex.lock mb.m;
-    let stop = mb.stop in
-    Mutex.unlock mb.m;
-    if stop then Engine.stop engine
-    else
-      no_eintr ~default:() (fun () ->
-          match due with
-          | None -> Unix.sleepf 0.002
-          | Some d ->
-            let ahead = Time.to_sec d -. Time.to_sec (Clock.elapsed clock) in
-            if ahead > 0. then Unix.sleepf (Float.min ahead 0.01))
-  in
-  ignore
-    (Engine.run_clocked ~clock ~idle
-       ~tick:(fun () -> ignore (Transport_udp.flush sock : int))
-       ~until:(Time.of_sec cfg.duration) engine);
-  ignore (Transport_udp.flush sock : int);
-  Mutex.lock mb.m;
-  let graceful = mb.graceful in
-  Mutex.unlock mb.m;
-  (* Graceful (SIGTERM) stop: the sender's next_seq must be durable so
-     the next incarnation never reuses a sequence number. *)
-  if graceful then
-    List.iter
-      (fun (i, sender, _, _, _, _) ->
-        final_save base_store ~key:(key_of cfg Send i)
-          ~value:(Sender.next_seq sender))
-      states;
-  publish ();
-  Transport_udp.close sock
-
-(* ------------------------------------------------------------------ *)
-
-let aggregate mailboxes =
-  let stats =
-    Array.concat
-      (Array.to_list
-         (Array.map
-            (fun mb ->
-              Mutex.lock mb.m;
-              let s = Array.copy mb.snapshot in
-              Mutex.unlock mb.m;
-              s)
-            mailboxes))
-  in
-  Array.sort (fun a b -> compare a.spi b.spi) stats;
-  stats
 
 (* Gate: did every SA converge after the restart, within the paper's
    bound, with no cross-incarnation replay? Returns violation strings
@@ -731,7 +440,7 @@ let check_gate cfg ~prev stats =
      the convergence budget scales with the policy's worst case. *)
   let leap = 2 * K_policy.bound_of_mode (policy_mode cfg) in
   List.concat_map
-    (fun s ->
+    (fun (s : Heartbeat.sa) ->
       let fail fmt = Printf.ksprintf (fun m -> [ m ]) fmt in
       let v1 =
         (* Re-establishment ignores stored state by design: the SA is
@@ -762,22 +471,21 @@ let check_gate cfg ~prev stats =
           fail "spi %d: %d integrity failures on a clean wire" s.spi s.bad_icv
         else []
       and v6 =
-        match List.assoc_opt s.spi prev with
-        | Some (prev_max, _) when s.min_seq > 0 && s.min_seq <= prev_max ->
+        match List.find_opt (fun (p : Heartbeat.sa) -> p.spi = s.spi) prev with
+        | Some p when s.min_seq > 0 && s.min_seq <= p.max_seq ->
           fail
             "spi %d: delivered seq %d <= previous incarnation's max %d \
              (cross-incarnation replay)"
-            s.spi s.min_seq prev_max
+            s.spi s.min_seq p.max_seq
         | _ -> []
       in
       List.concat [ v1; v2; v3; v4; v5; v6 ])
-    (Array.to_list stats)
+    stats
 
-let report cfg ~elapsed_s ~wire_rx ~wire_tx ~wire_tx_errors ~wire_stats ~gate
-    stats =
-  let total f = Array.fold_left (fun acc s -> acc + f s) 0 stats in
-  let delivered = total (fun s -> s.delivered)
-  and sent = total (fun s -> s.sent) in
+let report cfg ~elapsed_s ~sock ~gate stats =
+  let total f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let delivered = total (fun (s : Heartbeat.sa) -> s.delivered)
+  and sent = total (fun (s : Heartbeat.sa) -> s.sent) in
   let pps =
     match cfg.role with
     | Recv -> float_of_int delivered /. elapsed_s
@@ -785,7 +493,7 @@ let report cfg ~elapsed_s ~wire_rx ~wire_tx ~wire_tx_errors ~wire_stats ~gate
   in
   Json.Obj
     [
-      ("role", Json.String (match cfg.role with Send -> "send" | Recv -> "recv"));
+      ("role", Json.String (role_name cfg.role));
       ("sas", Json.Int cfg.sas);
       ("k", Json.Int cfg.k);
       ("k_policy", Json.String (K_policy.describe (policy_mode cfg)));
@@ -803,18 +511,16 @@ let report cfg ~elapsed_s ~wire_rx ~wire_tx ~wire_tx_errors ~wire_stats ~gate
           | Mixed -> "mixed") );
       ("impair", Json.String (Impair.spec_to_string cfg.impair));
       ("store_faults", Json.String (Faults.spec_to_string cfg.store_faults));
-      ("workers", Json.Int cfg.workers);
       ("elapsed_s", Json.Float elapsed_s);
-      ("wire_rx", Json.Int wire_rx);
-      ("wire_tx", Json.Int wire_tx);
-      ("wire_tx_errors", Json.Int wire_tx_errors);
+      ("wire_rx", Json.Int (Transport_udp.rx_frames sock));
+      ("wire_tx", Json.Int (Transport_udp.tx_frames sock));
+      ("wire_tx_errors", Json.Int (Transport_udp.tx_errors sock));
       ("batch", Json.Int cfg.batch);
-      ("wire", wire_stats);
+      ("wire", wire_json cfg sock);
       ("sent", Json.Int sent);
       ("delivered", Json.Int delivered);
       ("pps", Json.Float pps);
-      ("pps_per_core", Json.Float (pps /. float_of_int cfg.workers));
-      ("per_sa", Json.List (List.map json_of_stat (Array.to_list stats)));
+      ("per_sa", Json.List (List.map Heartbeat.sa_to_json stats));
       ( "gate",
         Json.Obj
           [
@@ -826,19 +532,18 @@ let report cfg ~elapsed_s ~wire_rx ~wire_tx ~wire_tx_errors ~wire_stats ~gate
 
 let run cfg =
   if cfg.sas < 1 then invalid_arg "Daemon.run: sas must be >= 1";
-  if cfg.workers < 1 then invalid_arg "Daemon.run: workers must be >= 1";
   if cfg.batch < 1 || cfg.batch > Batch_io.max_batch then
     invalid_arg
       (Printf.sprintf "Daemon.run: batch must be in [1, %d]" Batch_io.max_batch);
-  if cfg.workers > cfg.sas then invalid_arg "Daemon.run: more workers than SAs";
+  if cfg.heartbeat <= 0. then invalid_arg "Daemon.run: heartbeat must be > 0";
   (match (cfg.role, cfg.bind, cfg.peer) with
   | Recv, None, _ -> invalid_arg "Daemon.run: Recv needs a bind address"
   | Send, _, None -> invalid_arg "Daemon.run: Send needs a peer address"
   | _ -> ());
   if not (Sys.file_exists cfg.store_dir) then Sys.mkdir cfg.store_dir 0o755;
-  (* Graceful shutdown: a SIGTERM only raises this flag; the main loop
-     notices it, stops the workers with [graceful] set (final blocking
-     SAVE per SA), and appends the terminal heartbeat. The handler is
+  (* Graceful shutdown: a SIGTERM only raises this flag; the idle hook
+     notices it and stops the engine, every SA makes a final blocking
+     SAVE, and the terminal heartbeat is appended. The handler is
      opt-in — embedded runs (tests, the fleet supervisor's own process)
      must not have their signal dispositions stolen. *)
   let stop_requested = Atomic.make false in
@@ -849,208 +554,116 @@ let run cfg =
            (Sys.Signal_handle (fun _ -> Atomic.set stop_requested true)))
     else None
   in
-  (* Read the previous incarnation's last heartbeat BEFORE appending
-     this incarnation's first one. *)
   let prev =
     match cfg.stats_path with
     | Some path when cfg.expect_recovery -> read_prev_stats path
     | Some _ | None -> []
   in
-  let clock = Clock.of_ns_source now_ns in
-  let mailboxes = Array.init cfg.workers (fun _ -> make_mailbox cfg.sas) in
+  (* The receive role binds; the send role stages frames for its peer,
+     flushed at every engine-tick boundary so a batch never outlives a
+     tick. *)
   let sock =
-    match cfg.role with
-    | Recv ->
-      Some
-        (Transport_udp.create ?bind:cfg.bind ~batch:cfg.batch
-           ?rcvbuf:cfg.rcvbuf ?sndbuf:cfg.sndbuf ())
-    | Send -> None
+    Transport_udp.create
+      ?bind:(match cfg.role with Recv -> cfg.bind | Send -> None)
+      ?peer:(match cfg.role with Send -> cfg.peer | Recv -> None)
+      ~batch:cfg.batch ?rcvbuf:cfg.rcvbuf ?sndbuf:cfg.sndbuf ()
   in
-  (* Frames are partitioned by SPI shard straight out of the rx arena
-     (no string until the shard is known to want the frame); each
-     worker's chunk is then pushed under ONE lock acquisition per
-     drained burst, not one per frame. *)
-  let chunks = Array.make cfg.workers [] in
-  Option.iter
-    (fun s ->
-      Transport_udp.set_slice_handler s (fun slice ->
-          match Esp.spi_of_slice slice with
-          | None -> ()
-          | Some spi ->
-            let i = Int32.to_int spi - cfg.spi_base in
-            if i >= 0 && i < cfg.sas then
-              (* the arena slot is reused by the next receive batch, so
-                 a frame crossing domains must be materialized *)
-              chunks.(i mod cfg.workers) <-
-                Slice.to_string slice :: chunks.(i mod cfg.workers)))
-    sock;
-  let dispatch () =
-    for w = 0 to cfg.workers - 1 do
-      match chunks.(w) with
-      | [] -> ()
-      | chunk ->
-        chunks.(w) <- [];
-        let mb = mailboxes.(w) in
-        Mutex.lock mb.m;
-        (* both lists are newest-first and [chunk] is strictly newer *)
-        mb.frames <- chunk @ mb.frames;
-        Mutex.unlock mb.m
-    done
+  let engine = Engine.create () in
+  let clock = Clock.of_ns_source now_ns in
+  let store, fetch = open_store cfg in
+  let save_lat = Stats.Sample.create () in
+  let sas =
+    Array.init cfg.sas
+      (make_sa cfg engine ~store ~fetch ~save_lat
+         ~transport:(Transport_udp.transport sock))
   in
-  let pool = Domain_pool.create ~domains:cfg.workers ~init:(fun _ -> ()) () in
-  let futures =
-    Array.init cfg.workers (fun w ->
-        Domain_pool.submit pool (fun () ->
-            match cfg.role with
-            | Recv -> recv_worker cfg mailboxes.(w) w
-            | Send -> send_worker cfg mailboxes.(w) w))
-  in
-  (* A send daemon's sockets live in its workers; its wire stats reach
-     the main domain through the mailbox snapshots. *)
-  let wire_of_workers () =
-    Array.fold_left
-      (fun acc (mb : mailbox) ->
-        Mutex.lock mb.m;
-        let w = mb.wire in
-        Mutex.unlock mb.m;
-        {
-          w_tx = acc.w_tx + w.w_tx;
-          w_tx_errors = acc.w_tx_errors + w.w_tx_errors;
-          w_tx_flushes = acc.w_tx_flushes + w.w_tx_flushes;
-          w_tx_queue_hwm = max acc.w_tx_queue_hwm w.w_tx_queue_hwm;
-          w_rcvbuf = max acc.w_rcvbuf w.w_rcvbuf;
-          w_sndbuf = max acc.w_sndbuf w.w_sndbuf;
-        })
-      no_wire mailboxes
-  in
-  let wire_json () =
-    match sock with
-    | Some s ->
-      Json.Obj
-        [
-          ("rx_frames", Json.Int (Transport_udp.rx_frames s));
-          ("rx_dropped", Json.Int (Transport_udp.rx_dropped s));
-          ("rx_batches", Json.Int (Transport_udp.rx_batches s));
-          ("rx_batch_p50", Json.Int (Transport_udp.rx_batch_percentile s 0.5));
-          ("rx_batch_p99", Json.Int (Transport_udp.rx_batch_percentile s 0.99));
-          ("rx_batch_max", Json.Int (Transport_udp.rx_batch_max s));
-          ("rcvbuf_effective", Json.Int (Transport_udp.rcvbuf_effective s));
-        ]
-    | None ->
-      let w = wire_of_workers () in
-      Json.Obj
-        [
-          ("tx_frames", Json.Int w.w_tx);
-          ("tx_errors", Json.Int w.w_tx_errors);
-          ("tx_flushes", Json.Int w.w_tx_flushes);
-          ("tx_queue_hwm", Json.Int w.w_tx_queue_hwm);
-          ("sndbuf_effective", Json.Int w.w_sndbuf);
-        ]
-  in
-  (* Startup heartbeat: the effective socket-buffer sizes. The send
-     role's sockets are worker-owned, so give the workers a moment to
-     publish their first snapshot. *)
-  (match cfg.stats_path with
-  | None -> ()
-  | Some path ->
-    let rcv, snd =
-      match sock with
-      | Some s ->
-        (Transport_udp.rcvbuf_effective s, Transport_udp.sndbuf_effective s)
-      | None ->
-        let deadline = Unix.gettimeofday () +. 1.0 in
-        let rec wait () =
-          let w = wire_of_workers () in
-          if w.w_sndbuf > 0 || Unix.gettimeofday () > deadline then
-            (w.w_rcvbuf, w.w_sndbuf)
-          else begin
-            Unix.sleepf 0.005;
-            wait ()
-          end
-        in
-        wait ()
-    in
-    append_startup path ~role:cfg.role ~batch:cfg.batch ~rcvbuf_effective:rcv
-      ~sndbuf_effective:snd);
-  (* Main loop: drain the socket (receive role) and emit heartbeats
-     until the wall-clock duration elapses. *)
-  let next_hb = ref cfg.heartbeat in
+  let rows () = List.map (stat_of cfg) (Array.to_list sas) in
   let heartbeat ?event () =
-    match cfg.stats_path with
-    | None -> ()
-    | Some path ->
-      let shards =
-        List.mapi
-          (fun w (mb : mailbox) ->
-            Mutex.lock mb.m;
-            let l = mb.save_latencies in
-            Mutex.unlock mb.m;
-            json_of_latencies ~worker:w l)
-          (Array.to_list mailboxes)
-      in
-      append_heartbeat ?event path ~role:cfg.role
-        ~elapsed_ns:(Int64.to_int (Time.to_ns (Clock.elapsed clock)))
-        ~shards ~wire:(wire_json ()) (aggregate mailboxes)
+    Option.iter
+      (fun path ->
+        append_heartbeat ?event path cfg
+          ~elapsed_ns:(Int64.to_int (Time.to_ns (Clock.elapsed clock)))
+          ~save_lat ~wire:(wire_json cfg sock) (rows ()))
+      cfg.stats_path
   in
-  let rec main_loop () =
-    let elapsed = Time.to_sec (Clock.elapsed clock) in
-    if elapsed < cfg.duration && not (Atomic.get stop_requested) then begin
-      if elapsed >= !next_hb then begin
+  Option.iter
+    (fun path ->
+      append_startup path cfg sock;
+      let period = Time.of_sec cfg.heartbeat in
+      let rec beat () =
         heartbeat ();
-        next_hb := !next_hb +. cfg.heartbeat
-      end;
-      (match sock with
-      | Some s ->
+        ignore (Engine.schedule_after engine ~after:period beat)
+      in
+      ignore (Engine.schedule_after engine ~after:period beat))
+    cfg.stats_path;
+  (* Each received frame's SPI is read in place off the rx arena and
+     range-checked; only a frame some SA owns is copied, once, into its
+     [Packet.t]. *)
+  if cfg.role = Recv then
+    Transport_udp.set_slice_handler sock (fun slice ->
+        match Esp.spi_of_slice slice with
+        | None -> ()
+        | Some spi -> (
+          let i = Int32.to_int spi - cfg.spi_base in
+          if i >= 0 && i < cfg.sas then
+            match sas.(i).endpoint with
+            | Rx r ->
+              Receiver.on_packet r (Packet.fresh (Slice.to_string slice))
+            | Tx _ -> ()));
+  (* Between due events: wait until the next one, at most 20 ms so a
+     stop request is seen promptly — on the socket when receiving. *)
+  let idle ~due =
+    if Atomic.get stop_requested then Engine.stop engine
+    else begin
+      let wait =
+        match due with
+        | None -> 0.02
+        | Some d ->
+          Float.max 0.
+            (Float.min 0.02 (Time.to_sec d -. Time.to_sec (Clock.elapsed clock)))
+      in
+      match cfg.role with
+      | Recv ->
         if
           no_eintr ~default:false (fun () ->
-              Transport_udp.wait_readable s ~timeout:0.02)
-        then begin
-          ignore (Transport_udp.drain s);
-          dispatch ()
-        end
-      | None -> no_eintr ~default:() (fun () -> Unix.sleepf 0.02));
-      main_loop ()
+              Transport_udp.wait_readable sock ~timeout:wait)
+        then ignore (Transport_udp.drain sock : int)
+      | Send ->
+        if wait > 0. then no_eintr ~default:() (fun () -> Unix.sleepf wait)
     end
   in
-  main_loop ();
-  (* One last sweep of the socket so frames that raced shutdown still
-     reach their shard before the workers' final drain. *)
-  (match sock with
-  | Some s ->
-    ignore (Transport_udp.drain s);
-    dispatch ()
-  | None -> ());
+  let tick () = if cfg.role = Send then ignore (Transport_udp.flush sock : int) in
+  ignore
+    (Engine.run_clocked ~clock ~idle ~tick ~until:(Time.of_sec cfg.duration)
+       engine);
+  (* Frames that raced shutdown still count; staged sends still go. *)
+  (match cfg.role with
+  | Recv -> ignore (Transport_udp.drain sock : int)
+  | Send -> ignore (Transport_udp.flush sock : int));
+  (* Graceful (SIGTERM) stop: make every SA's freshest counter durable
+     before exiting, so the next incarnation recovers from it instead of
+     the last periodic SAVE — and a sender never reuses a number. *)
   let graceful = Atomic.get stop_requested in
-  Array.iter
-    (fun mb ->
-      Mutex.lock mb.m;
-      mb.stop <- true;
-      mb.graceful <- graceful;
-      Mutex.unlock mb.m)
-    mailboxes;
-  Array.iter Domain_pool.await futures;
-  Domain_pool.shutdown pool;
+  if graceful then
+    Array.iter
+      (fun sa ->
+        final_save store ~key:(key_of cfg sa.index)
+          ~value:
+            (match sa.endpoint with
+            | Rx r -> Receiver.right_edge r
+            | Tx s -> Sender.next_seq s))
+      sas;
   Option.iter (Sys.set_signal Sys.sigterm) prev_sigterm;
   let elapsed_s = Time.to_sec (Clock.elapsed clock) in
-  let stats = aggregate mailboxes in
+  let stats = rows () in
   (* Terminal heartbeat: a cleanly exiting daemon always leaves one,
      stamped with why it stopped. Its absence marks a crash. *)
-  heartbeat
-    ~event:("shutdown", if graceful then "sigterm" else "duration")
-    ();
-  let wire_rx =
-    match sock with Some s -> Transport_udp.rx_frames s | None -> 0
-  in
-  let wire_stats = wire_json () in
-  let ww = wire_of_workers () in
-  Option.iter Transport_udp.close sock;
+  heartbeat ~event:("shutdown", if graceful then "sigterm" else "duration") ();
   let gate =
     if cfg.expect_recovery && cfg.role = Recv then check_gate cfg ~prev stats
     else []
   in
-  let rep =
-    report cfg ~elapsed_s ~wire_rx ~wire_tx:ww.w_tx
-      ~wire_tx_errors:ww.w_tx_errors ~wire_stats ~gate stats
-  in
+  let rep = report cfg ~elapsed_s ~sock ~gate stats in
+  Transport_udp.close sock;
   Option.iter (fun path -> Json.write_file path rep) cfg.json_path;
   ((if gate = [] then 0 else 2), rep)

@@ -15,18 +15,19 @@
     restarting it on the same store is therefore the paper's reset
     experiment on real processes.
 
-    {b Sharding.} SAs are distributed round-robin by SPI across
-    [workers] domains ({!Resets_util.Domain_pool}). The receive side
-    keeps the socket on the main domain (single-owner discipline): each
-    {!Transport_udp.drain} pulls whole [recvmmsg] batches into the rx
-    arena, the SPI is read off each frame in place
-    ({!Resets_ipsec.Esp.spi_of_slice}) to pick its shard, and every
-    worker's chunk is pushed to its mailbox under a single lock
-    acquisition per drained burst — never one lock per frame. Each send
-    worker owns a batched socket of its own, flushed at every
-    engine-tick boundary ({!Resets_sim.Engine.run_clocked}'s [tick]
-    hook) so staged frames never outlive a tick. Every worker drives
-    its own engine with {!Resets_sim.Engine.run_clocked}.
+    {b One loop.} Every SA of the daemon lives on one engine, driven
+    from the wall clock by {!Resets_sim.Engine.run_clocked} in the
+    process's main domain, next to the one socket. Receiving, the
+    engine's [idle] hook waits on the socket until the next due event
+    (at most 20 ms) and {!Transport_udp.drain}s whole [recvmmsg]
+    batches into the rx arena; the SPI is read off each frame in place
+    ({!Resets_ipsec.Esp.spi_of_slice}), range-checked, and the frame
+    goes straight to its SA's {!Resets_core.Receiver.on_packet}, copied
+    once into the [Packet.t]. Sending, frames are staged in the
+    socket's tx pool and flushed at every engine-tick boundary
+    ([run_clocked]'s [tick] hook), so staged frames never outlive a
+    tick. Heartbeats are an engine timer that reads the SAs' live
+    counters.
 
     {b Observability.} With [stats_path] set, a startup line records
     the configured [batch] and the socket-buffer sizes the kernel
@@ -39,11 +40,11 @@
     exits 0 only if every SA converged after the restart: its stored
     edge was recovered, fresh traffic was delivered again, at most
     [2k] fresh packets were rejected (the paper's bound), no duplicate
-    deliveries, no ICV failures, and — against the previous
-    incarnation's last heartbeat in [stats_path] — no delivered
-    sequence number at or below the old incarnation's highest (no
-    cross-incarnation replay). Violations exit 2, listed in the
-    report. *)
+    deliveries, no ICV failures, and — against the last line of
+    [stats_path] that lists SAs, so a trailing startup line or a line
+    torn by a kill is passed over — no delivered sequence number at or
+    below the old incarnation's highest (no cross-incarnation replay).
+    Violations exit 2, listed in the report. *)
 
 type role = Send | Recv
 
@@ -53,9 +54,9 @@ type role = Send | Recv
 type discipline =
   | Per_sa  (** one store key per SA, each recovered independently *)
   | Coalesced
-      (** one {!Resets_persist.File_store.Snapshot} file per worker:
-          every SA of the shard saves and recovers together (the
-          paper's Section 6 coalesced discipline on a real disk) *)
+      (** one {!Resets_persist.File_store.Snapshot} file: every SA
+          saves and recovers together (the paper's Section 6 coalesced
+          discipline on a real disk) *)
   | Reestablish
       (** ignore stored state; every SA establishes a fresh sequence
           space (recovery by re-establishment — the alternative the
@@ -86,11 +87,11 @@ type config = {
   store_dir : string;
   stats_path : string option;
       (** heartbeat JSONL, appended — and, on restart, where the
-          previous incarnation's last heartbeat is read from *)
+          previous incarnation's last heartbeat listing SAs is read
+          from *)
   json_path : string option;  (** final report *)
-  workers : int;
   expect_recovery : bool;
-  heartbeat : float;  (** heartbeat period, seconds *)
+  heartbeat : float;  (** heartbeat period, seconds; must be > 0 *)
   batch : int;
       (** wire batch size (rx arena slots / tx pool depth), in
           [\[1, Batch_io.max_batch\]]; 1 = unbatched
@@ -105,12 +106,12 @@ type config = {
           leaves the send path untouched *)
   impair_seed : int;
       (** PRNG root for impairment (and churn) streams, keyed per SA
-          by global index — patterns are independent of sharding *)
+          by index *)
   store_faults : Resets_persist.Faults.spec;
       (** seed-deterministic fault plan on the file store (transient
           write failures, aborted renames, corrupt/stale checked
           reads); {!Resets_persist.Faults.none} = clean store *)
-  fault_seed : int;  (** PRNG root for store faults, keyed per worker *)
+  fault_seed : int;  (** PRNG root for the store-fault plan (stream 0) *)
   handle_signals : bool;
       (** install a SIGTERM handler: on delivery the daemon stops
           early, every SA performs a final blocking SAVE of its
@@ -120,8 +121,8 @@ type config = {
 }
 
 val default : config
-(** [Recv] over [unix:/tmp/resets.sock], 1 SA, [k = 8], 1 worker, 3 s
-    at 200 pps — override per run. *)
+(** [Recv] over [unix:/tmp/resets.sock], 1 SA, [k = 8], 3 s at 200 pps
+    — override per run. *)
 
 val run : config -> int * Resets_util.Json.t
 (** Run to [duration]; returns (exit code, final report). Exit 0 on

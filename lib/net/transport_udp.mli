@@ -26,8 +26,8 @@
     counts the unsent tail in [tx_errors] and never retries.
 
     Single-owner discipline: one domain owns a socket ([drain]/[send]
-    are not thread-safe). A multi-worker daemon gives the socket to
-    its receive loop and fans frames out by SPI (see {!Daemon}). *)
+    are not thread-safe). The daemon's one loop owns its socket and
+    hands each received frame to its SA by SPI (see {!Daemon}). *)
 
 (** A wire address. [Udp] for cross-host runs, [Unix_dgram] for local
     two-process harnesses (no port allocation, no firewall). *)

@@ -6,6 +6,11 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The artifact gates below re-derive their verdicts in Python; without
+# it they cannot run, so fail here rather than skip them.
+command -v python3 >/dev/null 2>&1 \
+  || { echo "check.sh needs python3 for its artifact gates" >&2; exit 1; }
+
 echo "== dune build =="
 dune build
 
@@ -35,10 +40,8 @@ dune exec bench/main.exe -- E1 E6 E11 E14 --json="$out" \
 for f in BENCH_E1.json BENCH_E6.json BENCH_E11.json BENCH_E14.json; do
   test -s "$out/$f" || { echo "missing artifact $f" >&2; exit 1; }
   grep -q '"pass": true' "$out/$f" || { echo "$f reports pass=false" >&2; exit 1; }
-  if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "$out/$f" >/dev/null \
-      || { echo "$f is not valid JSON" >&2; exit 1; }
-  fi
+  python3 -m json.tool "$out/$f" >/dev/null \
+    || { echo "$f is not valid JSON" >&2; exit 1; }
 done
 
 echo "== multicore determinism gate (E14 domain sweep) =="
@@ -46,8 +49,7 @@ echo "== multicore determinism gate (E14 domain sweep) =="
 # re-derives the verdict from the JSON so the gate also catches a bench
 # that silently stopped recording the sweep. Protocol fields must be
 # byte-identical between the 1-domain and 2-domain rows of every size.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out/BENCH_E14.json" <<'PY'
+python3 - "$out/BENCH_E14.json" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -79,16 +81,13 @@ for table in ("domain_sweep", "scale_sweep"):
                   f"domains {ds}")
 sys.exit(1 if bad else 0)
 PY
-else
-  echo "python3 missing: relying on the in-bench determinism check only"
-fi
 
 # Throughput gate: 2 domains should beat 1 by >= 1.3x on the 1024-SA
 # row — but only where the hardware can possibly deliver it. On a
 # single-core runner the determinism gates above still bind; speedup
 # is a property of the machine, not the code.
 ncores=$( (nproc || getconf _NPROCESSORS_ONLN) 2>/dev/null || echo 1)
-if [ "$ncores" -ge 2 ] && command -v python3 >/dev/null 2>&1; then
+if [ "$ncores" -ge 2 ]; then
   python3 - "$out/BENCH_E14.json" <<'PY'
 import json, sys
 
@@ -104,7 +103,7 @@ if s[0] < 1.3:
 print(f"1024 SAs at 2 domains: {s[0]:.2f}x speedup (gate 1.3x)")
 PY
 else
-  echo "speedup gate skipped (cores=$ncores, needs >= 2 and python3)"
+  echo "speedup gate skipped (cores=$ncores, needs >= 2)"
 fi
 
 echo "== chaos smoke gate (fixed seeds, invariant monitor) =="
@@ -157,8 +156,7 @@ echo "== committed-artifact gate (BENCH_E1, BENCH_E6 and BENCH_E11 byte-identity
 # every model's verdict, its state count and the combined-reset
 # counterexample. Only machine-dependent timing fields (wall clock,
 # throughput, speedup) are stripped before the diff.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out" BENCH_E1.json BENCH_E6.json BENCH_E11.json <<'PY'
+python3 - "$out" BENCH_E1.json BENCH_E6.json BENCH_E11.json <<'PY'
 import json, os, sys
 
 MACHINE = {"wall_clock_s", "wall_clock_ns", "events_per_sec",
@@ -182,9 +180,6 @@ for name in sys.argv[2:]:
     print(f"regenerated {name} identical to the committed artifact "
           "(machine-dependent fields stripped)")
 PY
-else
-  echo "byte-identity gate skipped (python3 missing)"
-fi
 
 echo "== adaptive-K frontier gate (E16, stealth attacks) =="
 # The goodput-vs-oracle frontier: {static, adaptive} x {stealth
@@ -196,8 +191,7 @@ dune exec bench/main.exe -- E16 --json="$out"
 test -s "$out/BENCH_E16.json" || { echo "missing BENCH_E16.json" >&2; exit 1; }
 grep -q '"pass": true' "$out/BENCH_E16.json" \
   || { echo "BENCH_E16.json reports pass=false" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out/BENCH_E16.json" <<'PY'
+python3 - "$out/BENCH_E16.json" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -238,9 +232,6 @@ print(f"frontier holds: save-drop/slow static {st:.3f} vs "
       f"adaptive {ad:.3f}; attack-free ratio 1.0; adaptive "
       "invariant-clean on every cell")
 PY
-else
-  echo "frontier re-derivation skipped (python3 missing): in-bench checks only"
-fi
 
 echo "== K-floor and stealth CLI gate =="
 # --k auto and the safety-floor rejection on the run CLI, plus one
@@ -264,8 +255,7 @@ case $rc in
   0|2) ;;
   *) echo "stealth paired run errored (exit $rc)" >&2; exit 1 ;;
 esac
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out/run-stealth.json" <<'PY'
+python3 - "$out/run-stealth.json" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -278,10 +268,6 @@ if not ratio < 1.0:
     sys.exit(f"stealth save-drop cost no goodput (ratio {ratio})")
 print(f"stealth save-drop: goodput ratio {ratio:.3f}, invariant-clean")
 PY
-else
-  grep -q '"violations": \[\]' "$out/run-stealth.json" \
-    || { echo "stealth paired run reports violations" >&2; exit 1; }
-fi
 
 echo "== explore CLI gate (--print-model, argument checks) =="
 # --print-model prints the processes the explorer runs, in the paper's
@@ -363,8 +349,7 @@ echo "== batched wire sweep gate (MICRO wire table) =="
 # receive queue must deliver everything; and batching must not cost
 # throughput against the unbatched row (10% jitter allowance — the
 # absolute pps number is a property of the machine, not gated here).
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out/BENCH_MICRO.json" <<'PY'
+python3 - "$out/BENCH_MICRO.json" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -392,9 +377,6 @@ for b, r in sorted(rows.items()):
           f"{r['delivered']}/{r['packets']} delivered, {r['tx_errors']} shed"
           + (" (mmsg)" if r.get("mmsg") else " (fallback)"))
 PY
-else
-  echo "wire sweep re-derivation skipped (python3 missing): in-bench checks only"
-fi
 
 echo "== daemon loopback smoke (unix-dgram, kill/recover, batch sweep) =="
 # Two real processes over a UNIX-datagram socket: receiver daemon is
@@ -446,8 +428,7 @@ echo "== engine determinism smoke (wheel vs legacy heap) =="
 # cancelled timers on both engines and records a named check; require
 # that check to exist and pass so a silent drop of the comparison
 # cannot slip through.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$out/BENCH_MICRO.json" <<'PY'
+python3 - "$out/BENCH_MICRO.json" <<'PY'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -460,10 +441,5 @@ if not all(c["pass"] for c in checks):
     sys.exit("wheel and heap diverged on the fixed-seed schedule")
 print("wheel and heap fire order identical on the fixed-seed schedule")
 PY
-else
-  grep -q '"wheel and heap fire an identical fixed-seed schedule in the same order"' \
-    "$out/BENCH_MICRO.json" \
-    || { echo "no wheel-vs-heap determinism check in BENCH_MICRO.json" >&2; exit 1; }
-fi
 
 echo "OK"

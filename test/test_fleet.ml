@@ -102,6 +102,45 @@ let test_hb_file_and_queries () =
     check_int "lost summed" 1 (Heartbeat.total (fun sa -> sa.Heartbeat.lost) l)
   | None -> Alcotest.fail "last missed"
 
+(* The daemon writes its per-SA rows with [sa_to_json]; the fleet reads
+   them back with [parse_line], field for field. *)
+let prop_sa_roundtrip =
+  let open QCheck in
+  let sa =
+    Gen.map2
+      (fun recovered ints ->
+        match ints with
+        | [ spi; recovered_from; sent; next_seq; delivered; min_seq; max_seq;
+            fresh_rejected; lost; dups; bad_icv; edge; k_now ] ->
+          {
+            Heartbeat.spi;
+            recovered;
+            recovered_from;
+            sent;
+            next_seq;
+            delivered;
+            min_seq;
+            max_seq;
+            fresh_rejected;
+            lost;
+            dups;
+            bad_icv;
+            edge;
+            k_now;
+          }
+        | _ -> assert false)
+      Gen.bool
+      (Gen.list_repeat 13 Gen.int)
+  in
+  let to_string s = Resets_util.Json.to_string (Heartbeat.sa_to_json s) in
+  Test.make ~name:"parse_line reads back sa_to_json" ~count:300
+    (make ~print:to_string sa)
+    (fun s ->
+      let line = Printf.sprintf {|{"pid":1,"sas":[%s]}|} (to_string s) in
+      match Heartbeat.parse_line line with
+      | Some { Heartbeat.sas = [ s' ]; _ } -> s' = s
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Proc *)
 
@@ -264,6 +303,7 @@ let () =
           Alcotest.test_case "parse" `Quick test_hb_parse;
           Alcotest.test_case "lost fallback" `Quick test_hb_lost_fallback;
           Alcotest.test_case "file queries" `Quick test_hb_file_and_queries;
+          QCheck_alcotest.to_alcotest prop_sa_roundtrip;
         ] );
       ( "proc",
         [

@@ -3,10 +3,11 @@
    UNIX-datagram socket pair (empty-datagram delivery, partial-batch
    accounting, mmsg-vs-fallback differential, batched-vs-unbatched
    stream equality), the Transport adapter (string and slice faces),
-   and an in-process daemon smoke (send role against a scratch
-   socket). The two-process kill-and-recover experiment lives in
-   scripts/daemon_loopback.sh; these tests cover the pieces it is
-   built from. *)
+   an in-process daemon smoke (send role against a scratch socket),
+   and the daemon executable itself: a graceful SIGTERM flush, a
+   send/receive pair over a unix-dgram socket, and the recovery gate's
+   cross-incarnation replay check. The two-process kill-and-recover
+   experiment lives in scripts/daemon_loopback.sh. *)
 
 open Resets_net
 module Batch_io = Resets_net_stubs.Batch_io
@@ -452,7 +453,7 @@ let test_daemon_send_smoke () =
   check_int "clean exit" 0 rc;
   let s = Resets_util.Json.to_string report in
   check_bool "reports role" true (contains s "\"send\"");
-  check_bool "reports per-core throughput" true (contains s "pps_per_core");
+  check_bool "reports throughput" true (contains s "\"pps\"");
   check_bool "counts refused sends as loss" true (contains s "wire_tx_errors");
   check_bool "reports wire pressure" true (contains s "tx_flushes")
 
@@ -590,10 +591,9 @@ let test_impair_wrap_counts () =
 
 (* ------------------------------------------------------------------ *)
 (* Graceful SIGTERM: the daemon flushes a final SAVE and stamps the
-   terminal heartbeat. Needs a real process to signal — and this test
-   binary has already spawned domains, after which [Unix.fork] is
-   forbidden — so spawn the real daemon executable (a dune dep of this
-   test) exactly as the fleet supervisor would. *)
+   terminal heartbeat. Needs a real process to signal, so spawn the
+   real daemon executable (a dune dep of this test) exactly as the
+   fleet supervisor would. *)
 
 let daemon_bin =
   Filename.concat
@@ -695,6 +695,208 @@ let test_daemon_sigterm_graceful () =
           | None -> Alcotest.failf "spi %d: no stored value" spi)
         sas)
 
+(* ------------------------------------------------------------------ *)
+(* The daemon executable as two processes over a unix-dgram socket.    *)
+
+module Heartbeat = Resets_fleet.Heartbeat
+module Json = Resets_util.Json
+
+(* An empty scratch directory of this test run's own. *)
+let fresh_dir name =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "resets-net-%s-%d" name (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  Resets_fleet.Supervisor.wipe_dir dir;
+  dir
+
+let spawn_serve args =
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process daemon_bin
+      (Array.of_list (daemon_bin :: "serve" :: "--quiet" :: args))
+      devnull devnull Unix.stderr
+  in
+  Unix.close devnull;
+  pid
+
+let exit_code pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED c -> c
+  | _ -> Alcotest.fail "daemon did not exit normally"
+
+(* Wait until the daemon [pid] has appended its startup line to [hb]:
+   its SAs are built and its engine is about to run. *)
+let await_startup hb pid =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let started () =
+    List.exists
+      (fun (l : Heartbeat.line) -> l.event = Some "startup")
+      (Heartbeat.of_pid (Heartbeat.load hb) ~pid)
+  in
+  while not (started ()) do
+    if Unix.gettimeofday () > deadline then begin
+      Unix.kill pid Sys.sigkill;
+      Alcotest.fail "daemon wrote no startup line"
+    end;
+    Unix.sleepf 0.02
+  done
+
+let read_json path = Json.parse_exn (In_channel.with_open_bin path In_channel.input_all)
+let jint name j = Option.value ~default:(-1) (Option.bind (Json.member name j) Json.as_int)
+
+let jlist name j =
+  Option.value ~default:[] (Option.bind (Json.member name j) Json.as_list)
+
+(* The receive role under the test suite: a receiving and a sending
+   daemon, 2 SAs, unbatched, about a second of traffic; the receiver is
+   stopped by SIGTERM once the sender has exited. Every frame the
+   kernel accepted from the sender must be delivered exactly once, and
+   the receiver's heartbeat file must read back through the fleet's
+   parser. *)
+let test_daemon_recv_pair () =
+  if not (Sys.file_exists daemon_bin) then
+    Alcotest.failf "daemon binary not built at %s" daemon_bin;
+  let dir = fresh_dir "pair" in
+  let file = Filename.concat dir in
+  let sock = scratch_path "pair" in
+  let common = [ "--sas"; "2"; "-k"; "4"; "--batch"; "1"; "--heartbeat"; "0.1" ] in
+  let recv =
+    spawn_serve
+      ([ "--role"; "recv"; "--bind"; "unix:" ^ sock; "--duration"; "10";
+         "--graceful"; "--store"; file "store-recv"; "--stats"; file "hb-recv";
+         "--json"; file "rep-recv" ]
+      @ common)
+  in
+  await_startup (file "hb-recv") recv;
+  let send =
+    spawn_serve
+      ([ "--role"; "send"; "--peer"; "unix:" ^ sock; "--rate"; "100";
+         "--duration"; "1"; "--store"; file "store-send"; "--json";
+         file "rep-send" ]
+      @ common)
+  in
+  check_int "sender exit" 0 (exit_code send);
+  Unix.sleepf 0.2;
+  Unix.kill recv Sys.sigterm;
+  check_int "receiver exit" 0 (exit_code recv);
+  let rr = read_json (file "rep-recv") and rs = read_json (file "rep-send") in
+  let delivered = jint "delivered" rr in
+  check_bool "the sender put frames on the wire" true (jint "wire_tx" rs > 0);
+  check_int "delivered = sender's wire_tx" (jint "wire_tx" rs) delivered;
+  let per_sa = jlist "per_sa" rr in
+  check_int "one row per SA" 2 (List.length per_sa);
+  List.iter
+    (fun sa ->
+      let spi = jint "spi" sa in
+      check_bool (Printf.sprintf "spi %d delivered" spi) true
+        (jint "delivered" sa > 0);
+      List.iter
+        (fun f -> check_int (Printf.sprintf "spi %d %s" spi f) 0 (jint f sa))
+        [ "dups"; "bad_icv"; "lost" ])
+    per_sa;
+  let lines =
+    In_channel.with_open_bin (file "hb-recv") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  List.iter
+    (fun l ->
+      if Heartbeat.parse_line l = None then
+        Alcotest.failf "heartbeat line does not parse: %s" l)
+    lines;
+  match Heartbeat.terminal (List.filter_map Heartbeat.parse_line lines) with
+  | None -> Alcotest.fail "no terminal heartbeat"
+  | Some t ->
+    check_int "terminal line's per-SA delivered sum to the report's total"
+      delivered
+      (Heartbeat.total (fun sa -> sa.Heartbeat.delivered) t)
+
+(* The cross-incarnation replay check must hold even when the stats
+   file does not end with a heartbeat: the previous incarnation may
+   have died before its first heartbeat (a trailing startup line) or
+   mid-append (a torn line). The store holds edge 10, the previous
+   incarnation's last heartbeat saw seq 1000 delivered, and frames
+   30..40 arrive: they are above the recovered edge 10 + 2k = 18, so
+   only the replay check can catch them. *)
+let test_replay_check_after last_line () =
+  if not (Sys.file_exists daemon_bin) then
+    Alcotest.failf "daemon binary not built at %s" daemon_bin;
+  let dir = fresh_dir "prev" in
+  let file = Filename.concat dir in
+  let sock = scratch_path "prev" in
+  let spi = 0x5000 in
+  Resets_persist.File_store.preload
+    (Resets_persist.File_store.create ~dir:(file "store"))
+    ~key:(Printf.sprintf "spi-%d-edge" spi)
+    ~value:10;
+  let prev =
+    {
+      Heartbeat.spi;
+      recovered = false;
+      recovered_from = 0;
+      sent = 0;
+      next_seq = 0;
+      delivered = 1000;
+      min_seq = 1;
+      max_seq = 1000;
+      fresh_rejected = 0;
+      lost = 0;
+      dups = 0;
+      bad_icv = 0;
+      edge = 1000;
+      k_now = 4;
+    }
+  in
+  let heartbeat =
+    Json.to_string
+      (Json.Obj
+         [
+           ("pid", Json.Int 1);
+           ("ts_ns", Json.Int 1);
+           ("elapsed_ns", Json.Int 1);
+           ("role", Json.String "recv");
+           ("sas", Json.List [ Heartbeat.sa_to_json prev ]);
+         ])
+  in
+  Out_channel.with_open_bin (file "hb") (fun oc ->
+      output_string oc (heartbeat ^ "\n" ^ last_line heartbeat));
+  let recv =
+    spawn_serve
+      [ "--role"; "recv"; "--bind"; "unix:" ^ sock; "--sas"; "1"; "-k"; "4";
+        "--spi-base"; string_of_int spi; "--store"; file "store"; "--stats";
+        file "hb"; "--expect-recovery"; "--duration"; "1"; "--json";
+        file "rep" ]
+  in
+  await_startup (file "hb") recv;
+  let sa =
+    Resets_ipsec.Sa.derive_params ~window_width:64 ~spi:(Int32.of_int spi)
+      ~secret:Daemon.default.Daemon.secret ()
+  in
+  let tx =
+    Transport_udp.create ~peer:(Transport_udp.Unix_dgram sock) ~batch:1 ()
+  in
+  for seq = 30 to 40 do
+    ignore
+      (Transport_udp.send_frame tx
+         (Resets_ipsec.Esp.encap ~sa ~seq ~payload:"after the restart"));
+    Unix.sleepf 0.005
+  done;
+  check_int "every frame reached the socket" 11 (Transport_udp.tx_frames tx);
+  Transport_udp.close tx;
+  check_int "the gate fails" 2 (exit_code recv);
+  let rep = read_json (file "rep") in
+  match
+    Option.bind (Json.member "gate" rep) (fun g -> Some (jlist "violations" g))
+  with
+  | Some [ Json.String v ] ->
+    check_bool
+      (Printf.sprintf "names the cross-incarnation replay: %s" v)
+      true
+      (contains v "cross-incarnation replay")
+  | _ -> Alcotest.fail "expected exactly one gate violation"
+
 let test_daemon_validates () =
   (match Daemon.run { Daemon.default with Daemon.bind = None } with
   | exception Invalid_argument _ -> ()
@@ -762,5 +964,15 @@ let () =
           Alcotest.test_case "config validation" `Quick test_daemon_validates;
           Alcotest.test_case "sigterm graceful flush" `Quick
             test_daemon_sigterm_graceful;
+          Alcotest.test_case "recv/send pair" `Quick test_daemon_recv_pair;
+          Alcotest.test_case "replay check past a trailing startup line"
+            `Quick
+            (test_replay_check_after (fun _ ->
+                 {|{"event":"startup","pid":2,"ts_ns":2,"role":"recv","batch":32}|}
+                 ^ "
+"));
+          Alcotest.test_case "replay check past a torn line" `Quick
+            (test_replay_check_after (fun hb ->
+                 String.sub hb 0 (String.length hb / 2)));
         ] );
     ]
