@@ -15,7 +15,6 @@ type tap =
 type t = {
   engine : Engine.t;
   link : Packet.t Link.t;
-  transport : Transport.t;
   adversary : Packet.t Resets_attack.Adversary.t option;
   sender : Sender.t;
   receiver : Receiver.t;
@@ -49,22 +48,21 @@ let create ?trace ?(sender_name = "p") ?(receiver_name = "q")
         (Resets_attack.Adversary.create ?capacity ~link
            ~mark:Packet.mark_replayed engine)
   in
-  let transport = Transport.of_link link in
   let sender =
     Sender.create ?trace ~name:sender_name ?payload ~framing ~sa:sa_p
-      ~transport ~traffic ~metrics ~persistence:sender_persistence engine
+      ~send:(Link.send link) ~traffic ~metrics
+      ~persistence:sender_persistence engine
   in
   let receiver =
     Receiver.create ?trace ~name:receiver_name ~framing ~sa:sa_q ~metrics
       ~persistence:receiver_persistence engine
   in
-  Transport.set_recv transport (Receiver.on_packet receiver);
-  { engine; link; transport; adversary; sender; receiver; metrics }
+  Link.set_deliver link (Receiver.on_packet receiver);
+  { engine; link; adversary; sender; receiver; metrics }
 
 let sender t = t.sender
 let receiver t = t.receiver
 let link t = t.link
-let transport t = t.transport
 let adversary t = t.adversary
 let metrics t = t.metrics
 

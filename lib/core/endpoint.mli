@@ -75,12 +75,9 @@ val sender : t -> Sender.t
 val receiver : t -> Receiver.t
 
 val link : t -> Packet.t Link.t
-(** The underlying simulated link — still exposed for fault knobs
-    ([set_up]) and the adversary, which operate below the transport. *)
-
-val transport : t -> Transport.t
-(** The sender's and receiver's view of the link
-    ({!Transport.of_link}). *)
+(** The simulated link: the sender sends with {!Link.send}, the
+    receiver is its deliver hook. Exposed for fault knobs ([set_up])
+    and the adversary. *)
 
 val adversary : t -> Packet.t Resets_attack.Adversary.t option
 val metrics : t -> Metrics.t

@@ -201,14 +201,4 @@ let offer t pkt ~emit =
     for _ = 1 to copies do emit pkt done;
     release_due ()
 
-let wrap t transport =
-  Transport.make
-    ~label:(Transport.label transport ^ "+impair")
-    ~send:(fun pkt ->
-      (* A dropped frame was accepted by the medium and lost on it —
-         the sender's tx counter must tick exactly as on a lossy
-         wire, so the wrapper always accepts. *)
-      offer t pkt ~emit:(fun p -> Transport.send transport p);
-      true)
-    ~set_recv:(fun handler -> Transport.set_recv transport handler)
-    ()
+let wrap t send pkt = offer t pkt ~emit:send

@@ -1,12 +1,12 @@
 (** Deterministic wire impairment: a seeded fault plan for the channel,
-    the transport-level twin of the store's {!Resets_persist.Faults}.
+    the wire-level twin of the store's {!Resets_persist.Faults}.
 
     The paper's channel is allowed to lose, duplicate and reorder
     packets arbitrarily — the protocol's guarantees must hold anyway.
     In simulation the {!Resets_sim.Link} provides those faults under
     the engine's determinism; on a real wire (the daemon) the kernel's
     UDP path is too well-behaved to exercise them. This module wraps a
-    {!Transport.t} send path with seed-deterministic loss (i.i.d. and
+    sender's send function with seed-deterministic loss (i.i.d. and
     Gilbert–Elliott bursts), duplication, one-frame reordering and
     multi-frame delay, so a real-wire run meets the same adversarial
     channel as a simulated one — and two runs with the same seed and
@@ -51,9 +51,9 @@ val spec_of_string : string -> (spec, string) result
 type t
 
 val create : spec:spec -> prng:Resets_util.Prng.t -> t
-(** A plan instance owns its PRNG: give each worker its own (keyed by
-    worker index) so the pattern each stream sees is independent of
-    scheduling. Not thread-safe — one instance per owning worker. *)
+(** A plan instance owns its PRNG: give each stream its own (the
+    daemon keys one per SA index) so the pattern each stream sees is
+    independent of how streams interleave. Not thread-safe. *)
 
 val offer : t -> Packet.t -> emit:(Packet.t -> unit) -> unit
 (** Push one frame through the impairment: [emit] is called zero or
@@ -61,14 +61,12 @@ val offer : t -> Packet.t -> emit:(Packet.t -> unit) -> unit
     building block {!wrap} is made of; exposed for deterministic
     stream tests. *)
 
-val wrap : t -> Transport.t -> Transport.t
-(** The impaired send path. [send] on the result rolls the plan and
-    forwards zero, one or two frames (now or later) to the wrapped
-    transport; it always reports acceptance, because an injected drop
-    is loss {e on} the medium, not a refusal {e by} it — the sender's
-    [tx] counter ticks exactly as on a lossy wire. Receive is passed
-    through untouched (impair the sender's transport, not the
-    receiver's). The slice face bridges through the packet face. *)
+val wrap : t -> (Packet.t -> unit) -> Packet.t -> unit
+(** [wrap t send] is the impaired send path: each packet rolls the
+    plan and reaches [send] zero, one or two times, now or after later
+    packets. An injected drop is loss {e on} the medium, so the caller
+    sees nothing different from a lossy wire. Impair the sender's send
+    function; a receiver is fed whatever arrives. *)
 
 val spec_of : t -> spec
 

@@ -61,8 +61,9 @@ val create :
     (it then recovers via {!reset} + {!wakeup}). *)
 
 val on_packet : t -> Packet.t -> unit
-(** Wire this to the transport's receive hook
-    ({!Transport.set_recv}). *)
+(** Feed one arriving packet: the link's deliver hook
+    ({!Resets_sim.Link.set_deliver}) in simulation, the daemon's
+    socket handler on the wire. *)
 
 val on_deliver : t -> (seq:int -> payload:Resets_util.Slice.t -> unit) -> unit
 (** Register an application-level consumer of delivered payloads. The

@@ -47,7 +47,6 @@ let run ?(seed = 5) strategy config =
   let engine = Engine.create () in
   let prng = Prng.create seed in
   let disk = Sim_disk.create ~name:"disk.q" ~latency:config.save_latency engine in
-  let sadb = Sadb.create () in
   (* One Receiver component per live epoch, each with its own metrics
      (sequence spaces restart at 1 per SPI) and its own key on the one
      receiver-host disk. Retired epochs keep their metrics in
@@ -61,7 +60,6 @@ let run ?(seed = 5) strategy config =
   let key_of spi = Printf.sprintf "spi-%ld" spi in
   let install_epoch params =
     let sa = Sa.create params in
-    Sadb.install sadb sa;
     let metrics = Metrics.create () in
     all_metrics := metrics :: !all_metrics;
     let receiver =
@@ -88,7 +86,6 @@ let run ?(seed = 5) strategy config =
     Hashtbl.replace recv_states params.Sa.spi receiver
   in
   let retire_epoch spi =
-    Sadb.remove sadb ~spi;
     Hashtbl.remove recv_states spi;
     Sim_disk.remove disk ~key:(key_of spi)
   in

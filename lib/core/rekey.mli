@@ -10,9 +10,9 @@
     Two strategies:
 
     - [Make_before_break]: renegotiation starts [rekey_margin] packets
-      before the lifetime expires; the receiver holds both SAs in its
-      SADB (lookup by SPI) until in-flight old-epoch traffic drains, so
-      the switch loses nothing;
+      before the lifetime expires; the receiver keeps both epochs'
+      receivers (demultiplexed by SPI) until in-flight old-epoch
+      traffic drains, so the switch loses nothing;
     - [Hard_expiry]: the SA is used until exhaustion, then traffic
       stops for a full renegotiation — the paper's re-establishment
       outage, planned. *)

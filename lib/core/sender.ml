@@ -21,7 +21,7 @@ type t = {
   payload : seq:int -> string;
   framing : Packet.framing;
   mutable sa : Sa.t;
-  transport : Transport.t;
+  send : Packet.t -> unit;
   traffic : Resets_workload.Traffic.t;
   metrics : Metrics.t;
   persistence : persistence option;
@@ -44,7 +44,7 @@ type t = {
 let default_payload ~seq = "message-" ^ string_of_int seq
 
 let create ?(name = "p") ?trace ?(payload = default_payload)
-    ?(framing = Packet.Seq64) ?(preload_store = true) ~sa ~transport ~traffic
+    ?(framing = Packet.Seq64) ?(preload_store = true) ~sa ~send ~traffic
     ~metrics ~persistence engine =
   if preload_store then
     Option.iter
@@ -57,7 +57,7 @@ let create ?(name = "p") ?trace ?(payload = default_payload)
     payload;
     framing;
     sa;
-    transport;
+    send;
     traffic;
     metrics;
     persistence;
@@ -156,7 +156,7 @@ let send_one t =
     | Packet.Seq64 -> Esp.encap ~sa:t.sa.Sa.params ~seq ~payload
     | Packet.Esn32 -> Esp.encap_esn ~sa:t.sa.Sa.params ~seq ~payload
   in
-  Transport.send t.transport (Packet.fresh wire);
+  t.send (Packet.fresh wire);
   t.metrics.Metrics.sent <- t.metrics.Metrics.sent + 1;
   maybe_begin_periodic_save t
 

@@ -54,13 +54,19 @@ val create :
   ?framing:Packet.framing ->
   ?preload_store:bool ->
   sa:Resets_ipsec.Sa.t ->
-  transport:Transport.t ->
+  send:(Packet.t -> unit) ->
   traffic:Resets_workload.Traffic.t ->
   metrics:Metrics.t ->
   persistence:persistence option ->
   Resets_sim.Engine.t ->
   t
-(** With persistence, the store is preloaded with the initial sequence
+(** [send] is the channel: every packet p emits goes through it —
+    {!Resets_sim.Link.send} in simulation, a socket write in the wire
+    daemon, optionally behind {!Impair.wrap}. It returns nothing: a
+    packet the medium refuses is lost, which the protocol tolerates by
+    design.
+
+    With persistence, the store is preloaded with the initial sequence
     number (established state is durable) — unless [preload_store] is
     [false], for a daemon restarting against a store that already holds
     the previous incarnation's counter (it then recovers via {!reset} +

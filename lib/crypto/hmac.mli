@@ -1,5 +1,5 @@
 (** HMAC-SHA-256 (RFC 2104), the integrity-check-value algorithm used
-    by the ESP/AH substrate. Validated against RFC 4231 vectors.
+    by the ESP substrate. Validated against RFC 4231 vectors.
 
     The streaming [state] API precomputes the ipad/opad key blocks
     once per key; the per-SA datapath holds one and reuses it for

@@ -77,7 +77,8 @@ val seq_of_slice : Resets_util.Slice.t -> Resets_util.Seqno.t option
 
 val spi_of_slice : Resets_util.Slice.t -> int32 option
 (** {!spi_of_packet} over an arena-backed frame — what the daemon's
-    socket loop reads to shard a batch across workers. *)
+    receive handler reads, in place, to hand each frame to the SA that
+    owns it. *)
 
 val overhead : sa:Sa.params -> int
 (** Bytes added to a payload by [encap]. *)

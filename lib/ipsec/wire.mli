@@ -1,4 +1,4 @@
-(** Binary (de)serialization helpers shared by the ESP and AH codecs. *)
+(** Binary (de)serialization helpers for the ESP codec. *)
 
 val put_be32 : Buffer.t -> int32 -> unit
 val put_be64 : Buffer.t -> int64 -> unit

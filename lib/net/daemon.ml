@@ -200,8 +200,10 @@ let json_of_latencies sample =
 
 (* Wire pressure: batch-fill percentiles on the receive side, flush
    counts and the tx-pool high-water mark on the send side (DESIGN.md
-   §2f). *)
-let wire_json cfg sock =
+   §2f). [rx_no_sa] counts received frames no SA of this daemon owns:
+   too short to carry an SPI, or an SPI outside the daemon's range
+   (RFC 4303 §3.4.2's auditable "no valid SA" event). *)
+let wire_json cfg sock ~rx_no_sa =
   let int f = Json.Int (f sock) in
   Json.Obj
     (match cfg.role with
@@ -209,6 +211,7 @@ let wire_json cfg sock =
       [
         ("rx_frames", int Transport_udp.rx_frames);
         ("rx_dropped", int Transport_udp.rx_dropped);
+        ("rx_no_sa", Json.Int rx_no_sa);
         ("rx_batches", int Transport_udp.rx_batches);
         ("rx_batch_p50", Json.Int (Transport_udp.rx_batch_percentile sock 0.5));
         ("rx_batch_p99", Json.Int (Transport_udp.rx_batch_percentile sock 0.99));
@@ -348,12 +351,13 @@ let traffic_of cfg i ~gap =
   | Mixed ->
     if i mod 2 = 0 then Resets_workload.Traffic.constant ~gap else bursty ()
 
-(* SA [i] on the daemon's engine: a sender sharing the daemon's socket
-   or a receiver fed by its slice handler. A key already in the store
-   is a previous incarnation's: the SA skips the establishment preload
-   and performs the paper's wakeup — FETCH, leap 2k, blocking SAVE, all
-   synchronous against the file store — before the engine runs. *)
-let make_sa cfg engine ~store ~fetch ~save_lat ~transport i =
+(* SA [i] on the daemon's engine: a sender writing to the daemon's
+   socket through [send], or a receiver fed by its slice handler. A key
+   already in the store is a previous incarnation's: the SA skips the
+   establishment preload and performs the paper's wakeup — FETCH, leap
+   2k, blocking SAVE, all synchronous against the file store — before
+   the engine runs. *)
+let make_sa cfg engine ~store ~fetch ~save_lat ~send i =
   let key = key_of cfg i in
   let prior = fetch ~key in
   let recovered = prior <> None in
@@ -393,21 +397,21 @@ let make_sa cfg engine ~store ~fetch ~save_lat ~transport i =
       end;
       Rx receiver
     | Send ->
-      (* The impairment plan sits on the sender's view of the wire, one
-         instance per SA keyed by SA index. *)
-      let transport =
-        if Impair.is_none cfg.impair then transport
+      (* The impairment plan sits in front of the socket, one instance
+         per SA keyed by SA index. *)
+      let send =
+        if Impair.is_none cfg.impair then send
         else
           Impair.wrap
             (Impair.create ~spec:cfg.impair
                ~prng:(Prng.keyed ~seed:cfg.impair_seed ~stream:i))
-            transport
+            send
       in
       let gap = Time.of_ns (Int64.of_float (1e9 /. cfg.rate_pps)) in
       let sender =
         Sender.create
           ~name:(Printf.sprintf "p%d" (cfg.spi_base + i))
-          ~preload_store:(not recovered) ~sa ~transport
+          ~preload_store:(not recovered) ~sa ~send
           ~traffic:(traffic_of cfg i ~gap)
           ~metrics
           ~persistence:
@@ -482,7 +486,7 @@ let check_gate cfg ~prev stats =
       List.concat [ v1; v2; v3; v4; v5; v6 ])
     stats
 
-let report cfg ~elapsed_s ~sock ~gate stats =
+let report cfg ~elapsed_s ~sock ~rx_no_sa ~gate stats =
   let total f = List.fold_left (fun acc s -> acc + f s) 0 stats in
   let delivered = total (fun (s : Heartbeat.sa) -> s.delivered)
   and sent = total (fun (s : Heartbeat.sa) -> s.sent) in
@@ -516,7 +520,7 @@ let report cfg ~elapsed_s ~sock ~gate stats =
       ("wire_tx", Json.Int (Transport_udp.tx_frames sock));
       ("wire_tx_errors", Json.Int (Transport_udp.tx_errors sock));
       ("batch", Json.Int cfg.batch);
-      ("wire", wire_json cfg sock);
+      ("wire", wire_json cfg sock ~rx_no_sa);
       ("sent", Json.Int sent);
       ("delivered", Json.Int delivered);
       ("pps", Json.Float pps);
@@ -572,18 +576,18 @@ let run cfg =
   let clock = Clock.of_ns_source now_ns in
   let store, fetch = open_store cfg in
   let save_lat = Stats.Sample.create () in
-  let sas =
-    Array.init cfg.sas
-      (make_sa cfg engine ~store ~fetch ~save_lat
-         ~transport:(Transport_udp.transport sock))
-  in
+  (* A frame the kernel refuses is loss, already counted in the
+     socket's [tx_errors]. *)
+  let send pkt = ignore (Transport_udp.send_frame sock pkt.Packet.wire : bool) in
+  let sas = Array.init cfg.sas (make_sa cfg engine ~store ~fetch ~save_lat ~send) in
+  let rx_no_sa = ref 0 in
   let rows () = List.map (stat_of cfg) (Array.to_list sas) in
   let heartbeat ?event () =
     Option.iter
       (fun path ->
         append_heartbeat ?event path cfg
           ~elapsed_ns:(Int64.to_int (Time.to_ns (Clock.elapsed clock)))
-          ~save_lat ~wire:(wire_json cfg sock) (rows ()))
+          ~save_lat ~wire:(wire_json cfg sock ~rx_no_sa:!rx_no_sa) (rows ()))
       cfg.stats_path
   in
   Option.iter
@@ -598,18 +602,19 @@ let run cfg =
     cfg.stats_path;
   (* Each received frame's SPI is read in place off the rx arena and
      range-checked; only a frame some SA owns is copied, once, into its
-     [Packet.t]. *)
+     [Packet.t]. A frame too short to carry an SPI has none (-1). *)
   if cfg.role = Recv then
     Transport_udp.set_slice_handler sock (fun slice ->
-        match Esp.spi_of_slice slice with
-        | None -> ()
-        | Some spi -> (
-          let i = Int32.to_int spi - cfg.spi_base in
-          if i >= 0 && i < cfg.sas then
-            match sas.(i).endpoint with
-            | Rx r ->
-              Receiver.on_packet r (Packet.fresh (Slice.to_string slice))
-            | Tx _ -> ()));
+        let i =
+          match Esp.spi_of_slice slice with
+          | Some spi -> Int32.to_int spi - cfg.spi_base
+          | None -> -1
+        in
+        if i < 0 || i >= cfg.sas then incr rx_no_sa
+        else
+          match sas.(i).endpoint with
+          | Rx r -> Receiver.on_packet r (Packet.fresh (Slice.to_string slice))
+          | Tx _ -> ());
   (* Between due events: wait until the next one, at most 20 ms so a
      stop request is seen promptly — on the socket when receiving. *)
   let idle ~due =
@@ -663,7 +668,7 @@ let run cfg =
     if cfg.expect_recovery && cfg.role = Recv then check_gate cfg ~prev stats
     else []
   in
-  let rep = report cfg ~elapsed_s ~sock ~gate stats in
+  let rep = report cfg ~elapsed_s ~sock ~rx_no_sa:!rx_no_sa ~gate stats in
   Transport_udp.close sock;
   Option.iter (fun path -> Json.write_file path rep) cfg.json_path;
   ((if gate = [] then 0 else 2), rep)

@@ -97,8 +97,7 @@ type t = {
   rx : Batch_io.ring;
   tx : Batch_io.ring;
   mutable tx_queued : int;
-  mutable handler : (string -> unit) option;
-  mutable slice_handler : (Slice.t -> unit) option;
+  mutable handler : (Slice.t -> unit) option;
   mutable tx_frames : int;
   mutable tx_errors : int;
   mutable rx_frames : int;
@@ -164,7 +163,6 @@ let create ?bind ?peer ?(batch = Batch_io.default_batch) ?rcvbuf ?sndbuf () =
     tx = Batch_io.ring batch;
     tx_queued = 0;
     handler = None;
-    slice_handler = None;
     tx_frames = 0;
     tx_errors = 0;
     rx_frames = 0;
@@ -231,13 +229,7 @@ let send_slice t (s : Slice.t) =
 
 (* ---- rx: batched receive into the arena --------------------------- *)
 
-let set_frame_handler t h =
-  t.slice_handler <- None;
-  t.handler <- Some h
-
-let set_slice_handler t h =
-  t.handler <- None;
-  t.slice_handler <- Some h
+let set_slice_handler t h = t.handler <- Some h
 
 let drain t =
   let total = ref 0 in
@@ -260,12 +252,9 @@ let drain t =
              delivered; the codec rejects it as a short frame. *)
           t.rx_frames <- t.rx_frames + 1;
           incr total;
-          match t.slice_handler with
+          match t.handler with
           | Some h -> h (Slice.make t.rx.bufs.(i) ~off:0 ~len)
-          | None -> (
-            match t.handler with
-            | Some h -> h (Bytes.sub_string t.rx.bufs.(i) 0 len)
-            | None -> t.rx_dropped <- t.rx_dropped + 1)
+          | None -> t.rx_dropped <- t.rx_dropped + 1
         end
       done;
       (* A short batch means the socket queue is empty: skip the
@@ -280,21 +269,6 @@ let wait_readable t ~timeout =
   | [], _, _ -> false
   | _ :: _, _, _ -> true
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-
-let transport t =
-  Resets_core.Transport.make
-    ~label:
-      (match t.peer with
-      | Some (Unix.ADDR_UNIX p) -> "wire:unix:" ^ p
-      | Some (Unix.ADDR_INET (a, p)) ->
-        Printf.sprintf "wire:udp:%s:%d" (Unix.string_of_inet_addr a) p
-      | None -> "wire:recv-only")
-    ~send:(fun pkt -> send_frame t pkt.Resets_core.Packet.wire)
-    ~set_recv:(fun h ->
-      set_frame_handler t (fun frame -> h (Resets_core.Packet.fresh frame)))
-    ~send_slice:(fun s -> send_slice t s)
-    ~set_recv_slice:(fun h -> set_slice_handler t h)
-    ()
 
 let tx_frames t = t.tx_frames
 let tx_errors t = t.tx_errors

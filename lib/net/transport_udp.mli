@@ -1,20 +1,21 @@
 (** Datagram wire transport: real packets over real sockets, batched.
 
-    The other half of the transport matrix (DESIGN.md §2f): where
-    {!Resets_core.Transport.of_link} puts the protocol on the
-    deterministic simulated link, this module puts the very same
-    protocol on a nonblocking UDP or UNIX-datagram socket. One ESP
-    packet per datagram — ESP is datagram-shaped, so the framing is
-    the trivial one.
+    Where the simulator carries packets on a {!Resets_sim.Link}, the
+    daemon carries the very same protocol's packets on a nonblocking
+    UDP or UNIX-datagram socket (DESIGN.md §2f). One ESP packet per
+    datagram — ESP is datagram-shaped, so the framing is the trivial
+    one. A sender's channel is [fun pkt -> ignore (send_frame t
+    pkt.Packet.wire)]; every received frame is fresh, because a real
+    wire cannot carry provenance — telling replays apart is the replay
+    window's job.
 
     The datapath is batched and allocation-light ({!Batch_io}):
     receives pull up to [batch] datagrams per syscall into a pooled
-    frame arena and hand each out as a {!Resets_util.Slice.t} (the
-    string handler remains as a copying compatibility path); sends
-    stage frames in a tx pool flushed by one batched syscall when full
-    — and, in the daemon, at every engine-tick boundary
-    ({!Resets_sim.Engine.run_clocked}'s [tick] hook) so a batch never
-    outlives a tick.
+    frame arena and hand each to the one handler as a
+    {!Resets_util.Slice.t}; sends stage frames in a tx pool flushed by
+    one batched syscall when full — and, in the daemon, at every
+    engine-tick boundary ({!Resets_sim.Engine.run_clocked}'s [tick]
+    hook) so a batch never outlives a tick.
 
     Datagram semantics match the paper's channel assumptions for free:
     the network may lose, reorder or duplicate, and the protocol is
@@ -89,16 +90,13 @@ val flush : t -> int
     daemon calls this at every engine-tick boundary. No-op returning 0
     on an empty queue. @raise Invalid_argument without a peer. *)
 
-val set_frame_handler : t -> (string -> unit) -> unit
-(** Install a copying (string) handler for {!drain} to feed. Replaces
-    any slice handler — one handler is active at a time. Frames
-    drained with no handler installed are dropped (counted in
-    {!rx_dropped}). *)
-
 val set_slice_handler : t -> (Resets_util.Slice.t -> unit) -> unit
-(** Install a zero-copy handler: each frame arrives as a view into the
-    rx arena, valid only during the call (the slot is reused by the
-    next receive batch). Replaces any string handler. *)
+(** Install the handler {!drain} feeds: each frame arrives as a view
+    into the rx arena, valid only during the call (the slot is reused
+    by the next receive batch) — a holder copies it
+    ({!Resets_util.Slice.to_string}). Replaces any previous handler.
+    Frames drained with no handler installed are dropped (counted in
+    {!rx_dropped}). *)
 
 val drain : t -> int
 (** Batched receive: pull every datagram currently queued (whole
@@ -110,15 +108,6 @@ val drain : t -> int
 val wait_readable : t -> timeout:float -> bool
 (** Block (select) until the socket is readable or [timeout] seconds
     pass — the daemon's idle hook. *)
-
-val transport : t -> Resets_core.Transport.t
-(** The endpoints' view, both faces wired natively:
-    {!Resets_core.Transport.send} stages the ESP bytes
-    ([Packet.wire]); {!Resets_core.Transport.send_slice} blits without
-    materializing; {!Resets_core.Transport.set_recv_slice} receives
-    straight out of the arena. Every received frame is fresh — a real
-    wire cannot mark provenance; telling replays apart is the replay
-    window's job. *)
 
 val tx_frames : t -> int
 (** Frames the kernel accepted. *)

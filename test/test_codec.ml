@@ -1,10 +1,9 @@
 (* Differential suite: the zero-copy slice codec against a test-local
-   reimplementation of the legacy string codec (the pre-refactor
-   Esp/Ah, rebuilt here from the public one-shot crypto APIs). The two
-   must be observationally equivalent — byte-identical wires, agreeing
-   decodes in both directions, agreeing rejections on truncation and
-   tamper — or the refactor changed the protocol, not just the
-   representation. *)
+   reimplementation of the legacy string codec (the pre-refactor Esp,
+   rebuilt here from the public one-shot crypto APIs). The two must be
+   observationally equivalent — byte-identical wires, agreeing decodes
+   in both directions, agreeing rejections on truncation and tamper —
+   or the refactor changed the protocol, not just the representation. *)
 
 open Resets_util
 open Resets_crypto
@@ -99,28 +98,6 @@ module Legacy = struct
         else Ok (seq, decrypt sa ~seq ciphertext)
       end
     end
-
-  let encap_ah ~(sa : Sa.params) ~seq ~payload =
-    let header = Buffer.create header_length in
-    Wire.put_be32 header sa.spi;
-    Wire.put_be64 header (Int64.of_int seq);
-    let header = Buffer.contents header in
-    let tag = icv sa (header ^ payload) in
-    header ^ tag ^ payload
-
-  let decap_ah ~(sa : Sa.params) packet =
-    let icv_len = Sa.icv_length sa.algo.integ in
-    let n = String.length packet in
-    if n < header_length + icv_len then Error Esp.Malformed
-    else begin
-      let header = String.sub packet 0 header_length in
-      let tag = String.sub packet header_length icv_len in
-      let payload =
-        String.sub packet (header_length + icv_len) (n - header_length - icv_len)
-      in
-      if not (Ct.equal tag (icv sa (header ^ payload))) then Error Esp.Bad_icv
-      else Ok (Int64.to_int (Wire.get_be64 packet 4), payload)
-    end
 end
 
 (* ------------------------------------------------------------------ *)
@@ -171,17 +148,6 @@ let encap_esn_bytes_equal =
           Esp.encap_esn ~sa ~seq ~payload = Legacy.encap_esn ~sa ~seq ~payload)
         all_algos)
 
-let encap_ah_bytes_equal =
-  QCheck.Test.make ~name:"Ah.encap = legacy AH encap (byte-identical)" ~count:150
-    QCheck.(pair payload_gen small_nat)
-    (fun (payload, seq) ->
-      let seq = seq + 1 in
-      List.for_all
-        (fun (_, algo) ->
-          let sa = sa_of_algo algo in
-          Ah.encap ~sa ~seq ~payload = Legacy.encap_ah ~sa ~seq ~payload)
-        all_algos)
-
 (* ------------------------------------------------------------------ *)
 (* Cross-decode: each codec decodes the other's wire *)
 
@@ -218,24 +184,6 @@ let cross_decode_esn =
           Esp.decap_esn ~sa ~edge ~w old_wire = Ok (seq, payload)
           && Legacy.decap_esn ~sa ~edge ~w new_wire = Ok (seq, payload)
           && (match Esp.decap_esn_slice ~sa ~edge ~w old_wire with
-             | Ok (s, slice) -> s = seq && Slice.equal_string slice payload
-             | Error _ -> false))
-        all_algos)
-
-let cross_decode_ah =
-  QCheck.Test.make ~name:"cross-decode AH: old wire -> new decap and back"
-    ~count:150
-    QCheck.(pair payload_gen small_nat)
-    (fun (payload, seq) ->
-      let seq = seq + 1 in
-      List.for_all
-        (fun (_, algo) ->
-          let sa = sa_of_algo algo in
-          let old_wire = Legacy.encap_ah ~sa ~seq ~payload in
-          let new_wire = Ah.encap ~sa ~seq ~payload in
-          Ah.decap ~sa old_wire = Ok (seq, payload)
-          && Legacy.decap_ah ~sa new_wire = Ok (seq, payload)
-          && (match Ah.decap_slice ~sa old_wire with
              | Ok (s, slice) -> s = seq && Slice.equal_string slice payload
              | Error _ -> false))
         all_algos)
@@ -329,11 +277,9 @@ let test_slice_scratch_reuse () =
 let () =
   Alcotest.run "codec"
     [
-      ( "wire-equality",
-        [ qt encap_bytes_equal; qt encap_esn_bytes_equal; qt encap_ah_bytes_equal ]
-      );
+      ("wire-equality", [ qt encap_bytes_equal; qt encap_esn_bytes_equal ]);
       ( "cross-decode",
-        [ qt cross_decode_seq64; qt cross_decode_esn; qt cross_decode_ah ] );
+        [ qt cross_decode_seq64; qt cross_decode_esn ] );
       ("rejection", [ qt truncation_agrees; qt tamper_agrees ]);
       ( "stability",
         [

@@ -58,7 +58,7 @@ let make_fixture ?(kp = 5) ?(kq = 5) ?(w = 64) ?(gap = us 10) ?(save_latency = u
         }
   in
   let sender =
-    Sender.create ~sa:sa_p ~transport:(Transport.of_link link)
+    Sender.create ~sa:sa_p ~send:(Link.send link)
       ~traffic:(Resets_workload.Traffic.constant ~gap)
       ~metrics ~persistence:persistence_p engine
   in

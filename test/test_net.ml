@@ -2,12 +2,13 @@
    IPv6 and qcheck round-trip properties), the batched nonblocking
    UNIX-datagram socket pair (empty-datagram delivery, partial-batch
    accounting, mmsg-vs-fallback differential, batched-vs-unbatched
-   stream equality), the Transport adapter (string and slice faces),
-   an in-process daemon smoke (send role against a scratch socket),
-   and the daemon executable itself: a graceful SIGTERM flush, a
-   send/receive pair over a unix-dgram socket, and the recovery gate's
-   cross-incarnation replay check. The two-process kill-and-recover
-   experiment lives in scripts/daemon_loopback.sh. *)
+   stream equality), the zero-copy slice face, the wire impairment
+   plan, in-process send-role daemons against a scratch socket (a
+   smoke run, and the impairment in front of the socket), and the
+   daemon executable itself: a graceful SIGTERM flush, a send/receive
+   pair over a unix-dgram socket, frames no SA owns, and the recovery
+   gate's cross-incarnation replay check. The two-process
+   kill-and-recover experiment lives in scripts/daemon_loopback.sh. *)
 
 open Resets_net
 module Batch_io = Resets_net_stubs.Batch_io
@@ -126,7 +127,8 @@ let test_dgram_pair_send_drain () =
     Transport_udp.create ~peer:(Transport_udp.Unix_dgram path) ~batch:1 ()
   in
   let got = ref [] in
-  Transport_udp.set_frame_handler rx (fun f -> got := f :: !got);
+  Transport_udp.set_slice_handler rx (fun f ->
+      got := Resets_util.Slice.to_string f :: !got);
   check_bool "send a" true (Transport_udp.send_frame tx "frame-a");
   check_bool "send b" true (Transport_udp.send_frame tx "frame-b");
   check_bool "readable" true (Transport_udp.wait_readable rx ~timeout:1.0);
@@ -211,7 +213,8 @@ let test_empty_datagram_not_poll_end () =
     Transport_udp.create ~peer:(Transport_udp.Unix_dgram path) ~batch:1 ()
   in
   let got = ref [] in
-  Transport_udp.set_frame_handler rx (fun f -> got := f :: !got);
+  Transport_udp.set_slice_handler rx (fun f ->
+      got := Resets_util.Slice.to_string f :: !got);
   check_bool "send empty" true (Transport_udp.send_frame tx "");
   check_bool "send real" true (Transport_udp.send_frame tx "after-empty");
   check_bool "readable" true (Transport_udp.wait_readable rx ~timeout:1.0);
@@ -284,7 +287,8 @@ let run_stream ~batch frames =
     Transport_udp.create ~peer:(Transport_udp.Unix_dgram path) ~batch ()
   in
   let got = ref [] in
-  Transport_udp.set_frame_handler rx (fun f -> got := f :: !got);
+  Transport_udp.set_slice_handler rx (fun f ->
+      got := Resets_util.Slice.to_string f :: !got);
   List.iter
     (fun f ->
       ignore (Transport_udp.send_frame tx f : bool);
@@ -357,36 +361,6 @@ let test_socket_buffer_sizing () =
   check_bool "bigger request, no smaller grant" true (big_rcv >= small_rcv)
 
 (* ------------------------------------------------------------------ *)
-(* Transport adapter: wire bytes only, everything received is fresh *)
-
-let test_transport_adapter () =
-  let path = scratch_path "adapter" in
-  let rx = Transport_udp.create ~bind:(Transport_udp.Unix_dgram path) () in
-  let tx =
-    Transport_udp.create ~peer:(Transport_udp.Unix_dgram path) ~batch:1 ()
-  in
-  let t_tx = Transport_udp.transport tx in
-  let t_rx = Transport_udp.transport rx in
-  let got = ref [] in
-  Resets_core.Transport.set_recv t_rx (fun p -> got := p :: !got);
-  (* a replay-marked packet loses its provenance on the wire *)
-  let p =
-    Resets_core.Packet.mark_replayed (Resets_core.Packet.fresh "esp-bytes")
-  in
-  Resets_core.Transport.send t_tx p;
-  check_bool "readable" true (Transport_udp.wait_readable rx ~timeout:1.0);
-  ignore (Transport_udp.drain rx);
-  (match !got with
-  | [ q ] ->
-      check_string "wire bytes survive" "esp-bytes" q.Resets_core.Packet.wire;
-      check_bool "wire cannot carry provenance" false
-        q.Resets_core.Packet.replayed
-  | l -> Alcotest.failf "expected 1 packet, got %d" (List.length l));
-  let st = Resets_core.Transport.stats t_tx in
-  check_int "adapter tx stat" 1 st.Resets_core.Transport.tx;
-  Transport_udp.close tx;
-  Transport_udp.close rx
-
 (* The zero-copy face: frames leave via send_slice and arrive as arena
    slices that feed Esp.decap_of_slice without ever becoming strings. *)
 let test_transport_slice_face () =
@@ -399,10 +373,8 @@ let test_transport_slice_face () =
   let tx =
     Transport_udp.create ~peer:(Transport_udp.Unix_dgram path) ~batch:1 ()
   in
-  let t_tx = Transport_udp.transport tx in
-  let t_rx = Transport_udp.transport rx in
   let got = ref [] in
-  Resets_core.Transport.set_recv_slice t_rx (fun s ->
+  Transport_udp.set_slice_handler rx (fun s ->
       (match Resets_ipsec.Esp.spi_of_slice s with
       | Some spi -> check_int "spi peeked from slice" 0x51CE (Int32.to_int spi)
       | None -> Alcotest.fail "short frame");
@@ -411,17 +383,16 @@ let test_transport_slice_face () =
         got := (seq, Resets_util.Slice.to_string payload) :: !got
       | Error e -> Alcotest.failf "decap: %s" (Resets_ipsec.Esp.error_to_string e));
   let frame = Resets_ipsec.Esp.encap ~sa ~seq:7 ~payload:"zero-copy rx" in
-  Resets_core.Transport.send_slice t_tx (Resets_util.Slice.of_string frame);
+  check_bool "staged" true
+    (Transport_udp.send_slice tx (Resets_util.Slice.of_string frame));
   check_bool "readable" true (Transport_udp.wait_readable rx ~timeout:1.0);
   ignore (Transport_udp.drain rx);
   (match !got with
   | [ (7, "zero-copy rx") ] -> ()
   | [ (seq, p) ] -> Alcotest.failf "wrong decap: seq=%d payload=%S" seq p
   | l -> Alcotest.failf "expected 1 frame, got %d" (List.length l));
-  let st = Resets_core.Transport.stats t_tx in
-  check_int "slice send counted as tx" 1 st.Resets_core.Transport.tx;
-  check_int "slice recv counted as rx" 1
-    (Resets_core.Transport.stats t_rx).Resets_core.Transport.rx;
+  check_int "slice send counted as tx" 1 (Transport_udp.tx_frames tx);
+  check_int "slice recv counted as rx" 1 (Transport_udp.rx_frames rx);
   Transport_udp.close tx;
   Transport_udp.close rx
 
@@ -576,17 +547,11 @@ let test_impair_wrap_counts () =
     Impair.create ~spec ~prng:(Resets_util.Prng.create 3)
   in
   let delivered = ref 0 in
-  let inner =
-    Resets_core.Transport.make ~label:"sink"
-      ~send:(fun _ -> incr delivered; true)
-      ~set_recv:(fun _ -> ())
-      ()
-  in
-  let wrapped = Impair.wrap t inner in
+  let send = Impair.wrap t (fun _ -> incr delivered) in
   for _ = 1 to 20 do
-    Resets_core.Transport.send wrapped (Packet.fresh "p")
+    send (Packet.fresh "p")
   done;
-  check_int "inner transport never saw a frame" 0 !delivered;
+  check_int "inner send never saw a frame" 0 !delivered;
   check_int "offered counted" 20 (Impair.offered t)
 
 (* ------------------------------------------------------------------ *)
@@ -813,6 +778,89 @@ let test_daemon_recv_pair () =
       delivered
       (Heartbeat.total (fun sa -> sa.Heartbeat.delivered) t)
 
+(* Frames no SA owns are counted, not silently dropped: a 1-SA
+   receiver is fed an ESP frame under the SPI just past its range and a
+   frame too short to carry an SPI. Both count as [rx_no_sa] in the
+   report's and the terminal heartbeat's wire block; nothing is
+   delivered. *)
+let test_daemon_rx_no_sa () =
+  if not (Sys.file_exists daemon_bin) then
+    Alcotest.failf "daemon binary not built at %s" daemon_bin;
+  let dir = fresh_dir "nosa" in
+  let file = Filename.concat dir in
+  let sock = scratch_path "nosa" in
+  let spi_base = Daemon.default.Daemon.spi_base in
+  let recv =
+    spawn_serve
+      [ "--role"; "recv"; "--bind"; "unix:" ^ sock; "--sas"; "1";
+        "--duration"; "1"; "--store"; file "store"; "--stats"; file "hb";
+        "--json"; file "rep" ]
+  in
+  await_startup (file "hb") recv;
+  let foreign =
+    Resets_ipsec.Sa.derive_params ~window_width:64
+      ~spi:(Int32.of_int (spi_base + 1))
+      ~secret:Daemon.default.Daemon.secret ()
+  in
+  let tx =
+    Transport_udp.create ~peer:(Transport_udp.Unix_dgram sock) ~batch:1 ()
+  in
+  List.iter
+    (fun frame -> ignore (Transport_udp.send_frame tx frame : bool))
+    [ Resets_ipsec.Esp.encap ~sa:foreign ~seq:1 ~payload:"no such SA"; "abc" ];
+  check_int "both frames reached the socket" 2 (Transport_udp.tx_frames tx);
+  Transport_udp.close tx;
+  check_int "receiver exit" 0 (exit_code recv);
+  let rep = read_json (file "rep") in
+  let wire j = Option.value ~default:Json.Null (Json.member "wire" j) in
+  check_int "wire_rx" 2 (jint "wire_rx" rep);
+  check_int "report rx_no_sa" 2 (jint "rx_no_sa" (wire rep));
+  check_int "delivered" 0 (jint "delivered" rep);
+  match
+    List.rev
+      (In_channel.with_open_bin (file "hb") In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> ""))
+  with
+  | last :: _ ->
+    check_int "terminal heartbeat rx_no_sa" 2
+      (jint "rx_no_sa" (wire (Json.parse_exn last)))
+  | [] -> Alcotest.fail "no heartbeat"
+
+(* The impairment plan sits in front of the socket: whatever it emits
+   is one frame attempt, so a send role aimed at a peer that is not
+   listening attempts 0 frames under drop=1, two per message under
+   dup=1, and one per message without a plan. *)
+let test_daemon_impair_in_front_of_socket () =
+  let attempts impair =
+    let cfg =
+      {
+        Daemon.default with
+        Daemon.role = Daemon.Send;
+        bind = None;
+        peer = Some (Transport_udp.Unix_dgram (scratch_path "impair"));
+        sas = 2;
+        rate_pps = 200.;
+        duration = 0.4;
+        store_dir = fresh_dir "impair";
+        impair =
+          (match Impair.spec_of_string impair with
+          | Ok spec -> spec
+          | Error e -> Alcotest.failf "impair spec: %s" e);
+      }
+    in
+    let rc, rep = Daemon.run cfg in
+    check_int (impair ^ ": clean exit") 0 rc;
+    (jint "wire_tx" rep + jint "wire_tx_errors" rep, jint "sent" rep)
+  in
+  let frames, sent = attempts "" in
+  check_bool "the senders ran" true (sent > 0);
+  check_int "no plan: one frame per message" sent frames;
+  let frames, _ = attempts "drop=1" in
+  check_int "drop=1: no frame reaches the socket" 0 frames;
+  let frames, sent = attempts "dup=1" in
+  check_int "dup=1: two frames per message" (2 * sent) frames
+
 (* The cross-incarnation replay check must hold even when the stats
    file does not end with a heartbeat: the previous incarnation may
    have died before its first heartbeat (a trailing startup line) or
@@ -942,7 +990,6 @@ let () =
         ] );
       ( "transport",
         [
-          Alcotest.test_case "adapter" `Quick test_transport_adapter;
           Alcotest.test_case "slice face" `Quick test_transport_slice_face;
         ] );
       ( "impair",
@@ -965,6 +1012,10 @@ let () =
           Alcotest.test_case "sigterm graceful flush" `Quick
             test_daemon_sigterm_graceful;
           Alcotest.test_case "recv/send pair" `Quick test_daemon_recv_pair;
+          Alcotest.test_case "frames no SA owns are counted" `Quick
+            test_daemon_rx_no_sa;
+          Alcotest.test_case "impairment in front of the socket" `Quick
+            test_daemon_impair_in_front_of_socket;
           Alcotest.test_case "replay check past a trailing startup line"
             `Quick
             (test_replay_check_after (fun _ ->
