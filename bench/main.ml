@@ -37,9 +37,12 @@ let us = Time.of_us
 
 (* --json[=DIR] (default: on, current directory) / --no-json, plus the
    experiment picks. --domains=LIST and --sweep-sizes=LIST shape E14's
-   domain sweep (defaults 1,2,4,8 and 256,1024,4096); --scale-sizes=LIST
-   shapes E14's large-scale sweep (default 100000,1000000); check.sh
-   uses them to keep the smoke run short. *)
+   domain sweep (defaults 1,2,4,8 and 256,1024,4096); the sweep always
+   runs 1 domain whatever LIST says, because the inline 1-domain run is
+   the oracle every other count is diffed against and the baseline of
+   its speedup. --scale-sizes=LIST shapes E14's large-scale sweep
+   (default 100000,1000000); check.sh uses them to keep the smoke run
+   short. *)
 let json_dir, selected, e14_domains, e14_sizes, e14_scale_sizes =
   let json_dir = ref (Some ".") in
   let picks = ref [] in
@@ -75,7 +78,8 @@ let json_dir, selected, e14_domains, e14_sizes, e14_scale_sizes =
         | Some dir -> json_dir := Some dir
         | None -> (
           match prefixed ~prefix:"--domains=" arg with
-          | Some l -> domains := int_list ~flag:"--domains" l
+          | Some l ->
+            domains := List.sort_uniq Int.compare (1 :: int_list ~flag:"--domains" l)
           | None -> (
             match prefixed ~prefix:"--sweep-sizes=" arg with
             | Some l -> sizes := int_list ~flag:"--sweep-sizes" l
@@ -786,70 +790,66 @@ let e14 report =
   let speedups = Hashtbl.create 8 in
   List.iter
     (fun d ->
-      let pool = if d > 1 then Some (Multi_sa.create_pool ~domains:d) else None in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Domain_pool.shutdown pool)
-        (fun () ->
-          List.iter
-            (fun n ->
-              if d <= n then begin
-                let t0 = Unix.gettimeofday () in
-                let o = Multi_sa.run ?pool ~domains:d `Save_fetch_coalesced (cfg n) in
-                let wall = Unix.gettimeofday () -. t0 in
-                let events_per_sec =
-                  if wall > 0. then float_of_int o.Multi_sa.events_fired /. wall
-                  else 0.
-                in
-                (match Hashtbl.find_opt baseline n with
-                | None -> Hashtbl.replace baseline n (signature o, wall)
-                | Some (sig1, _) ->
-                  if sig1 <> signature o then begin
-                    incr mismatches;
-                    Format.printf
-                      "  !! %d SAs at %d domains diverges from 1 domain@." n d
-                  end);
-                let speedup =
-                  match Hashtbl.find_opt baseline n with
-                  | Some (_, wall1) when wall > 0. -> wall1 /. wall
-                  | _ -> 1.
-                in
-                Hashtbl.replace speedups (n, d) speedup;
-                let shard_eps =
-                  Array.map
-                    (fun (s : Multi_sa.shard_stat) ->
-                      if s.Multi_sa.stat_wall_s > 0. then
-                        float_of_int s.Multi_sa.stat_events_fired
-                        /. s.Multi_sa.stat_wall_s
-                      else 0.)
-                    o.Multi_sa.shard_stats
-                in
-                let shard_min = Array.fold_left Float.min infinity shard_eps in
-                let shard_max = Array.fold_left Float.max 0. shard_eps in
-                Report.row report ~table:"domain_sweep"
-                  [
-                    ("sa_count", Json.Int n);
-                    ("domains", Json.Int d);
-                    ("events_fired", Json.Int o.Multi_sa.events_fired);
-                    ("events_per_sec", Json.Float events_per_sec);
-                    ("speedup_vs_1_domain", Json.Float speedup);
-                    ("shard_events_per_sec_min", Json.Float shard_min);
-                    ("shard_events_per_sec_max", Json.Float shard_max);
-                    ("wall_clock_s", Json.Float wall);
-                    ("delivered", Json.Int o.Multi_sa.delivered);
-                    ("messages_lost", Json.Int o.Multi_sa.messages_lost);
-                    ("replay_accepted", Json.Int o.Multi_sa.replay_accepted);
-                    ( "duplicate_deliveries",
-                      Json.Int o.Multi_sa.duplicate_deliveries );
-                    ("recovered_fully", Json.Bool o.Multi_sa.recovered_fully);
-                    ("ready_s", Json.Float (Time.to_sec o.Multi_sa.ready_time));
-                    ( "recovery_s",
-                      Json.Float (Time.to_sec o.Multi_sa.recovery_time) );
-                  ];
-                Format.printf "%6d %8d %12.0f %8.2fx %10.0f..%-10.0f %10d %6d@."
-                  n d events_per_sec speedup shard_min shard_max
-                  o.Multi_sa.delivered o.Multi_sa.messages_lost
-              end)
-            e14_sizes))
+      List.iter
+        (fun n ->
+          if d <= n then begin
+            let t0 = Unix.gettimeofday () in
+            let o = Multi_sa.run ~domains:d `Save_fetch_coalesced (cfg n) in
+            let wall = Unix.gettimeofday () -. t0 in
+            let events_per_sec =
+              if wall > 0. then float_of_int o.Multi_sa.events_fired /. wall
+              else 0.
+            in
+            (match Hashtbl.find_opt baseline n with
+            | None -> Hashtbl.replace baseline n (signature o, wall)
+            | Some (sig1, _) ->
+              if sig1 <> signature o then begin
+                incr mismatches;
+                Format.printf
+                  "  !! %d SAs at %d domains diverges from 1 domain@." n d
+              end);
+            let speedup =
+              match Hashtbl.find_opt baseline n with
+              | Some (_, wall1) when wall > 0. -> wall1 /. wall
+              | _ -> 1.
+            in
+            Hashtbl.replace speedups (n, d) speedup;
+            let shard_eps =
+              Array.map
+                (fun (s : Multi_sa.shard_stat) ->
+                  if s.Multi_sa.stat_wall_s > 0. then
+                    float_of_int s.Multi_sa.stat_events_fired
+                    /. s.Multi_sa.stat_wall_s
+                  else 0.)
+                o.Multi_sa.shard_stats
+            in
+            let shard_min = Array.fold_left Float.min infinity shard_eps in
+            let shard_max = Array.fold_left Float.max 0. shard_eps in
+            Report.row report ~table:"domain_sweep"
+              [
+                ("sa_count", Json.Int n);
+                ("domains", Json.Int d);
+                ("events_fired", Json.Int o.Multi_sa.events_fired);
+                ("events_per_sec", Json.Float events_per_sec);
+                ("speedup_vs_1_domain", Json.Float speedup);
+                ("shard_events_per_sec_min", Json.Float shard_min);
+                ("shard_events_per_sec_max", Json.Float shard_max);
+                ("wall_clock_s", Json.Float wall);
+                ("delivered", Json.Int o.Multi_sa.delivered);
+                ("messages_lost", Json.Int o.Multi_sa.messages_lost);
+                ("replay_accepted", Json.Int o.Multi_sa.replay_accepted);
+                ( "duplicate_deliveries",
+                  Json.Int o.Multi_sa.duplicate_deliveries );
+                ("recovered_fully", Json.Bool o.Multi_sa.recovered_fully);
+                ("ready_s", Json.Float (Time.to_sec o.Multi_sa.ready_time));
+                ( "recovery_s",
+                  Json.Float (Time.to_sec o.Multi_sa.recovery_time) );
+              ];
+            Format.printf "%6d %8d %12.0f %8.2fx %10.0f..%-10.0f %10d %6d@."
+              n d events_per_sec speedup shard_min shard_max
+              o.Multi_sa.delivered o.Multi_sa.messages_lost
+          end)
+        e14_sizes)
     e14_domains;
   Report.check report
     ~name:"protocol-level outcomes identical across all domain counts"

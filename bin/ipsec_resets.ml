@@ -212,7 +212,7 @@ let trace_out_arg =
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:"Write the event trace to $(docv) as JSONL (one event per line).")
 
-let write_trace_jsonl path trace =
+let write_trace_jsonl path entries =
   match open_out path with
   | exception Sys_error msg ->
     Printf.eprintf "cannot write trace: %s\n" msg;
@@ -220,7 +220,7 @@ let write_trace_jsonl path trace =
   | oc ->
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> Resets_sim.Trace.dump_jsonl oc trace)
+      (fun () -> Trace.dump_jsonl oc entries)
 
 let build_protocol variant ~adaptive ~kp ~kq ~save_latency =
   let pol k =
@@ -297,7 +297,7 @@ let run_cmd =
         let result = deg.Harness.primary in
         let verdict = Convergence.check ~scenario result in
         (match (trace_out, result.Harness.trace) with
-        | Some path, Some trace -> write_trace_jsonl path trace
+        | Some path, Some trace -> write_trace_jsonl path (Trace.entries trace)
         | Some _, None | None, _ -> ());
         if json then
           print_endline
@@ -322,7 +322,7 @@ let run_cmd =
         let result = Harness.run scenario in
         let verdict = Convergence.check ~scenario result in
         (match (trace_out, result.Harness.trace) with
-        | Some path, Some trace -> write_trace_jsonl path trace
+        | Some path, Some trace -> write_trace_jsonl path (Trace.entries trace)
         | Some _, None | None, _ -> ());
         if json then
           print_endline
@@ -528,28 +528,11 @@ let multi_sa_cmd =
           }
         in
         let o = Multi_sa.run ~domains discipline cfg in
-        (match trace_out with
-        | None -> ()
-        | Some path -> (
-          (* the shards' traces, merged deterministically into ONE
-             file — packet-level events are identical for any
-             --domains value; disk bookkeeping (crash/snapshot
-             records) and equal-timestamp tie order are per-shard
-             (see Shard) *)
-          match open_out path with
-          | exception Sys_error msg ->
-            Printf.eprintf "cannot write trace: %s\n" msg;
-            exit 1
-          | oc ->
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                List.iter
-                  (fun entry ->
-                    output_string oc
-                      (Resets_util.Json.to_string (Trace.entry_to_json entry));
-                    output_char oc '\n')
-                  o.Multi_sa.trace)));
+        (* the shards' traces, merged deterministically into ONE file —
+           packet-level events are identical for any --domains value;
+           disk bookkeeping (crash/snapshot records) and equal-timestamp
+           tie order are per-shard (see Multi_sa) *)
+        Option.iter (fun path -> write_trace_jsonl path o.Multi_sa.trace) trace_out;
         Format.printf "ready: %a%s@." Time.pp o.Multi_sa.ready_time
           (if o.Multi_sa.recovered_fully then "" else " (horizon-capped)");
         Format.printf "delivering again: %a@." Time.pp o.Multi_sa.recovery_time;
@@ -1227,9 +1210,9 @@ let trace_cmd =
     | Some trace -> (
       match trace_out with
       | Some path ->
-        write_trace_jsonl path trace;
-        Format.printf "wrote %d events to %s@." (List.length (Trace.entries trace))
-          path
+        let entries = Trace.entries trace in
+        write_trace_jsonl path entries;
+        Format.printf "wrote %d events to %s@." (List.length entries) path
       | None -> Trace.dump Format.std_formatter trace)
     | None -> ());
     Format.printf "---@.%a@." Harness.pp_result result;

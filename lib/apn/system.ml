@@ -11,7 +11,6 @@ let step_label = function
     Format.asprintf "replay(%s->%s, %a)" src dst Message.pp msg
   | Drop { src; dst } -> Printf.sprintf "drop(%s->%s)" src dst
 
-let pp_step ppf s = Format.pp_print_string ppf (step_label s)
 
 type t = {
   net : Network.t;

@@ -17,7 +17,6 @@ type step =
   | Drop of { src : string; dst : string }
       (** channel loses its head message *)
 
-val pp_step : Format.formatter -> step -> unit
 val step_label : step -> string
 
 val create :

@@ -24,9 +24,6 @@ type t = {
   spi_base : int32;
   retries : int;
   mutable handshake_messages : int;
-  mutable degraded : int;
-      (* SAs that abandoned SAVE/FETCH for re-establishment after the
-         retry budget *)
   mutable down : bool;
   mutable recovering : bool;
       (* a Coalesced recovery snapshot is in flight: the periodic flush
@@ -98,7 +95,6 @@ let degrade_sa t i =
   match t.ike_prngs with
   | None -> ()
   | Some prngs ->
-    t.degraded <- t.degraded + 1;
     establish_sa t ~cost:Ike.default_cost ~prngs i ~on_done:(fun () ->
         let ep = t.endpoints.(i) in
         if Receiver.is_down (Endpoint.receiver ep) then
@@ -139,7 +135,6 @@ let create ?(k = 25) ?leap ?(window = 64) ?arena ?ike_prngs ?(first_sa = 0)
       spi_base;
       retries;
       handshake_messages = 0;
-      degraded = 0;
       down = false;
       recovering = false;
     }
@@ -185,7 +180,6 @@ let sa_count t = Array.length t.endpoints
 let first_sa t = t.first_sa
 let is_down t = t.down
 let handshake_messages t = t.handshake_messages
-let degraded_count t = t.degraded
 
 let reset t =
   if not t.down then begin
@@ -282,7 +276,6 @@ let recover t ?(on_sa_ready = fun _ -> ()) ?(on_complete = fun () -> ()) () =
           let metrics = Endpoint.metrics t.endpoints.(i) in
           metrics.Metrics.degraded_reestablish <-
             metrics.Metrics.degraded_reestablish + 1;
-          t.degraded <- t.degraded + 1;
           match t.ike_prngs with
           | None -> assert false
           | Some prngs ->
@@ -327,7 +320,6 @@ let recover t ?(on_sa_ready = fun _ -> ()) ?(on_complete = fun () -> ()) () =
                     let metrics = Endpoint.metrics t.endpoints.(i) in
                     metrics.Metrics.degraded_reestablish <-
                       metrics.Metrics.degraded_reestablish + 1;
-                    t.degraded <- t.degraded + 1;
                     match t.ike_prngs with
                     | None -> assert false
                     | Some prngs ->

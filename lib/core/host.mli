@@ -33,7 +33,7 @@
     does depends on which other SAs share its host (serialized recovery
     is expressed as a closed-form stagger rather than an actual chain;
     the coalesced flush runs on a fixed absolute schedule and writes
-    each SA's own edge). See {!Shard}. *)
+    each SA's own edge). See {!Multi_sa}. *)
 
 open Resets_sim
 open Resets_persist
@@ -97,10 +97,6 @@ val is_down : t -> bool
 val handshake_messages : t -> int
 (** Wire messages spent renegotiating (only [Reestablish] spends
     any). *)
-
-val degraded_count : t -> int
-(** SAs that abandoned SAVE/FETCH for IKE re-establishment after
-    exhausting the recovery retry budget (requires [ike_prngs]). *)
 
 val reset : t -> unit
 (** Crash the host now: every receiver goes down together and the one

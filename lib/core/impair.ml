@@ -129,7 +129,6 @@ let create ~spec ~prng =
     delayed = 0;
   }
 
-let spec_of t = t.spec
 let offered t = t.offered
 let dropped t = t.dropped
 let dropped_burst t = t.dropped_burst

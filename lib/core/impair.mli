@@ -68,8 +68,6 @@ val wrap : t -> (Packet.t -> unit) -> Packet.t -> unit
     sees nothing different from a lossy wire. Impair the sender's send
     function; a receiver is fed whatever arrives. *)
 
-val spec_of : t -> spec
-
 (** {2 Counters} *)
 
 val offered : t -> int

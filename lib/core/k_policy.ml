@@ -156,18 +156,6 @@ let observe_send_gap t dt =
 
 let note_durable = function S _ -> () | A s -> s.high_water <- s.k
 
-let save_latency_estimate = function
-  | S _ -> None
-  | A s ->
-    if s.lat_obs = 0 then None
-    else Some (Time.of_ns (Int64.of_float (Float.max 0. (latency_estimate_ns s))))
-
-let send_gap_estimate = function
-  | S _ -> None
-  | A s ->
-    if s.gap_obs = 0 then None
-    else Some (Time.of_ns (Int64.of_float (Float.max 0. s.gap_ewma)))
-
 let derived_floor = function S _ -> None | A s -> derived_floor_of s
 
 let adjustments = function S _ -> 0 | A s -> s.adjustments

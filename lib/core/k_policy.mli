@@ -105,12 +105,6 @@ val note_durable : t -> unit
     an adaptive policy resets its leap high-water mark to the current
     K. No-op for static policies. *)
 
-val save_latency_estimate : t -> Resets_sim.Time.t option
-(** The current upper latency estimate (ewma + gain * dev), [None]
-    until the first observation or for static policies. *)
-
-val send_gap_estimate : t -> Resets_sim.Time.t option
-
 val derived_floor : t -> int option
 (** ceil(headroom * T_est / gap_est) before clamping — the online
     version of the paper's K rule. [None] until both estimates exist

@@ -96,18 +96,6 @@ let write ~dir ?wall_clock_s ?generator t =
 (* ------------------------------------------------------------------ *)
 (* Serializers *)
 
-let summary_to_json s =
-  if Stats.count s = 0 then Json.Obj [ ("count", Json.Int 0) ]
-  else
-    Json.Obj
-      [
-        ("count", Json.Int (Stats.count s));
-        ("mean", Json.Float (Stats.mean s));
-        ("stddev", Json.Float (Stats.stddev s));
-        ("min", Json.Float (Stats.min s));
-        ("max", Json.Float (Stats.max s));
-      ]
-
 let sample_to_json s =
   let n = Stats.Sample.count s in
   if n = 0 then Json.Obj [ ("count", Json.Int 0) ]
@@ -122,32 +110,6 @@ let sample_to_json s =
         ("min", Json.Float (Stats.Sample.percentile s 0.));
         ("max", Json.Float (Stats.Sample.percentile s 100.));
       ]
-
-let histogram_to_json h =
-  let counts = Stats.Histogram.counts h in
-  let bounds = Stats.Histogram.bucket_bounds h in
-  let total = Stats.Histogram.total h in
-  let percentiles =
-    if total = 0 then []
-    else
-      [
-        ("p50", Json.Float (Stats.Histogram.percentile h 50.));
-        ("p90", Json.Float (Stats.Histogram.percentile h 90.));
-        ("p99", Json.Float (Stats.Histogram.percentile h 99.));
-      ]
-  in
-  Json.Obj
-    ([
-       ("total", Json.Int total);
-       ( "lo",
-         Json.Float (if Array.length bounds = 0 then 0. else fst bounds.(0)) );
-       ( "hi",
-         Json.Float
-           (if Array.length bounds = 0 then 0.
-            else snd bounds.(Array.length bounds - 1)) );
-       ("counts", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) counts)));
-     ]
-    @ percentiles)
 
 let metrics_to_json (m : Metrics.t) =
   Json.Obj

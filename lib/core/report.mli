@@ -55,14 +55,8 @@ val write : dir:string -> ?wall_clock_s:float -> ?generator:string -> t -> strin
 
 (** {1 Serializers for the core run types} *)
 
-val summary_to_json : Resets_util.Stats.t -> Resets_util.Json.t
-(** Welford moments: count / mean / stddev / min / max. *)
-
 val sample_to_json : Resets_util.Stats.Sample.s -> Resets_util.Json.t
 (** Sample summary with exact percentiles (p50 / p90 / p99). *)
-
-val histogram_to_json : Resets_util.Stats.Histogram.h -> Resets_util.Json.t
-(** Bucket bounds and counts plus bucketed p50 / p90 / p99. *)
 
 val metrics_to_json : Metrics.t -> Resets_util.Json.t
 (** Every counter of {!Metrics.t} plus recovery/disruption summaries

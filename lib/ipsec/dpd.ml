@@ -16,7 +16,6 @@ type t = {
   on_dead : unit -> unit;
   mutable running : bool;
   mutable dead : bool;
-  mutable sent : int;
   mutable misses : int;
   mutable acked_current : bool;
   mutable timer : Engine.handle option;
@@ -31,7 +30,6 @@ let create engine config ~send_probe ~on_dead =
     on_dead;
     running = false;
     dead = false;
-    sent = 0;
     misses = 0;
     acked_current = false;
     timer = None;
@@ -46,7 +44,6 @@ let cancel_timer t =
 
 let rec probe t =
   if t.running && not t.dead then begin
-    t.sent <- t.sent + 1;
     t.acked_current <- false;
     t.send_probe ();
     t.timer <-
@@ -85,7 +82,5 @@ let probe_acked t =
   end
 
 let is_dead t = t.dead
-
-let probes_sent t = t.sent
 
 let misses t = t.misses

@@ -35,7 +35,5 @@ val probe_acked : t -> unit
 
 val is_dead : t -> bool
 
-val probes_sent : t -> int
-
 val misses : t -> int
 (** Current consecutive miss count. *)

@@ -57,7 +57,6 @@ type event = {
   seq : int;
   callback : unit -> unit;
   mutable cancelled : bool;
-  gen : int;
   mutable next : event; (* intrusive slot list, [nil]-terminated *)
   owner : t;
 }
@@ -69,7 +68,6 @@ and t = {
   mutable stop_requested : bool;
   mutable live : int;
   mutable fired : int;
-  mutable generation : int;
   slots : event array; (* levels * 32 entries, [nil] = empty *)
   occupancy : int array; (* one 32-bit slot bitmap per level *)
   mutable side : event list; (* clock<cursor stragglers, (time,seq)-sorted *)
@@ -87,7 +85,6 @@ let rec nil =
     seq = -1;
     callback = ignore;
     cancelled = true;
-    gen = 0;
     next = nil;
     owner = nil_owner;
   }
@@ -100,7 +97,6 @@ and nil_owner =
     stop_requested = false;
     live = 0;
     fired = 0;
-    generation = 0;
     slots = [||];
     occupancy = [||];
     side = [];
@@ -124,7 +120,6 @@ let create ?hint () =
     stop_requested = false;
     live = 0;
     fired = 0;
-    generation = 0;
     slots = Array.make (levels * slots_per_level) nil;
     occupancy = Array.make levels 0;
     side = [];
@@ -132,21 +127,6 @@ let create ?hint () =
     batch_len = 0;
     batch_pos = 0;
   }
-
-let reset t =
-  t.clock <- 0;
-  t.cursor <- 0;
-  t.next_seq <- 0;
-  t.stop_requested <- false;
-  t.live <- 0;
-  t.fired <- 0;
-  t.generation <- t.generation + 1;
-  Array.fill t.slots 0 (Array.length t.slots) nil;
-  Array.fill t.occupancy 0 levels 0;
-  t.side <- [];
-  Array.fill t.batch 0 (Array.length t.batch) nil;
-  t.batch_len <- 0;
-  t.batch_pos <- 0
 
 let now t = Time.of_ns (Int64.of_int t.clock)
 
@@ -218,7 +198,6 @@ let schedule_at t ~at callback =
       seq = t.next_seq;
       callback;
       cancelled = false;
-      gen = t.generation;
       next = nil;
       owner = t;
     }
@@ -232,17 +211,13 @@ let schedule_at t ~at callback =
 let schedule_after t ~after callback =
   schedule_at t ~at:(Time.add (now t) after) callback
 
-let stale event = event.gen <> event.owner.generation
-
 let cancel event =
-  if stale event then
-    invalid_arg "Engine.cancel: stale handle (scheduled before reset)";
   if not event.cancelled then begin
     event.cancelled <- true;
     event.owner.live <- event.owner.live - 1
   end
 
-let is_pending event = (not (stale event)) && not event.cancelled
+let is_pending event = not event.cancelled
 
 let pending_count t = t.live
 let fired_count t = t.fired

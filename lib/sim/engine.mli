@@ -25,25 +25,16 @@
 type t
 
 type handle
-(** A scheduled event; can be cancelled until it fires. Handles are
-    invalidated by {!reset} (see {!cancel}). *)
+(** A scheduled event; can be cancelled until it fires. *)
 
 val create : ?hint:int -> unit -> t
 (** [create ?hint ()] is an empty engine with the clock at zero.
     [hint] (the number of simultaneously pending events expected at
-    steady state) pre-sizes the same-tick batch buffer; the wheel's
+    steady state) pre-sizes the same-tick batch buffer. The wheel's
     slot array itself is fixed-size, so the hint matters much less
-    than it did for the heap and is retained for API compatibility
-    with pooled callers. *)
-
-val reset : t -> unit
-(** Return the engine to its just-created state — clock at zero, no
-    pending events, counters cleared — while keeping the grown batch
-    buffer, so a pooled worker domain can reuse one engine across many
-    shard runs. Handles issued before the reset are invalidated by an
-    internal generation counter: {!cancel} on one raises
-    [Invalid_argument] instead of corrupting the new run, and
-    {!is_pending} reports it as not pending. *)
+    here than to {!Engine_heap}, which presizes its event heap with
+    it; the two engines keep one interface so the wheel-vs-heap
+    differential drives both through the same signature. *)
 
 val now : t -> Time.t
 (** Current simulated time: the timestamp of the last fired event (or
@@ -63,17 +54,10 @@ val cancel : handle -> unit
 (** Cancel a pending event. O(1); idempotent; no effect after the
     event fired. The slot entry is reclaimed when its tick is next
     visited, but it stops counting toward {!pending_count}
-    immediately.
-    @raise Invalid_argument on a stale handle — one issued before the
-    engine's last {!reset}. Cancelling across a reset was previously
-    undocumented corruption; the generation check makes it a reported
-    bug in the caller. *)
+    immediately. *)
 
 val is_pending : handle -> bool
-(** [true] until the event fires or is cancelled. Stale handles (from
-    before a {!reset}) are reported as not pending rather than
-    raising, so shutdown paths can poll handles they may have
-    outlived. *)
+(** [true] until the event fires or is cancelled. *)
 
 val pending_count : t -> int
 (** Number of not-yet-fired, not-cancelled events. O(1): the engine
@@ -82,8 +66,8 @@ val pending_count : t -> int
     accumulate dead entries. *)
 
 val fired_count : t -> int
-(** Total events fired since {!create} (or the last {!reset}) — the
-    denominator for events-per-second throughput measurements. *)
+(** Total events fired since {!create} — the denominator for
+    events-per-second throughput measurements. *)
 
 (** Why {!run} returned. *)
 type stop_reason =

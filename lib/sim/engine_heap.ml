@@ -5,7 +5,6 @@ type event = {
   seq : int;
   callback : unit -> unit;
   mutable cancelled : bool;
-  gen : int;
   owner : t;
 }
 
@@ -15,7 +14,6 @@ and t = {
   mutable stop_requested : bool;
   mutable live : int;
   mutable fired : int;
-  mutable generation : int;
   queue : event Heap.t;
 }
 
@@ -33,26 +31,11 @@ let create ?hint () =
     stop_requested = false;
     live = 0;
     fired = 0;
-    generation = 0;
     queue =
       (match hint with
       | Some capacity -> Heap.create_sized ~capacity ~cmp:compare_event
       | None -> Heap.create ~cmp:compare_event);
   }
-
-(* Return the engine to its just-created state while keeping the event
-   heap's grown backing store, so a pooled worker can run shard after
-   shard without re-growing the queue each time. Bumping the generation
-   invalidates every outstanding handle: a later [cancel] through one
-   is a checked error rather than silent corruption of the new run. *)
-let reset t =
-  t.clock <- Time.zero;
-  t.next_seq <- 0;
-  t.stop_requested <- false;
-  t.live <- 0;
-  t.fired <- 0;
-  t.generation <- t.generation + 1;
-  Heap.clear t.queue
 
 let now t = t.clock
 
@@ -65,7 +48,6 @@ let schedule_at t ~at callback =
       seq = t.next_seq;
       callback;
       cancelled = false;
-      gen = t.generation;
       owner = t;
     }
   in
@@ -86,11 +68,7 @@ let rec drop_cancelled_top t =
     drop_cancelled_top t
   | Some _ | None -> ()
 
-let stale event = event.gen <> event.owner.generation
-
 let cancel event =
-  if stale event then
-    invalid_arg "Engine_heap.cancel: stale handle (scheduled before reset)";
   if not event.cancelled then begin
     event.cancelled <- true;
     let t = event.owner in
@@ -98,7 +76,7 @@ let cancel event =
     drop_cancelled_top t
   end
 
-let is_pending event = (not (stale event)) && not event.cancelled
+let is_pending event = not event.cancelled
 
 let pending_count t = t.live
 let fired_count t = t.fired

@@ -26,13 +26,6 @@ val create : ?hint:int -> unit -> t
     events expected at steady state) so large simulations skip the
     backing-store re-growth walk. *)
 
-val reset : t -> unit
-(** Return the engine to its just-created state — clock at zero, no
-    pending events, counters cleared — while keeping the event heap's
-    grown backing store. Handles from before the reset are invalidated
-    by a generation counter: cancelling one raises
-    [Invalid_argument]. *)
-
 val now : t -> Time.t
 (** Current simulated time: the timestamp of the last fired event. *)
 
@@ -45,13 +38,10 @@ val schedule_after : t -> after:Time.t -> (unit -> unit) -> handle
     [schedule_at t ~at:(Time.add (now t) after) f]. *)
 
 val cancel : handle -> unit
-(** Idempotent; no effect after the event fired.
-    @raise Invalid_argument on a handle issued before the last
-    {!reset} (generation mismatch). *)
+(** Idempotent; no effect after the event fired. *)
 
 val is_pending : handle -> bool
-(** [true] until the event fires or is cancelled. A stale handle (from
-    before a {!reset}) is reported as not pending. *)
+(** [true] until the event fires or is cancelled. *)
 
 val pending_count : t -> int
 (** Number of not-yet-fired, not-cancelled events. O(1): the engine
@@ -59,7 +49,7 @@ val pending_count : t -> int
     reach the heap top. *)
 
 val fired_count : t -> int
-(** Total events fired since [create] (or the last {!reset}). *)
+(** Total events fired since [create]. *)
 
 type stop_reason =
   | Quiescent  (** no events left *)

@@ -16,7 +16,6 @@ let of_sec s =
 
 let to_ns t = t
 let to_us t = Int64.to_float t /. 1e3
-let to_ms t = Int64.to_float t /. 1e6
 let to_sec t = Int64.to_float t /. 1e9
 
 let add = Int64.add
@@ -76,8 +75,6 @@ let duration_to_string t =
       else pick (i + 1)
   in
   pick 0
-
-let pp_duration ppf t = Format.pp_print_string ppf (duration_to_string t)
 
 let duration_of_string s =
   let s = String.trim s in

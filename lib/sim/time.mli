@@ -33,9 +33,6 @@ val to_ns : t -> int64
 val to_us : t -> float
 (** Nanosecond count divided by 10{^3}; fractional below 1 µs. *)
 
-val to_ms : t -> float
-(** Nanosecond count divided by 10{^6}. *)
-
 val to_sec : t -> float
 (** Nanosecond count divided by 10{^9}. *)
 
@@ -76,9 +73,6 @@ val duration_to_string : t -> string
     keeps the value at least 1, at most three decimals, trailing
     zeros trimmed. Every produced string is accepted by
     {!duration_of_string}. *)
-
-val pp_duration : Format.formatter -> t -> unit
-(** Prints {!duration_to_string}. *)
 
 val duration_of_string : string -> t option
 (** Parse ["512 ns"], ["1.25ms"], ["2 s"] … (case-insensitive unit,

@@ -51,13 +51,12 @@ let entry_to_json e =
       ("detail", Json.String e.detail);
     ]
 
-let output_jsonl_entry oc e =
-  output_string oc (Json.to_string (entry_to_json e));
-  output_char oc '\n'
-
-let attach_jsonl t oc = on_record t (output_jsonl_entry oc)
-
-let dump_jsonl oc t = List.iter (output_jsonl_entry oc) (entries t)
+let dump_jsonl oc entries =
+  List.iter
+    (fun e ->
+      output_string oc (Json.to_string (entry_to_json e));
+      output_char oc '\n')
+    entries
 
 let pp_entry ppf e =
   Format.fprintf ppf "[%a] %a %-8s %-16s %s" Time.pp e.time pp_level e.level

@@ -52,13 +52,6 @@ val dump : Format.formatter -> t -> unit
     written by the CLI's [--trace-out FILE]. Fields: [t_ns] (simulated
     nanoseconds), [level], [source], [event], [detail]. *)
 
-val entry_to_json : entry -> Resets_util.Json.t
-(** The JSONL object for one entry (schema above). *)
-
-val attach_jsonl : t -> out_channel -> unit
-(** Stream every subsequently recorded entry to the channel as a JSON
-    line. Unlike {!dump_jsonl} this sees entries even after the ring
-    evicts them; the caller closes the channel. *)
-
-val dump_jsonl : out_channel -> t -> unit
-(** Write the retained entries (oldest first), one JSON line each. *)
+val dump_jsonl : out_channel -> entry list -> unit
+(** Write the entries in list order, one JSON line each: a trace's
+    retained entries ({!entries}) or a merged multi-SA trace. *)

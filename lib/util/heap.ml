@@ -74,4 +74,3 @@ let to_sorted_list h =
   in
   drain []
 
-let iter_unordered f h = Vec.iter f h.data

@@ -33,5 +33,3 @@ val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 val to_sorted_list : 'a t -> 'a list
 (** Non-destructive: elements in ascending order. *)
 
-val iter_unordered : ('a -> unit) -> 'a t -> unit
-(** Iterate in internal (heap) order. *)

@@ -48,9 +48,6 @@ let merge a b =
     { n; mean; m2; mn = Float.min a.mn b.mn; mx = Float.max a.mx b.mx }
   end
 
-let summary_create = create
-let summary_add = add
-
 module Sample = struct
   type s = {
     values : float Vec.t;
@@ -88,11 +85,6 @@ module Sample = struct
     vlo +. (frac *. (vhi -. vlo))
 
   let median s = percentile s 50.
-
-  let to_summary s =
-    let t = summary_create () in
-    Vec.iter (summary_add t) s.values;
-    t
 end
 
 module Histogram = struct

@@ -44,7 +44,6 @@ module Sample : sig
       @raise Invalid_argument when empty or [p] out of range. *)
 
   val median : s -> float
-  val to_summary : s -> t
 end
 
 (** {1 Histograms} *)

@@ -343,9 +343,9 @@ let test_receiver_non_robust_jump_vulnerability () =
 (* ------------------------------------------------------------------ *)
 (* Per-SA footprint *)
 
-(* 256 endpoints built the way Shard.run_range builds them for an
+(* 256 endpoints built the way Multi_sa builds a shard's for an
    attacked scale run: one shared arena, keyed link generators and a
-   capture tap bounded at Shard's 4096 packets. Before the first packet
+   capture tap bounded at Multi_sa's 4096 packets. Before the first packet
    an SA must cost well under what a preallocated tap ring and
    delivery table would (4096 words each): capacities are bounds, not
    allocations. *)
@@ -356,7 +356,7 @@ let test_endpoint_footprint () =
     (Gc.stat ()).Gc.live_words
   in
   let before = live_words () in
-  let engine = Engine.create ~hint:(Shard.heap_hint ~sa_count:n) () in
+  let engine = Engine.create ~hint:(4 * n) () in
   let hot = Sadb_flat.create ~capacity:(2 * n) ~w:64 () in
   let endpoint_of g =
     let link_prng = Resets_util.Prng.split (Resets_util.Prng.keyed ~seed:11 ~stream:g) in

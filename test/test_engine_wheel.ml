@@ -3,8 +3,8 @@
    same (time, insertion order) contract; every test here drives the
    two through identical schedule/cancel streams and requires
    bit-identical fire orders — plus directed cases at the wheel's
-   geometry: slot boundaries, cascade edges, far-future levels, the
-   Time_limit side channel, and the stale-handle generation check. *)
+   geometry: slot boundaries, cascade edges, far-future levels and the
+   Time_limit side channel. *)
 
 open Resets_sim
 
@@ -15,7 +15,6 @@ module type ENGINE = sig
   type handle
 
   val create : ?hint:int -> unit -> t
-  val reset : t -> unit
   val now : t -> Time.t
   val schedule_at : t -> at:Time.t -> (unit -> unit) -> handle
   val schedule_after : t -> after:Time.t -> (unit -> unit) -> handle
@@ -161,42 +160,6 @@ let test_cancel_then_reuse_slot () =
   Alcotest.(check (list int)) "wheel" [ 1 ] (drive (module Engine));
   Alcotest.(check (list int)) "heap" [ 1 ] (drive (module Engine_heap))
 
-(* Regression for the reset contract: a handle from before [reset] is
-   stale — cancel is a checked error, is_pending reports false, and
-   the new run's events are untouched. *)
-let test_stale_handle_after_reset () =
-  let drive (module E : ENGINE) name =
-    let eng = E.create () in
-    let stale = E.schedule_at eng ~at:(Time.of_ns 10L) ignore in
-    E.reset eng;
-    Alcotest.(check bool)
-      (name ^ ": stale handle not pending")
-      false (E.is_pending stale);
-    let fresh = E.schedule_at eng ~at:(Time.of_ns 10L) ignore in
-    Alcotest.check_raises
-      (name ^ ": stale cancel is a checked error")
-      (Invalid_argument
-         (Printf.sprintf "%s.cancel: stale handle (scheduled before reset)" name))
-      (fun () -> E.cancel stale);
-    Alcotest.(check int) (name ^ ": fresh run unharmed") 1 (E.pending_count eng);
-    E.cancel fresh;
-    Alcotest.(check int) (name ^ ": fresh cancel fine") 0 (E.pending_count eng)
-  in
-  drive (module Engine) "Engine";
-  drive (module Engine_heap) "Engine_heap"
-
-(* Reset must also clear far-future state: a high-level occupant from
-   run 1 must never leak into run 2. *)
-let test_reset_clears_high_levels () =
-  let eng = Engine.create () in
-  ignore (Engine.schedule_at eng ~at:(Time.of_sec 10.) ignore);
-  Engine.reset eng;
-  let fired = ref 0 in
-  ignore (Engine.schedule_at eng ~at:(Time.of_ns 5L) (fun () -> incr fired));
-  ignore (Engine.run eng);
-  Alcotest.(check int) "only the fresh event fired" 1 !fired;
-  Alcotest.(check int) "nothing pending" 0 (Engine.pending_count eng)
-
 let test_horizon_rejected () =
   let eng = Engine.create () in
   Alcotest.check_raises "beyond wheel horizon"
@@ -269,10 +232,6 @@ let () =
             test_time_limit_gap;
           Alcotest.test_case "cancel then reuse slot" `Quick
             test_cancel_then_reuse_slot;
-          Alcotest.test_case "stale handle after reset" `Quick
-            test_stale_handle_after_reset;
-          Alcotest.test_case "reset clears high levels" `Quick
-            test_reset_clears_high_levels;
           Alcotest.test_case "horizon rejected" `Quick test_horizon_rejected;
         ] );
       ( "differential",

@@ -284,7 +284,7 @@ let test_trace_jsonl () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      Trace.dump_jsonl oc trace;
+      Trace.dump_jsonl oc (Trace.entries trace);
       close_out oc;
       let ic = open_in path in
       let lines = ref [] in

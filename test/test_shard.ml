@@ -1,9 +1,9 @@
 (* The sharded simulation's contract: protocol-level outcomes are a
    function of the scenario, not of how many domains carry it. The
-   suite diffs sequential (inline, no pool) against 1-shard-via-pool
-   and 4-shard runs field by field, exercises the domain pool directly
-   (ordering, exceptions, teardown), and property-checks the two
-   deterministic foundations: keyed PRNG streams and the partition. *)
+   suite diffs the inline 1-domain run against runs whose shards are
+   spawned on 2 and 4 domains, field by field and trace by trace, and
+   property-checks the two deterministic foundations: keyed PRNG
+   streams and the partition. *)
 
 open Resets_util
 open Resets_sim
@@ -57,6 +57,9 @@ let disciplines =
     ("reestablish", `Reestablish);
   ]
 
+let attacks =
+  [ ("clean", Endpoint.No_attack); ("replay-all", Endpoint.Replay_all_at (ms 8)) ]
+
 let test_domain_count_invariance () =
   List.iter
     (fun (dname, d) ->
@@ -64,25 +67,22 @@ let test_domain_count_invariance () =
         (fun (aname, attack) ->
           let cfg = cfg ~attack 16 in
           let seq = Multi_sa.run ~domains:1 d cfg in
-          let pool = Multi_sa.create_pool ~domains:1 in
-          let via_pool =
-            Fun.protect
-              ~finally:(fun () -> Domain_pool.shutdown pool)
-              (fun () -> Multi_sa.run ~pool d cfg)
-          in
-          let sharded = Multi_sa.run ~domains:4 d cfg in
-          let name a b = Printf.sprintf "%s/%s %s=%s" dname aname a b in
-          check_same_outcome (name "seq" "pool1") seq via_pool;
-          check_same_outcome (name "seq" "4dom") seq sharded;
-          (* per-sa and reestablish write per SA, so even the write
-             counts must agree; coalesced snapshots once per shard *)
-          match d with
-          | `Save_fetch_per_sa | `Reestablish ->
-            check_int (name "seq" "4dom disk_writes") seq.Multi_sa.disk_writes
-              sharded.Multi_sa.disk_writes
-          | `Save_fetch_coalesced -> ())
-        [ ("clean", Endpoint.No_attack);
-          ("replay-all", Endpoint.Replay_all_at (ms 8)) ])
+          List.iter
+            (fun domains ->
+              let sharded = Multi_sa.run ~domains d cfg in
+              let name f =
+                Printf.sprintf "%s/%s 1 vs %d domains%s" dname aname domains f
+              in
+              check_same_outcome (name "") seq sharded;
+              (* per-sa and reestablish write per SA, so even the write
+                 counts must agree; coalesced snapshots once per shard *)
+              match d with
+              | `Save_fetch_per_sa | `Reestablish ->
+                check_int (name " disk_writes") seq.Multi_sa.disk_writes
+                  sharded.Multi_sa.disk_writes
+              | `Save_fetch_coalesced -> ())
+            [ 2; 4 ])
+        attacks)
     disciplines
 
 let test_seed_changes_outcome () =
@@ -111,6 +111,19 @@ let test_domains_validated () =
     (Invalid_argument "Multi_sa.run: more domains than SAs") (fun () ->
       ignore (Multi_sa.run ~domains:5 `Save_fetch_per_sa (cfg 4)))
 
+let test_shard_failure_reraised () =
+  (* K = 0 gives the coalesced host a zero flush period, which
+     Host.create rejects inside every shard: the spawned path must join
+     its domains and re-raise, as the inline path raises *)
+  let bad = { (cfg 4) with Multi_sa.k = 0 } in
+  List.iter
+    (fun domains ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d domains" domains)
+        (Invalid_argument "Host.create: flush_period must be positive")
+        (fun () -> ignore (Multi_sa.run ~domains `Save_fetch_coalesced bad)))
+    [ 1; 2; 4 ]
+
 let test_trace_packet_events_domain_invariant () =
   let packet_events (o : Multi_sa.outcome) =
     (* disk bookkeeping is per-shard (D crash/snapshot records instead
@@ -127,76 +140,25 @@ let test_trace_packet_events_domain_invariant () =
       o.Multi_sa.trace
     |> List.sort String.compare
   in
-  let cfg = { (cfg 8) with Multi_sa.keep_trace = true } in
-  let seq = Multi_sa.run ~domains:1 `Save_fetch_coalesced cfg in
-  let sharded = Multi_sa.run ~domains:4 `Save_fetch_coalesced cfg in
-  check_bool "trace non-empty" true (seq.Multi_sa.trace <> []);
-  Alcotest.(check (list string)) "packet-level trace identical"
-    (packet_events seq) (packet_events sharded)
-
-(* ------------------------------------------------------------------ *)
-(* Domain pool *)
-
-let test_pool_map_ordered () =
-  let pool = Domain_pool.create ~domains:4 ~init:(fun i -> i) () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      check_int "size" 4 (Domain_pool.size pool);
-      let results =
-        Domain_pool.map_ordered pool
-          (fun _worker x -> x * x)
-          (Array.init 100 (fun i -> i))
-      in
-      Array.iteri (fun i r -> check_int (Printf.sprintf "r.(%d)" i) (i * i) r)
-        results)
-
-let test_pool_worker_state () =
-  (* init runs once per worker, in the worker; tasks see their own
-     worker's state *)
-  let pool = Domain_pool.create ~domains:3 ~init:(fun i -> ref (i * 100)) () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let seen =
-        Domain_pool.map_ordered pool
-          (fun cell () ->
-            incr cell;
-            !cell / 100)
-          (Array.make 64 ())
-      in
-      (* every observed state is one of the three workers' *)
-      Array.iter (fun w -> check_bool "worker id" true (w >= 0 && w <= 2)) seen)
-
-exception Boom of int
-
-let test_pool_exception_propagates () =
-  let pool = Domain_pool.create ~domains:2 ~init:(fun _ -> ()) () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.shutdown pool)
-    (fun () ->
-      let ok = Domain_pool.submit pool (fun () -> 7) in
-      let bad = Domain_pool.submit pool (fun () -> raise (Boom 42)) in
-      check_int "healthy task unaffected" 7 (Domain_pool.await ok);
-      (match Domain_pool.await bad with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 42 -> ());
-      (* the pool survives a task failure *)
-      check_int "pool still works" 9
-        (Domain_pool.await (Domain_pool.submit pool (fun () -> 9))))
-
-let test_pool_shutdown () =
-  let pool = Domain_pool.create ~domains:2 ~init:(fun _ -> ()) () in
-  let f = Domain_pool.submit pool (fun () -> 1) in
-  check_int "pre-shutdown result" 1 (Domain_pool.await f);
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool (* idempotent *);
-  (match Domain_pool.submit pool (fun () -> 2) with
-  | _ -> Alcotest.fail "submit after shutdown must raise"
-  | exception Invalid_argument _ -> ());
-  Alcotest.check_raises "domains=0"
-    (Invalid_argument "Domain_pool.create: domains must be >= 1") (fun () ->
-      ignore (Domain_pool.create ~domains:0 ~init:(fun _ -> ()) ()))
+  List.iter
+    (fun (dname, d) ->
+      List.iter
+        (fun (aname, attack) ->
+          let cfg = { (cfg ~attack 8) with Multi_sa.keep_trace = true } in
+          let seq = Multi_sa.run ~domains:1 d cfg in
+          check_bool (dname ^ "/" ^ aname ^ " trace non-empty") true
+            (seq.Multi_sa.trace <> []);
+          let expected = packet_events seq in
+          List.iter
+            (fun domains ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s/%s packet-level trace at %d domains" dname
+                   aname domains)
+                expected
+                (packet_events (Multi_sa.run ~domains d cfg)))
+            [ 2; 4 ])
+        attacks)
+    disciplines
 
 (* ------------------------------------------------------------------ *)
 (* Properties: keyed PRNG streams and the partition *)
@@ -246,7 +208,7 @@ let prop_partition_tiles =
     QCheck.(pair (int_range 1 500) (int_range 1 500))
     (fun (n, d) ->
       QCheck.assume (d <= n);
-      let ranges = Shard.partition ~sa_count:n ~shards:d in
+      let ranges = Multi_sa.partition ~sa_count:n ~shards:d in
       let sizes = Array.map (fun (lo, hi) -> hi - lo) ranges in
       let min_sz = Array.fold_left min max_int sizes in
       let max_sz = Array.fold_left max 0 sizes in
@@ -263,14 +225,14 @@ let prop_partition_tiles =
 
 let test_partition_validated () =
   Alcotest.check_raises "shards=0"
-    (Invalid_argument "Shard.partition: need 1 <= shards <= sa_count")
-    (fun () -> ignore (Shard.partition ~sa_count:4 ~shards:0));
+    (Invalid_argument "Multi_sa.partition: need 1 <= shards <= sa_count")
+    (fun () -> ignore (Multi_sa.partition ~sa_count:4 ~shards:0));
   Alcotest.check_raises "shards>n"
-    (Invalid_argument "Shard.partition: need 1 <= shards <= sa_count")
-    (fun () -> ignore (Shard.partition ~sa_count:4 ~shards:5))
+    (Invalid_argument "Multi_sa.partition: need 1 <= shards <= sa_count")
+    (fun () -> ignore (Multi_sa.partition ~sa_count:4 ~shards:5))
 
 (* ------------------------------------------------------------------ *)
-(* Host recovery ordering and engine reuse *)
+(* Host recovery ordering *)
 
 let test_host_recovery_sa_order () =
   (* per-SA recovery must visit SAs in ascending sa-index order — the
@@ -315,29 +277,6 @@ let test_host_recovery_sa_order () =
   Alcotest.(check (list int)) "ascending sa order" [ 0; 1; 2; 3; 4; 5 ]
     (List.rev !o)
 
-let test_engine_reuse_deterministic () =
-  (* one engine, reset between runs (the pool's reuse pattern), must
-     reproduce a fresh engine's results *)
-  let engine = Engine.create ~hint:16 () in
-  let fresh =
-    Shard.run_range ~seed:3 `Save_fetch_coalesced (cfg 5) ~lo:0 ~hi:5
-  in
-  let warm1 =
-    Shard.run_range ~seed:3 ~engine `Save_fetch_coalesced (cfg 5) ~lo:0 ~hi:5
-  in
-  let warm2 =
-    Shard.run_range ~seed:3 ~engine `Save_fetch_coalesced (cfg 5) ~lo:0 ~hi:5
-  in
-  let sig_of (r : Shard.result) =
-    ( r.Shard.metrics.Metrics.delivered,
-      r.Shard.metrics.Metrics.replay_accepted,
-      r.Shard.events_fired,
-      Option.map Time.to_ns r.Shard.ready_at,
-      Option.map Time.to_ns r.Shard.recovered_at )
-  in
-  check_bool "fresh = warm" true (sig_of fresh = sig_of warm1);
-  check_bool "warm = warm again" true (sig_of warm1 = sig_of warm2)
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "shard"
@@ -349,17 +288,10 @@ let () =
           Alcotest.test_case "seeds still matter" `Quick test_seed_changes_outcome;
           Alcotest.test_case "uneven partition" `Quick test_uneven_partition_runs;
           Alcotest.test_case "domains validated" `Quick test_domains_validated;
+          Alcotest.test_case "shard failure re-raised" `Quick
+            test_shard_failure_reraised;
           Alcotest.test_case "packet-level trace invariant" `Quick
             test_trace_packet_events_domain_invariant;
-        ] );
-      ( "domain pool",
-        [
-          Alcotest.test_case "map_ordered returns in order" `Quick
-            test_pool_map_ordered;
-          Alcotest.test_case "per-worker state" `Quick test_pool_worker_state;
-          Alcotest.test_case "exception propagation" `Quick
-            test_pool_exception_propagates;
-          Alcotest.test_case "shutdown semantics" `Quick test_pool_shutdown;
         ] );
       ( "properties",
         [
@@ -373,7 +305,5 @@ let () =
         [
           Alcotest.test_case "per-sa recovery in sa order" `Quick
             test_host_recovery_sa_order;
-          Alcotest.test_case "pooled engine reuse deterministic" `Quick
-            test_engine_reuse_deterministic;
         ] );
     ]
