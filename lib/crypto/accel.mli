@@ -3,7 +3,11 @@
     reference; the C primitives are bit-for-bit equivalent and are used
     by default when compiled in. Set [RESETS_NO_ACCEL=1] in the
     environment (checked once at startup) or call [set_enabled false]
-    to force the pure paths — the differential tests do exactly that. *)
+    to force the pure paths — the differential tests do exactly that.
+
+    The C side has two SHA-256 compressors: one on the x86-64 SHA
+    extensions (SHA-NI), chosen by CPUID once when the library loads,
+    and a portable one for every other host. *)
 
 val available : unit -> bool
 (** Whether the C primitives were compiled in. *)
@@ -15,12 +19,21 @@ val set_enabled : bool -> unit
 (** Toggle dispatch at runtime; [set_enabled true] is a no-op when
     [available ()] is [false]. *)
 
+val sha256_impl : unit -> string
+(** The compressor {!Sha256} currently dispatches to: ["sha-ni"],
+    ["portable-c"], or ["ocaml"] when the C paths are off. *)
+
 (**/**)
 
 val sha256_blocks : int array -> Bytes.t -> int -> int -> unit
 (** [sha256_blocks h data off n] runs the SHA-256 compression function
     over [n] 64-byte blocks of [data] starting at [off], updating the
-    8 u32 chaining words in [h] in place. Internal: bounds unchecked. *)
+    8 u32 chaining words in [h] in place, on the compressor chosen at
+    load. Internal: bounds unchecked. *)
+
+val sha256_blocks_portable : int array -> Bytes.t -> int -> int -> unit
+(** [sha256_blocks] on the portable C compressor, whatever the CPU
+    offers: what tests pin the SHA-NI one against. *)
 
 val chacha20_xor : int array -> Bytes.t -> int -> int -> int -> unit
 (** [chacha20_xor init buf off len counter0] XORs the ChaCha20

@@ -1,13 +1,13 @@
-/* Scalar C fast paths for the two per-packet crypto inner loops.
+/* C fast paths for the two per-packet crypto inner loops.
  *
  * The OCaml implementations in sha256.ml / chacha20.ml remain the
  * reference (validated against the RFC/FIPS vectors) and the fallback;
  * these primitives compute the exact same block functions on the same
- * state layout, they just run the arithmetic in C where a 32-bit
- * rotate is one instruction instead of four.  Both are leaf calls:
- * they allocate nothing, never release the runtime lock, and touch
- * only the buffers they are handed, so they are safe as [@@noalloc]
- * externals.
+ * state layout.  SHA-256 has two compressors here: a portable scalar
+ * one, and on x86-64 one built on the SHA extensions (SHA-NI), chosen
+ * once by CPUID when the library loads.  All are leaf calls: they
+ * allocate nothing, never release the runtime lock, and touch only the
+ * buffers they are handed, so they are safe as [@@noalloc] externals.
  *
  * State crosses the boundary as OCaml [int array]s holding u32 words
  * (tagged immediates: Long_val/Val_long, no boxing, no caml_modify
@@ -19,6 +19,12 @@
 
 #include <caml/mlvalues.h>
 #include <caml/memory.h>
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define RESETS_SHA_NI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 CAMLprim value caml_resets_crypto_accel_available(value unit)
 {
@@ -68,22 +74,15 @@ static inline uint32_t be32(const unsigned char *p)
     h = t1 + t2;                                                       \
   } while (0)
 
-/* caml_resets_sha256_blocks h data off nblocks
- *   h: int array of 8 u32 chaining words, updated in place
- *   data: message bytes; [nblocks] 64-byte blocks starting at [off]  */
-CAMLprim value caml_resets_sha256_blocks(value vh, value vdata, value voff,
-                                         value vn)
+/* A compressor runs [n] 64-byte blocks at [p] through the chaining
+ * words [h] (a..h, in FIPS order). */
+typedef void sha256_compress_fn(uint32_t h[8], const unsigned char *p,
+                                long n);
+
+static void sha256_portable(uint32_t h[8], const unsigned char *p, long n)
 {
-  const unsigned char *p = Bytes_val(vdata) + Long_val(voff);
-  long n = Long_val(vn);
-  uint32_t h0 = (uint32_t)Long_val(Field(vh, 0));
-  uint32_t h1 = (uint32_t)Long_val(Field(vh, 1));
-  uint32_t h2 = (uint32_t)Long_val(Field(vh, 2));
-  uint32_t h3 = (uint32_t)Long_val(Field(vh, 3));
-  uint32_t h4 = (uint32_t)Long_val(Field(vh, 4));
-  uint32_t h5 = (uint32_t)Long_val(Field(vh, 5));
-  uint32_t h6 = (uint32_t)Long_val(Field(vh, 6));
-  uint32_t h7 = (uint32_t)Long_val(Field(vh, 7));
+  uint32_t h0 = h[0], h1 = h[1], h2 = h[2], h3 = h[3];
+  uint32_t h4 = h[4], h5 = h[5], h6 = h[6], h7 = h[7];
   for (long b = 0; b < n; b++, p += 64) {
     uint32_t w[64];
     uint32_t a = h0, bb = h1, c = h2, d = h3, e = h4, f = h5, g = h6,
@@ -105,15 +104,136 @@ CAMLprim value caml_resets_sha256_blocks(value vh, value vdata, value voff,
     h0 += a; h1 += bb; h2 += c; h3 += d;
     h4 += e; h5 += f; h6 += g; h7 += hh;
   }
-  Field(vh, 0) = Val_long((long)h0);
-  Field(vh, 1) = Val_long((long)h1);
-  Field(vh, 2) = Val_long((long)h2);
-  Field(vh, 3) = Val_long((long)h3);
-  Field(vh, 4) = Val_long((long)h4);
-  Field(vh, 5) = Val_long((long)h5);
-  Field(vh, 6) = Val_long((long)h6);
-  Field(vh, 7) = Val_long((long)h7);
+  h[0] = h0; h[1] = h1; h[2] = h2; h[3] = h3;
+  h[4] = h4; h[5] = h5; h[6] = h6; h[7] = h7;
+}
+
+#ifdef RESETS_SHA_NI
+/* The SHA extensions keep the state as two vectors, ABEF and CDGH
+ * (highest lane first), and run two rounds per sha256rnds2; each
+ * vector of message words W[4g..4g+3] carries four rounds.
+ *
+ * SHA_NI_ROUNDS(g, m): rounds 4g..4g+3 on the message vector [m].
+ * SHA_NI_SCHEDULE(nx, pv, cur): message vector g+1 from the four
+ *   before it; [nx] already holds sha256msg1 of vectors g-3 and g-2.
+ * SHA_NI_MSG1(pv, cur): the sha256msg1 half of vector g+3's
+ *   schedule, run once vector g-1 ([pv]) is no longer needed. */
+#define SHA_NI_ROUNDS(g, m)                                            \
+  do {                                                                 \
+    __m128i wk = _mm_add_epi32(                                        \
+        m, _mm_loadu_si128((const __m128i *)(sha_k + 4 * (g))));       \
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);                      \
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e)); \
+  } while (0)
+#define SHA_NI_SCHEDULE(nx, pv, cur)                                   \
+  nx = _mm_sha256msg2_epu32(                                           \
+      _mm_add_epi32(nx, _mm_alignr_epi8(cur, pv, 4)), cur)
+#define SHA_NI_MSG1(pv, cur) pv = _mm_sha256msg1_epu32(pv, cur)
+
+__attribute__((target("sha,sse4.1,ssse3")))
+static void sha256_sha_ni(uint32_t h[8], const unsigned char *p, long n)
+{
+  /* byte-swap each 32-bit word: the message is big-endian */
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128((const __m128i *)h);
+  __m128i hgfe = _mm_loadu_si128((const __m128i *)(h + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  for (long b = 0; b < n; b++, p += 64) {
+    __m128i abef0 = abef, cdgh0 = cdgh;
+    __m128i m0 = _mm_shuffle_epi8(
+        _mm_loadu_si128((const __m128i *)p), bswap);
+    __m128i m1 = _mm_shuffle_epi8(
+        _mm_loadu_si128((const __m128i *)(p + 16)), bswap);
+    __m128i m2 = _mm_shuffle_epi8(
+        _mm_loadu_si128((const __m128i *)(p + 32)), bswap);
+    __m128i m3 = _mm_shuffle_epi8(
+        _mm_loadu_si128((const __m128i *)(p + 48)), bswap);
+    SHA_NI_ROUNDS(0, m0);
+    SHA_NI_ROUNDS(1, m1); SHA_NI_MSG1(m0, m1);
+    SHA_NI_ROUNDS(2, m2); SHA_NI_MSG1(m1, m2);
+    SHA_NI_ROUNDS(3, m3); SHA_NI_SCHEDULE(m0, m2, m3); SHA_NI_MSG1(m2, m3);
+    for (int g = 4; g < 12; g += 4) {
+      SHA_NI_ROUNDS(g, m0); SHA_NI_SCHEDULE(m1, m3, m0); SHA_NI_MSG1(m3, m0);
+      SHA_NI_ROUNDS(g + 1, m1); SHA_NI_SCHEDULE(m2, m0, m1); SHA_NI_MSG1(m0, m1);
+      SHA_NI_ROUNDS(g + 2, m2); SHA_NI_SCHEDULE(m3, m1, m2); SHA_NI_MSG1(m1, m2);
+      SHA_NI_ROUNDS(g + 3, m3); SHA_NI_SCHEDULE(m0, m2, m3); SHA_NI_MSG1(m2, m3);
+    }
+    SHA_NI_ROUNDS(12, m0); SHA_NI_SCHEDULE(m1, m3, m0); SHA_NI_MSG1(m3, m0);
+    SHA_NI_ROUNDS(13, m1); SHA_NI_SCHEDULE(m2, m0, m1);
+    SHA_NI_ROUNDS(14, m2); SHA_NI_SCHEDULE(m3, m1, m2);
+    SHA_NI_ROUNDS(15, m3);
+    abef = _mm_add_epi32(abef, abef0);
+    cdgh = _mm_add_epi32(cdgh, cdgh0);
+  }
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128((__m128i *)h, _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128((__m128i *)(h + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+/* CPUID leaf 7 EBX bit 29 (SHA), leaf 1 ECX bits 9 (SSSE3) and 19
+ * (SSE4.1): every instruction sha256_sha_ni issues. */
+static int cpu_has_sha_ni(void)
+{
+  unsigned int a, b, c, d;
+  if (!__get_cpuid(1, &a, &b, &c, &d)) return 0;
+  if (!(c & (1u << 9)) || !(c & (1u << 19))) return 0;
+  if (!__get_cpuid_count(7, 0, &a, &b, &c, &d)) return 0;
+  return (b & (1u << 29)) != 0;
+}
+#endif
+
+/* Written once, before any OCaml code (and so before any domain)
+ * runs; read-only afterwards. */
+static sha256_compress_fn *sha256_compress = sha256_portable;
+
+#ifdef RESETS_SHA_NI
+__attribute__((constructor))
+static void sha256_select(void)
+{
+  if (cpu_has_sha_ni()) sha256_compress = sha256_sha_ni;
+}
+#endif
+
+/* Run [compress] over the OCaml-side chaining words [vh]. */
+static void sha256_run(sha256_compress_fn *compress, value vh, value vdata,
+                       value voff, value vn)
+{
+  uint32_t h[8];
+  int i;
+  for (i = 0; i < 8; i++) h[i] = (uint32_t)Long_val(Field(vh, i));
+  compress(h, (const unsigned char *)Bytes_val(vdata) + Long_val(voff),
+           Long_val(vn));
+  for (i = 0; i < 8; i++) Field(vh, i) = Val_long((long)h[i]);
+}
+
+/* caml_resets_sha256_blocks h data off nblocks
+ *   h: int array of 8 u32 chaining words, updated in place
+ *   data: message bytes; [nblocks] 64-byte blocks starting at [off]  */
+CAMLprim value caml_resets_sha256_blocks(value vh, value vdata, value voff,
+                                         value vn)
+{
+  sha256_run(sha256_compress, vh, vdata, voff, vn);
   return Val_unit;
+}
+
+/* The portable compressor whatever the CPU offers, so tests can pin
+ * it against the one [caml_resets_sha256_blocks] dispatches to. */
+CAMLprim value caml_resets_sha256_blocks_portable(value vh, value vdata,
+                                                  value voff, value vn)
+{
+  sha256_run(sha256_portable, vh, vdata, voff, vn);
+  return Val_unit;
+}
+
+CAMLprim value caml_resets_sha256_sha_ni(value unit)
+{
+  (void)unit;
+  return Val_bool(sha256_compress != sha256_portable);
 }
 
 /* ---------------- ChaCha20 (RFC 8439) ---------------- */

@@ -25,7 +25,7 @@ type ctx = {
   h : int array; (* 8 chaining values, each a u32 *)
   block : Bytes.t; (* 64-byte staging buffer *)
   mutable block_len : int;
-  mutable total_len : int64; (* bytes absorbed *)
+  mutable total_len : int; (* bytes absorbed; < 2^59, see the .mli *)
   mutable finalized : bool;
   w : int array; (* message schedule scratch *)
 }
@@ -44,7 +44,7 @@ let init () =
     h = Array.copy iv;
     block = Bytes.create block_size;
     block_len = 0;
-    total_len = 0L;
+    total_len = 0;
     finalized = false;
     w = Array.make 64 0;
   }
@@ -52,14 +52,14 @@ let init () =
 let reset ctx =
   Array.blit iv 0 ctx.h 0 8;
   ctx.block_len <- 0;
-  ctx.total_len <- 0L;
+  ctx.total_len <- 0;
   ctx.finalized <- false
 
 (* A resumable chaining state, captured on a block boundary. The HMAC
    layer uses it to precompute the ipad/opad prefixes once per key. *)
 type midstate = {
   ms_h : int array;
-  ms_total : int64;
+  ms_total : int;
 }
 
 let midstate ctx =
@@ -142,7 +142,7 @@ let feed_bytes ctx src ~off ~len =
   if ctx.finalized then invalid_arg "Sha256.feed: context already finalized";
   if off < 0 || len < 0 || off + len > Bytes.length src then
     invalid_arg "Sha256.feed_bytes: out of bounds";
-  ctx.total_len <- Int64.add ctx.total_len (Int64.of_int len);
+  ctx.total_len <- ctx.total_len + len;
   let pos = ref off and remaining = ref len in
   (* Top up a partially filled staging block first. *)
   if ctx.block_len > 0 then begin
@@ -173,12 +173,12 @@ let feed ctx s =
 let feed_sub ctx s ~off ~len =
   feed_bytes ctx (Bytes.unsafe_of_string s) ~off ~len
 
-(* Padding happens in the context's own staging block: no allocation. *)
+(* Padding happens in the context's own staging block, and the length
+   and digest are written a word at a time: no allocation. *)
 let finalize_into ctx dst ~off =
   if ctx.finalized then invalid_arg "Sha256.finalize: context already finalized";
   if off < 0 || off + digest_size > Bytes.length dst then
     invalid_arg "Sha256.finalize_into: out of bounds";
-  let bit_len = Int64.mul ctx.total_len 8L in
   let bl = ctx.block_len in
   Bytes.set ctx.block bl '\x80';
   if bl + 1 + 8 > block_size then begin
@@ -187,20 +187,12 @@ let finalize_into ctx dst ~off =
     Bytes.fill ctx.block 0 (block_size - 8) '\x00'
   end
   else Bytes.fill ctx.block (bl + 1) (block_size - 8 - (bl + 1)) '\x00';
-  for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    Bytes.set ctx.block (block_size - 8 + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bit_len shift) land 0xff))
-  done;
+  Bytes.set_int64_be ctx.block (block_size - 8) (Int64.of_int (ctx.total_len lsl 3));
   compress_blocks ctx ctx.block 0 1;
   ctx.block_len <- 0;
   ctx.finalized <- true;
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set dst (off + (4 * i)) (Char.chr ((v lsr 24) land 0xff));
-    Bytes.set dst (off + (4 * i) + 1) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set dst (off + (4 * i) + 2) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set dst (off + (4 * i) + 3) (Char.chr (v land 0xff))
+    Bytes.set_int32_be dst (off + (4 * i)) (Int32.of_int ctx.h.(i))
   done
 
 let finalize ctx =

@@ -7,7 +7,13 @@
     [reset] (or [restore]) to absorb a new message without
     reallocating. The [midstate] mechanism captures the chaining state
     on a block boundary so a fixed prefix (e.g. an HMAC key pad) is
-    compressed once and resumed per message. *)
+    compressed once and resumed per message.
+
+    One message may be at most 2{^59} − 1 bytes long (FIPS 180-4
+    allows 2{^61}): the context counts absorbed bytes in a native
+    [int] so that feeding allocates nothing, and the message's bit
+    length must fit in OCaml's 63-bit [int]. Longer input gives a
+    wrong digest, not an exception. *)
 
 type ctx
 

@@ -322,9 +322,9 @@ dune exec bench/main.exe -- MICRO --json="$out" >/dev/null
 artifact_pass "$out/BENCH_MICRO.json"
 
 # Budgets: minor-heap words allocated per packet on the codec hot
-# paths, ~1.8x the steady-state numbers committed with the zero-copy
-# refactor (encap 49, decap 60 at 256 B). A regression here means a
-# copy or a boxed intermediate crept back into the per-packet path.
+# paths, ~1.8x the steady-state numbers (encap 43, decap 54 at 256 B).
+# A regression here means a copy or a boxed intermediate crept back
+# into the per-packet path.
 alloc_gate() {
   op=$1; budget=$2
   words=$(awk -v op="micro/$op" '
@@ -339,15 +339,15 @@ alloc_gate() {
   fi
   echo "$op: $words minor words/packet (budget $budget)"
 }
-alloc_gate esp-encap-256B 90
-alloc_gate esp-decap-256B 110
+alloc_gate esp-encap-256B 78
+alloc_gate esp-decap-256B 97
 # The batched wire path's per-frame codec work (syscalls excluded):
 # encap straight into a tx-pool slot, decap straight out of an rx-arena
-# slot. Steady state is 12 / 21 minor words per frame; the budgets are
-# ~2x that. A regression means a string or boxed intermediate crept
+# slot. Steady state is 6 / 15 minor words per frame; the budgets are
+# 2x that. A regression means a string or boxed intermediate crept
 # back into the zero-copy datapath.
-alloc_gate esp-encap-into-256B 25
-alloc_gate esp-decap-slice-256B 45
+alloc_gate esp-encap-into-256B 12
+alloc_gate esp-decap-slice-256B 30
 # The engine tick loop: one timer-wheel event (fire + self-reschedule)
 # allocates ~15 words steady state; anything past 20 means a boxed
 # deadline, a closure, or a list node crept into the per-event path.
@@ -357,10 +357,10 @@ alloc_gate engine-wheel-event 20
 alloc_gate window-admit 1
 # One in-order fresh packet through Receiver.on_packet (no trace, no
 # persistence): decap plus window admit plus the bitmap delivery
-# ledger, 26 words steady state. A per-delivery (epoch, seq) table
-# entry would add 10 (36), per-packet trace formatting about 55, so
+# ledger, 20 words steady state. A per-delivery (epoch, seq) table
+# entry would add 10 (30), per-packet trace formatting about 55, so
 # the budget sits between: either regression fails the gate.
-alloc_gate receiver-on-packet 32
+alloc_gate receiver-on-packet 26
 
 echo "== batched wire sweep gate (MICRO wire table) =="
 # Re-derive the wire sweep verdicts from the JSON: rows at batch 1, 8

@@ -467,6 +467,124 @@ let accel_chacha_differential =
       = with_accel false (fun () ->
             Chacha20.crypt ~key:rfc8439_key ~nonce ~counter s))
 
+(* The C side has two SHA-256 compressors: SHA-NI, chosen by CPUID at
+   load, and the portable one. With [Accel] on, [Sha256] runs the
+   first, so the portable one is pinned here directly: block by block
+   against the dispatched compressor, and on the FIPS vectors through
+   a test-side padding of the message. *)
+
+let c_digest blocks msg =
+  let len = String.length msg in
+  let padded_len = (len + 9 + 63) / 64 * 64 in
+  let buf = Bytes.make padded_len '\x00' in
+  Bytes.blit_string msg 0 buf 0 len;
+  Bytes.set buf len '\x80';
+  Bytes.set_int64_be buf (padded_len - 8) (Int64.of_int (8 * len));
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+       0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  in
+  blocks h buf 0 (padded_len / 64);
+  let out = Bytes.create 32 in
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) h;
+  Hex.encode (Bytes.to_string out)
+
+let test_accel_vectors_each_compressor () =
+  List.iter
+    (fun (name, blocks) ->
+      List.iter
+        (fun (msg, expect) -> check_str (name ^ " sha256 " ^ msg) expect (c_digest blocks msg))
+        sha_vectors)
+    [ ("dispatched", Accel.sha256_blocks); ("portable", Accel.sha256_blocks_portable) ]
+
+let accel_compressors_agree =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (array_repeat 8 (map (fun x -> Int32.to_int x land 0xffffffff) ui32))
+        (int_range 0 15) (int_range 1 8)
+      >>= fun (h, off, n) ->
+      map (fun data -> (h, off, n, data)) (string_size (return (off + (64 * n)))))
+  in
+  QCheck.Test.make ~name:"sha256 blocks: dispatched = portable C (any state)"
+    ~count:300 (QCheck.make gen) (fun (h, off, n, data) ->
+      let data = Bytes.of_string data in
+      let h1 = Array.copy h and h2 = Array.copy h in
+      Accel.sha256_blocks h1 data off n;
+      Accel.sha256_blocks_portable h2 data off n;
+      h1 = h2)
+
+(* Covered lengths whose padding needs one more block than the data
+   (56, 63, 120) next to those that just fit (55, 64, 119). *)
+let spill_lengths = [ 55; 56; 63; 64; 119; 120 ]
+
+let test_accel_hmac_spill_lengths () =
+  let key = "spill-key" in
+  List.iter
+    (fun len ->
+      let msg = String.init len (fun i -> Char.chr ((i * 7) land 0xff)) in
+      let reference = with_accel false (fun () -> Hmac.mac ~key msg) in
+      List.iter
+        (fun on ->
+          with_accel on (fun () ->
+              let name = Printf.sprintf "%s %d B" (Accel.sha256_impl ()) len in
+              check_str (name ^ " tag") (Hex.encode reference) (Hex.encode (Hmac.mac ~key msg));
+              check_bool (name ^ " verifies") true (Hmac.verify ~key ~tag:reference msg);
+              let forged = Bytes.of_string msg in
+              Bytes.set forged (len - 1) (Char.chr (Char.code msg.[len - 1] lxor 1));
+              check_bool (name ^ " rejects a flipped byte") false
+                (Hmac.verify ~key ~tag:reference (Bytes.to_string forged))))
+        [ false; true ])
+    spill_lengths
+
+let test_accel_esp_spill_lengths () =
+  let open Resets_ipsec in
+  let sa = Sa.derive_params ~spi:0x51l ~secret:"spill" () in
+  let header = Esp.overhead ~sa - Sa.icv_length sa.Sa.algo.integ in
+  List.iter
+    (fun covered ->
+      let payload = String.make (covered - header) 'p' in
+      let wire on = with_accel on (fun () -> Esp.encap ~sa ~seq:covered ~payload) in
+      check_str (Printf.sprintf "%d B: same wire bytes on both paths" covered)
+        (Hex.encode (wire false)) (Hex.encode (wire true));
+      List.iter
+        (fun (enc, dec) ->
+          let packet = wire enc in
+          with_accel dec (fun () ->
+              let name = Printf.sprintf "%d B, encap accel=%b, decap accel=%b" covered enc dec in
+              (match Esp.decap_slice ~sa packet with
+              | Ok (seq, s) ->
+                check_bool (name ^ " seq") true (seq = covered);
+                check_str (name ^ " payload") payload (Slice.to_string s)
+              | Error e -> Alcotest.failf "%s: %s" name (Esp.error_to_string e));
+              let tampered = Bytes.of_string packet in
+              Bytes.set tampered (covered - 1) (Char.chr (Char.code packet.[covered - 1] lxor 1));
+              check_bool (name ^ " tampered") true
+                (Esp.decap_slice ~sa (Bytes.to_string tampered) = Error Esp.Bad_icv)))
+        [ (false, false); (false, true); (true, false); (true, true) ])
+    spill_lengths
+
+(* A CPUID probe that silently fell back to the portable compressor
+   would pass every differential; this pins the choice to what the
+   kernel reports. *)
+let test_accel_sha256_impl () =
+  with_accel false (fun () -> check_str "accel off" "ocaml" (Accel.sha256_impl ()));
+  if Accel.available () then
+    with_accel true (fun () ->
+        let impl = Accel.sha256_impl () in
+        check_bool "accel on runs a C compressor" true
+          (impl = "sha-ni" || impl = "portable-c");
+        let sha_ni =
+          Sys.file_exists "/proc/cpuinfo"
+          && In_channel.with_open_text "/proc/cpuinfo" (fun ic ->
+                 List.exists
+                   (fun line ->
+                     String.starts_with ~prefix:"flags" line
+                     && List.mem "sha_ni" (String.split_on_char ' ' line))
+                   (In_channel.input_lines ic))
+        in
+        if sha_ni then check_str "cpuinfo lists sha_ni" "sha-ni" impl)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "crypto"
@@ -530,5 +648,14 @@ let () =
           qt accel_sha_differential;
           qt accel_hmac_differential;
           qt accel_chacha_differential;
+          Alcotest.test_case "vectors on each C compressor" `Quick
+            test_accel_vectors_each_compressor;
+          qt accel_compressors_agree;
+          Alcotest.test_case "hmac at padding spill lengths" `Quick
+            test_accel_hmac_spill_lengths;
+          Alcotest.test_case "esp at padding spill lengths" `Quick
+            test_accel_esp_spill_lengths;
+          Alcotest.test_case "sha256_impl follows cpuinfo" `Quick
+            test_accel_sha256_impl;
         ] );
     ]
