@@ -2044,6 +2044,39 @@ let micro report =
           end;
           Receiver.on_packet rx packets.(!next);
           incr next );
+      (* The explorer's inner loop on a fixed set of 64 reachable
+         states of E11's robust model (random walks of up to 23 steps
+         from its initial state): restore each and list its steps, then
+         per successor restore, execute, snapshot and hash. Every run
+         does the same work, so words per run do not depend on how
+         many runs there were. check.sh gates its allocation: decoding
+         a state once per successor instead of once per state shows. *)
+      ( "apn-expand-state",
+        let open Resets_apn in
+        let sys =
+          Models.augmented_system
+            ~bounds:Models.{ s_max = 3; p_resets = 1; q_resets = 1 }
+            ~capacity:2 ~adversary:true ~robust:true ~kp:1 ~kq:1 ~w:2 ()
+        in
+        let initial = System.snapshot sys in
+        let prng = Prng.create 11 in
+        let states =
+          Array.init 64 (fun _ ->
+              System.restore sys initial;
+              ignore (System.run_random prng ~steps:(Prng.int prng 24) sys);
+              System.snapshot sys)
+        in
+        fun () ->
+          Array.iter
+            (fun snap ->
+              System.restore sys snap;
+              List.iter
+                (fun step ->
+                  System.restore sys snap;
+                  System.execute sys step;
+                  ignore (System.snapshot_hash (System.snapshot sys)))
+                (System.enabled_steps sys))
+            states );
       ( "engine-wheel-event",
         let eng = Engine.create () in
         let gap = us 100 in

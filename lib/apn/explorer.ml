@@ -20,16 +20,25 @@ end)
 
 let explore ?(max_states = 200_000) ~invariant system =
   let initial = System.snapshot system in
-  (* parent pointers for trace reconstruction *)
-  let visited : (System.snapshot option * string) Table.t = Table.create 4096 in
-  Table.replace visited initial (None, "<init>");
+  (* Each state's parent, and the index of the step from the parent in
+     its enabled_steps; the initial state is its own parent, at index
+     -1. Labels are formatted only for a counterexample. *)
+  let visited : (System.snapshot * int) Table.t = Table.create 4096 in
+  Table.add visited initial (initial, -1);
   let frontier = Queue.create () in
   Queue.add initial frontier;
   let states = ref 1 in
-  let rec trace_of snap acc =
-    match Table.find_opt visited snap with
-    | None | Some (None, _) -> acc
-    | Some (Some parent, label) -> trace_of parent (label :: acc)
+  let trace_of snap =
+    let rec path snap acc =
+      match Table.find visited snap with
+      | _, -1 -> acc
+      | parent, index -> path parent ((parent, index) :: acc)
+    in
+    List.map
+      (fun (parent, index) ->
+        System.restore system parent;
+        System.step_label (List.nth (System.enabled_steps system) index))
+      (path snap [])
   in
   let check snap =
     System.restore system snap;
@@ -41,17 +50,17 @@ let explore ?(max_states = 200_000) ~invariant system =
     let snap = Queue.pop frontier in
     System.restore system snap;
     let steps = System.enabled_steps system in
-    List.iter
-      (fun step ->
+    List.iteri
+      (fun index step ->
         if !result = None then begin
           System.restore system snap;
           System.execute system step;
           let next = System.snapshot system in
           if not (Table.mem visited next) then begin
-            Table.replace visited next (Some snap, System.step_label step);
+            Table.add visited next (snap, index);
             incr states;
             if not (invariant system) then
-              result := Some (Violation { states = !states; trace = trace_of next [] })
+              result := Some (Violation { states = !states; trace = trace_of next })
             else if !states >= max_states then result := Some (Limit_reached { states = !states })
             else Queue.add next frontier
           end

@@ -1,4 +1,6 @@
 type channel = {
+  src : string;
+  dst : string;
   mutable queue : Message.t list; (* head = next to deliver *)
   mutable history : Message.t list; (* newest first, distinct *)
 }
@@ -6,24 +8,30 @@ type channel = {
 type t = {
   cap : int;
   record_history : bool;
-  channels : (string * string, channel) Hashtbl.t;
   mutable by_id : channel array; (* first-use order: a channel's index is its id *)
+  mutable pairs : (string * string) list; (* the channels' (src, dst), sorted *)
 }
 
 let create ?(capacity = 1024) ?(record_history = false) () =
   if capacity <= 0 then invalid_arg "Network.create: capacity must be positive";
-  { cap = capacity; record_history; channels = Hashtbl.create 8; by_id = [||] }
+  { cap = capacity; record_history; by_id = [||]; pairs = [] }
 
 let capacity t = t.cap
 
-let channel t ~src ~dst =
-  match Hashtbl.find_opt t.channels (src, dst) with
-  | Some c -> c
-  | None ->
-    let c = { queue = []; history = [] } in
-    Hashtbl.replace t.channels (src, dst) c;
+(* A linear scan: a system has one channel per ordered process pair
+   that ever talked, and every model here has one. *)
+let rec find t src dst i =
+  if i = Array.length t.by_id then begin
+    let c = { src; dst; queue = []; history = [] } in
     t.by_id <- Array.append t.by_id [| c |];
+    t.pairs <- List.merge compare [ (src, dst) ] t.pairs;
     c
+  end
+  else
+    let c = t.by_id.(i) in
+    if String.equal c.src src && String.equal c.dst dst then c else find t src dst (i + 1)
+
+let channel t ~src ~dst = find t src dst 0
 
 let can_send t ~src ~dst = List.length (channel t ~src ~dst).queue < t.cap
 
@@ -63,9 +71,7 @@ let inject t ~src ~dst msg =
     true
   end
 
-let pairs t =
-  Hashtbl.fold (fun pair _c acc -> pair :: acc) t.channels []
-  |> List.sort compare
+let pairs t = t.pairs
 
 let iter_channels t f = Array.iteri (fun id c -> f id ~queue:c.queue ~history:c.history) t.by_id
 

@@ -40,7 +40,7 @@ val inject : t -> src:string -> dst:string -> Message.t -> bool
     channel is full. *)
 
 val pairs : t -> (string * string) list
-(** Ordered pairs that have ever been used. *)
+(** Ordered pairs that have ever been used, sorted. *)
 
 val iter_channels :
   t -> (int -> queue:Message.t list -> history:Message.t list -> unit) -> unit

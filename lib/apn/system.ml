@@ -17,7 +17,15 @@ type t = {
   procs : (Process.t * State.t) array;  (* declaration order, as snapshots pack them *)
   adversary : bool;
   lossy : bool;
-  buf : Buffer.t;  (* snapshots are written here *)
+  mutable out : Bytes.t;  (* snapshots are encoded here, then copied out *)
+  mutable len : int;  (* bytes of [out] written so far *)
+  (* The snapshot that restore last decoded, as values: the explorer
+     restores each state once per successor, and all but the first
+     rebuild the state from this copy instead of decoding again. *)
+  mutable kept : string;  (* "" until the first restore *)
+  mutable kept_vars : Value.t array array;  (* per process, its variables *)
+  mutable kept_channels : (int * Message.t list * Message.t list) list;
+      (* each channel the snapshot holds: id, queue, history *)
 }
 
 let create ?(capacity = 1024) ?(adversary = false) ?(lossy = false) processes =
@@ -32,7 +40,17 @@ let create ?(capacity = 1024) ?(adversary = false) ?(lossy = false) processes =
           invalid_arg ("System.create: duplicate process " ^ p.name)
       done)
     procs;
-  { net; procs; adversary; lossy; buf = Buffer.create 128 }
+  {
+    net;
+    procs;
+    adversary;
+    lossy;
+    out = Bytes.create 128;
+    len = 0;
+    kept = "";
+    kept_vars = [||];
+    kept_channels = [];
+  }
 
 let find t name =
   let rec go i =
@@ -150,56 +168,92 @@ let run_random ?(stop_when = fun _ -> false) prng ~steps t =
    injective: equal strings are equal states. *)
 type snapshot = string
 
-let add_uint buf n =
-  let rec go n =
-    if n >= 0 && n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (n land 0x7f lor 0x80));
-      go (n lsr 7)
-    end
-  in
-  go n
+(* Snapshots are encoded into [t.out], which only grows, so taking
+   one allocates nothing but the string it returns. Each field first
+   makes room for its longest encoding (a varint of an OCaml int takes
+   at most 9 bytes), then writes without bounds checks. *)
+let grow t n =
+  let out = Bytes.create (2 * (t.len + n)) in
+  Bytes.blit t.out 0 out 0 t.len;
+  t.out <- out
 
-let add_int buf i = add_uint buf ((i lsl 1) lxor (i asr (Sys.int_size - 1)))
+let[@inline] room t n = if t.len + n > Bytes.length t.out then grow t n
 
-let add_value buf = function
+(* [n] as a varint at [pos] of [b]; returns the position after it *)
+let rec write_uint b pos n =
+  if n >= 0 && n < 0x80 then begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+    write_uint b (pos + 1) (n lsr 7)
+  end
+
+let zigzag i = (i lsl 1) lxor (i asr (Sys.int_size - 1))
+
+let rec write_ints b pos = function
+  | [] -> pos
+  | i :: rest -> write_ints b (write_uint b pos (zigzag i)) rest
+
+let put_byte t c =
+  room t 1;
+  Bytes.unsafe_set t.out t.len c;
+  t.len <- t.len + 1
+
+let put_uint t n =
+  room t 9;
+  t.len <- write_uint t.out t.len n
+
+let put_value t = function
   | Value.Int i ->
-    Buffer.add_char buf '\000';
-    add_int buf i
-  | Value.Bool b -> Buffer.add_char buf (if b then '\002' else '\001')
+    room t 10;
+    Bytes.unsafe_set t.out t.len '\000';
+    t.len <- write_uint t.out (t.len + 1) (zigzag i)
+  | Value.Bool b -> put_byte t (if b then '\002' else '\001')
   | Value.Bool_array a ->
-    Buffer.add_char buf '\003';
-    add_uint buf (Array.length a);
-    Array.iter (fun b -> Buffer.add_char buf (if b then '\001' else '\000')) a
+    let n = Array.length a in
+    room t (10 + n);
+    Bytes.unsafe_set t.out t.len '\003';
+    let pos = write_uint t.out (t.len + 1) n in
+    for k = 0 to n - 1 do
+      Bytes.unsafe_set t.out (pos + k) (if a.(k) then '\001' else '\000')
+    done;
+    t.len <- pos + n
 
-let add_messages buf msgs =
-  add_uint buf (List.length msgs);
-  List.iter
-    (fun (m : Message.t) ->
-      add_uint buf (String.length m.tag);
-      Buffer.add_string buf m.tag;
-      add_uint buf (List.length m.args);
-      List.iter (add_int buf) m.args)
-    msgs
+let rec put_each_message t = function
+  | [] -> ()
+  | (m : Message.t) :: rest ->
+    let tag = String.length m.tag and args = List.length m.args in
+    room t (9 + tag + (9 * (1 + args)));
+    let pos = write_uint t.out t.len tag in
+    Bytes.blit_string m.tag 0 t.out pos tag;
+    let pos = write_uint t.out (pos + tag) args in
+    t.len <- write_ints t.out pos m.args;
+    put_each_message t rest
+
+let put_messages t msgs =
+  put_uint t (List.length msgs);
+  put_each_message t msgs
 
 let snapshot t =
-  let buf = t.buf in
-  Buffer.clear buf;
-  Array.iter
-    (fun (_, st) ->
-      let slots = State.slots st in
-      for k = 0 to State.length st - 1 do
-        add_value buf slots.(k)
-      done)
-    t.procs;
+  t.len <- 0;
+  for i = 0 to Array.length t.procs - 1 do
+    let st = snd t.procs.(i) in
+    let slots = State.slots st in
+    for k = 0 to State.length st - 1 do
+      put_value t slots.(k)
+    done
+  done;
   Network.iter_channels t.net (fun id ~queue ~history ->
-      if queue <> [] || history <> [] then begin
-        add_uint buf (id + 1);
-        add_messages buf queue;
-        add_messages buf history
-      end);
-  Buffer.add_char buf '\000';
-  Buffer.contents buf
+      match (queue, history) with
+      | [], [] -> ()
+      | _ ->
+        put_uint t (id + 1);
+        put_messages t queue;
+        put_messages t history);
+  put_byte t '\000';
+  Bytes.sub_string t.out 0 t.len
 
 type cursor = {
   s : string;
@@ -211,13 +265,12 @@ let byte c =
   c.pos <- c.pos + 1;
   b
 
-let uint c =
-  let rec go acc shift =
-    let b = byte c in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go acc (shift + 7)
-  in
-  go 0 0
+let rec uint_from c acc shift =
+  let b = byte c in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else uint_from c acc (shift + 7)
+
+let uint c = uint_from c 0 0
 
 let int c =
   let n = uint c in
@@ -229,38 +282,74 @@ let value c =
   | 1 -> Value.Bool false
   | 2 -> Value.Bool true
   | 3 ->
-    let n = uint c in
-    Value.Bool_array (Array.init n (fun _ -> byte c = 1))
+    let a = Array.make (uint c) false in
+    for k = 0 to Array.length a - 1 do
+      a.(k) <- byte c = 1
+    done;
+    Value.Bool_array a
   | _ -> invalid_arg "System.restore: malformed snapshot"
 
-let messages c =
-  List.init (uint c) (fun _ ->
-      let len = uint c in
-      let tag = String.sub c.s c.pos len in
-      c.pos <- c.pos + len;
-      let args = List.init (uint c) (fun _ -> int c) in
-      { Message.tag; args })
+let rec ints c n =
+  if n = 0 then []
+  else
+    let i = int c in
+    i :: ints c (n - 1)
 
-let restore t snap =
+let rec message_list c n =
+  if n = 0 then []
+  else
+    let len = uint c in
+    let tag = String.sub c.s c.pos len in
+    c.pos <- c.pos + len;
+    let m = { Message.tag; args = ints c (uint c) } in
+    m :: message_list c (n - 1)
+
+let messages c = message_list c (uint c)
+
+let rec channels c acc =
+  match uint c with
+  | 0 -> acc
+  | id ->
+    let queue = messages c in
+    let history = messages c in
+    channels c ((id - 1, queue, history) :: acc)
+
+let decode t snap =
+  t.kept <- "";
+  if Array.length t.kept_vars = 0 then
+    t.kept_vars <- Array.map (fun (_, st) -> Array.make (State.length st) (Value.Int 0)) t.procs;
   let c = { s = snap; pos = 0 } in
   Array.iter
-    (fun (_, st) ->
-      let slots = State.slots st in
-      for k = 0 to State.length st - 1 do
-        slots.(k) <- value c
+    (fun vars ->
+      for k = 0 to Array.length vars - 1 do
+        vars.(k) <- value c
       done)
-    t.procs;
+    t.kept_vars;
+  t.kept_channels <- channels c [];
+  t.kept <- snap
+
+let rec set_channels net = function
+  | [] -> ()
+  | (id, queue, history) :: rest ->
+    Network.set_channel net id ~queue ~history;
+    set_channels net rest
+
+(* Ints, bools and message lists are immutable, so the live state may
+   share them with the kept copy; each bool array is copied. A slot
+   that still holds the kept value is left alone, which skips the
+   write barrier for every variable the last step did not assign. *)
+let restore t snap =
+  if snap != t.kept then decode t snap;
+  for i = 0 to Array.length t.procs - 1 do
+    let slots = State.slots (snd t.procs.(i)) and vars = t.kept_vars.(i) in
+    for k = 0 to Array.length vars - 1 do
+      match vars.(k) with
+      | Value.Bool_array a -> slots.(k) <- Value.Bool_array (Array.copy a)
+      | (Value.Int _ | Value.Bool _) as v -> if slots.(k) != v then slots.(k) <- v
+    done
+  done;
   Network.clear t.net;
-  let rec channels () =
-    match uint c with
-    | 0 -> ()
-    | id ->
-      let queue = messages c in
-      let history = messages c in
-      Network.set_channel t.net (id - 1) ~queue ~history;
-      channels ()
-  in
-  channels ()
+  set_channels t.net t.kept_channels
 
 let snapshot_equal = String.equal
 

@@ -74,7 +74,11 @@ val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** Overwrite every process variable and channel of the system with
     the snapshot's; arrays are freshly allocated, so nothing is shared
-    with an earlier state. The snapshot must come from this system. *)
+    with an earlier state. The snapshot must come from this system.
+    The system keeps a decoded copy of the last snapshot it decoded:
+    restoring that same value again (physically, as the explorer does
+    once per successor) rebuilds the state from the copy instead of
+    decoding. *)
 
 val snapshot_equal : snapshot -> snapshot -> bool
 (** String equality. *)

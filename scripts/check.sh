@@ -361,6 +361,12 @@ alloc_gate window-admit 1
 # entry would add 10 (30), per-packet trace formatting about 55, so
 # the budget sits between: either regression fails the gate.
 alloc_gate receiver-on-packet 26
+# The explorer's inner loop over 64 fixed states of E11's robust model
+# (restore, list steps, then per successor restore, execute, snapshot,
+# hash): 22,412 words per run steady state. Decoding the state again
+# before every successor, instead of rebuilding it from the copy that
+# System.restore keeps, makes it 37,255.
+alloc_gate apn-expand-state 33000
 
 echo "== batched wire sweep gate (MICRO wire table) =="
 # Re-derive the wire sweep verdicts from the JSON: rows at batch 1, 8

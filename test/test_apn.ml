@@ -304,7 +304,8 @@ let test_explorer_immediate_violation () =
 (* E11's eight rows (bench/main.ml), built as E11 builds them, with
    their verdicts and exact state counts: a snapshot encoding that
    merged or split states would change a count even where the verdict
-   survives. *)
+   survives. Each violating row also pins its shortest trace, which the
+   explorer rebuilds from parent pointers and step indices. *)
 let e11_rows =
   let b ~p ~q = Models.{ s_max = 3; p_resets = p; q_resets = q } in
   let augmented ?robust ?(adversary = true) ?(capacity = 2) ~p ~q () =
@@ -318,28 +319,40 @@ let e11_rows =
   in
   let s5 = Models.all_section5_invariants and fresh = Models.sender_freshness_holds in
   [
-    ( "original, q resets, adversary",
-      (fun () ->
-        Models.original_system ~bounds:(b ~p:0 ~q:1) ~capacity:2 ~adversary:true ~w:2 ()),
-      Models.discrimination_holds, true, 49 );
-    ("augmented, p resets, adversary", (fun () -> augmented ~p:1 ~q:0 ()), s5, false, 1120);
-    ( "augmented, q resets, no adversary",
-      (fun () -> augmented ~adversary:false ~capacity:6 ~p:0 ~q:2 ()),
-      s5, false, 474 );
-    ("augmented, both reset, adversary", (fun () -> augmented ~p:1 ~q:1 ()), s5, true, 1318);
-    ( "robust receiver, both reset, adversary",
-      (fun () -> augmented ~robust:true ~p:1 ~q:1 ()),
-      s5, false, 5694 );
-    ("sender leap = 2K (the paper's)", leap None, fresh, false, 647);
-    ("sender leap = K (ablation)", leap (Some 2), fresh, true, 65);
-    ("sender leap = 0 (ablation)", leap (Some 0), fresh, true, 25);
+    ( ( "original, q resets, adversary",
+        (fun () ->
+          Models.original_system ~bounds:(b ~p:0 ~q:1) ~capacity:2 ~adversary:true ~w:2 ()),
+        Models.discrimination_holds, true, 49 ),
+      Some [ "p.send"; "q.rcv"; "q.reset"; "replay(p->q, msg(1))"; "q.rcv" ] );
+    (("augmented, p resets, adversary", (fun () -> augmented ~p:1 ~q:0 ()), s5, false, 1120), None);
+    ( ( "augmented, q resets, no adversary",
+        (fun () -> augmented ~adversary:false ~capacity:6 ~p:0 ~q:2 ()),
+        s5, false, 474 ),
+      None );
+    ( ("augmented, both reset, adversary", (fun () -> augmented ~p:1 ~q:1 ()), s5, true, 1318),
+      Some
+        [
+          "p.reset"; "p.wakeup_begin"; "p.wakeup_done"; "p.send"; "q.rcv"; "q.reset";
+          "q.wakeup_begin"; "q.wakeup_done";
+        ] );
+    ( ( "robust receiver, both reset, adversary",
+        (fun () -> augmented ~robust:true ~p:1 ~q:1 ()),
+        s5, false, 5694 ),
+      None );
+    (("sender leap = 2K (the paper's)", leap None, fresh, false, 647), None);
+    ( ("sender leap = K (ablation)", leap (Some 2), fresh, true, 65),
+      Some [ "p.send"; "p.send"; "p.send"; "p.reset"; "p.wakeup_begin"; "p.wakeup_done" ] );
+    ( ("sender leap = 0 (ablation)", leap (Some 0), fresh, true, 25),
+      Some [ "p.send"; "p.reset"; "p.wakeup_begin"; "p.wakeup_done" ] );
   ]
 
 (* Rows that are not part of E11. Theorem (ii) under loss: a channel of
    capacity 2 overflows, so one q reset with no adversary breaks the
-   paper's receiver, and the robust receiver holds. And a leap of
-   2K - 1, which holds at E11's leap bounds: the leap rows show that 2K
-   holds, not that it is tight. *)
+   paper's receiver, and the robust receiver holds. A leap of 2K - 1,
+   which holds at E11's leap bounds: the leap rows show that 2K holds,
+   not that it is tight. And a deeper robust space than E11's, with
+   the adversary and lossy channels both on, so that Replay and Drop
+   steps run over longer histories. *)
 let beyond_e11_rows =
   let loss robust () =
     Models.augmented_system
@@ -362,9 +375,16 @@ let beyond_e11_rows =
             ~capacity:2 ~leap_p:3 ~kp:2 ~kq:2 ~w:2 ()),
         Models.sender_freshness_holds, false, 718 ),
       None );
+    ( ( "not E11: robust, adversary and lossy, s_max 4",
+        (fun () ->
+          Models.augmented_system
+            ~bounds:Models.{ s_max = 4; p_resets = 1; q_resets = 1 }
+            ~capacity:2 ~adversary:true ~lossy:true ~robust:true ~kp:1 ~kq:1 ~w:2 ()),
+        s5, false, 70_734 ),
+      None );
   ]
 
-let pin (name, build, invariant, violated, states) =
+let pin ((name, build, invariant, violated, states), trace) =
   let outcome = explore ~max_states:600_000 (build ()) invariant in
   let got_violated, got_states =
     match outcome with
@@ -374,17 +394,12 @@ let pin (name, build, invariant, violated, states) =
   in
   check_bool (name ^ ": violated") violated got_violated;
   check_int (name ^ ": states") states got_states;
-  outcome
+  match (outcome, trace) with
+  | Explorer.Violation { trace = got; _ }, Some trace ->
+    Alcotest.(check (list string)) (name ^ ": shortest trace") trace got
+  | _ -> ()
 
-let test_e11_state_space_pinned () =
-  List.iter (fun row -> ignore (pin row)) e11_rows;
-  List.iter
-    (fun (((name, _, _, _, _) as row), trace) ->
-      match (pin row, trace) with
-      | Explorer.Violation { trace = got; _ }, Some trace ->
-        Alcotest.(check (list string)) (name ^ ": shortest trace") trace got
-      | _ -> ())
-    beyond_e11_rows
+let test_e11_state_space_pinned () = List.iter pin (e11_rows @ beyond_e11_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot properties over random walks with the adversary on. *)
@@ -426,6 +441,126 @@ let snapshot_restore_property =
                  || System.snapshot_hash a = System.snapshot_hash b)
                taken)
            taken)
+
+(* Restoring one snapshot over and over, as the explorer does once per
+   successor: the first restore decodes it, the later ones rebuild the
+   state from a kept copy. The rebuild must undo whatever a step did
+   since, and must share nothing mutable with the state it builds. *)
+
+let find_step sys label =
+  List.find (fun s -> String.equal (System.step_label s) label) (System.enabled_steps sys)
+
+let test_restore_undoes_each_initial_step () =
+  let sys = walk_system ~model:2 ~lossy:true in
+  let initial = System.snapshot sys in
+  System.restore sys initial;
+  (* the first enabled_steps creates the p->q channel (q's receive
+     guard peeks at it), after the decode; p.send then fills it *)
+  let steps = System.enabled_steps sys in
+  check_bool "p.send enabled" true
+    (List.exists (fun s -> String.equal (System.step_label s) "p.send") steps);
+  List.iter
+    (fun step ->
+      let label = System.step_label step in
+      System.restore sys initial;
+      System.execute sys step;
+      System.restore sys initial;
+      check_bool (label ^ ": undone") true (System.snapshot_equal initial (System.snapshot sys));
+      check_int (label ^ ": p->q queue") 0
+        (Network.queue_length (System.network sys) ~src:"p" ~dst:"q");
+      check_int (label ^ ": p->q history") 0
+        (List.length (Network.history (System.network sys) ~src:"p" ~dst:"q")))
+    steps
+
+let test_restore_undoes_array_flips () =
+  let sys = walk_system ~model:2 ~lossy:true in
+  System.execute sys (find_step sys "p.send");
+  let parent = System.snapshot sys in
+  System.restore sys parent;
+  let q = System.state_of sys "q" in
+  let arrays () =
+    (Array.copy (State.get_bool_array q "wdw"), Array.copy (State.get_bool_array q "dlv"))
+  in
+  let before = arrays () in
+  for round = 1 to 3 do
+    let name what = Printf.sprintf "round %d: %s" round what in
+    System.execute sys (find_step sys "q.rcv");
+    check_bool (name "q.rcv flips an element") false (arrays () = before);
+    System.restore sys parent;
+    check_bool (name "snapshot restored") true
+      (System.snapshot_equal parent (System.snapshot sys));
+    check_bool (name "arrays restored") true (arrays () = before)
+  done
+
+let test_restore_shares_no_array () =
+  let sys = walk_system ~model:2 ~lossy:true in
+  System.execute sys (find_step sys "p.send");
+  System.execute sys (find_step sys "q.rcv");
+  let snap = System.snapshot sys in
+  let q = System.state_of sys "q" in
+  let dlv = Array.copy (State.get_bool_array q "dlv") in
+  (* the first restore decodes, the second and third rebuild *)
+  for round = 1 to 3 do
+    let name what = Printf.sprintf "round %d: %s" round what in
+    System.restore sys snap;
+    let live = State.get_bool_array q "dlv" in
+    Alcotest.(check (array bool)) (name "restored") dlv live;
+    Array.iteri (fun i b -> live.(i) <- not b) live;
+    check_bool (name "the mutation is live") false
+      (System.snapshot_equal snap (System.snapshot sys))
+  done;
+  System.restore sys snap;
+  check_bool "kept copy untouched" true (System.snapshot_equal snap (System.snapshot sys));
+  Alcotest.(check (array bool)) "dlv" dlv (State.get_bool_array q "dlv")
+
+let test_snapshot_outgrows_its_buffer () =
+  (* 50 messages queued and 50 in the history: a snapshot several
+     times the size of the buffer a system starts encoding into *)
+  let bounds = Models.{ s_max = 60; p_resets = 0; q_resets = 0 } in
+  let sys = Models.original_system ~bounds ~capacity:60 ~adversary:true ~w:2 () in
+  let initial = System.snapshot sys in
+  for _ = 1 to 50 do
+    System.execute sys (find_step sys "p.send")
+  done;
+  let full = System.snapshot sys in
+  System.restore sys initial;
+  System.restore sys full;
+  check_bool "round trip" true (System.snapshot_equal full (System.snapshot sys));
+  let net = System.network sys in
+  check_int "queue" 50 (Network.queue_length net ~src:"p" ~dst:"q");
+  Alcotest.(check (list int))
+    "history" (List.init 50 (fun i -> i + 1))
+    (List.map (fun (m : Message.t) -> List.hd m.args) (Network.history net ~src:"p" ~dst:"q"))
+
+let kept_copy_property =
+  QCheck.Test.make ~name:"snapshot: restores of one snapshot interleaved with others"
+    ~count:40
+    QCheck.(triple (int_range 0 2) bool (int_range 0 10_000))
+    (fun (model, lossy, seed) ->
+      let sys = walk_system ~model ~lossy in
+      let prng = Resets_util.Prng.create seed in
+      let taken =
+        Array.init 60 (fun _ ->
+            let seen = (System.snapshot sys, labels sys) in
+            ignore (System.step_random prng sys);
+            seen)
+      in
+      let fixed = taken.(Resets_util.Prng.int prng (Array.length taken)) in
+      (* half the restores are of [fixed], so its kept copy is rebuilt
+         from, then replaced by another decode, then decoded again; a
+         random step after each gives the next restore something to
+         undo *)
+      let ok = ref true in
+      for _ = 1 to 300 do
+        let snap, seen =
+          if Resets_util.Prng.bool prng then fixed
+          else taken.(Resets_util.Prng.int prng (Array.length taken))
+        in
+        System.restore sys snap;
+        ok := !ok && System.snapshot_equal snap (System.snapshot sys) && labels sys = seen;
+        ignore (System.step_random prng sys)
+      done;
+      !ok)
 
 module Snapshots = Hashtbl.Make (struct
   type t = System.snapshot
@@ -508,6 +643,13 @@ let () =
           Alcotest.test_case "deterministic runs" `Quick test_system_random_run_deterministic;
           Alcotest.test_case "out-of-range builders rejected" `Quick
             test_builders_reject_out_of_range;
+          Alcotest.test_case "restore undoes each initial step" `Quick
+            test_restore_undoes_each_initial_step;
+          Alcotest.test_case "restore undoes array flips" `Quick
+            test_restore_undoes_array_flips;
+          Alcotest.test_case "restore shares no array" `Quick test_restore_shares_no_array;
+          Alcotest.test_case "snapshot outgrows its buffer" `Quick
+            test_snapshot_outgrows_its_buffer;
         ] );
       ( "model-check (Section 5)",
         [
@@ -535,6 +677,7 @@ let () =
         ] );
       ( "random",
         [
-          qt random_soundness; qt snapshot_restore_property; qt snapshot_hash_spread_property;
+          qt random_soundness; qt snapshot_restore_property; qt kept_copy_property;
+          qt snapshot_hash_spread_property;
         ] );
     ]
