@@ -90,9 +90,6 @@ val sender_freshness_holds : System.t -> bool
 (** p has never resumed, after a wakeup, at a sequence number already
     used. Vacuously true for systems without an augmented p. *)
 
-val receiver_freshness_holds : System.t -> bool
-(** q has never resumed with a right edge below a delivered number. *)
-
 val all_section5_invariants : System.t -> bool
 
 (** {1 Ready-made systems} *)

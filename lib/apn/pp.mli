@@ -20,6 +20,5 @@ end
 
 val pp_expr : Format.formatter -> Ast.expr -> unit
 val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_process : Format.formatter -> Ast.process -> unit
 
 val process_to_string : Ast.process -> string

@@ -151,7 +151,9 @@ let scenario_of config sched =
        behind. Weak: leap K and no bounded-slide guard (the guard
        exists precisely to make small leaps safe) — the unsound wakeup
        the explorer must catch. *)
-    if config.weak_leap then Protocol.save_fetch ~kp:25 ~kq:25 ~leap_q:25 ()
+    if config.weak_leap then
+      Protocol.save_fetch ~kp:25 ~kq:25
+        ~policy_q:(K_policy.static ~leap:25 25) ()
     else Protocol.save_fetch ~robust_receiver:true ~kp:25 ~kq:25 ()
   in
   {

@@ -1,10 +1,7 @@
 open Resets_sim
 
-let max_sender_gap ~kp = 2 * kp
 let max_lost_seqnos ~kp = 2 * kp
-let max_receiver_gap ~kq = 2 * kq
 let max_fresh_discards ~kq = 2 * kq
-let leap ~k = 2 * k
 
 let k_min ~save_latency ~message_gap =
   let t = Int64.to_float (Time.to_ns save_latency) in

@@ -3,23 +3,13 @@
 
 (** {1 Section 5 bounds} *)
 
-val max_sender_gap : kp:int -> int
-(** Figure 1: the gap between the sequence number in use at a sender
-    reset and the fetched value is at most [2 * kp]. *)
-
 val max_lost_seqnos : kp:int -> int
 (** Theorem (i): at most [2 * kp] sequence numbers become unusable per
     sender reset. *)
 
-val max_receiver_gap : kq:int -> int
-(** Figure 2: same bound at the receiver. *)
-
 val max_fresh_discards : kq:int -> int
 (** Theorem (ii): at most [2 * kq] fresh messages are discarded per
     receiver reset (no message loss assumed). *)
-
-val leap : k:int -> int
-(** The wakeup leap, [2 * k]. *)
 
 (** {1 Section 4's SAVE-interval rule} *)
 

@@ -29,8 +29,8 @@ let check ~(scenario : Harness.scenario) (result : Harness.result) =
     | Protocol.Save_fetch { sender; receiver; _ } ->
       (* For adaptive policies the worst-case K is the ceiling — the
          bound the online controller can never exceed. *)
-      let kp = K_policy.bound_of_mode (Protocol.policy_of sender) in
-      let kq = K_policy.bound_of_mode (Protocol.policy_of receiver) in
+      let kp = K_policy.bound_of_mode sender.Protocol.policy in
+      let kq = K_policy.bound_of_mode receiver.Protocol.policy in
       ( Some (p_resets * Analysis.max_lost_seqnos ~kp),
         Some (q_resets * Analysis.max_fresh_discards ~kq) )
     | Protocol.Volatile | Protocol.Reestablish _ -> (None, None)

@@ -114,7 +114,10 @@ let stealth_plan scenario =
   let k, save_latency =
     match scenario.protocol with
     | Protocol.Save_fetch { sender; _ } ->
-      (sender.Protocol.k, sender.Protocol.save_latency)
+      ( (match sender.Protocol.policy with
+        | K_policy.Static { k; _ } -> k
+        | K_policy.Adaptive { initial_k; _ } -> initial_k),
+        sender.Protocol.save_latency )
     | Protocol.Volatile | Protocol.Reestablish _ ->
       (25, Protocol.default_save_latency)
   in
@@ -173,8 +176,8 @@ let run scenario =
         Sim_disk.create ?trace ~name:"disk.q" ~latency:receiver.Protocol.save_latency
           engine
       in
-      let policy_p = K_policy.make (Protocol.policy_of sender) in
-      let policy_q = K_policy.make (Protocol.policy_of receiver) in
+      let policy_p = K_policy.make sender.Protocol.policy in
+      let policy_q = K_policy.make receiver.Protocol.policy in
       (* The SAVE-latency observation seam. Installed only for adaptive
          policies: a static run carries no observer at all, keeping it
          bit-for-bit the pre-policy-layer run. The observer is a pure

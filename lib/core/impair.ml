@@ -109,7 +109,6 @@ type t = {
   mutable queue : held list; (* frames held back, oldest first *)
   mutable offered : int;
   mutable dropped : int;
-  mutable dropped_burst : int;
   mutable duplicated : int;
   mutable reordered : int;
   mutable delayed : int;
@@ -123,7 +122,6 @@ let create ~spec ~prng =
     queue = [];
     offered = 0;
     dropped = 0;
-    dropped_burst = 0;
     duplicated = 0;
     reordered = 0;
     delayed = 0;
@@ -131,7 +129,6 @@ let create ~spec ~prng =
 
 let offered t = t.offered
 let dropped t = t.dropped
-let dropped_burst t = t.dropped_burst
 let duplicated t = t.duplicated
 let reordered t = t.reordered
 let delayed t = t.delayed
@@ -154,10 +151,7 @@ let roll t =
     | Some g when t.ge_bad -> Prng.bernoulli t.prng g.bad_drop_prob
     | _ -> false
   in
-  if burst_drop then begin
-    t.dropped_burst <- t.dropped_burst + 1;
-    `Drop
-  end
+  if burst_drop then `Drop
   else if Prng.bernoulli t.prng t.spec.drop_prob then begin
     t.dropped <- t.dropped + 1;
     `Drop

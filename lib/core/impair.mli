@@ -73,10 +73,6 @@ val wrap : t -> (Packet.t -> unit) -> Packet.t -> unit
 val offered : t -> int
 val dropped : t -> int
 
-val dropped_burst : t -> int
-(** Drops taken in the Gilbert–Elliott bad state (not included in
-    {!dropped}). *)
-
 val duplicated : t -> int
 val reordered : t -> int
 val delayed : t -> int

@@ -66,10 +66,6 @@ val attach :
     attach time, so attach before the run starts. At most 1000
     violations are recorded. *)
 
-val check_now : t -> unit
-(** Run the per-delivery checks on demand (the deliver hook calls this
-    automatically). *)
-
 val finish : ?expect_up:bool -> t -> violation list
 (** Run the end-of-run checks (["skip-bound"], and ["wedged"] iff
     [expect_up]) and return all recorded violations in detection

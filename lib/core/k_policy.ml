@@ -14,9 +14,15 @@ type mode =
   | Static of { k : int; leap : int }
   | Adaptive of adaptive_config
 
+(* The wakeup leap for a SAVE interval of [k] (Section 4): the durable
+   value lags the next number to send by less than 2K, one SAVE interval
+   plus the one a SAVE in flight at the reset covers. Every default leap
+   — static, adaptive and the adaptive run's worst case — is this. *)
+let leap_of_k k = 2 * k
+
 let static ?leap k =
   if k <= 0 then invalid_arg "K_policy.static: k must be positive";
-  Static { k; leap = (match leap with Some l -> l | None -> 2 * k) }
+  Static { k; leap = (match leap with Some l -> l | None -> leap_of_k k) }
 
 let adaptive ?(floor = 1) ?(ceiling = 4096) ?(alpha = 0.2)
     ?(deviation_gain = 2.0) ?(headroom = 1.2) ?(hysteresis = 0.25) ~initial_k
@@ -84,9 +90,11 @@ let is_adaptive = function S _ -> false | A _ -> true
 
 let current = function S { k; _ } -> k | A s -> s.k
 
-let leap = function S { leap; _ } -> leap | A s -> 2 * s.high_water
+let leap = function S { leap; _ } -> leap | A s -> leap_of_k s.high_water
 
-let max_leap = function S { leap; _ } -> leap | A s -> 2 * s.cfg.ceiling
+let max_leap = function
+  | S { leap; _ } -> leap
+  | A s -> leap_of_k s.cfg.ceiling
 
 let latency_estimate_ns s =
   s.lat_ewma +. (s.cfg.deviation_gain *. s.lat_dev)

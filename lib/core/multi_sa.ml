@@ -110,18 +110,326 @@ let window_width = 64
    thousands of links hold a million packets). *)
 let tap_capacity = 4096
 
+(* ------------------------------------------------------------------ *)
+(* The receiver host of one shard: its SAs share its clock and its one
+   disk. It implements the three recovery disciplines:
+
+   - [`Save_fetch_per_sa]: the paper, verbatim per SA. Each receiver
+     persists under [sa_key g] itself, and recovery is FETCH + leap +
+     blocking SAVE, serialized on the single disk: O(n).
+   - [`Save_fetch_coalesced]: our extension. The receivers carry no
+     persistence; one snapshot write per fixed flush period covers
+     every SA's edge, and recovery leaps every durable edge and makes
+     them all durable in one snapshot write: O(1) in the SA count.
+   - [`Reestablish]: the IETF default the paper argues against:
+     renegotiate every SA with IKE-lite, serially.
+
+   A logical host of [n] SAs may be split across D shards without
+   changing any SA's outcome. Every per-SA schedule (recovery stagger,
+   SPI, disk key) is computed from the SA's global index
+   [g = first_sa + i], and nothing an SA does depends on which other
+   SAs share its shard: serialized recovery is a closed-form stagger
+   rather than a chain, and the coalesced flush runs on a fixed
+   absolute schedule and writes each SA's own edge. *)
+
+(* Disk key of SA [g]'s receiver edge, [g] the global index: the
+   per-SA receivers' SAVEs and the coalesced snapshots share it. *)
+let sa_key g = Printf.sprintf "sa-%d" g
+
+(* How many times a failed recovery SAVE or an unreadable durable edge
+   is tried (with capped exponential backoff) before the SA stops
+   trusting the store and degrades to IKE re-establishment. *)
+let retries = 3
+
+(* Re-established SA [g] takes SPI 0x6000 + g, clear of the 0x4000 + g
+   it was established with. *)
+let spi_base = 0x6000l
+
+type host = {
+  config : config;
+  engine : Engine.t;
+  disk : Sim_disk.t;
+  discipline : discipline;
+  endpoints : Endpoint.t array;
+  first_sa : int; (* global index of SA 0 on this shard *)
+  arena : Sadb_flat.t;
+  ike_prngs : Prng.t array; (* one generator per SA *)
+  keys : string array;
+  lst : int array; (* per-SA edge as of the last begun coalesced flush *)
+  mutable handshakes : int; (* wire messages spent renegotiating *)
+  mutable down : bool;
+  mutable recovering : bool;
+      (* a coalesced recovery snapshot is in flight: the periodic flush
+         must hold off or it would supersede that snapshot (same keys)
+         and silently drop recovery's completion *)
+}
+
+let receiver_i h i = Endpoint.receiver h.endpoints.(i)
+
+(* Coalesced periodic persistence, sharding-safe form: ONE snapshot
+   write per fixed flush period covers every SA's current edge. The
+   flush schedule is absolute time [P, 2P, 3P, ...], a constant of the
+   simulation rather than a function of traffic, and each SA's value in
+   the snapshot is its own edge. So what is durable for SA [i] at any
+   instant (in particular at a crash) depends only on [i]'s own packet
+   stream and the global clock, never on which other SAs share the
+   shard. A flush with no advanced edge is skipped: the write would
+   change no durable value. *)
+let maybe_flush h =
+  if (not h.down) && not h.recovering then begin
+    let advanced = ref false in
+    let edges =
+      Array.init (Array.length h.endpoints) (fun i ->
+          let r = Receiver.right_edge (receiver_i h i) in
+          if r > h.lst.(i) then advanced := true;
+          r)
+    in
+    if !advanced then begin
+      let prev = Array.copy h.lst in
+      Array.iteri (fun i r -> h.lst.(i) <- r) edges;
+      Sim_disk.save_snapshot h.disk
+        ~entries:(Array.mapi (fun i r -> (h.keys.(i), r)) edges)
+        ~on_error:(fun () ->
+          (* Nothing (or only a torn prefix) became durable: roll the
+             thresholds back so the next flush period retries. *)
+          Array.iteri
+            (fun i r -> if h.lst.(i) = edges.(i) then h.lst.(i) <- r)
+            prev)
+        ~on_complete:(fun () -> ())
+    end
+  end
+
+(* One IKE-lite handshake for SA [i], keyed by global index: fresh
+   parameters installed on both ends when it completes. Shared by the
+   Reestablish discipline and by degraded recovery. *)
+let establish_sa h ~cost i ~on_done =
+  let g = h.first_sa + i in
+  h.handshakes <- h.handshakes + Ike.message_count;
+  let spi = Int32.add spi_base (Int32.of_int g) in
+  Ike.establish ~window_width ~arena:h.arena h.engine ~cost
+    ~prng:h.ike_prngs.(i) ~spi ~on_complete:(fun params ->
+      let ep = h.endpoints.(i) in
+      Sender.install_sa (Endpoint.sender ep) (Sa.create params);
+      Receiver.install_sa (Endpoint.receiver ep) (Sa.create params);
+      on_done ())
+
+(* Degraded recovery of one per-SA receiver: its durable record
+   exhausted the retry budget, so stop trusting the store and
+   renegotiate: fresh keys, fresh sequence space, window at edge 0. *)
+let degrade_sa h i =
+  establish_sa h ~cost:Ike.default_cost i ~on_done:(fun () ->
+      let ep = h.endpoints.(i) in
+      if Receiver.is_down (Endpoint.receiver ep) then
+        Receiver.resume_at (Endpoint.receiver ep) ~edge:0
+      else Receiver.resync_store (Endpoint.receiver ep);
+      if Sender.is_down (Endpoint.sender ep) then
+        Sender.resume_fresh (Endpoint.sender ep)
+      else Sender.resync_store (Endpoint.sender ep))
+
+(* Wire the host to its endpoints. Coalesced: preload every SA's
+   established edge and start the periodic flush, one snapshot per
+   [message_gap * k]. Per-SA: a receiver that exhausts its retry budget
+   against a faulty store degrades to re-establishment rather than
+   wedging its SA (the receiver bumps [Metrics.degraded_reestablish]
+   itself). *)
+let create_host config ~engine ~disk ~discipline ~first_sa ~arena ~ike_prngs
+    endpoints =
+  let n = Array.length endpoints in
+  let h =
+    {
+      config;
+      engine;
+      disk;
+      discipline;
+      endpoints;
+      first_sa;
+      arena;
+      ike_prngs;
+      keys = Array.init n (fun i -> sa_key (first_sa + i));
+      lst = Array.make n 0;
+      handshakes = 0;
+      down = false;
+      recovering = false;
+    }
+  in
+  (match discipline with
+  | `Save_fetch_coalesced ->
+    Array.iteri
+      (fun i ep ->
+        Sim_disk.preload disk ~key:h.keys.(i)
+          ~value:(Receiver.right_edge (Endpoint.receiver ep)))
+      endpoints;
+    let period = Time.mul config.message_gap config.k in
+    if Time.(period <= Time.zero) then
+      invalid_arg "Multi_sa.run: flush period (message_gap * k) must be positive";
+    let rec tick () =
+      maybe_flush h;
+      ignore (Engine.schedule_after engine ~after:period tick)
+    in
+    ignore (Engine.schedule_after engine ~after:period tick)
+  | `Save_fetch_per_sa ->
+    Array.iteri
+      (fun i ep ->
+        Receiver.set_degrade_handler (Endpoint.receiver ep) (fun () ->
+            degrade_sa h i))
+      endpoints
+  | `Reestablish -> ());
+  h
+
+(* Crash the host: every receiver goes down together, and the one disk
+   loses every in-flight write, whatever keys it covered. A crash also
+   kills an in-flight recovery snapshot, whose completion will never
+   fire. *)
+let reset h =
+  if not h.down then begin
+    h.down <- true;
+    h.recovering <- false;
+    Sim_disk.crash h.disk;
+    Array.iter (fun ep -> Receiver.reset (Endpoint.receiver ep)) h.endpoints
+  end
+
+(* Verified read of SA [i]'s durable record with bounded immediate
+   re-reads (the faults are transient: a re-read may serve the good
+   copy). [None] after the budget: the caller degrades the SA. *)
+let checked_durable_edge h i =
+  let metrics = Endpoint.metrics h.endpoints.(i) in
+  let rec go n =
+    match Sim_disk.fetch_checked h.disk ~key:h.keys.(i) with
+    | Sim_disk.Fetched v -> Some v
+    | Sim_disk.Fetch_missing -> Some 0
+    | Sim_disk.Fetch_corrupt | Sim_disk.Fetch_stale _ ->
+      metrics.Metrics.fetch_failures <- metrics.Metrics.fetch_failures + 1;
+      if n + 1 >= retries then None
+      else begin
+        metrics.Metrics.save_retries <- metrics.Metrics.save_retries + 1;
+        go (n + 1)
+      end
+  in
+  go 0
+
+(* Recovery schedules are keyed by GLOBAL SA index: SA [g] begins its
+   step at [recover_time + g * step], where [step] is the discipline's
+   fixed per-SA cost. On one shard this reproduces the sequential
+   "recover SA 0, then SA 1, ..." chain exactly (the single disk
+   serializes the writes, so recovery time grows linearly with the SA
+   count, which is what E7 and E14 measure); on a sharded host each
+   shard schedules only its own SAs, at the very same absolute times
+   the unsharded chain would have reached them. That closed form is
+   what gives the parallel run a sequential oracle. It needs a
+   deterministic per-SA step, hence an un-jittered disk (per-SA) and
+   the fixed IKE handshake duration (Reestablish). [on_complete] fires
+   when every SA is processing again. *)
+let recover h ~on_complete =
+  h.down <- false;
+  let n = Array.length h.endpoints in
+  let remaining = ref n in
+  let ready () =
+    decr remaining;
+    if !remaining = 0 then on_complete ()
+  in
+  match h.discipline with
+  | `Save_fetch_per_sa ->
+    (* The paper's discipline, once per SA: FETCH + leap + blocking
+       SAVE, each taking one disk-write latency. *)
+    let step = Sim_disk.base_latency h.disk in
+    Array.iteri
+      (fun i _ ->
+        ignore
+          (Engine.schedule_after h.engine ~after:(Time.mul step (h.first_sa + i))
+             (fun () -> Receiver.wakeup (receiver_i h i) ~on_ready:ready ())))
+      h.endpoints
+  | `Save_fetch_coalesced ->
+    (* Every durable edge (verified read) leaps by the leap the per-SA
+       receivers take from their policy; ONE snapshot write makes them
+       all durable; then every SA resumes at once. SAs whose record
+       stays unreadable after the retry budget degrade to
+       re-establishment. *)
+    let leap = K_policy.leap (K_policy.make (K_policy.static h.config.k)) in
+    let degraded = Array.make n false in
+    let edges =
+      Array.init n (fun i ->
+          match checked_durable_edge h i with
+          | Some v -> v + leap
+          | None ->
+            degraded.(i) <- true;
+            0)
+    in
+    let degrade i =
+      let metrics = Endpoint.metrics h.endpoints.(i) in
+      metrics.Metrics.degraded_reestablish <-
+        metrics.Metrics.degraded_reestablish + 1;
+      establish_sa h ~cost:Ike.default_cost i ~on_done:(fun () ->
+          Receiver.resume_at (receiver_i h i) ~edge:0;
+          ready ())
+    in
+    Array.iteri (fun i bad -> if bad then degrade i) degraded;
+    let live =
+      Array.to_list (Array.init n Fun.id)
+      |> List.filter (fun i -> not degraded.(i))
+    in
+    if live <> [] then begin
+      let entries =
+        Array.of_list (List.map (fun i -> (h.keys.(i), edges.(i))) live)
+      in
+      h.recovering <- true;
+      let base = Sim_disk.base_latency h.disk in
+      let finish () =
+        h.recovering <- false;
+        List.iter
+          (fun i ->
+            h.lst.(i) <- edges.(i);
+            Receiver.resume_at (receiver_i h i) ~edge:edges.(i);
+            ready ())
+          live
+      in
+      (* The recovery snapshot must become durable before any window
+         resumes; a transient write failure is retried with capped
+         exponential backoff, and after the budget the remaining SAs
+         degrade. Nothing resumes on non-durable state. *)
+      let rec attempt k =
+        Sim_disk.save_snapshot h.disk ~entries
+          ~on_error:(fun () ->
+            if h.recovering then
+              if k + 1 >= retries then begin
+                h.recovering <- false;
+                List.iter degrade live
+              end
+              else
+                ignore
+                  (Engine.schedule_after h.engine
+                     ~after:(Time.mul base (min (1 lsl k) 8))
+                     (fun () -> if h.recovering then attempt (k + 1))))
+          ~on_complete:finish
+      in
+      attempt 0
+    end
+  | `Reestablish ->
+    (* IKE-lite renegotiation per SA, sequentially: SA g's handshake
+       occupies the host for the fixed handshake duration, so it starts
+       g handshakes after recovery began. *)
+    let cost = h.config.ike_cost in
+    let step = Ike.handshake_duration cost in
+    Array.iteri
+      (fun i _ ->
+        ignore
+          (Engine.schedule_after h.engine ~after:(Time.mul step (h.first_sa + i))
+             (fun () ->
+               establish_sa h ~cost i ~on_done:(fun () ->
+                   (* A fresh SA starts with a fresh window: resume at
+                      edge 0, nothing sent under the new keys yet. *)
+                   Receiver.resume_at (receiver_i h i) ~edge:0;
+                   ready ()))))
+      h.endpoints
+
+(* ------------------------------------------------------------------ *)
+(* One shard: SAs [lo..hi) on their own engine and disk. *)
+
 let run_shard ~seed discipline config (lo, hi) =
   let wall_start = Unix.gettimeofday () in
   let n = hi - lo in
   let engine = Engine.create ~hint:(max 64 (4 * n)) () in
   let trace = if config.keep_trace then Some (Trace.create ()) else None in
   let disk = Sim_disk.create ?trace ~name:"disk.q" ~latency:config.save_latency engine in
-  let host_discipline =
-    match discipline with
-    | `Save_fetch_per_sa -> Host.Per_sa
-    | `Save_fetch_coalesced -> Host.Coalesced
-    | `Reestablish -> Host.Reestablish { cost = config.ike_cost }
-  in
   let tap =
     match config.attack with
     | Endpoint.No_attack -> Endpoint.No_tap
@@ -153,11 +461,11 @@ let run_shard ~seed discipline config (lo, hi) =
         Some
           {
             Receiver.store = Sim_disk.store disk;
-            key = Host.sa_key g;
+            key = sa_key g;
             policy = K_policy.make (K_policy.static config.k);
             robust = false;
             wakeup_buffer = false;
-            retries = 3;
+            retries;
           }
       | `Save_fetch_coalesced | `Reestablish ->
         (* the host manages durability (or renegotiates instead) *)
@@ -177,10 +485,8 @@ let run_shard ~seed discipline config (lo, hi) =
   in
   let endpoints = Array.init n endpoint_of in
   let host =
-    Host.create ~k:config.k ~leap:(2 * config.k) ~ike_prngs ~first_sa:lo
-      ~window:window_width ~arena:hot ~spi_base:0x6000l
-      ~flush_period:(Time.mul config.message_gap config.k)
-      ~disk ~discipline:host_discipline endpoints engine
+    create_host config ~engine ~disk ~discipline ~first_sa:lo ~arena:hot
+      ~ike_prngs endpoints
   in
   (* Recovery bookkeeping: when is every SA in this range processing
      again, and when has every one delivered a fresh message again? *)
@@ -218,14 +524,13 @@ let run_shard ~seed discipline config (lo, hi) =
   ignore
     (Engine.schedule_at engine ~at:config.reset_at (fun () ->
          reset_happened := true;
-         Host.reset host));
+         reset host));
   ignore
     (Engine.schedule_at engine
        ~at:(Time.add config.reset_at config.downtime)
        (fun () ->
-         Host.recover host
-           ~on_complete:(fun () -> all_ready_at := Some (Engine.now engine))
-           ()));
+         recover host ~on_complete:(fun () ->
+             all_ready_at := Some (Engine.now engine))));
   ignore (Engine.run ~until:config.horizon engine);
   let totals = Metrics.create () in
   Array.iter
@@ -247,7 +552,7 @@ let run_shard ~seed discipline config (lo, hi) =
     link_dropped = sum (fun ep -> Link.dropped (Endpoint.link ep));
     link_duplicated = sum (fun ep -> Link.duplicated (Endpoint.link ep));
     link_reordered = sum (fun ep -> Link.reordered (Endpoint.link ep));
-    handshake_messages = Host.handshake_messages host;
+    handshake_messages = host.handshakes;
     events_fired = Engine.fired_count engine;
     wall_s = Unix.gettimeofday () -. wall_start;
     trace =

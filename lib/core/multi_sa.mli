@@ -3,20 +3,27 @@
     Section 3's cost argument is per-host: "a host may have multiple
     SAs existing at the same time ... Requiring a host with multiple
     existing SAs to drop and reestablish all the existing SAs because
-    of a reset stands for a huge amount of overhead". This composer
+    of a reset stands for a huge amount of overhead". This module
     builds [n] parallel {!Endpoint.t}s (one per sender→receiver
-    association) over {!Host.t}s sharing the receiver host's clock,
-    resets that host once (all SAs lose their volatile state
-    together), and measures recovery under three disciplines:
+    association) whose receivers live on one host with one disk,
+    resets that host once (all SAs lose their volatile state together,
+    and the disk loses every write in flight), and measures recovery
+    under three disciplines:
 
-    - [`Save_fetch_per_sa] ({!Host.Per_sa}): the paper, one blocking
+    - [`Save_fetch_per_sa]: the paper, one FETCH + leap + blocking
       wakeup SAVE per SA, sequentially (the disk serializes writes);
-    - [`Save_fetch_coalesced] ({!Host.Coalesced}): our extension —
-      all recovered edges are written in a single
-      {!Resets_persist.Sim_disk.save_snapshot} operation (they fit in
-      one block), so recovery is one SAVE regardless of [n];
-    - [`Reestablish] ({!Host.Reestablish}): IKE-lite renegotiation per
-      SA, sequentially.
+      each receiver persists its own edge;
+    - [`Save_fetch_coalesced]: our extension — the host persists every
+      SA's edge in one {!Resets_persist.Sim_disk.save_snapshot} per
+      fixed flush period, and recovery leaps every durable edge and
+      writes them all in one snapshot (they fit in one block), so
+      recovery is one SAVE regardless of [n];
+    - [`Reestablish]: IKE-lite renegotiation per SA, sequentially.
+
+    Under both SAVE/FETCH disciplines the leap is the one
+    [K_policy.static k] defines. A recovery SAVE or durable record that
+    keeps failing under a disk fault plan degrades its SA to IKE
+    re-establishment after 3 tries.
 
     Since the endpoints run through the same datapath as the
     single-SA harness, an {!Endpoint.attack} can be staged against
@@ -24,11 +31,13 @@
 
     {b Multicore.} The [n] SAs share only three things: a wall clock,
     one reset event, and a recovery discipline whose serialized cost
-    is a closed-form function of each SA's global index (see
-    {!Host.recover}). So [run ~domains:d] splits them into [d]
-    contiguous shards ({!partition}), simulates each shard on its own
-    {!Resets_sim.Engine.t} and {!Resets_persist.Sim_disk.t} in its own
-    spawned domain, and merges the per-shard results in SA order.
+    is a closed-form function of each SA's global index: SA [g]'s
+    recovery step starts [g] steps (one disk write, or one IKE
+    handshake) after recovery begins. So [run ~domains:d] splits them
+    into [d] contiguous shards ({!partition}), simulates each shard on
+    its own {!Resets_sim.Engine.t} and {!Resets_persist.Sim_disk.t} in
+    its own spawned domain, and merges the per-shard results in SA
+    order.
     Three ingredients make every protocol-level outcome identical
     whatever [d] is:
 
@@ -143,4 +152,6 @@ val run : ?seed:int -> ?domains:int -> discipline -> config -> outcome
     results. With [d = 1] the run is inline and spawns nothing: the
     sequential oracle the sharded path is diffed against.
     @raise Invalid_argument when [sa_count <= 0], [domains < 1], or
-    [domains > sa_count]. *)
+    [domains > sa_count]; and, from inside each shard, when the
+    coalesced flush period [message_gap * k] is not positive or a
+    per-SA receiver's [k] is not. *)

@@ -1,30 +1,13 @@
 open Resets_sim
 
 type persistence = {
-  k : int;
-  leap : int option;
   save_latency : Time.t;
   save_timer : Time.t option;
-  policy : K_policy.mode option;
+  policy : K_policy.mode;
 }
 
 (* The paper's measured write-to-file latency on its reference machine. *)
 let default_save_latency = Time.of_us 100
-
-let persistence ?leap ?(save_latency = default_save_latency) ?save_timer ?policy
-    ~k () =
-  if k <= 0 then invalid_arg "Protocol.persistence: k must be positive";
-  { k; leap; save_latency; save_timer; policy }
-
-let resolved_leap p =
-  match p.leap with
-  | Some leap -> leap
-  | None -> 2 * p.k
-
-let policy_of p =
-  match p.policy with
-  | Some m -> m
-  | None -> K_policy.static ~leap:(resolved_leap p) p.k
 
 type t =
   | Save_fetch of {
@@ -36,14 +19,15 @@ type t =
   | Volatile
   | Reestablish of { cost : Resets_ipsec.Ike.cost }
 
-let save_fetch ?(robust_receiver = false) ?(wakeup_buffer = true) ?leap_p ?leap_q
-    ?save_latency ?save_timer_p ?policy_p ?policy_q ~kp ~kq () =
+let save_fetch ?(robust_receiver = false) ?(wakeup_buffer = true)
+    ?(save_latency = default_save_latency) ?save_timer_p ?policy_p ?policy_q ~kp
+    ~kq () =
+  let policy k = function Some m -> m | None -> K_policy.static k in
   Save_fetch
     {
       sender =
-        persistence ?leap:leap_p ?save_latency ?save_timer:save_timer_p
-          ?policy:policy_p ~k:kp ();
-      receiver = persistence ?leap:leap_q ?save_latency ?policy:policy_q ~k:kq ();
+        { save_latency; save_timer = save_timer_p; policy = policy kp policy_p };
+      receiver = { save_latency; save_timer = None; policy = policy kq policy_q };
       robust_receiver;
       wakeup_buffer;
     }
@@ -51,8 +35,8 @@ let save_fetch ?(robust_receiver = false) ?(wakeup_buffer = true) ?leap_p ?leap_
 let to_string = function
   | Save_fetch { sender; receiver; robust_receiver; _ } ->
     Printf.sprintf "save-fetch(Kp=%s, Kq=%s%s)"
-      (K_policy.describe (policy_of sender))
-      (K_policy.describe (policy_of receiver))
+      (K_policy.describe sender.policy)
+      (K_policy.describe receiver.policy)
       (if robust_receiver then ", robust" else "")
   | Volatile -> "volatile"
   | Reestablish _ -> "reestablish"

@@ -1,38 +1,20 @@
 (** Protocol variants under study. *)
 
 type persistence = {
-  k : int;  (** SAVE interval in messages (the paper's Kp / Kq) *)
-  leap : int option;  (** wakeup leap; [None] = the paper's [2 * k].
-      Smaller values are unsound and exist for the ablation benches. *)
   save_latency : Resets_sim.Time.t;  (** the paper's Tp / Tq *)
   save_timer : Resets_sim.Time.t option;
       (** [None] = the paper's message-counted trigger; [Some dt] saves
           on a fixed timer instead (the ablation Section 4 argues
           against; see E13) *)
-  policy : K_policy.mode option;
-      (** [None] = the paper's static policy built from [k] and [leap].
-          [Some (Adaptive _)] re-derives K online from observed SAVE
-          latency and send gaps — see {!K_policy}. *)
+  policy : K_policy.mode;
+      (** K and the wakeup leap: [K_policy.static k] is the paper's
+          constant K with its 2K leap (a [~leap] override exists for
+          the ablation benches); [Adaptive _] re-derives K online from
+          observed SAVE latency and send gaps — see {!K_policy}. *)
 }
 
 val default_save_latency : Resets_sim.Time.t
 (** The paper's 100 µs write-to-file figure. *)
-
-val persistence :
-  ?leap:int ->
-  ?save_latency:Resets_sim.Time.t ->
-  ?save_timer:Resets_sim.Time.t ->
-  ?policy:K_policy.mode ->
-  k:int ->
-  unit ->
-  persistence
-(** Default save latency: the paper's 100 µs write-to-file figure. *)
-
-val resolved_leap : persistence -> int
-
-val policy_of : persistence -> K_policy.mode
-(** The effective policy: [policy] when set, else
-    [K_policy.static ~leap:(resolved_leap p) p.k]. *)
 
 type t =
   | Save_fetch of {
@@ -54,8 +36,6 @@ type t =
 val save_fetch :
   ?robust_receiver:bool ->
   ?wakeup_buffer:bool ->
-  ?leap_p:int ->
-  ?leap_q:int ->
   ?save_latency:Resets_sim.Time.t ->
   ?save_timer_p:Resets_sim.Time.t ->
   ?policy_p:K_policy.mode ->
@@ -64,6 +44,10 @@ val save_fetch :
   kq:int ->
   unit ->
   t
+(** [policy_p] defaults to [K_policy.static kp] and [policy_q] to
+    [K_policy.static kq]; a policy passed in takes the place of its K.
+    The save latency defaults to {!default_save_latency}.
+    @raise Invalid_argument when a defaulted K is not positive. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

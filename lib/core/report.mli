@@ -55,9 +55,6 @@ val write : dir:string -> ?wall_clock_s:float -> ?generator:string -> t -> strin
 
 (** {1 Serializers for the core run types} *)
 
-val sample_to_json : Resets_util.Stats.Sample.s -> Resets_util.Json.t
-(** Sample summary with exact percentiles (p50 / p90 / p99). *)
-
 val metrics_to_json : Metrics.t -> Resets_util.Json.t
 (** Every counter of {!Metrics.t} plus recovery/disruption summaries
     (seconds). The paired-run fields ([oracle_delivered],

@@ -6,12 +6,6 @@
     into a buffer in place, allocating nothing per call — the per-SA
     datapath holds one state per key. *)
 
-val key_size : int
-(** 32 bytes. *)
-
-val nonce_size : int
-(** 12 bytes. *)
-
 val crypt : key:string -> nonce:string -> ?counter:int32 -> string -> string
 (** XOR the input with the ChaCha20 keystream.
     @raise Invalid_argument on wrong key or nonce length. *)

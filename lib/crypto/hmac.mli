@@ -42,6 +42,3 @@ val finish_verify : state -> tag:string -> tag_off:int -> tag_len:int -> bool
     [tag] starting at [tag_off] — e.g. the ICV field inside a received
     packet — without extracting them. Returns [false] on out-of-range
     lengths. *)
-
-val tag_size : int
-(** 32. *)

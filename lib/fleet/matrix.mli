@@ -31,11 +31,6 @@ type discipline = Per_sa | Coalesced | Reestablish
 type churn = Steady | Storm | Mixed
 type cell = { scope : scope; discipline : discipline; churn : churn }
 
-val scope_to_string : scope -> string
-val discipline_to_string : discipline -> string
-val churn_to_string : churn -> string
-val cell_id : cell -> string
-
 type params = {
   k : int;  (** saves every k messages; the bound is 2·k *)
   rate_pps : float;  (** per-SA send rate *)

@@ -60,8 +60,6 @@ val scratch_bytes : params -> int -> Bytes.t
     least [len] bytes. Contents are valid until the next codec
     operation on the same SA. *)
 
-val default_algo : algo
-
 val derive_params :
   ?algo:algo ->
   ?window_width:int ->

@@ -442,7 +442,9 @@ let make_sa cfg engine ~store ~fetch ~save_lat ~send i =
 let check_gate cfg ~prev stats =
   (* Adaptive daemons may legitimately run a larger K than configured;
      the convergence budget scales with the policy's worst case. *)
-  let leap = 2 * K_policy.bound_of_mode (policy_mode cfg) in
+  let bound =
+    Analysis.max_fresh_discards ~kq:(K_policy.bound_of_mode (policy_mode cfg))
+  in
   List.concat_map
     (fun (s : Heartbeat.sa) ->
       let fail fmt = Printf.ksprintf (fun m -> [ m ]) fmt in
@@ -462,10 +464,10 @@ let check_gate cfg ~prev stats =
         (* The bound covers fresh messages lost outright; rejections of
            wire-duplicated frames whose original was delivered are not
            losses (the wire may duplicate freely). *)
-        if s.lost > leap then
+        if s.lost > bound then
           fail "spi %d: %d fresh messages lost > 2k = %d (convergence bound \
                 broken)"
-            s.spi s.lost leap
+            s.spi s.lost bound
         else []
       and v4 =
         if s.dups > 0 then fail "spi %d: %d duplicate deliveries" s.spi s.dups

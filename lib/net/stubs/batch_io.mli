@@ -53,7 +53,6 @@ val ring : int -> ring
     [1 <= batch <= max_batch]. *)
 
 val dest_of_sockaddr : Unix.sockaddr -> dest
-val sockaddr_of_dest : dest -> Unix.sockaddr
 
 val recv_batch : Unix.file_descr -> ring -> count:int -> int
 (** Pull up to [count] queued datagrams into the ring; returns how

@@ -242,9 +242,9 @@ let store ?(base_latency = Resets_sim.Time.of_ms 1) t =
 (* ------------------------------------------------------------------ *)
 (* Coalesced snapshot store: every SA of a host (or worker shard) keeps
    its counter in ONE file, rewritten atomically as a whole on every
-   save — the wire twin of Sim_disk.save_snapshot / Host.Coalesced. A
-   crash loses or keeps all keys together, and recovery reads the whole
-   fleet's edges back with one file read. *)
+   save — the wire twin of Sim_disk.save_snapshot under Multi_sa's
+   coalesced discipline. A crash loses or keeps all keys together, and
+   recovery reads the whole fleet's edges back with one file read. *)
 
 module Snapshot = struct
   type snap = {

@@ -160,7 +160,7 @@ val base_latency : t -> Time.t
 (** The jitter-free write latency this disk was created with. The shard
     layer's staggered per-SA recovery schedule is computed from it, so
     deterministic sharding requires an un-jittered disk (see
-    {!Resets_core.Host.recover}). *)
+    {!Resets_core.Multi_sa}). *)
 
 val store : t -> Store.t
 (** This disk as a first-class {!Store.t} — what the protocol

@@ -10,20 +10,13 @@ type entry = {
   detail : string;
 }
 
-type t = {
-  ring : entry Ring.t;
-  mutable total : int;
-  mutable taps : (entry -> unit) list;
-}
+type t = { ring : entry Ring.t; mutable total : int }
 
-let create ?(capacity = 65536) () =
-  { ring = Ring.create capacity; total = 0; taps = [] }
+let create ?(capacity = 65536) () = { ring = Ring.create capacity; total = 0 }
 
 let record t ~time ?(level = Info) ~source ~event detail =
-  let entry = { time; level; source; event; detail } in
-  ignore (Ring.push t.ring entry);
-  t.total <- t.total + 1;
-  List.iter (fun tap -> tap entry) t.taps
+  ignore (Ring.push t.ring { time; level; source; event; detail });
+  t.total <- t.total + 1
 
 let entries t = Ring.to_list t.ring
 
@@ -31,8 +24,6 @@ let count t = t.total
 
 let find t ~event =
   List.filter (fun e -> String.equal e.event event) (entries t)
-
-let on_record t tap = t.taps <- t.taps @ [ tap ]
 
 let pp_level ppf = function
   | Debug -> Format.pp_print_string ppf "debug"

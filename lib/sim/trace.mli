@@ -25,7 +25,7 @@ val create : ?capacity:int -> unit -> t
 val record :
   t -> time:Time.t -> ?level:level -> source:string -> event:string -> string -> unit
 (** [record t ~time ~source ~event detail] appends one entry
-    ([level] defaults to [Info]) and invokes every {!on_record} tap. *)
+    ([level] defaults to [Info]). *)
 
 val entries : t -> entry list
 (** Oldest first (up to capacity). *)
@@ -36,15 +36,9 @@ val count : t -> int
 val find : t -> event:string -> entry list
 (** Retained entries whose [event] tag matches exactly. *)
 
-val on_record : t -> (entry -> unit) -> unit
-(** Register a tap invoked on every record (metrics hooks). *)
-
-val pp_entry : Format.formatter -> entry -> unit
-(** One line: bracketed time, level (unless [Info]), source, event,
-    detail. *)
-
 val dump : Format.formatter -> t -> unit
-(** {!pp_entry} for every retained entry, oldest first. *)
+(** Every retained entry, oldest first, one line each: bracketed time,
+    level, source, event, detail. *)
 
 (** {1 JSONL export}
 

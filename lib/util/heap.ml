@@ -58,8 +58,6 @@ let pop h =
     sift_down h 0;
     Some top
 
-let clear h = Vec.clear h.data
-
 let of_list ~cmp l =
   let h = create ~cmp in
   List.iter (add h) l;

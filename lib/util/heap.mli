@@ -26,8 +26,6 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
-val clear : 'a t -> unit
-
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 
 val to_sorted_list : 'a t -> 'a list

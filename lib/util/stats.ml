@@ -22,8 +22,6 @@ let mean t = if t.n = 0 then 0. else t.mean
 
 let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min t =
   if t.n = 0 then invalid_arg "Stats.min: empty";
   t.mn
@@ -85,72 +83,4 @@ module Sample = struct
     vlo +. (frac *. (vhi -. vlo))
 
   let median s = percentile s 50.
-end
-
-module Histogram = struct
-  type h = {
-    lo : float;
-    hi : float;
-    counts : int array;
-  }
-
-  let create ~lo ~hi ~buckets =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets must be positive";
-    if hi <= lo then invalid_arg "Histogram.create: empty range";
-    { lo; hi; counts = Array.make buckets 0 }
-
-  let bucket_index h x =
-    let buckets = Array.length h.counts in
-    if x < h.lo then 0
-    else if x >= h.hi then buckets - 1
-    else
-      let width = (h.hi -. h.lo) /. float_of_int buckets in
-      Stdlib.min (buckets - 1) (int_of_float ((x -. h.lo) /. width))
-
-  let add h x =
-    let i = bucket_index h x in
-    h.counts.(i) <- h.counts.(i) + 1
-
-  let counts h = Array.copy h.counts
-
-  let total h = Array.fold_left ( + ) 0 h.counts
-
-  let percentile h p =
-    let n = total h in
-    if n = 0 then invalid_arg "Stats.Histogram.percentile: empty";
-    if p < 0. || p > 100. then invalid_arg "Stats.Histogram.percentile: p out of range";
-    let buckets = Array.length h.counts in
-    let width = (h.hi -. h.lo) /. float_of_int buckets in
-    let target = p /. 100. *. float_of_int n in
-    if target <= 0. then begin
-      (* p = 0: the lower edge of the first populated bucket *)
-      let i = ref 0 in
-      while h.counts.(!i) = 0 do
-        incr i
-      done;
-      h.lo +. (float_of_int !i *. width)
-    end
-    else begin
-      let result = ref h.hi in
-      let cum = ref 0 in
-      (try
-         for i = 0 to buckets - 1 do
-           let c = h.counts.(i) in
-           if c > 0 && float_of_int (!cum + c) >= target then begin
-             (* the target rank falls inside bucket i: interpolate *)
-             let frac = (target -. float_of_int !cum) /. float_of_int c in
-             result := h.lo +. ((float_of_int i +. frac) *. width);
-             raise Exit
-           end;
-           cum := !cum + c
-         done
-       with Exit -> ());
-      Float.min !result h.hi
-    end
-
-  let bucket_bounds h =
-    let buckets = Array.length h.counts in
-    let width = (h.hi -. h.lo) /. float_of_int buckets in
-    Array.init buckets (fun i ->
-        (h.lo +. (float_of_int i *. width), h.lo +. (float_of_int (i + 1) *. width)))
 end

@@ -17,8 +17,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0. with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min : t -> float
 (** @raise Invalid_argument when empty. *)
 
@@ -44,28 +42,4 @@ module Sample : sig
       @raise Invalid_argument when empty or [p] out of range. *)
 
   val median : s -> float
-end
-
-(** {1 Histograms} *)
-
-module Histogram : sig
-  type h
-
-  val create : lo:float -> hi:float -> buckets:int -> h
-  (** Uniform bucket widths over [\[lo, hi)]; out-of-range samples land
-      in saturating end buckets. *)
-
-  val add : h -> float -> unit
-  val counts : h -> int array
-  val bucket_bounds : h -> (float * float) array
-  val total : h -> int
-
-  val percentile : h -> float -> float
-  (** [percentile h p] for [p] in [\[0, 100\]]: the bucketed estimate of
-      the [p]-th percentile, linearly interpolated inside the bucket the
-      target rank falls in. Within one bucket width of the exact
-      (nearest-rank) sample percentile for in-range samples — the
-      qcheck property in [test_report] checks this against a
-      sorted-array oracle. @raise Invalid_argument when empty or [p]
-      out of range. *)
 end

@@ -42,8 +42,6 @@ val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val exists : ('a -> bool) -> 'a t -> bool
 
-val to_array : 'a t -> 'a array
-
 val to_list : 'a t -> 'a list
 
 val of_list : 'a list -> 'a t

@@ -11,19 +11,25 @@ cd "$(dirname "$0")/.."
 command -v python3 >/dev/null 2>&1 \
   || { echo "check.sh needs python3 for its artifact gates" >&2; exit 1; }
 
-# An artifact passes when it parses and its own top-level "pass" is
-# true. Grepping for '"pass": true' is not enough: any single passing
-# check inside a failing artifact matches it.
-artifact_pass() {
+# An artifact's own top-level "pass" as Python prints it (True, False
+# or None); exits 1 when the artifact is missing or does not parse.
+# Grepping for '"pass": true' is not enough: any single passing check
+# inside a failing artifact matches it.
+artifact_verdict() {
   test -s "$1" || { echo "missing artifact $(basename "$1")" >&2; exit 1; }
   python3 - "$1" <<'PY' || exit 1
-import json, os, sys
+import json, sys
 
 with open(sys.argv[1]) as f:
-    doc = json.load(f)
-if doc.get("pass") is not True:
-    sys.exit(f"{os.path.basename(sys.argv[1])} reports pass={doc.get('pass')!r}")
+    print(json.load(f).get("pass"))
 PY
+}
+
+# An artifact passes when it parses and its own "pass" is true.
+artifact_pass() {
+  verdict=$(artifact_verdict "$1") || exit 1
+  [ "$verdict" = True ] \
+    || { echo "$(basename "$1") reports pass=$verdict" >&2; exit 1; }
 }
 
 echo "== dune build =="
@@ -53,8 +59,8 @@ trap 'rm -rf "$out"' EXIT
 # E8 the SAVE-overhead trade, E10 the bidirectional scheme, E12 SA
 # rollover, E11 the APN explorer over the eight Section 5 models, E15
 # the chaos batch, E16 the adaptive-K frontier, E14 the unified
-# Endpoint/Host datapath plus the domain sweep: the same workloads at 1
-# and 2 domains, diffed below. Smoke sizes keep the sweep fast; the
+# Endpoint/Multi_sa datapath plus the domain sweep: the same workloads
+# at 1 and 2 domains, diffed below. Smoke sizes keep the sweep fast; the
 # committed artifact uses the full 256/1024/4096 sweep and the full
 # 100k/1M scale sweep.
 dune exec bench/main.exe -- $pinned E14 --json="$out" \
@@ -468,5 +474,37 @@ if not all(c["pass"] for c in checks):
     sys.exit("wheel and heap diverged on the fixed-seed schedule")
 print("wheel and heap fire order identical on the fixed-seed schedule")
 PY
+
+echo "== leap mutant (E1 must fail when the wakeup leap is K) =="
+# A gate counts only once it has been seen to go red. The wakeup leap
+# is defined once, in lib/core/k_policy.ml: in a copy of the tree that
+# definition becomes K instead of 2K, and E1's Figure 1 checks must
+# then fail the copy's artifact. The copy builds in about 6 s with a
+# warm dune cache; E1 runs in about a second.
+mutant="$out/leap-mutant"
+mkdir -p "$mutant/json"
+tar --exclude=./_build --exclude=./.bench_build --exclude=./.git -cf - . \
+  | (cd "$mutant" && tar -xf -)
+leap='let leap_of_k k = 2 \* k$'
+policy="$mutant/lib/core/k_policy.ml"
+defs=$(grep -c "^$leap" "$policy" || true)
+if [ "$defs" -ne 1 ]; then
+  echo "leap mutant: $defs leap definitions in k_policy.ml (expected 1)" >&2
+  exit 1
+fi
+sed "s/^$leap/let leap_of_k k = k/" "$policy" >"$policy.mutant"
+mv "$policy.mutant" "$policy"
+(cd "$mutant" && dune build --root . bench/main.exe 2>&1) \
+  || { echo "leap mutant: the copy does not build" >&2; exit 1; }
+# A failing artifact is the expected outcome, whatever the exit status;
+# a crash leaves no artifact, which artifact_verdict refuses.
+"$mutant/_build/default/bench/main.exe" E1 --json="$mutant/json" \
+  >/dev/null || true
+verdict=$(artifact_verdict "$mutant/json/BENCH_E1.json") || exit 1
+if [ "$verdict" != False ]; then
+  echo "leap mutant: E1 reports pass=$verdict with leap K (expected False)" >&2
+  exit 1
+fi
+echo "leap K: E1 fails, as it must"
 
 echo "OK"

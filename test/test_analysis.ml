@@ -11,11 +11,8 @@ let check_bool = Alcotest.(check bool)
 (* Analysis: bounds *)
 
 let test_bounds_scale_linearly () =
-  check_int "sender gap" 50 (Analysis.max_sender_gap ~kp:25);
   check_int "lost" 50 (Analysis.max_lost_seqnos ~kp:25);
-  check_int "receiver gap" 8 (Analysis.max_receiver_gap ~kq:4);
-  check_int "discards" 8 (Analysis.max_fresh_discards ~kq:4);
-  check_int "leap" 2 (Analysis.leap ~k:1)
+  check_int "discards" 8 (Analysis.max_fresh_discards ~kq:4)
 
 let test_k_min_paper_example () =
   (* "a write-to-file operation takes 100 µs and sending a 1000-byte
@@ -83,13 +80,17 @@ let test_recovery_cost_model () =
 (* ------------------------------------------------------------------ *)
 (* Protocol descriptors *)
 
+(* The wakeup leap a persistence record's policy gives a fresh run. *)
+let leap_of (p : Protocol.persistence) =
+  K_policy.leap (K_policy.make p.Protocol.policy)
+
 let test_protocol_defaults () =
   match Protocol.save_fetch ~kp:25 ~kq:10 () with
   | Protocol.Save_fetch { sender; receiver; robust_receiver; wakeup_buffer } ->
-    check_int "kp" 25 sender.Protocol.k;
-    check_int "kq" 10 receiver.Protocol.k;
-    check_int "leap p" 50 (Protocol.resolved_leap sender);
-    check_int "leap q" 20 (Protocol.resolved_leap receiver);
+    check_int "kp" 25 (K_policy.bound_of_mode sender.Protocol.policy);
+    check_int "kq" 10 (K_policy.bound_of_mode receiver.Protocol.policy);
+    check_int "leap p" 50 (leap_of sender);
+    check_int "leap q" 20 (leap_of receiver);
     Alcotest.(check int64) "paper save latency" 100_000L
       (Time.to_ns sender.Protocol.save_latency);
     check_bool "not robust by default" false robust_receiver;
@@ -97,15 +98,18 @@ let test_protocol_defaults () =
   | Protocol.Volatile | Protocol.Reestablish _ -> Alcotest.fail "wrong constructor"
 
 let test_protocol_leap_override () =
-  match Protocol.save_fetch ~leap_p:0 ~leap_q:7 ~kp:5 ~kq:5 () with
+  match
+    Protocol.save_fetch ~policy_p:(K_policy.static ~leap:0 5)
+      ~policy_q:(K_policy.static ~leap:7 5) ~kp:5 ~kq:5 ()
+  with
   | Protocol.Save_fetch { sender; receiver; _ } ->
-    check_int "leap p overridden" 0 (Protocol.resolved_leap sender);
-    check_int "leap q overridden" 7 (Protocol.resolved_leap receiver)
+    check_int "leap p overridden" 0 (leap_of sender);
+    check_int "leap q overridden" 7 (leap_of receiver)
   | Protocol.Volatile | Protocol.Reestablish _ -> Alcotest.fail "wrong constructor"
 
 let test_protocol_validation () =
-  Alcotest.check_raises "k=0" (Invalid_argument "Protocol.persistence: k must be positive")
-    (fun () -> ignore (Protocol.persistence ~k:0 ()))
+  Alcotest.check_raises "k=0" (Invalid_argument "K_policy.static: k must be positive")
+    (fun () -> ignore (Protocol.save_fetch ~kp:0 ~kq:1 ()))
 
 let test_protocol_to_string () =
   Alcotest.(check string) "volatile" "volatile" (Protocol.to_string Protocol.Volatile);

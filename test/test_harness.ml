@@ -297,7 +297,9 @@ let test_leap_ablation_zero_leap_unsound () =
     {
       base with
       horizon = ms 40;
-      protocol = Protocol.save_fetch ~leap_p:0 ~leap_q:0 ~kp:25 ~kq:25 ();
+      protocol =
+        Protocol.save_fetch ~policy_p:(K_policy.static ~leap:0 25)
+          ~policy_q:(K_policy.static ~leap:0 25) ~kp:25 ~kq:25 ();
       resets = Reset_schedule.single ~at:(ms 10) ~downtime:(ms 1) Sender;
     }
   in

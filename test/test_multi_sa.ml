@@ -1,5 +1,5 @@
-(* Tests for the Multi_sa composer (many Endpoints over one Host) and
-   the refactor's differential guarantee: the unified Endpoint/Host
+(* Tests for the Multi_sa composer (many Endpoints over one host) and
+   the refactor's differential guarantee: the unified Endpoint/Multi_sa
    datapath reproduces the paper-bound verdicts recorded in the
    committed BENCH_*.json artifacts. *)
 

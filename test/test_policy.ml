@@ -55,6 +55,23 @@ let test_static_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The APN models cannot depend on lib/core, so they keep their own
+   default leap. It must be the leap K_policy gives the code, or a
+   verdict E11 proves about the model says nothing about the code. *)
+let test_model_leap_is_code_leap () =
+  for k = 1 to 6 do
+    let code = K_policy.leap (K_policy.make (K_policy.static k)) in
+    let model_leap (p : Resets_apn.Ast.process) = List.assoc "leap" p.consts in
+    check_int
+      (Printf.sprintf "augmented_p ~kp:%d" k)
+      code
+      (model_leap (Resets_apn.Models.augmented_p ~kp:k ()));
+    check_int
+      (Printf.sprintf "augmented_q ~kq:%d" k)
+      code
+      (model_leap (Resets_apn.Models.augmented_q ~kq:k ~w:2 ()))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* K_policy: adaptive controller *)
 
@@ -252,6 +269,8 @@ let () =
         [
           Alcotest.test_case "inert plumbing" `Quick test_static_is_inert;
           Alcotest.test_case "validation" `Quick test_static_validation;
+          Alcotest.test_case "model leap = code leap (K = 1..6)" `Quick
+            test_model_leap_is_code_leap;
         ] );
       ( "adaptive",
         [

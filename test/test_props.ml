@@ -185,11 +185,12 @@ let skip_bound =
       let r = Harness.run s in
       let kp =
         match s.Harness.protocol with
-        | Protocol.Save_fetch { sender; _ } -> sender.Protocol.k
+        | Protocol.Save_fetch { sender; _ } ->
+          K_policy.bound_of_mode sender.Protocol.policy
         | Protocol.Volatile | Protocol.Reestablish _ -> 0
       in
       r.Harness.metrics.Metrics.skipped_seqnos
-      <= r.Harness.metrics.Metrics.p_resets * 2 * kp)
+      <= r.Harness.metrics.Metrics.p_resets * Analysis.max_lost_seqnos ~kp)
 
 (* Determinism: running the same scenario twice gives identical
    metrics. *)

@@ -1,6 +1,5 @@
-(* The observability layer: the Json emitter/parser, histogram
-   percentiles against a sorted-array oracle, and the experiment-record
-   (Report) schema — including a golden check that an E1-style record
+(* The observability layer: the Json emitter/parser and the
+   experiment-record (Report) schema — including a golden check that an E1-style record
    carries the 2·Kp bound verdict. *)
 
 open Resets_util
@@ -123,55 +122,6 @@ let json_roundtrip_prop =
   QCheck.Test.make ~name:"emit/parse round-trips any value" ~count:300
     (QCheck.make json_gen) (fun j ->
       Json.equal j (roundtrip j) && Json.equal j (roundtrip_pretty j))
-
-(* ------------------------------------------------------------------ *)
-(* Histogram percentiles vs a sorted-array oracle *)
-
-let test_histogram_percentile_basic () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:100. ~buckets:100 in
-  for i = 0 to 99 do
-    Stats.Histogram.add h (float_of_int i +. 0.5)
-  done;
-  let p50 = Stats.Histogram.percentile h 50. in
-  check_bool "p50 near 50" true (Float.abs (p50 -. 50.) <= 1.);
-  let p99 = Stats.Histogram.percentile h 99. in
-  check_bool "p99 near 99" true (Float.abs (p99 -. 99.) <= 1.);
-  check_bool "p0 at first populated bucket" true
-    (Float.abs (Stats.Histogram.percentile h 0. -. 0.) <= 1.);
-  check_bool "p100 within range" true (Stats.Histogram.percentile h 100. <= 100.)
-
-let test_histogram_percentile_empty () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:1. ~buckets:4 in
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.Histogram.percentile: empty")
-    (fun () -> ignore (Stats.Histogram.percentile h 50.));
-  Stats.Histogram.add h 0.5;
-  Alcotest.check_raises "p out of range"
-    (Invalid_argument "Stats.Histogram.percentile: p out of range") (fun () ->
-      ignore (Stats.Histogram.percentile h 101.))
-
-(* Oracle: the nearest-rank percentile of the sorted sample. The
-   bucketed estimate must land within one bucket width of it. *)
-let histogram_matches_sorted_oracle =
-  QCheck.Test.make ~name:"histogram percentile within one bucket of sorted oracle"
-    ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 1 200) (float_range 0. 99.999))
-        (int_range 0 100))
-    (fun (samples, p_int) ->
-      let buckets = 1000 in
-      let lo = 0. and hi = 100. in
-      let width = (hi -. lo) /. float_of_int buckets in
-      let h = Stats.Histogram.create ~lo ~hi ~buckets in
-      List.iter (Stats.Histogram.add h) samples;
-      let sorted = List.sort Float.compare samples in
-      let n = List.length sorted in
-      let p = float_of_int p_int in
-      let target = p /. 100. *. float_of_int n in
-      let rank = max 0 (int_of_float (Float.ceil target) - 1) in
-      let oracle = List.nth sorted (min rank (n - 1)) in
-      let estimate = Stats.Histogram.percentile h p in
-      Float.abs (estimate -. oracle) <= width +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Report: the experiment-record schema *)
@@ -316,12 +266,6 @@ let () =
           Alcotest.test_case "float typing" `Quick test_json_float_typing;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           qt json_roundtrip_prop;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "percentile basics" `Quick test_histogram_percentile_basic;
-          Alcotest.test_case "errors" `Quick test_histogram_percentile_empty;
-          qt histogram_matches_sorted_oracle;
         ] );
       ( "report",
         [

@@ -112,15 +112,16 @@ let test_domains_validated () =
       ignore (Multi_sa.run ~domains:5 `Save_fetch_per_sa (cfg 4)))
 
 let test_shard_failure_reraised () =
-  (* K = 0 gives the coalesced host a zero flush period, which
-     Host.create rejects inside every shard: the spawned path must join
-     its domains and re-raise, as the inline path raises *)
+  (* K = 0 gives the coalesced host a zero flush period, which every
+     shard rejects as it builds its host: the spawned path must join its
+     domains and re-raise, as the inline path raises *)
   let bad = { (cfg 4) with Multi_sa.k = 0 } in
   List.iter
     (fun domains ->
       Alcotest.check_raises
         (Printf.sprintf "%d domains" domains)
-        (Invalid_argument "Host.create: flush_period must be positive")
+        (Invalid_argument
+           "Multi_sa.run: flush period (message_gap * k) must be positive")
         (fun () -> ignore (Multi_sa.run ~domains `Save_fetch_coalesced bad)))
     [ 1; 2; 4 ]
 
@@ -235,47 +236,33 @@ let test_partition_validated () =
 (* Host recovery ordering *)
 
 let test_host_recovery_sa_order () =
-  (* per-SA recovery must visit SAs in ascending sa-index order — the
-     order the sharded merge assumes (and the disk serializes) *)
-  let o = ref [] in
-  let engine = Engine.create () in
-  let disk =
-    Resets_persist.Sim_disk.create ~latency:(us 100) engine
+  (* per-SA recovery must visit SAs in ascending sa-index order (the
+     order the sharded merge assumes and the disk serializes), and every
+     receiver must leap by the one leap its K policy defines *)
+  let k = 10 in
+  let o =
+    Multi_sa.run ~domains:1 `Save_fetch_per_sa
+      { (cfg 6) with Multi_sa.k; horizon = ms 20; keep_trace = true }
   in
-  let endpoint i =
-    Endpoint.create
-      ~sender_name:(Printf.sprintf "p%d" i)
-      ~receiver_name:(Printf.sprintf "q%d" i)
-      ~link_name:(Printf.sprintf "link%d" i)
-      ~tap:Endpoint.No_tap
-      ~spi:(Int32.of_int (0x4000 + i))
-      ~secret:(Printf.sprintf "order-%d" i)
-      ~link_latency:(us 10)
-      ~traffic:(Resets_workload.Traffic.constant ~gap:(us 100))
-      ~metrics:(Metrics.create ())
-      ~sender_persistence:None
-      ~receiver_persistence:
-        (Some
-           {
-             Receiver.store = Resets_persist.Sim_disk.store disk;
-             key = Host.sa_key i;
-             policy = K_policy.make (K_policy.static 10);
-             robust = false;
-             wakeup_buffer = false;
-             retries = 3;
-           })
-      engine
+  let leap = K_policy.leap (K_policy.make (K_policy.static k)) in
+  let of_receiver event =
+    List.filter
+      (fun (e : Trace.entry) -> e.source.[0] = 'q' && e.event = event)
+      o.Multi_sa.trace
   in
-  let endpoints = Array.init 6 endpoint in
-  let host = Host.create ~k:10 ~disk ~discipline:Host.Per_sa endpoints engine in
-  Array.iter (fun ep -> Endpoint.start ep) endpoints;
-  ignore (Engine.schedule_at engine ~at:(ms 5) (fun () -> Host.reset host));
-  ignore
-    (Engine.schedule_at engine ~at:(ms 6) (fun () ->
-         Host.recover host ~on_sa_ready:(fun i -> o := i :: !o) ()));
-  ignore (Engine.run ~until:(ms 20) engine);
+  let sa (e : Trace.entry) =
+    int_of_string (String.sub e.source 1 (String.length e.source - 1))
+  in
   Alcotest.(check (list int)) "ascending sa order" [ 0; 1; 2; 3; 4; 5 ]
-    (List.rev !o)
+    (List.map sa (of_receiver "wakeup"));
+  let fetches = of_receiver "fetch" in
+  check_int "one fetch per SA" 6 (List.length fetches);
+  List.iter
+    (fun (e : Trace.entry) ->
+      Scanf.sscanf e.detail "fetched %d, leaping to %d" (fun fetched edge ->
+          check_int (e.source ^ " leaps by K_policy's leap") leap
+            (edge - fetched)))
+    fetches
 
 let () =
   let qt = QCheck_alcotest.to_alcotest in

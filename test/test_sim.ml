@@ -215,14 +215,6 @@ let test_trace_dump_format () =
   Alcotest.(check bool) "level" true (contains "warn");
   Alcotest.(check bool) "event" true (contains "reset")
 
-let test_trace_tap () =
-  let t = Trace.create () in
-  let seen = ref 0 in
-  Trace.on_record t (fun _ -> incr seen);
-  Trace.record t ~time:Time.zero ~source:"x" ~event:"e" "";
-  Trace.record t ~time:Time.zero ~source:"x" ~event:"e" "";
-  check_int "tap called" 2 !seen
-
 (* ------------------------------------------------------------------ *)
 (* Link *)
 
@@ -578,7 +570,6 @@ let () =
         [
           Alcotest.test_case "record/find" `Quick test_trace_record_and_find;
           Alcotest.test_case "capacity" `Quick test_trace_capacity;
-          Alcotest.test_case "tap" `Quick test_trace_tap;
           Alcotest.test_case "dump format" `Quick test_trace_dump_format;
         ] );
       ( "link",

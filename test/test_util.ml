@@ -172,11 +172,6 @@ let test_heap_duplicates () =
   let h = Heap.of_list ~cmp:compare [ 3; 1; 3; 1 ] in
   Alcotest.(check (list int)) "dups kept" [ 1; 1; 3; 3 ] (Heap.to_sorted_list h)
 
-let test_heap_clear () =
-  let h = Heap.of_list ~cmp:compare [ 1; 2 ] in
-  Heap.clear h;
-  check_bool "cleared" true (Heap.is_empty h)
-
 let heap_sort_property =
   QCheck.Test.make ~name:"heap drains any list in sorted order" ~count:200
     QCheck.(list int)
@@ -226,15 +221,6 @@ let test_stats_percentiles () =
   Alcotest.(check (float 1e-9)) "p0" 1.0 (Stats.Sample.percentile s 0.);
   Alcotest.(check (float 1e-9)) "p100" 100.0 (Stats.Sample.percentile s 100.);
   Alcotest.(check (float 0.5)) "p90" 90.1 (Stats.Sample.percentile s 90.)
-
-let test_stats_histogram () =
-  let h = Stats.Histogram.create ~lo:0. ~hi:10. ~buckets:5 in
-  List.iter (Stats.Histogram.add h) [ -1.; 0.; 1.9; 2.; 9.9; 10.; 100. ];
-  let counts = Stats.Histogram.counts h in
-  check_int "bucket 0 (incl. underflow)" 3 counts.(0);
-  check_int "bucket 1" 1 counts.(1);
-  check_int "bucket 4 (incl. overflow)" 3 counts.(4);
-  check_int "total" 7 (Stats.Histogram.total h)
 
 let welford_matches_naive =
   QCheck.Test.make ~name:"Welford matches naive mean/variance" ~count:100
@@ -525,7 +511,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "pop" `Quick test_heap_pop;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
           qt heap_sort_property;
         ] );
       ( "stats",
@@ -534,7 +519,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
           qt welford_matches_naive;
         ] );
       ( "ring",
