@@ -1556,8 +1556,7 @@ let e15 report =
   Report.param report "seeds" (Json.Int seeds);
   Report.param report "seed_base" (Json.Int 1);
   Report.param report "horizon_ms" (Json.Int 50);
-  Report.param report "save_retries"
-    (Json.Int Resets_chaos.Explorer.default_config.save_retries);
+  Report.param report "save_retries" (Json.Int Durable.retries);
   let batch ~table weak =
     let r = Resets_chaos.Explorer.explore (cfg weak) in
     List.iter
@@ -1570,6 +1569,11 @@ let e15 report =
               match o.first_violation with
               | None -> Json.Null
               | Some v -> Json.String v.Invariant.invariant );
+            ("save_failures", Json.Int o.save_failures);
+            ("save_retries", Json.Int o.save_retries);
+            ("fetch_failures", Json.Int o.fetch_failures);
+            ("sends_stalled", Json.Int o.sends_stalled);
+            ("degraded_reestablish", Json.Int o.degraded_reestablish);
           ])
       r.outcomes;
     Format.printf "%-9s %4d seed(s): %d violating, %d harness run(s)@."
@@ -1936,7 +1940,9 @@ let e17 report =
       | Some j -> Option.value (Json.as_float j) ~default:nan
       | None -> nan
     in
-    let bound = float_of_int (2 * params.Matrix.k) in
+    let bound =
+      float_of_int (Analysis.max_fresh_discards ~kq:params.Matrix.k)
+    in
     (* The printed table, one line per cell. *)
     Format.printf
       "  %-34s %9s %9s %9s %6s@." "cell (scope-discipline-churn)" "lost_max"
@@ -2374,8 +2380,8 @@ let () =
   Format.printf "Convergence of IPsec in Presence of Resets — experiment harness@.";
   section "E1" "sender reset: loss bounded by 2Kp (Fig. 1, Thm i)"
     ~claim:
-      "A reset at phase t of the SAVE cycle loses 2Kp - t numbers if the SAVE \
-       was in flight, Kp - t if complete; always <= 2Kp, and no fresh message \
+      "A reset at phase t of the SAVE cycle loses Kp - t numbers if the SAVE \
+       was in flight, 2Kp - t if complete; always <= 2Kp, and no fresh message \
        is discarded absent reordering."
     e1;
   section "E2" "receiver reset: discards bounded by 2Kq (Fig. 2, Thm ii)"

@@ -664,8 +664,7 @@ let kmin_cmd =
 (* chaos *)
 
 let chaos_cmd =
-  let go seeds seed_base horizon weak_leap retries stealth min_goodput quiet
-      json_out =
+  let go seeds seed_base horizon weak_leap stealth min_goodput quiet json_out =
     let open Resets_chaos in
     let config =
       {
@@ -674,7 +673,6 @@ let chaos_cmd =
         seed_base;
         horizon = time_of_ms horizon;
         weak_leap;
-        save_retries = retries;
         stealth;
         min_goodput;
       }
@@ -740,13 +738,6 @@ let chaos_cmd =
              unsound configuration the explorer is expected to catch and \
              shrink.")
   in
-  let retries =
-    Arg.(
-      value
-      & opt positive_int_conv 3
-      & info [ "retries" ] ~docv:"N"
-          ~doc:"Recovery retry budget before an SA degrades to re-establishment.")
-  in
   let stealth =
     Arg.(
       value & flag
@@ -783,8 +774,8 @@ let chaos_cmd =
           adversaries judged against a paired oracle) under the invariant \
           monitor and shrink any violation to a minimal counterexample.")
     Term.(
-      const go $ seeds $ seed_base $ horizon $ weak_leap $ retries $ stealth
-      $ min_goodput $ quiet $ json_out)
+      const go $ seeds $ seed_base $ horizon $ weak_leap $ stealth $ min_goodput
+      $ quiet $ json_out)
 
 (* ------------------------------------------------------------------ *)
 (* serve: one side of the association as a real daemon over a socket *)

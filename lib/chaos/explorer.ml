@@ -24,7 +24,6 @@ type config = {
   seed_base : int;
   horizon : Time.t;
   weak_leap : bool;
-  save_retries : int;
   max_shrink_runs : int;
   stealth : bool;
   min_goodput : float;
@@ -36,7 +35,6 @@ let default_config =
     seed_base = 1;
     horizon = Time.of_ms 50;
     weak_leap = false;
-    save_retries = 3;
     max_shrink_runs = 200;
     stealth = false;
     min_goodput = 0.6;
@@ -165,7 +163,6 @@ let scenario_of config sched =
     faults = sched.link_faults;
     disk_faults = sched.disk_faults;
     attack = sched.attack;
-    save_retries = config.save_retries;
     monitor = true;
   }
 
@@ -176,15 +173,18 @@ let run_schedule config sched = Harness.run (scenario_of config sched)
    attack-free twin, and losing more goodput than [min_goodput]
    tolerates becomes a synthetic "goodput-degraded" record — so the
    shrinker minimizes towards a degradation threshold exactly as it
-   does towards a safety breach. *)
-let violations_of config sched =
-  if not config.stealth then (run_schedule config sched).Harness.violations
+   does towards a safety breach. The (primary) run's metrics come
+   along for the outcome's recovery counters. *)
+let judge config sched =
+  if not config.stealth then
+    let r = run_schedule config sched in
+    (r.Harness.violations, r.Harness.metrics)
   else begin
     let deg = Harness.run_paired (scenario_of config sched) in
-    let vs = deg.Harness.primary.Harness.violations in
-    if deg.Harness.goodput_ratio < config.min_goodput then
-      vs
-      @ [
+    let primary = deg.Harness.primary in
+    let degraded =
+      if deg.Harness.goodput_ratio < config.min_goodput then
+        [
           {
             Invariant.invariant = "goodput-degraded";
             at = sched.horizon;
@@ -193,8 +193,12 @@ let violations_of config sched =
                 deg.Harness.goodput_ratio config.min_goodput;
           };
         ]
-    else vs
+      else []
+    in
+    (primary.Harness.violations @ degraded, primary.Harness.metrics)
   end
+
+let violations_of config sched = fst (judge config sched)
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking *)
@@ -352,6 +356,11 @@ type outcome = {
   schedule : schedule;
   violation_count : int;
   first_violation : Invariant.violation option;
+  save_failures : int;
+  save_retries : int;
+  fetch_failures : int;
+  sends_stalled : int;
+  degraded_reestablish : int;
 }
 
 type report = {
@@ -375,13 +384,18 @@ let explore ?(progress = fun _ -> ()) config =
     List.init config.seeds (fun i ->
         let sched = generate config i in
         incr total_runs;
-        let violations = violations_of config sched in
+        let violations, (m : Metrics.t) = judge config sched in
         progress (i, List.length violations);
         {
           schedule = sched;
           violation_count = List.length violations;
           first_violation =
             (match violations with [] -> None | v :: _ -> Some v);
+          save_failures = m.Metrics.save_failures;
+          save_retries = m.Metrics.save_retries;
+          fetch_failures = m.Metrics.fetch_failures;
+          sends_stalled = m.Metrics.sends_stalled;
+          degraded_reestablish = m.Metrics.degraded_reestablish;
         })
   in
   let violating_seeds =
@@ -524,7 +538,7 @@ let report_to_json r =
             ("seed_base", Json.Int r.config.seed_base);
             ("horizon_us", time_json r.config.horizon);
             ("weak_leap", Json.Bool r.config.weak_leap);
-            ("save_retries", Json.Int r.config.save_retries);
+            ("save_retries", Json.Int Durable.retries);
             ("stealth", Json.Bool r.config.stealth);
             ("min_goodput", Json.Float r.config.min_goodput);
           ] );

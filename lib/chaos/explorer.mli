@@ -43,7 +43,6 @@ type config = {
   weak_leap : bool;
       (** weaken the receiver leap from the paper's 2K to K — the
           unsound configuration the explorer must catch *)
-  save_retries : int;  (** recovery retry budget (see {!Harness}) *)
   max_shrink_runs : int;  (** harness-run budget for one shrink *)
   stealth : bool;
       (** draw adversaries from the stealth goodput-degradation family
@@ -60,8 +59,9 @@ type config = {
 }
 
 val default_config : config
-(** 50 seeds from 1, 50 ms horizon, sound leap, 3 retries, 200 shrink
-    runs, stealth off (goodput floor 0.6 when enabled). *)
+(** 50 seeds from 1, 50 ms horizon, sound leap, 200 shrink runs,
+    stealth off (goodput floor 0.6 when enabled). The recovery retry
+    budget is {!Resets_core.Durable.retries}. *)
 
 val generate : config -> int -> schedule
 (** The [i]-th schedule — a pure function of [config.seed_base + i],
@@ -91,6 +91,13 @@ type outcome = {
   schedule : schedule;
   violation_count : int;
   first_violation : Invariant.violation option;
+  save_failures : int;
+      (** the run's store-fault recovery counters ({!Metrics.t}, the
+          primary run's in stealth mode) *)
+  save_retries : int;
+  fetch_failures : int;
+  sends_stalled : int;
+  degraded_reestablish : int;
 }
 
 type report = {

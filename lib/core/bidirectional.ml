@@ -59,7 +59,7 @@ let run ?(seed = 7) ?(replay_announce = false) ~reset_at ~downtime ~horizon conf
              key = "send_seq";
              policy = K_policy.make (K_policy.static config.k);
              trigger = Sender.On_count;
-             retries = 3;
+             retries = Durable.retries;
            })
       ~receiver_persistence:
         (Some
@@ -69,7 +69,7 @@ let run ?(seed = 7) ?(replay_announce = false) ~reset_at ~downtime ~horizon conf
              policy = K_policy.make (K_policy.static config.k);
              robust = false;
              wakeup_buffer = true;
-             retries = 3;
+             retries = Durable.retries;
            })
       engine
   in

@@ -14,6 +14,8 @@ type tap =
 
 type t = {
   engine : Engine.t;
+  window : int;
+  arena : Sadb_flat.t option;
   link : Packet.t Link.t;
   adversary : Packet.t Resets_attack.Adversary.t option;
   sender : Sender.t;
@@ -58,7 +60,7 @@ let create ?trace ?(sender_name = "p") ?(receiver_name = "q")
       ~persistence:receiver_persistence engine
   in
   Link.set_deliver link (Receiver.on_packet receiver);
-  { engine; link; adversary; sender; receiver; metrics }
+  { engine; window; arena; link; adversary; sender; receiver; metrics }
 
 let sender t = t.sender
 let receiver t = t.receiver
@@ -67,6 +69,22 @@ let adversary t = t.adversary
 let metrics t = t.metrics
 
 let start t = Sender.start t.sender
+
+let reestablish t ~cost ~prng ~spi ~on_installed =
+  Ike.establish ~window_width:t.window ?arena:t.arena t.engine ~cost ~prng ~spi
+    ~on_complete:(fun params ->
+      Sender.install_sa t.sender (Sa.create params);
+      Receiver.install_sa t.receiver (Sa.create params);
+      on_installed ())
+
+(* A down side comes up on the fresh SA; a side that stayed up (degraded
+   from a catch-up failure) keeps running but must still re-sync its
+   durable state to the fresh sequence space. *)
+let resume_fresh t =
+  if Receiver.is_down t.receiver then Receiver.resume_at t.receiver ~edge:0
+  else Receiver.resync_store t.receiver;
+  if Sender.is_down t.sender then Sender.resume_fresh t.sender
+  else Sender.resync_store t.sender
 
 let injected_count t =
   match t.adversary with

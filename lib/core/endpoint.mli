@@ -9,9 +9,10 @@
     (Section 6) — builds its topology out of these, so there is exactly
     one implementation of send/receive/persistence semantics to trust.
 
-    Lifecycle (reset, wakeup, SA installation) is exercised through the
+    Lifecycle (reset, wakeup) is exercised through the
     {!sender}/{!receiver} accessors — an endpoint adds wiring, not a
-    second state machine. *)
+    second state machine. The one lifecycle step that spans both sides,
+    re-establishing a fresh SA, is {!reestablish} and {!resume_fresh}. *)
 
 open Resets_sim
 
@@ -84,6 +85,23 @@ val metrics : t -> Metrics.t
 
 val start : t -> unit
 (** Start the sender's traffic loop. *)
+
+val reestablish :
+  t ->
+  cost:Resets_ipsec.Ike.cost ->
+  prng:Resets_util.Prng.t ->
+  spi:int32 ->
+  on_installed:(unit -> unit) ->
+  unit
+(** Renegotiate the association with IKE-lite (the endpoint's window
+    width, in its arena when it has one) and install the fresh SA on
+    both sides; then [on_installed]. The re-establishment fallback of
+    every composer. *)
+
+val resume_fresh : t -> unit
+(** After {!reestablish}: a side that is down comes up on the fresh SA
+    ({!Receiver.resume_at} edge 0, {!Sender.resume_fresh}); a side that
+    stayed up re-syncs its store to the fresh counter. *)
 
 val injected_count : t -> int
 (** Packets the adversary injected (0 without a tap). *)

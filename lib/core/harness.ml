@@ -38,7 +38,6 @@ type scenario = {
   keep_trace : bool;
   disk_faults : Sim_disk.Faults.spec;
       (* storage fault plan, applied to both endpoint disks *)
-  save_retries : int; (* recovery retry budget before degrading *)
   monitor : bool; (* attach the online invariant monitor *)
 }
 
@@ -59,7 +58,6 @@ let default =
     sender_stop_at = None;
     keep_trace = false;
     disk_faults = Sim_disk.Faults.none;
-    save_retries = 3;
     monitor = false;
   }
 
@@ -198,7 +196,7 @@ let run scenario =
                 (match sender.Protocol.save_timer with
                 | None -> Sender.On_count
                 | Some dt -> Sender.On_timer dt);
-              retries = scenario.save_retries;
+              retries = Durable.retries;
             },
         Some
           Receiver.
@@ -208,7 +206,7 @@ let run scenario =
               policy = policy_q;
               robust = robust_receiver;
               wakeup_buffer;
-              retries = scenario.save_retries;
+              retries = Durable.retries;
             },
         Some disk_p,
         Some disk_q )
@@ -267,13 +265,13 @@ let run scenario =
       disk_q
   end;
   let next_spi = ref 0x2000l in
-  let reestablish_wakeup ~cost ~on_ready () =
+  let reestablish ~cost ~on_installed =
     let spi = !next_spi in
     next_spi := Int32.add spi 1l;
-    Ike.establish ~window_width:scenario.window engine
-      ~cost ~prng:ike_prng ~spi ~on_complete:(fun params ->
-        Sender.install_sa sender (Sa.create params);
-        Receiver.install_sa receiver (Sa.create params);
+    Endpoint.reestablish endpoint ~cost ~prng:ike_prng ~spi ~on_installed
+  in
+  let reestablish_wakeup ~cost ~on_ready () =
+    reestablish ~cost ~on_installed:(fun () ->
         if Sender.is_down sender then Sender.wakeup sender ~on_ready ();
         if Receiver.is_down receiver then Receiver.wakeup receiver ~on_ready:Fun.id ())
   in
@@ -281,20 +279,8 @@ let run scenario =
      against a faulty store it abandons SAVE/FETCH and renegotiates a
      fresh SA — fresh keys, fresh sequence space, window at edge 0. *)
   let degrade_reestablish () =
-    let spi = !next_spi in
-    next_spi := Int32.add spi 1l;
-    Ike.establish ~window_width:scenario.window engine ~cost:Ike.default_cost
-      ~prng:ike_prng ~spi
-      ~on_complete:(fun params ->
-        Sender.install_sa sender (Sa.create params);
-        Receiver.install_sa receiver (Sa.create params);
-        (* A down endpoint resumes on the fresh SA; an up one (degraded
-           from a catchup failure) keeps running but must still re-sync
-           its durable state to the fresh sequence space. *)
-        if Receiver.is_down receiver then Receiver.resume_at receiver ~edge:0
-        else Receiver.resync_store receiver;
-        if Sender.is_down sender then Sender.resume_fresh sender
-        else Sender.resync_store sender)
+    reestablish ~cost:Ike.default_cost ~on_installed:(fun () ->
+        Endpoint.resume_fresh endpoint)
   in
   Sender.set_degrade_handler sender degrade_reestablish;
   Receiver.set_degrade_handler receiver degrade_reestablish;

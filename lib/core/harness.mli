@@ -86,9 +86,6 @@ type scenario = {
           stale FETCHes), applied to both endpoint disks; the fault
           PRNGs are split from the master after link/traffic/ike, so
           fault-free runs are byte-identical to pre-fault-model ones *)
-  save_retries : int;
-      (** recovery retry budget per endpoint before an SA degrades to
-          re-establishment (see {!Sender.set_degrade_handler}) *)
   monitor : bool;
       (** attach the online {!Invariant} monitor; its findings come
           back in [result.violations]. A pure observer: a monitored run

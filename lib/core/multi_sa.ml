@@ -136,11 +136,6 @@ let tap_capacity = 4096
    per-SA receivers' SAVEs and the coalesced snapshots share it. *)
 let sa_key g = Printf.sprintf "sa-%d" g
 
-(* How many times a failed recovery SAVE or an unreadable durable edge
-   is tried (with capped exponential backoff) before the SA stops
-   trusting the store and degrades to IKE re-establishment. *)
-let retries = 3
-
 (* Re-established SA [g] takes SPI 0x6000 + g, clear of the 0x4000 + g
    it was established with. *)
 let spi_base = 0x6000l
@@ -152,7 +147,6 @@ type host = {
   discipline : discipline;
   endpoints : Endpoint.t array;
   first_sa : int; (* global index of SA 0 on this shard *)
-  arena : Sadb_flat.t;
   ike_prngs : Prng.t array; (* one generator per SA *)
   keys : string array;
   lst : int array; (* per-SA edge as of the last begun coalesced flush *)
@@ -199,32 +193,24 @@ let maybe_flush h =
     end
   end
 
-(* One IKE-lite handshake for SA [i], keyed by global index: fresh
-   parameters installed on both ends when it completes. Shared by the
-   Reestablish discipline and by degraded recovery. *)
+(* One IKE-lite handshake for SA [i], keyed by global index, then the
+   fresh SA's two sides come up ({!Endpoint.resume_fresh}) and
+   [on_done]. Shared by the Reestablish discipline and by degraded
+   recovery. *)
 let establish_sa h ~cost i ~on_done =
   let g = h.first_sa + i in
   h.handshakes <- h.handshakes + Ike.message_count;
-  let spi = Int32.add spi_base (Int32.of_int g) in
-  Ike.establish ~window_width ~arena:h.arena h.engine ~cost
-    ~prng:h.ike_prngs.(i) ~spi ~on_complete:(fun params ->
-      let ep = h.endpoints.(i) in
-      Sender.install_sa (Endpoint.sender ep) (Sa.create params);
-      Receiver.install_sa (Endpoint.receiver ep) (Sa.create params);
+  let ep = h.endpoints.(i) in
+  Endpoint.reestablish ep ~cost ~prng:h.ike_prngs.(i)
+    ~spi:(Int32.add spi_base (Int32.of_int g))
+    ~on_installed:(fun () ->
+      Endpoint.resume_fresh ep;
       on_done ())
 
 (* Degraded recovery of one per-SA receiver: its durable record
    exhausted the retry budget, so stop trusting the store and
    renegotiate: fresh keys, fresh sequence space, window at edge 0. *)
-let degrade_sa h i =
-  establish_sa h ~cost:Ike.default_cost i ~on_done:(fun () ->
-      let ep = h.endpoints.(i) in
-      if Receiver.is_down (Endpoint.receiver ep) then
-        Receiver.resume_at (Endpoint.receiver ep) ~edge:0
-      else Receiver.resync_store (Endpoint.receiver ep);
-      if Sender.is_down (Endpoint.sender ep) then
-        Sender.resume_fresh (Endpoint.sender ep)
-      else Sender.resync_store (Endpoint.sender ep))
+let degrade_sa h i = establish_sa h ~cost:Ike.default_cost i ~on_done:ignore
 
 (* Wire the host to its endpoints. Coalesced: preload every SA's
    established edge and start the periodic flush, one snapshot per
@@ -232,7 +218,7 @@ let degrade_sa h i =
    against a faulty store degrades to re-establishment rather than
    wedging its SA (the receiver bumps [Metrics.degraded_reestablish]
    itself). *)
-let create_host config ~engine ~disk ~discipline ~first_sa ~arena ~ike_prngs
+let create_host config ~engine ~disk ~discipline ~first_sa ~ike_prngs
     endpoints =
   let n = Array.length endpoints in
   let h =
@@ -243,7 +229,6 @@ let create_host config ~engine ~disk ~discipline ~first_sa ~arena ~ike_prngs
       discipline;
       endpoints;
       first_sa;
-      arena;
       ike_prngs;
       keys = Array.init n (fun i -> sa_key (first_sa + i));
       lst = Array.make n 0;
@@ -295,11 +280,11 @@ let checked_durable_edge h i =
   let metrics = Endpoint.metrics h.endpoints.(i) in
   let rec go n =
     match Sim_disk.fetch_checked h.disk ~key:h.keys.(i) with
-    | Sim_disk.Fetched v -> Some v
-    | Sim_disk.Fetch_missing -> Some 0
-    | Sim_disk.Fetch_corrupt | Sim_disk.Fetch_stale _ ->
+    | Store.Fetched v -> Some v
+    | Store.Missing -> Some 0
+    | Store.Corrupt | Store.Stale _ ->
       metrics.Metrics.fetch_failures <- metrics.Metrics.fetch_failures + 1;
-      if n + 1 >= retries then None
+      if n + 1 >= Durable.retries then None
       else begin
         metrics.Metrics.save_retries <- metrics.Metrics.save_retries + 1;
         go (n + 1)
@@ -358,9 +343,7 @@ let recover h ~on_complete =
       let metrics = Endpoint.metrics h.endpoints.(i) in
       metrics.Metrics.degraded_reestablish <-
         metrics.Metrics.degraded_reestablish + 1;
-      establish_sa h ~cost:Ike.default_cost i ~on_done:(fun () ->
-          Receiver.resume_at (receiver_i h i) ~edge:0;
-          ready ())
+      establish_sa h ~cost:Ike.default_cost i ~on_done:ready
     in
     Array.iteri (fun i bad -> if bad then degrade i) degraded;
     let live =
@@ -390,14 +373,14 @@ let recover h ~on_complete =
         Sim_disk.save_snapshot h.disk ~entries
           ~on_error:(fun () ->
             if h.recovering then
-              if k + 1 >= retries then begin
+              if k + 1 >= Durable.retries then begin
                 h.recovering <- false;
                 List.iter degrade live
               end
               else
                 ignore
                   (Engine.schedule_after h.engine
-                     ~after:(Time.mul base (min (1 lsl k) 8))
+                     ~after:(Durable.backoff base k)
                      (fun () -> if h.recovering then attempt (k + 1))))
           ~on_complete:finish
       in
@@ -414,11 +397,9 @@ let recover h ~on_complete =
         ignore
           (Engine.schedule_after h.engine ~after:(Time.mul step (h.first_sa + i))
              (fun () ->
-               establish_sa h ~cost i ~on_done:(fun () ->
-                   (* A fresh SA starts with a fresh window: resume at
-                      edge 0, nothing sent under the new keys yet. *)
-                   Receiver.resume_at (receiver_i h i) ~edge:0;
-                   ready ()))))
+               (* A fresh SA starts with a fresh window: resume at edge
+                  0, nothing sent under the new keys yet. *)
+               establish_sa h ~cost i ~on_done:ready)))
       h.endpoints
 
 (* ------------------------------------------------------------------ *)
@@ -465,7 +446,7 @@ let run_shard ~seed discipline config (lo, hi) =
             policy = K_policy.make (K_policy.static config.k);
             robust = false;
             wakeup_buffer = false;
-            retries;
+            retries = Durable.retries;
           }
       | `Save_fetch_coalesced | `Reestablish ->
         (* the host manages durability (or renegotiates instead) *)
@@ -485,7 +466,7 @@ let run_shard ~seed discipline config (lo, hi) =
   in
   let endpoints = Array.init n endpoint_of in
   let host =
-    create_host config ~engine ~disk ~discipline ~first_sa:lo ~arena:hot
+    create_host config ~engine ~disk ~discipline ~first_sa:lo
       ~ike_prngs endpoints
   in
   (* Recovery bookkeeping: when is every SA in this range processing

@@ -11,8 +11,6 @@ type persistence = {
   retries : int;
 }
 
-type status = Up | Down | Waking
-
 type t = {
   engine : Engine.t;
   name : string;
@@ -20,32 +18,31 @@ type t = {
   framing : Packet.framing;
   mutable sa : Sa.t;
   metrics : Metrics.t;
-  persistence : persistence option;
-  mutable status : status;
-  mutable lst : int; (* last stored (or begun) right edge *)
-  mutable durable : int; (* mirror of the disk's content *)
+  durable : Durable.t option; (* None: the volatile process *)
+  robust : bool;
+  wakeup_buffer : bool;
+  mutable down : bool;
   mutable wakeup_buffer_q : Packet.t list; (* newest first *)
   mutable catchup_buffer : Packet.t list; (* newest first *)
   mutable catchup_saving : bool;
-  mutable save_failing : bool; (* a periodic SAVE failed; none has
-                                  succeeded since *)
-  mutable pending_ready : (unit -> unit) option;
-      (* wakeup's on_ready, fired by whichever path brings us up *)
-  mutable degrade : (unit -> unit) option;
   mutable deliver_hooks : (seq:int -> payload:Resets_util.Slice.t -> unit) list;
-  mutable last_fresh_at : Time.t option;
-      (* previous fresh delivery instant, feeding the policy's gap
-         estimate (the receiver's view of t_msg) *)
 }
 
 
 let create ?(name = "q") ?trace ?(framing = Packet.Seq64)
     ?(preload_store = true) ~sa ~metrics ~persistence engine =
-  let initial_edge = Resets_ipsec.Replay_window.right_edge sa.Sa.window in
-  if preload_store then
-    Option.iter
-      (fun p -> Store.preload p.store ~key:p.key ~value:initial_edge)
-      persistence;
+  let durable, robust, wakeup_buffer =
+    match persistence with
+    | None -> (None, false, false)
+    | Some p ->
+      let initial = Replay_window.right_edge sa.Sa.window in
+      if preload_store then Store.preload p.store ~key:p.key ~value:initial;
+      ( Some
+          (Durable.create ?trace ~name ~store:p.store ~key:p.key
+             ~policy:p.policy ~retries:p.retries ~metrics ~initial engine),
+        p.robust,
+        p.wakeup_buffer )
+  in
   {
     engine;
     name;
@@ -53,18 +50,14 @@ let create ?(name = "q") ?trace ?(framing = Packet.Seq64)
     framing;
     sa;
     metrics;
-    persistence;
-    status = Up;
-    lst = initial_edge;
-    durable = initial_edge;
+    durable;
+    robust;
+    wakeup_buffer;
+    down = false;
     wakeup_buffer_q = [];
     catchup_buffer = [];
     catchup_saving = false;
-    save_failing = false;
-    pending_ready = None;
-    degrade = None;
     deliver_hooks = [];
-    last_fresh_at = None;
   }
 
 let tell t event detail =
@@ -75,36 +68,9 @@ let tell t event detail =
 
 let on_deliver t hook = t.deliver_hooks <- t.deliver_hooks @ [ hook ]
 
-let set_degrade_handler t f = t.degrade <- Some f
-
 let window t = t.sa.Sa.window
 
-(* Capped exponential backoff for recovery retries: the n-th retry
-   waits 2^n disk latencies, capped at 8. *)
-let backoff_delay base n = Time.mul base (min (1 lsl n) 8)
-
-let maybe_begin_periodic_save t =
-  match t.persistence with
-  | None -> ()
-  | Some p ->
-    let r = Replay_window.right_edge (window t) in
-    if r >= K_policy.current p.policy + t.lst then begin
-      let prev_lst = t.lst in
-      t.lst <- r;
-      Store.save p.store ~key:p.key ~value:r
-        ~on_error:(fun () ->
-          (* Nothing became durable: roll the save threshold back so the
-             next accepted packet re-triggers the write, and engage the
-             bounded-slide guard until a SAVE succeeds again. *)
-          t.metrics.Metrics.save_failures <- t.metrics.Metrics.save_failures + 1;
-          t.save_failing <- true;
-          if t.lst = r then t.lst <- prev_lst;
-          tell t "save.fail" (string_of_int r))
-        ~on_complete:(fun () ->
-          t.save_failing <- false;
-          if r > t.durable then t.durable <- r;
-          K_policy.note_durable p.policy)
-    end
+let waking t = match t.durable with None -> false | Some d -> Durable.waking d
 
 let deliver t ~seq ~payload ~replayed =
   Sa.note_received t.sa;
@@ -112,15 +78,7 @@ let deliver t ~seq ~payload ~replayed =
   (* Fresh arrivals measure the receiver's view of the inter-send gap
      (a no-op for static policies). *)
   (if not replayed then
-     match t.persistence with
-     | None -> ()
-     | Some p ->
-       let now = Engine.now t.engine in
-       (match t.last_fresh_at with
-       | Some prev when Time.(prev <= now) ->
-         K_policy.observe_send_gap p.policy (Time.diff now prev)
-       | Some _ | None -> ());
-       t.last_fresh_at <- Some now);
+     match t.durable with None -> () | Some d -> Durable.observe_gap d);
   List.iter (fun hook -> hook ~seq ~payload) t.deliver_hooks
 
 (* Process one packet through decap + window. Returns [`Deferred pkt]
@@ -147,10 +105,9 @@ let rec process t (pkt : Packet.t) =
        edge run past [durable + leap] would make a post-crash resume
        edge fall below the old edge, re-opening the replay hole. *)
     let needs_catchup =
-      match t.persistence with
-      | Some p ->
-        (p.robust || t.save_failing)
-        && prospective > t.durable + K_policy.leap p.policy
+      match t.durable with
+      | Some d ->
+        (t.robust || Durable.failing d) && prospective > Durable.horizon d
       | None -> false
     in
     if needs_catchup then defer t pkt ~edge:prospective
@@ -164,7 +121,9 @@ let rec process t (pkt : Packet.t) =
         if displacement > t.metrics.Metrics.max_displacement then
           t.metrics.Metrics.max_displacement <- displacement;
         deliver t ~seq ~payload ~replayed:pkt.Packet.replayed;
-        maybe_begin_periodic_save t
+        match t.durable with
+        | None -> ()
+        | Some d -> Durable.save_if_due d (Replay_window.right_edge (window t))
       end
       else Metrics.record_rejection t.metrics ~seq ~replayed:pkt.Packet.replayed
     end
@@ -173,85 +132,72 @@ let rec process t (pkt : Packet.t) =
    before letting the window slide to it. *)
 and defer t pkt ~edge =
   t.catchup_buffer <- pkt :: t.catchup_buffer;
-  match t.persistence with
+  match t.durable with
   | None -> assert false
-  | Some p ->
+  | Some d ->
     if not t.catchup_saving then begin
       t.catchup_saving <- true;
       tell t "catchup.begin" (string_of_int edge);
-      catchup_save t p ~edge ~attempt:0
+      catchup_save t d ~edge ~attempt:0
     end
 
-and catchup_save t p ~edge ~attempt =
-  Store.save p.store ~key:p.key ~value:edge
+and catchup_save t d ~edge ~attempt =
+  Durable.write d edge
     ~on_error:(fun () ->
       t.metrics.Metrics.save_failures <- t.metrics.Metrics.save_failures + 1;
-      if attempt + 1 >= p.retries then begin
+      if attempt + 1 >= Durable.budget d then begin
         (* Retry budget exhausted. The held packets stay buffered and
            the next arrival re-arms the save with a fresh budget — or,
            when a degrade handler is wired, the association abandons the
            store and re-establishes. *)
         t.catchup_saving <- false;
         tell t "catchup.give_up" (string_of_int edge);
-        degrade_now t
+        Durable.degrade d
       end
       else begin
         t.metrics.Metrics.save_retries <- t.metrics.Metrics.save_retries + 1;
         tell t "catchup.retry" (string_of_int edge);
-        catchup_save t p ~edge ~attempt:(attempt + 1)
+        catchup_save t d ~edge ~attempt:(attempt + 1)
       end)
     ~on_complete:(fun () ->
-      if edge > t.durable then t.durable <- edge;
-      if edge > t.lst then t.lst <- edge;
-      t.save_failing <- false;
+      Durable.made_durable d edge;
       t.catchup_saving <- false;
       tell t "catchup.done" (string_of_int edge);
       let held = List.rev t.catchup_buffer in
       t.catchup_buffer <- [];
-      if t.status = Up then List.iter (process t) held)
+      if not t.down then List.iter (process t) held)
 
-(* The store has exhausted its trust: record the degradation and hand
-   the association to the re-establishment fallback (fresh SA, fresh
-   window, fresh keys) when one is wired. Without a handler the
-   endpoint keeps retrying at the protocol's own pace — never silently
-   unsafe, only slower. *)
-and degrade_now t =
-  t.metrics.Metrics.degraded_reestablish <-
-    t.metrics.Metrics.degraded_reestablish + 1;
-  tell t "degrade" "falling back to re-establishment";
-  match t.degrade with
+let set_degrade_handler t f =
+  match t.durable with
   | None -> ()
-  | Some f ->
-    t.catchup_buffer <- [];
-    t.catchup_saving <- false;
-    f ()
+  | Some d ->
+    (* A degraded association drops what the bounded slide held back:
+       the fresh SA starts a fresh window. *)
+    Durable.set_degrade_handler d (fun () ->
+        t.catchup_buffer <- [];
+        t.catchup_saving <- false;
+        f ())
 
 let on_packet t pkt =
-  match t.status with
-  | Up -> process t pkt
-  | Down ->
-    (* The host is off: arrivals are lost, like any packet sent to a
-       dead machine. *)
+  if not t.down then process t pkt
+  else if t.wakeup_buffer && waking t then begin
+    t.metrics.Metrics.buffered_during_wakeup <-
+      t.metrics.Metrics.buffered_during_wakeup + 1;
+    t.wakeup_buffer_q <- pkt :: t.wakeup_buffer_q
+  end
+  else
+    (* The host is off (or waking without a buffer): arrivals are lost,
+       like any packet sent to a dead machine. *)
     t.metrics.Metrics.dropped_host_down <- t.metrics.Metrics.dropped_host_down + 1
-  | Waking -> (
-    match t.persistence with
-    | Some { wakeup_buffer = true; _ } ->
-      t.metrics.Metrics.buffered_during_wakeup <-
-        t.metrics.Metrics.buffered_during_wakeup + 1;
-      t.wakeup_buffer_q <- pkt :: t.wakeup_buffer_q
-    | Some { wakeup_buffer = false; _ } | None ->
-      t.metrics.Metrics.dropped_host_down <- t.metrics.Metrics.dropped_host_down + 1)
 
 let reset t =
-  if t.status <> Down then begin
-    t.status <- Down;
+  (* A reset during a wakeup aborts it; one while down is a no-op. *)
+  if (not t.down) || waking t then begin
+    t.down <- true;
     t.wakeup_buffer_q <- [];
     t.catchup_buffer <- [];
     t.catchup_saving <- false;
-    t.save_failing <- false; (* RAM state: a crash forgets it *)
-    t.pending_ready <- None;
-    t.last_fresh_at <- None; (* downtime is not an inter-send gap *)
-    Option.iter (fun p -> Store.crash p.store) t.persistence;
+    (match t.durable with None -> () | Some d -> Durable.crash d);
     t.metrics.Metrics.q_resets <- t.metrics.Metrics.q_resets + 1;
     tell t "reset" ""
   end
@@ -261,111 +207,47 @@ let drain_wakeup_buffer t =
   t.wakeup_buffer_q <- [];
   List.iter (process t) held
 
-let fire_ready t =
-  match t.pending_ready with
-  | None -> ()
-  | Some f ->
-    t.pending_ready <- None;
-    f ()
-
 let wakeup t ?(on_ready = fun () -> ()) () =
-  if t.status = Up then invalid_arg "Receiver.wakeup: not down";
-  if t.status = Waking then () (* recovery already in progress *)
-  else
-  match t.persistence with
+  if not t.down then invalid_arg "Receiver.wakeup: not down";
+  match t.durable with
+  | Some d when Durable.waking d -> () (* recovery already in progress *)
+  | Some d ->
+    Durable.wakeup d ~missing:0 ~on_ready ~resume:(fun edge ->
+        Replay_window.resume_at (window t) edge;
+        t.down <- false;
+        tell t "wakeup" (Printf.sprintf "resume at edge %d" edge);
+        drain_wakeup_buffer t)
   | None ->
     (* Volatile baseline: Section 3's process q restarts with r = 0. *)
     Replay_window.volatile_reset (window t);
-    t.lst <- 0;
-    t.status <- Up;
+    t.down <- false;
     tell t "wakeup" "volatile, r=0";
     on_ready ()
-  | Some p ->
-    t.status <- Waking;
-    (* [on_ready] is held aside so that whichever path finally brings
-       the receiver up — this wakeup or a degraded re-establishment's
-       [resume_at] — fires it exactly once. *)
-    t.pending_ready <- Some on_ready;
-    let base = Store.base_latency p.store in
-    (* FETCH with verification. A corrupt or stale record is retried
-       with capped exponential backoff — transient-fault semantics: a
-       re-read may serve the good copy — and after the budget the SA
-       stops trusting the store and degrades. *)
-    let rec attempt_fetch n =
-      match Store.fetch_checked p.store ~key:p.key with
-      | Store.Fetched v -> begin_leap_save v
-      | Store.Missing -> begin_leap_save 0
-      | Store.Corrupt | Store.Stale _ ->
-        t.metrics.Metrics.fetch_failures <- t.metrics.Metrics.fetch_failures + 1;
-        if n + 1 >= p.retries then degrade_now t
-        else begin
-          t.metrics.Metrics.save_retries <- t.metrics.Metrics.save_retries + 1;
-          tell t "fetch.retry" (string_of_int (n + 1));
-          ignore
-            (Engine.schedule_after t.engine ~after:(backoff_delay base n)
-               (fun () -> if t.status = Waking then attempt_fetch (n + 1)))
-        end
-    and begin_leap_save fetched =
-      let new_edge = fetched + K_policy.leap p.policy in
-      tell t "fetch" (Printf.sprintf "fetched %d, leaping to %d" fetched new_edge);
-      attempt_save new_edge 0
-    and attempt_save new_edge n =
-      Store.save p.store ~key:p.key ~value:new_edge
-        ~on_error:(fun () ->
-          t.metrics.Metrics.save_failures <- t.metrics.Metrics.save_failures + 1;
-          if n + 1 >= p.retries then degrade_now t
-          else begin
-            t.metrics.Metrics.save_retries <- t.metrics.Metrics.save_retries + 1;
-            tell t "wakeup.save_retry" (string_of_int (n + 1));
-            ignore
-              (Engine.schedule_after t.engine ~after:(backoff_delay base n)
-                 (fun () -> if t.status = Waking then attempt_save new_edge (n + 1)))
-          end)
-        ~on_complete:(fun () ->
-          Replay_window.resume_at (window t) new_edge;
-          t.lst <- new_edge;
-          t.durable <- new_edge;
-          t.status <- Up;
-          tell t "wakeup" (Printf.sprintf "resume at edge %d" new_edge);
-          drain_wakeup_buffer t;
-          fire_ready t)
-    in
-    attempt_fetch 0
 
-(* A fresh SA's edge becomes the store's durable truth for this key
-   (establishment state is durable by assumption), or a later reset
-   would FETCH the dead sequence space's edge and resume the new window
-   far ahead of the sender. *)
 let resync_store t =
-  let edge = Replay_window.right_edge (window t) in
-  (match t.persistence with
+  match t.durable with
   | None -> ()
-  | Some p -> Store.preload p.store ~key:p.key ~value:edge);
-  t.lst <- edge;
-  t.durable <- edge;
-  t.save_failing <- false
+  | Some d -> Durable.resync d (Replay_window.right_edge (window t))
 
 (* Host-managed recovery: the edge was determined (and made durable)
    externally — e.g. by a coalesced snapshot write or a fresh handshake —
    so skip the per-receiver FETCH + blocking SAVE and come up at once. *)
 let resume_at t ~edge =
-  if t.status = Up then invalid_arg "Receiver.resume_at: not down";
+  if not t.down then invalid_arg "Receiver.resume_at: not down";
   Replay_window.resume_at (window t) edge;
   resync_store t;
-  t.status <- Up;
+  t.down <- false;
   tell t "wakeup" (Printf.sprintf "resume at edge %d (host-managed)" edge);
   drain_wakeup_buffer t;
-  fire_ready t
+  match t.durable with None -> () | Some d -> Durable.fire_ready d
 
-let is_down t = t.status <> Up
-let is_recovering t = t.status = Waking
+let is_down t = t.down
+let is_recovering = waking
 
 let right_edge t = Replay_window.right_edge (window t)
 
 let last_stored t =
-  match t.persistence with
-  | None -> None
-  | Some p -> Store.fetch p.store ~key:p.key
+  match t.durable with None -> None | Some d -> Durable.stored d
 
 let install_sa t sa =
   t.sa <- sa;

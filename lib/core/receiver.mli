@@ -19,7 +19,11 @@
     [k] in one packet (sender leap, loss, reordering): a packet that
     would push the edge beyond [durable + leap] is held back while an
     urgent SAVE of the new edge runs, and processed once it is durable.
-    See DESIGN.md §5 and the E11 experiments. *)
+    See DESIGN.md §5 and the E11 experiments.
+
+    The SAVE/FETCH side is a {!Durable} machine, the one {!Sender}
+    drives too; what is q's own is decap, the window, the bounded
+    slide and the wakeup buffer. *)
 
 type persistence = {
   store : Resets_persist.Store.t;
@@ -37,8 +41,9 @@ type persistence = {
   wakeup_buffer : bool;
   retries : int;
       (** recovery retry budget: how many times a wakeup FETCH or SAVE
-          (and the urgent catchup SAVE) is re-attempted after a store
-          fault before the SA degrades to re-establishment *)
+          (and the urgent catchup SAVE) is attempted against a faulty
+          store before the SA degrades to re-establishment; every
+          caller passes {!Durable.retries} *)
 }
 
 type t

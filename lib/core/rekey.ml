@@ -74,7 +74,7 @@ let run ?(seed = 5) strategy config =
                policy = K_policy.make (K_policy.static config.k);
                robust = false;
                wakeup_buffer = false;
-               retries = 3;
+               retries = Durable.retries;
              })
         engine
     in

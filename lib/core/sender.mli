@@ -12,7 +12,11 @@
       any) is lost with the rest of RAM;
     - {!wakeup} models recovery: FETCH the stored number, add the leap,
       SAVE the result {e blocking}, and only then resume sending — or,
-      for the volatile baseline, resume at sequence number 1. *)
+      for the volatile baseline, resume at sequence number 1.
+
+    The SAVE/FETCH side is a {!Durable} machine, the one {!Receiver}
+    drives too; what is p's own is the send loop, the timer trigger
+    and the stall guard. *)
 
 (** When to begin a periodic background SAVE. The paper argues for
     [On_count] — "we measure the interval between two SAVEs in terms of
@@ -41,8 +45,8 @@ type persistence = {
   trigger : trigger;
   retries : int;
       (** recovery retry budget: how many times a wakeup FETCH or SAVE
-          is re-attempted after a store fault before the SA degrades to
-          re-establishment *)
+          is attempted against a faulty store before the SA degrades to
+          re-establishment; every caller passes {!Durable.retries} *)
 }
 
 type t

@@ -346,7 +346,7 @@ let json_of_cell_result r =
     ]
 
 let run_cell ~bin ~workdir ~params ~log (cell : cell) =
-  let bound = 2 * params.k in
+  let bound = Resets_core.Analysis.max_fresh_discards ~kq:params.k in
   (* Re-establishment and a lost disk start a fresh sequence space:
      recovery of stored state is impossible by construction, so the
      daemon-side gate drops its recovery requirement there (the
@@ -535,7 +535,7 @@ let run_sigstop_probe ~bin ~workdir ~params ~log () =
 
 let run_faulty ~bin ~workdir ~params ~log () =
   let cell = { scope = Whole_sadb; discipline = Per_sa; churn = Steady } in
-  let bound = 2 * params.k in
+  let bound = Resets_core.Analysis.max_fresh_discards ~kq:params.k in
   log "faulty cell: store faults";
   let store_spec = "write_fail=0.05,torn=0.03,corrupt=0.02,stale=0.02" in
   let r_store =
@@ -602,7 +602,8 @@ let run ~bin ~workdir ?(log = fun _ -> ()) ?(cells = full_cells)
   ( Json.Obj
       [
         ("k", Json.Int params.k);
-        ("bound_2k", Json.Int (2 * params.k));
+        ( "bound_2k",
+          Json.Int (Resets_core.Analysis.max_fresh_discards ~kq:params.k) );
         ("rate_pps", Json.Float params.rate_pps);
         ("warmup_s", Json.Float params.warmup_s);
         ("downtime_s", Json.Float params.downtime_s);

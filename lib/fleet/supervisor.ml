@@ -56,8 +56,6 @@ let add t spec =
   t.slots <- t.slots @ [ slot ];
   slot
 
-let slots t = t.slots
-let find t name = List.find_opt (fun s -> s.spec.name = name) t.slots
 let proc s = s.proc
 let incarnations s = List.rev s.history @ Option.to_list s.proc
 let restarts s = s.restarts
@@ -103,8 +101,6 @@ let kill ?(wipe = []) s ~signal ~hold =
   (match s.proc with Some p -> Proc.kill p signal | None -> ());
   s.wipe <- wipe @ s.wipe;
   s.respawn_at <- Some (Unix.gettimeofday () +. hold)
-
-let hold s ~until = s.respawn_at <- Some until
 
 (* One supervision pass; call it from the experiment's wait loops. *)
 let tick t =

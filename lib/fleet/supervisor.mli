@@ -19,7 +19,7 @@
     function of the incarnation number, so a restart can change flags
     (the E17 runner adds [--expect-recovery] from incarnation 1 on).
     The supervisor is single-threaded and poll-driven: nothing happens
-    outside {!tick} / {!tick_until} / {!stop}. *)
+    outside {!tick_until} / {!stop}. *)
 
 type spec = {
   name : string;
@@ -45,29 +45,21 @@ val add : t -> spec -> slot
 val start : t -> unit
 (** Spawn every slot that has no process and no pending respawn. *)
 
-val tick : t -> unit
-(** One supervision pass: reap deaths (scheduling respawns), run the
-    watchdog, spawn respawns that are due. *)
-
 val tick_until : t -> timeout:float -> (unit -> bool) -> bool
-(** Tick every ~20 ms until the condition holds ([true]) or the
-    timeout passes ([false]). *)
+(** Run a supervision pass (reap deaths and schedule their respawns,
+    run the watchdog, spawn respawns that are due) every ~20 ms until
+    the condition holds ([true]) or the timeout passes ([false]). *)
 
 val kill : ?wipe:string list -> slot -> signal:int -> hold:float -> unit
 (** Scripted kill: deliver [signal] now; before the respawn, empty
     every directory in [wipe]; respawn after [hold] seconds of planned
     downtime (regardless of backoff). *)
 
-val hold : slot -> until:float -> unit
-(** Postpone the slot's next respawn to an absolute time. *)
-
 val stop : t -> grace:float -> unit
 (** Disable restarts, SIGTERM everything, wait up to [grace] seconds
     for clean exits (graceful daemons flush state), then SIGKILL the
     rest. *)
 
-val slots : t -> slot list
-val find : t -> string -> slot option
 val proc : slot -> Proc.t option
 (** The live incarnation, if any. *)
 

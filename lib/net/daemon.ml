@@ -318,7 +318,7 @@ let open_store cfg =
 let final_save (st : Store.t) ~key ~value =
   let ok = ref false in
   let attempts = ref 0 in
-  while (not !ok) && !attempts < 3 do
+  while (not !ok) && !attempts < Durable.retries do
     incr attempts;
     st.Store.save ~key ~value ~on_error:ignore ~on_complete:(fun () ->
         ok := true)
@@ -385,7 +385,7 @@ let make_sa cfg engine ~store ~fetch ~save_lat ~send i =
                  policy;
                  robust = false;
                  wakeup_buffer = true;
-                 retries = 3;
+                 retries = Durable.retries;
                })
           engine
       in
@@ -421,7 +421,7 @@ let make_sa cfg engine ~store ~fetch ~save_lat ~send i =
                  key;
                  policy;
                  trigger = Sender.On_count;
-                 retries = 3;
+                 retries = Durable.retries;
                })
           engine
       in

@@ -13,12 +13,6 @@ type envelope = Envelope.t = { value : int; gen : int; sum : int64 }
 let checksum = Envelope.checksum
 let verify = Envelope.verify
 
-type fetch_result =
-  | Fetched of int
-  | Fetch_missing
-  | Fetch_corrupt
-  | Fetch_stale of int
-
 type pending = {
   id : int;
   keys : string list;
@@ -218,7 +212,7 @@ let fetch t ~key =
 
 let fetch_checked t ~key =
   match Hashtbl.find_opt t.durable key with
-  | None -> Fetch_missing
+  | None -> Store.Missing
   | Some latest ->
     let served =
       match t.faults with
@@ -235,15 +229,15 @@ let fetch_checked t ~key =
     if not (verify ~key served) then begin
       t.corrupt_served <- t.corrupt_served + 1;
       tell t "fetch.corrupt" key;
-      Fetch_corrupt
+      Store.Corrupt
     end
     else if served.gen < latest.gen then begin
       t.stale_served <- t.stale_served + 1;
       tell t "fetch.stale"
         (Printf.sprintf "%s gen %d < %d" key served.gen latest.gen);
-      Fetch_stale served.value
+      Store.Stale served.value
     end
-    else Fetched served.value
+    else Store.Fetched served.value
 
 let crash t =
   let n = List.length t.pending in
@@ -270,12 +264,7 @@ let store t =
     save = (fun ~key ~value ~on_error ~on_complete ->
       save ~on_error t ~key ~value ~on_complete);
     fetch = (fun ~key -> fetch t ~key);
-    fetch_checked = (fun ~key ->
-      match fetch_checked t ~key with
-      | Fetched v -> Store.Fetched v
-      | Fetch_missing -> Store.Missing
-      | Fetch_corrupt -> Store.Corrupt
-      | Fetch_stale v -> Store.Stale v);
+    fetch_checked = (fun ~key -> fetch_checked t ~key);
     preload = (fun ~key ~value -> preload t ~key ~value);
     crash = (fun () -> crash t);
     base_latency = t.base_latency;

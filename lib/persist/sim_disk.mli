@@ -41,15 +41,6 @@ module Faults = Faults
 
 type t
 
-(** Result of a checksummed {!fetch_checked}. *)
-type fetch_result =
-  | Fetched of int  (** latest durable value, verified *)
-  | Fetch_missing  (** no durable record under the key *)
-  | Fetch_corrupt  (** record failed checksum verification *)
-  | Fetch_stale of int
-      (** record verified but its generation is below the key's current
-          one: a superseded value was served *)
-
 val create :
   ?trace:Trace.t ->
   ?name:string ->
@@ -107,10 +98,12 @@ val save_snapshot :
     still reports [on_error]. @raise Invalid_argument when [entries] is
     empty. *)
 
-val fetch_checked : t -> key:string -> fetch_result
+val fetch_checked : t -> key:string -> Store.checked_fetch
 (** FETCH through the checksummed envelope. Without a fault plan this
-    is [fetch] with verification (always [Fetched]/[Fetch_missing]);
-    under a plan it may yield [Fetch_corrupt] or [Fetch_stale].
+    is [fetch] with verification (always [Fetched]/[Missing]); under a
+    plan it may yield [Corrupt] (checksum failed) or [Stale] (the
+    record verified but its generation is below the key's current one:
+    a superseded value was served).
     Each checked fetch under a plan consumes fault rolls, so call it
     once per protocol FETCH. Repeating a failed fetch models re-reading
     the medium and may succeed — transient-fault semantics. *)

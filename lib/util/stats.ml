@@ -1,51 +1,3 @@
-type t = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable mn : float;
-  mutable mx : float;
-}
-
-let create () = { n = 0; mean = 0.; m2 = 0.; mn = infinity; mx = neg_infinity }
-
-let add t x =
-  t.n <- t.n + 1;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.mn then t.mn <- x;
-  if x > t.mx then t.mx <- x
-
-let count t = t.n
-
-let mean t = if t.n = 0 then 0. else t.mean
-
-let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-
-let min t =
-  if t.n = 0 then invalid_arg "Stats.min: empty";
-  t.mn
-
-let max t =
-  if t.n = 0 then invalid_arg "Stats.max: empty";
-  t.mx
-
-let total t = t.mean *. float_of_int t.n
-
-let merge a b =
-  if a.n = 0 then { b with n = b.n }
-  else if b.n = 0 then { a with n = a.n }
-  else begin
-    let n = a.n + b.n in
-    let delta = b.mean -. a.mean in
-    let mean = a.mean +. (delta *. float_of_int b.n /. float_of_int n) in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta *. float_of_int a.n *. float_of_int b.n /. float_of_int n)
-    in
-    { n; mean; m2; mn = Float.min a.mn b.mn; mx = Float.max a.mx b.mx }
-  end
-
 module Sample = struct
   type s = {
     values : float Vec.t;
@@ -81,6 +33,4 @@ module Sample = struct
     let frac = rank -. float_of_int lo in
     let vlo = Vec.get s.values lo and vhi = Vec.get s.values hi in
     vlo +. (frac *. (vhi -. vlo))
-
-  let median s = percentile s 50.
 end

@@ -507,4 +507,24 @@ if [ "$verdict" != False ]; then
 fi
 echo "leap K: E1 fails, as it must"
 
+echo "== wakeup-SAVE mutant (E15 must fail when the wakeup SAVE does not block) =="
+# The same copy, with k_policy.ml restored: mutants/ holds source
+# patches, each naming the clause it breaks and the gate that must
+# kill it. This one makes the wakeup SAVE in lib/core/durable.ml
+# non-blocking; a second reset during it must then surface as an
+# invariant violation in E15's stock batch (about 6 s).
+cp lib/core/k_policy.ml "$policy"
+(cd "$mutant" && patch -p1 --quiet <mutants/wakeup-save-nonblocking.patch) \
+  || { echo "wakeup mutant: the patch does not apply" >&2; exit 1; }
+(cd "$mutant" && dune build --root . bench/main.exe 2>&1) \
+  || { echo "wakeup mutant: the copy does not build" >&2; exit 1; }
+"$mutant/_build/default/bench/main.exe" E15 --json="$mutant/json" \
+  >/dev/null || true
+verdict=$(artifact_verdict "$mutant/json/BENCH_E15.json") || exit 1
+if [ "$verdict" != False ]; then
+  echo "wakeup mutant: E15 reports pass=$verdict (expected False)" >&2
+  exit 1
+fi
+echo "non-blocking wakeup SAVE: E15 fails, as it must"
+
 echo "OK"

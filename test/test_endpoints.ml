@@ -341,6 +341,125 @@ let test_receiver_non_robust_jump_vulnerability () =
     f.metrics.Metrics.replay_accepted
 
 (* ------------------------------------------------------------------ *)
+(* Store faults: the recovery retries, the degrade hand-off and the
+   write-failure guards, one case per side *)
+
+let faulty spec = Sim_disk.Faults.create ~spec ~prng:(Resets_util.Prng.create 7)
+
+let corrupt_reads = { Sim_disk.Faults.none with Sim_disk.Faults.read_corrupt_prob = 1. }
+let failing_writes = { Sim_disk.Faults.none with Sim_disk.Faults.write_fail_prob = 1. }
+
+(* Every wakeup FETCH serves a corrupt record: the retries wait 1x then
+   2x the disk latency, the third failure spends the budget of 3 and
+   the degrade handler fires once. It re-establishes on a fresh SA: the
+   side that is down comes up on it, the side that stayed up re-syncs
+   its store. *)
+let test_fetch_retries_then_degrade side () =
+  let latency = us 40 in
+  let f = make_fixture ~kp:5 ~kq:5 ~gap:(us 10) ~save_latency:latency () in
+  let disk = match side with `P -> f.disk_p | `Q -> f.disk_q in
+  Sim_disk.set_faults disk (faulty corrupt_reads);
+  let degraded_at = ref [] and ready = ref 0 in
+  let fresh () =
+    Sa.create (Sa.derive_params ~window_width:64 ~spi:0x2l ~secret:"fresh" ())
+  in
+  let degrade () =
+    degraded_at := Engine.now f.engine :: !degraded_at;
+    check_int "fetch failures at degrade" 3 f.metrics.Metrics.fetch_failures;
+    check_int "retries at degrade" 2 f.metrics.Metrics.save_retries;
+    Sender.install_sa f.sender (fresh ());
+    Receiver.install_sa f.receiver (fresh ());
+    match side with
+    | `P ->
+      Sender.resume_fresh f.sender;
+      Receiver.resync_store f.receiver
+    | `Q ->
+      Receiver.resume_at f.receiver ~edge:0;
+      Sender.resync_store f.sender
+  in
+  Sender.set_degrade_handler f.sender degrade;
+  Receiver.set_degrade_handler f.receiver degrade;
+  Sender.start f.sender;
+  let wake_at = us 200 in
+  ignore
+    (Engine.schedule_at f.engine ~at:(us 105) (fun () ->
+         match side with
+         | `P -> Sender.reset f.sender
+         | `Q -> Receiver.reset f.receiver));
+  ignore
+    (Engine.schedule_at f.engine ~at:wake_at (fun () ->
+         let on_ready () = incr ready in
+         match side with
+         | `P -> Sender.wakeup f.sender ~on_ready ()
+         | `Q -> Receiver.wakeup f.receiver ~on_ready ()));
+  let corrupt_by t =
+    run_until f t;
+    Sim_disk.fetches_corrupt disk
+  in
+  let just_before t = Time.of_ns (Int64.pred (Time.to_ns t)) in
+  let first_retry = Time.add wake_at latency
+  and second_retry = Time.add wake_at (Time.mul latency 3) in
+  let recovering () =
+    match side with
+    | `P -> Sender.is_recovering f.sender
+    | `Q -> Receiver.is_recovering f.receiver
+  in
+  check_int "first FETCH at wakeup" 1 (corrupt_by wake_at);
+  check_bool "recovering while retrying" true (recovering ());
+  check_int "no retry before 1x latency" 1 (corrupt_by (just_before first_retry));
+  check_int "first retry after 1x latency" 2 (corrupt_by first_retry);
+  check_int "no retry before 2x more" 2 (corrupt_by (just_before second_retry));
+  check_int "second retry after 2x more" 3 (corrupt_by second_retry);
+  Alcotest.(check (list int64)) "degrade handler fired once, at the third failure"
+    [ Time.to_ns second_retry ]
+    (List.map Time.to_ns !degraded_at);
+  check_int "counted once" 1 f.metrics.Metrics.degraded_reestablish;
+  check_int "no further FETCH" 3 (corrupt_by (us 2000));
+  check_bool "up on the fresh SA" false
+    (Sender.is_down f.sender || Receiver.is_down f.receiver);
+  check_bool "no longer recovering" false (recovering ());
+  check_int "wakeup's on_ready fired once" 1 !ready;
+  check_bool "traffic flows on the fresh SA" true
+    (Receiver.right_edge f.receiver > 0)
+
+(* Every SAVE after establishment fails. p keeps sending only up to
+   durable + leap (1 + 10) and then holds its send slot, re-issuing
+   the SAVE; q delivers up to its durable edge + leap (0 + 10) and
+   holds the next packet for a catch-up SAVE that never lands. *)
+let test_write_failures_engage_guards side () =
+  let f = make_fixture ~kp:5 ~kq:5 ~gap:(us 10) ~save_latency:(us 40) () in
+  match side with
+  | `P ->
+    Sim_disk.set_faults f.disk_p (faulty failing_writes);
+    Sender.start f.sender;
+    run_until f (us 1000);
+    check_int "holds at durable + leap" 11 (Sender.next_seq f.sender);
+    check_int "sent up to the hold" 10 f.metrics.Metrics.sent;
+    check_bool "stalled sends counted" true (f.metrics.Metrics.sends_stalled > 0);
+    check_bool "failed SAVEs counted" true (f.metrics.Metrics.save_failures > 0);
+    Alcotest.(check (option int)) "durable value unchanged" (Some 1)
+      (Sender.last_stored f.sender);
+    check_bool "still up" false (Sender.is_down f.sender)
+  | `Q ->
+    Sim_disk.set_faults f.disk_q (faulty failing_writes);
+    let params = (Receiver.sa f.receiver).Sa.params in
+    let send seq =
+      Receiver.on_packet f.receiver
+        (Packet.fresh (Esp.encap ~sa:params ~seq ~payload:"m"))
+    in
+    for seq = 1 to 5 do send seq done;
+    run_until f (us 50) (* SAVE(5) fails: the slide guard engages *);
+    for seq = 6 to 12 do send seq done;
+    run_until f (us 1000);
+    check_int "delivered up to durable + leap" 10 f.metrics.Metrics.delivered;
+    check_int "edge held" 10 (Receiver.right_edge f.receiver);
+    check_int "catch-up gave up and degraded" 1
+      f.metrics.Metrics.degraded_reestablish;
+    check_int "catch-up retried twice" 2 f.metrics.Metrics.save_retries;
+    Alcotest.(check (option int)) "durable edge unchanged" (Some 0)
+      (Receiver.last_stored f.receiver)
+
+(* ------------------------------------------------------------------ *)
 (* Per-SA footprint *)
 
 (* 256 endpoints built the way Multi_sa builds a shard's for an
@@ -412,6 +531,17 @@ let () =
             test_receiver_robust_reset_during_catchup;
           Alcotest.test_case "non-robust jump weakness" `Quick
             test_receiver_non_robust_jump_vulnerability;
+        ] );
+      ( "store faults",
+        [
+          Alcotest.test_case "p FETCH retries then degrade" `Quick
+            (test_fetch_retries_then_degrade `P);
+          Alcotest.test_case "q FETCH retries then degrade" `Quick
+            (test_fetch_retries_then_degrade `Q);
+          Alcotest.test_case "p holds at durable + leap" `Quick
+            (test_write_failures_engage_guards `P);
+          Alcotest.test_case "q bounded slide on failing SAVEs" `Quick
+            (test_write_failures_engage_guards `Q);
         ] );
       ( "footprint",
         [ Alcotest.test_case "tapped endpoint at setup" `Quick test_endpoint_footprint ] );

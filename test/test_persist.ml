@@ -233,8 +233,8 @@ let test_fault_corrupt_fetch_detected () =
   Sim_disk.save d ~key:"k" ~value:42 ~on_complete:ignore;
   ignore (Engine.run e);
   (match Sim_disk.fetch_checked d ~key:"k" with
-  | Fetch_corrupt -> ()
-  | _ -> Alcotest.fail "expected Fetch_corrupt");
+  | Store.Corrupt -> ()
+  | _ -> Alcotest.fail "expected Corrupt");
   check_int "counted" 1 (Sim_disk.fetches_corrupt d);
   check_opt_int "medium itself undamaged" (Some 42) (Sim_disk.fetch d ~key:"k")
 
@@ -247,9 +247,9 @@ let test_fault_stale_fetch_detected () =
   Sim_disk.save d ~key:"k" ~value:2 ~on_complete:ignore;
   ignore (Engine.run e);
   (match Sim_disk.fetch_checked d ~key:"k" with
-  | Fetch_stale 1 -> ()
-  | Fetch_stale v -> Alcotest.failf "stale served %d, expected 1" v
-  | _ -> Alcotest.fail "expected Fetch_stale");
+  | Store.Stale 1 -> ()
+  | Store.Stale v -> Alcotest.failf "stale served %d, expected 1" v
+  | _ -> Alcotest.fail "expected Stale");
   check_int "counted" 1 (Sim_disk.fetches_stale d)
 
 let test_fault_clean_fetch_checked () =
@@ -257,8 +257,8 @@ let test_fault_clean_fetch_checked () =
   let e = Engine.create () in
   let d = Sim_disk.create ~latency:(us 10) e in
   (match Sim_disk.fetch_checked d ~key:"k" with
-  | Fetch_missing -> ()
-  | _ -> Alcotest.fail "expected Fetch_missing");
+  | Store.Missing -> ()
+  | _ -> Alcotest.fail "expected Missing");
   Sim_disk.save d ~key:"k" ~value:9 ~on_complete:ignore;
   ignore (Engine.run e);
   match Sim_disk.fetch_checked d ~key:"k" with
@@ -285,9 +285,9 @@ let test_fault_pattern_deterministic () =
       let tag =
         match Sim_disk.fetch_checked d ~key:"k" with
         | Fetched v -> Printf.sprintf "ok%d" v
-        | Fetch_missing -> "miss"
-        | Fetch_corrupt -> "corrupt"
-        | Fetch_stale v -> Printf.sprintf "stale%d" v
+        | Store.Missing -> "miss"
+        | Store.Corrupt -> "corrupt"
+        | Store.Stale v -> Printf.sprintf "stale%d" v
       in
       trail := tag :: !trail
     done;
