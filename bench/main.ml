@@ -2101,6 +2101,22 @@ let micro report =
                   ignore (System.snapshot_hash (System.snapshot sys)))
                 (System.enabled_steps sys))
             states );
+      (* One whole exploration of E11's robust row (5,694 states, every
+         successor encoded, hashed and probed in place). check.sh gates
+         its allocation per run: copying out a string for every
+         successor, seen or not, instead of only for a new state shows
+         here. *)
+      ( "apn-explore-robust",
+        let open Resets_apn in
+        let sys =
+          Models.augmented_system
+            ~bounds:Models.{ s_max = 3; p_resets = 1; q_resets = 1 }
+            ~capacity:2 ~adversary:true ~robust:true ~kp:1 ~kq:1 ~w:2 ()
+        in
+        fun () ->
+          ignore
+            (Explorer.explore ~max_states:600_000
+               ~invariant:Models.all_section5_invariants sys) );
       ( "engine-wheel-event",
         let eng = Engine.create () in
         let gap = us 100 in
@@ -2169,10 +2185,11 @@ let micro report =
   let allocs = Hashtbl.create 8 in
   List.iter
     (fun (name, fn) ->
-      for _ = 1 to 100 do
+      (* a whole exploration takes milliseconds: fewer runs of it *)
+      let warmup, iters = if name = "apn-explore-robust" then (2, 20) else (100, 1000) in
+      for _ = 1 to warmup do
         fn ()
       done;
-      let iters = 1000 in
       let before = Gc.minor_words () in
       for _ = 1 to iters do
         fn ()

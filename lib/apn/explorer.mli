@@ -5,7 +5,18 @@
     invariant at every state. Used to machine-check, on small bounds,
     the paper's Section 5 claims: the original protocol violates
     Discrimination under resets + replay, the SAVE/FETCH protocol does
-    not. *)
+    not.
+
+    The visited set is exact: states are told apart by their whole
+    snapshot ({!System.snapshot}), never by a hash alone. Each state
+    gets an id in discovery order, which is also the BFS order, so the
+    frontier is the ids not yet expanded. An id holds the state's
+    snapshot and one int packing its parent's id with the index of the
+    step in the parent's {!System.enabled_steps}. A successor is
+    encoded into the system's buffer and looked up there
+    ({!System.encoded_hash}, {!System.encoded_equal}); a snapshot
+    string is copied out only for a state not seen before. Step labels
+    are formatted only for a counterexample's trace. *)
 
 type outcome =
   | Exhausted of { states : int }

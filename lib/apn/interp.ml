@@ -138,7 +138,7 @@ let target scope (l : Ast.lhs) =
 let value scope target e =
   let ty = match target with To_slot (_, ty) -> ty | To_element _ -> Bool_ty in
   match (ty, expr scope e) with
-  | Int_ty, I f -> fun s -> Value.Int (f s)
+  | Int_ty, I f -> fun s -> Value.of_int (f s)
   | Bool_ty, B f -> fun s -> if f s then v_true else v_false
   | (Int_ty | Bool_ty | Array_ty), (I _ | B _) ->
     err "%s has the wrong type for its target" (expr_text e)
@@ -193,7 +193,7 @@ let rec stmt scope (st : Ast.stmt) : Process.context -> slots -> unit =
           | To_element (name, a, idx) ->
             ( (fun s ->
                 s.(at_v) <- v s;
-                s.(at_i) <- Value.Int (idx s)),
+                s.(at_i) <- Value.of_int (idx s)),
               fun s -> store_element name (a s) (Value.int s.(at_i)) s.(at_v) ))
         (List.combine lhss rhss)
     in
@@ -208,7 +208,8 @@ let rec stmt scope (st : Ast.stmt) : Process.context -> slots -> unit =
       done
   | Ast.Send { dst; tag; args } ->
     let args = List.map (int scope) args in
-    fun ctx s -> ctx.Process.send ~dst { Message.tag; args = List.map (fun a -> a s) args }
+    let rec values s = function [] -> [] | a :: rest -> a s :: values s rest in
+    fun ctx s -> ctx.Process.send ~dst { Message.tag; args = values s args }
   | Ast.If branches ->
     let branches = List.map (branch scope) branches in
     fun ctx s -> first ctx s branches
@@ -278,8 +279,14 @@ let compile (p : Ast.process) =
       p.vars
   in
   let guard_scope = { scope with in_guard = true } in
-  (* every action starts with its locals at their initial values *)
-  let enter s = if n_locals > 0 then Array.blit s local_init s live n_locals in
+  (* every action starts with its locals at their initial values; a
+     local that already holds its initial value is not written *)
+  let enter s =
+    for k = 0 to n_locals - 1 do
+      let v = s.(local_init + k) in
+      if s.(live + k) != v then s.(live + k) <- v
+    done
+  in
   let action = function
     | Ast.Guarded { label; guard; body } ->
       let guard = bool guard_scope guard and body = stmt scope body in
@@ -311,7 +318,7 @@ let compile (p : Ast.process) =
               enter s;
               match msg.Message.args with
               | [ arg ] when String.equal msg.Message.tag tag ->
-                s.(bind) <- Value.Int arg;
+                s.(bind) <- Value.of_int arg;
                 body ctx s
               | _ ->
                 err "process %s expected %s(_), got %s" p.name tag

@@ -10,6 +10,15 @@
 
 type t
 
+type channel = private {
+  src : string;
+  dst : string;
+  mutable queue : Message.t list;  (** head first *)
+  mutable history : Message.t list;  (** newest first; empty when recording is off *)
+}
+(** One direction between two processes. Readable by anyone; written
+    only through this module. *)
+
 val create : ?capacity:int -> ?record_history:bool -> unit -> t
 (** Default capacity 1024 (effectively unbounded for random runs; pass
     a small bound for exploration). *)
@@ -21,8 +30,6 @@ val send : t -> src:string -> dst:string -> Message.t -> unit
     sends with {!can_send}). *)
 
 val can_send : t -> src:string -> dst:string -> bool
-
-val peek : t -> src:string -> dst:string -> Message.t option
 
 val receive : t -> src:string -> dst:string -> Message.t option
 
@@ -39,18 +46,28 @@ val inject : t -> src:string -> dst:string -> Message.t -> bool
 (** Adversarial insertion (not recorded in history); [false] when the
     channel is full. *)
 
-val pairs : t -> (string * string) list
-(** Ordered pairs that have ever been used, sorted. *)
+val channel : t -> src:string -> dst:string -> channel
+(** The channel from [src] to [dst], created (empty) on first use. *)
 
-val iter_channels :
-  t -> (int -> queue:Message.t list -> history:Message.t list -> unit) -> unit
-(** Every channel ever used, in first-use order, with its id (that
-    position, fixed for the network's life), its queue (head first)
-    and its history (newest first). For {!System}'s snapshots. *)
+val count : t -> int
+(** Channels created so far. *)
 
-val clear : t -> unit
-(** Empty every queue and history. *)
+val nth : t -> int -> channel
+(** The channel with the given id: ids number the channels in the
+    order they were created, and never change. *)
 
-val set_channel : t -> int -> queue:Message.t list -> history:Message.t list -> unit
-(** Overwrite the queue and history of the channel with the given id.
-    @raise Invalid_argument when no channel has that id. *)
+val nth_sorted : t -> int -> channel
+(** The [k]-th channel in (src, dst) order. *)
+
+val offer : t -> channel -> Message.t -> bool
+(** Append to the queue (recording the history when on), walking it
+    once; [false], and no change, when the channel is full. *)
+
+val pop : channel -> Message.t
+(** Remove and return the head.
+    @raise Invalid_argument on an empty channel. *)
+
+val set : channel -> queue:Message.t list -> history:Message.t list -> unit
+(** Overwrite the queue and the history, each only when physically
+    different from the one given, so that restoring a state a step left
+    alone writes nothing. *)

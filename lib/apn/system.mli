@@ -73,17 +73,43 @@ val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** Overwrite every process variable and channel of the system with
-    the snapshot's; arrays are freshly allocated, so nothing is shared
-    with an earlier state. The snapshot must come from this system.
-    The system keeps a decoded copy of the last snapshot it decoded:
+    the snapshot's. The snapshot must come from this system. The
+    system keeps a decoded copy of the last snapshot it decoded:
     restoring that same value again (physically, as the explorer does
     once per successor) rebuilds the state from the copy instead of
-    decoding. *)
+    decoding. A rebuild writes only what differs from the copy: a
+    slot or channel that still holds the copy's (immutable) value is
+    left alone, and a bool array is overwritten element by element in
+    the live array (a live array of another length is replaced by a
+    fresh copy). The live state never shares an array with the kept
+    copy or with a snapshot: mutating a live array after a restore
+    changes neither. *)
 
 val snapshot_equal : snapshot -> snapshot -> bool
 (** String equality. *)
 
 val snapshot_hash : snapshot -> int
-(** A hash of the whole string, so states that differ anywhere
-    (deep channel contents included) hash apart with high
-    probability. *)
+(** A non-negative hash of the whole string (a multiply-xorshift over
+    its 8-byte words), so states that differ anywhere (deep channel
+    contents included) hash apart with high probability. *)
+
+(** {2 Probing without a copy}
+
+    The explorer meets most states again and again. It encodes each
+    successor into the system's buffer, looks the bytes up there, and
+    copies out a snapshot only for a state it has not seen. *)
+
+val encode : t -> unit
+(** Encode the current state into the system's buffer: the bytes
+    {!snapshot} would return, without copying them out. The buffer
+    holds them until the next [encode] or [snapshot]. *)
+
+val encoded_hash : t -> int
+(** [snapshot_hash] of the encoded bytes. *)
+
+val encoded_equal : t -> snapshot -> bool
+(** [snapshot_equal] between the encoded bytes and a snapshot,
+    compared in place. *)
+
+val encoded : t -> snapshot
+(** The encoded bytes, copied out as a snapshot. *)

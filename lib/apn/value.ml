@@ -5,6 +5,16 @@ type t =
 
 exception Type_error of string
 
+(* One box per small int: the models' counters, sequence numbers and
+   the -1 of an idle SAVE all fall in this range. *)
+let small_min = -16
+let small = Array.init 1040 (fun i -> Int (i + small_min))
+
+let of_int i =
+  if i >= small_min && i < small_min + Array.length small then
+    Array.unsafe_get small (i - small_min)
+  else Int i
+
 let int = function
   | Int i -> i
   | Bool _ | Bool_array _ -> raise (Type_error "expected int")

@@ -13,6 +13,11 @@ type t =
 
 exception Type_error of string
 
+val of_int : int -> t
+(** [Int i], shared for small [i]: every [of_int 3] is the same box,
+    so storing an int a slot already holds changes nothing
+    physically. *)
+
 val int : t -> int
 (** @raise Type_error if not an [Int]. *)
 

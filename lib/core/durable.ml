@@ -21,6 +21,9 @@ type t = {
   mutable failing : bool; (* a SAVE failed; none succeeded since *)
   mutable pending : bool; (* a background SAVE is in flight *)
   mutable waking : bool; (* wakeup FETCH + SAVE in progress *)
+  mutable wakeups : int;
+      (* wakeups begun: a retry timer acts only for the wakeup that set
+         it, not for a later one after a reset aborted its own *)
   mutable ready : (unit -> unit) option;
       (* wakeup's on_ready, fired by whichever path brings us up *)
   mutable on_degrade : (unit -> unit) option;
@@ -44,6 +47,7 @@ let create ?trace ~name ~store ~key ~policy ~retries ~metrics ~initial engine =
     failing = false;
     pending = false;
     waking = false;
+    wakeups = 0;
     ready = None;
     on_degrade = None;
     last_gap_at = None;
@@ -77,14 +81,17 @@ let save_now d value =
 
 let save_if_due d v = if v >= K_policy.current d.policy + d.lst then save_now d v
 
-(* A no-op for static policies; pure arithmetic for adaptive ones. *)
+(* Pure arithmetic for adaptive policies. A static one ignores gaps,
+   so it is not told: no instant is read or kept. *)
 let observe_gap d =
-  let now = Engine.now d.engine in
-  (match d.last_gap_at with
-  | Some prev when Time.(prev <= now) ->
-    K_policy.observe_send_gap d.policy (Time.diff now prev)
-  | Some _ | None -> ());
-  d.last_gap_at <- Some now
+  if K_policy.is_adaptive d.policy then begin
+    let now = Engine.now d.engine in
+    (match d.last_gap_at with
+    | Some prev when Time.(prev <= now) ->
+      K_policy.observe_send_gap d.policy (Time.diff now prev)
+    | Some _ | None -> ());
+    d.last_gap_at <- Some now
+  end
 
 let crash d =
   d.waking <- false;
@@ -115,6 +122,9 @@ let degrade d =
 
 let wakeup d ~missing ~on_ready ~resume =
   d.waking <- true;
+  d.wakeups <- d.wakeups + 1;
+  let this = d.wakeups in
+  let current () = d.waking && d.wakeups = this in
   (* [on_ready] is held aside so that whichever path finally brings
      the endpoint up (this wakeup or a degraded re-establishment) fires
      it exactly once. *)
@@ -136,7 +146,7 @@ let wakeup d ~missing ~on_ready ~resume =
         tell d "fetch.retry" (string_of_int (n + 1));
         ignore
           (Engine.schedule_after d.engine ~after:(backoff base n) (fun () ->
-               if d.waking then attempt_fetch (n + 1)))
+               if current () then attempt_fetch (n + 1)))
       end
   and begin_leap_save fetched =
     let v = fetched + K_policy.leap d.policy in
@@ -154,7 +164,7 @@ let wakeup d ~missing ~on_ready ~resume =
           tell d "wakeup.save_retry" (string_of_int (n + 1));
           ignore
             (Engine.schedule_after d.engine ~after:(backoff base n) (fun () ->
-                 if d.waking then attempt_save v (n + 1)))
+                 if current () then attempt_save v (n + 1)))
         end)
       ~on_complete:(fun () ->
         d.lst <- v;

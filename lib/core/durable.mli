@@ -52,7 +52,8 @@ val save_now : t -> int -> unit
 
 val observe_gap : t -> unit
 (** Feed the time since the previous call to the policy's gap estimate
-    (a send for p, a fresh delivery for q). *)
+    (a send for p, a fresh delivery for q). Under a static policy,
+    which has no estimate, it does nothing and allocates nothing. *)
 
 val crash : t -> unit
 (** A reset: the flags, the held [on_ready] and the last gap instant
@@ -61,8 +62,9 @@ val crash : t -> unit
 val wakeup :
   t -> missing:int -> on_ready:(unit -> unit) -> resume:(int -> unit) -> unit
 (** FETCH (checked; [missing] stands in for an absent record), leap,
-    then a blocking SAVE, each retried with {!backoff} while the wakeup
-    is in progress. On success [resume v] brings the endpoint up at
+    then a blocking SAVE, each retried with {!backoff} while this
+    wakeup is in progress: a retry left by a wakeup that a reset
+    aborted does nothing in the next one. On success [resume v] brings the endpoint up at
     [v] and [on_ready] fires. [on_ready] is held until then, or until
     {!fire_ready} after a degraded re-establishment. *)
 

@@ -369,10 +369,17 @@ alloc_gate window-admit 1
 alloc_gate receiver-on-packet 26
 # The explorer's inner loop over 64 fixed states of E11's robust model
 # (restore, list steps, then per successor restore, execute, snapshot,
-# hash): 22,412 words per run steady state. Decoding the state again
-# before every successor, instead of rebuilding it from the copy that
-# System.restore keeps, makes it 37,255.
-alloc_gate apn-expand-state 33000
+# hash): 4,639 words per run steady state. A restore that copies each
+# bool array again instead of overwriting the live one in place makes
+# it 7,455; the step loop that looked steps up by name, allocated a
+# context per step and copied bool arrays on every restore made it
+# 22,412, and decoding again before every successor 37,255.
+alloc_gate apn-expand-state 6000
+# One whole exploration of E11's robust row (5,694 states): 408,566
+# words per run steady state. Copying out a string for every successor
+# instead of only for a new state makes it 663,310; a restore that
+# copies bool arrays, 683,324.
+alloc_gate apn-explore-robust 500000
 
 echo "== batched wire sweep gate (MICRO wire table) =="
 # Re-derive the wire sweep verdicts from the JSON: rows at batch 1, 8

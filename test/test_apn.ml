@@ -562,6 +562,41 @@ let kept_copy_property =
       done;
       !ok)
 
+(* Encoding a successor copies the bytes of every process and channel
+   the step left as the kept copy has them, and decoding skips those a
+   snapshot shares with the last one decoded. A walk taken before the
+   system's first restore (so with no kept copy to copy or skip from)
+   is the reference: restoring each of its states, after a restore of
+   some other state, and taking the same step must give the same
+   bytes. *)
+let successor_encoding_property =
+  QCheck.Test.make ~name:"snapshot: a successor encodes as without a kept copy" ~count:40
+    QCheck.(triple (int_range 0 2) bool (int_range 0 10_000))
+    (fun (model, lossy, seed) ->
+      let sys = walk_system ~model ~lossy in
+      let prng = Resets_util.Prng.create seed in
+      let walk =
+        Array.of_list
+          (List.filter_map
+             (fun _ ->
+               let before = System.snapshot sys in
+               match System.step_random prng sys with
+               | None -> None
+               | Some step -> Some (before, System.step_label step, System.snapshot sys))
+             (List.init 80 Fun.id))
+      in
+      Array.for_all
+        (fun (before, label, after) ->
+          let other, _, _ = walk.(Resets_util.Prng.int prng (Array.length walk)) in
+          System.restore sys other;
+          System.restore sys before;
+          System.execute sys (find_step sys label);
+          System.encode sys;
+          System.encoded_equal sys after
+          && System.encoded_hash sys = System.snapshot_hash after
+          && System.snapshot_equal after (System.snapshot sys))
+        walk)
+
 module Snapshots = Hashtbl.Make (struct
   type t = System.snapshot
 
@@ -591,6 +626,275 @@ let snapshot_hash_spread_property =
       Snapshots.length states >= 1000
       && float_of_int (Hashtbl.length hashes)
          >= 0.99 *. float_of_int (Snapshots.length states))
+
+(* ------------------------------------------------------------------ *)
+(* Probing the encode buffer: the explorer hashes and compares a
+   successor where it was encoded and copies out only a new state. *)
+
+let test_buffer_hash_is_snapshot_hash () =
+  let sys = walk_system ~model:2 ~lossy:true in
+  let prng = Resets_util.Prng.create 7 in
+  for step = 1 to 200 do
+    System.encode sys;
+    let buffered = System.encoded_hash sys in
+    let snap = System.snapshot sys in
+    check_int (Printf.sprintf "step %d: hash" step) (System.snapshot_hash snap) buffered;
+    check_bool (Printf.sprintf "step %d: non-negative" step) true (buffered >= 0);
+    check_bool (Printf.sprintf "step %d: copy" step) true
+      (System.snapshot_equal snap (System.encoded sys));
+    ignore (System.step_random prng sys)
+  done
+
+let test_buffer_equality_in_place () =
+  let sys = walk_system ~model:2 ~lossy:true in
+  let initial = System.snapshot sys in
+  System.execute sys (find_step sys "p.send");
+  let sent = System.snapshot sys in
+  System.execute sys (find_step sys "q.rcv");
+  let received = System.snapshot sys in
+  System.encode sys;
+  check_bool "equal to its own snapshot" true (System.encoded_equal sys received);
+  check_bool "unequal to an earlier state" false (System.encoded_equal sys sent);
+  check_bool "unequal to the initial state" false (System.encoded_equal sys initial);
+  System.restore sys sent;
+  System.encode sys;
+  check_bool "after a restore" true (System.encoded_equal sys sent)
+
+(* Encoding, hashing and comparing in place allocate nothing: a
+   successor that was seen before costs no string. *)
+let test_probe_allocates_nothing () =
+  let sys = walk_system ~model:2 ~lossy:true in
+  let prng = Resets_util.Prng.create 3 in
+  ignore (System.run_random prng ~steps:12 sys);
+  let snap = System.snapshot sys in
+  let probe () =
+    System.encode sys;
+    ignore (Sys.opaque_identity (System.encoded_hash sys));
+    ignore (Sys.opaque_identity (System.encoded_equal sys snap))
+  in
+  probe ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    probe ()
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (System.encoded sys));
+  check_bool "copy-out allocates the string" true (Gc.minor_words () -. before > 0.)
+
+(* The same at the explorer's scale: over E11's robust row (5,694
+   states, 24,976 successors) a whole exploration allocates about 72
+   words per state. Copying out a string for every successor, seen
+   before or not, makes it about 116. *)
+let test_explorer_copies_only_new_states () =
+  let sys =
+    Models.augmented_system
+      ~bounds:Models.{ s_max = 3; p_resets = 1; q_resets = 1 }
+      ~capacity:2 ~adversary:true ~robust:true ~kp:1 ~kq:1 ~w:2 ()
+  in
+  let run () = Explorer.explore ~invariant:Models.all_section5_invariants sys in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let states =
+    match run () with
+    | Explorer.Exhausted { states } -> states
+    | Explorer.Limit_reached _ | Explorer.Violation _ -> Alcotest.fail "expected exhausted"
+  in
+  let per_state = (Gc.minor_words () -. before) /. float_of_int states in
+  check_int "states" 5694 states;
+  if per_state > 90. then
+    Alcotest.failf "%.1f minor words per state (budget 90)" per_state
+
+(* A closure model may replace a whole array through State.set, even
+   with one of another length; restore must bring back the kept
+   contents without handing the live state an array it shares. *)
+let test_restore_after_array_replaced () =
+  let swap n =
+    Process.Internal
+      {
+        label = Printf.sprintf "swap%d" n;
+        guard = (fun _ -> true);
+        effect = (fun _ st -> State.set st "a" (Value.Bool_array (Array.make n true)));
+      }
+  in
+  let flip =
+    Process.Internal
+      {
+        label = "flip";
+        guard = (fun _ -> true);
+        effect =
+          (fun _ st ->
+            let a = State.get_bool_array st "a" in
+            a.(0) <- not a.(0));
+      }
+  in
+  let sys =
+    System.create
+      [
+        Process.make ~name:"p"
+          ~init:[ ("a", Value.Bool_array [| false; true |]); ("x", Value.Int 1) ]
+          ~actions:[ swap 2; swap 3; flip ];
+      ]
+  in
+  let snap = System.snapshot sys in
+  let st = System.state_of sys "p" in
+  List.iter
+    (fun label ->
+      System.restore sys snap;
+      System.execute sys (find_step sys label);
+      check_bool (label ^ ": the step changed the state") false
+        (System.snapshot_equal snap (System.snapshot sys));
+      System.restore sys snap;
+      check_bool (label ^ ": restored") true (System.snapshot_equal snap (System.snapshot sys));
+      Alcotest.(check (array bool)) (label ^ ": contents") [| false; true |]
+        (State.get_bool_array st "a");
+      (* the live array is the state's own: mutating it shows in the
+         next snapshot, and the next restore undoes it *)
+      (State.get_bool_array st "a").(1) <- false;
+      check_bool (label ^ ": live mutation seen") false
+        (System.snapshot_equal snap (System.snapshot sys));
+      System.restore sys snap;
+      check_bool (label ^ ": undone") true (System.snapshot_equal snap (System.snapshot sys)))
+    [ "p.swap2"; "p.swap3"; "p.flip"; "p.swap3" ]
+
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: the explorer as it was before states had ids
+   (a Hashtbl keyed by snapshot, a Queue frontier, a (parent, index)
+   pair per state), against which the id-table explorer must report
+   the same outcome, state count and trace. *)
+
+module Reference = struct
+  module Table = Hashtbl.Make (struct
+    type t = System.snapshot
+
+    let equal = System.snapshot_equal
+    let hash = System.snapshot_hash
+  end)
+
+  let explore ~max_states ~invariant system =
+    let initial = System.snapshot system in
+    let visited : (System.snapshot * int) Table.t = Table.create 4096 in
+    Table.add visited initial (initial, -1);
+    let frontier = Queue.create () in
+    Queue.add initial frontier;
+    let states = ref 1 in
+    let trace_of snap =
+      let rec path snap acc =
+        match Table.find visited snap with
+        | _, -1 -> acc
+        | parent, index -> path parent ((parent, index) :: acc)
+      in
+      List.map
+        (fun (parent, index) ->
+          System.restore system parent;
+          System.step_label (List.nth (System.enabled_steps system) index))
+        (path snap [])
+    in
+    let check snap =
+      System.restore system snap;
+      invariant system
+    in
+    let result = ref None in
+    if not (check initial) then
+      result := Some (Explorer.Violation { states = !states; trace = [] });
+    while !result = None && not (Queue.is_empty frontier) do
+      let snap = Queue.pop frontier in
+      System.restore system snap;
+      let steps = System.enabled_steps system in
+      List.iteri
+        (fun index step ->
+          if !result = None then begin
+            System.restore system snap;
+            System.execute system step;
+            let next = System.snapshot system in
+            if not (Table.mem visited next) then begin
+              Table.add visited next (snap, index);
+              incr states;
+              if not (invariant system) then
+                result :=
+                  Some (Explorer.Violation { states = !states; trace = trace_of next })
+              else if !states >= max_states then
+                result := Some (Explorer.Limit_reached { states = !states })
+              else Queue.add next frontier
+            end
+          end)
+        steps
+    done;
+    System.restore system initial;
+    match !result with
+    | Some outcome -> outcome
+    | None -> Explorer.Exhausted { states = !states }
+end
+
+type config = {
+  model : [ `Original | `Augmented | `Robust ];
+  bounds : Models.bounds;
+  capacity : int;
+  adversary : bool;
+  lossy : bool;
+  kp : int;
+  kq : int;
+  w : int;
+  leap_p : int option;
+  leap_q : int option;
+}
+
+let config_gen =
+  let open QCheck.Gen in
+  let* model = oneofl [ `Original; `Augmented; `Robust ] in
+  let* s_max = int_range 2 4 and* p_resets = int_range 0 2 and* q_resets = int_range 0 2 in
+  let* capacity = int_range 1 3 and* adversary = bool and* lossy = bool in
+  let* kp = int_range 1 3 and* kq = int_range 1 3 and* w = int_range 1 3 in
+  let* leap_p = opt (int_range 0 (2 * kp)) and* leap_q = opt (int_range 0 (2 * kq)) in
+  return
+    {
+      model;
+      bounds = Models.{ s_max; p_resets; q_resets };
+      capacity;
+      adversary;
+      lossy;
+      kp;
+      kq;
+      w;
+      leap_p;
+      leap_q;
+    }
+
+let print_config c =
+  let leap = function None -> "default" | Some l -> string_of_int l in
+  Printf.sprintf
+    "%s s_max=%d resets=%d/%d capacity=%d adversary=%b lossy=%b kp=%d kq=%d w=%d leap=%s/%s"
+    (match c.model with `Original -> "original" | `Augmented -> "augmented" | `Robust -> "robust")
+    c.bounds.s_max c.bounds.p_resets c.bounds.q_resets c.capacity c.adversary c.lossy c.kp c.kq
+    c.w (leap c.leap_p) (leap c.leap_q)
+
+let build c =
+  let { bounds; capacity; adversary; lossy; kp; kq; w; leap_p; leap_q; _ } = c in
+  match c.model with
+  | `Original ->
+    (Models.original_system ~bounds ~capacity ~adversary ~lossy ~w (), Models.discrimination_holds)
+  | (`Augmented | `Robust) as m ->
+    ( Models.augmented_system ~bounds ~capacity ~adversary ~lossy ~robust:(m = `Robust) ?leap_p
+        ?leap_q ~kp ~kq ~w (),
+      Models.all_section5_invariants )
+
+let differential_explorer_property =
+  QCheck.Test.make ~name:"explorer: same outcome, count and trace as the reference" ~count:80
+    (QCheck.make ~print:print_config config_gen)
+    (fun c ->
+      let max_states = 4000 in
+      let sys, invariant = build c in
+      let got = Explorer.explore ~max_states ~invariant sys in
+      let sys, invariant = build c in
+      let want = Reference.explore ~max_states ~invariant sys in
+      match (got, want) with
+      | Explorer.Exhausted a, Explorer.Exhausted b -> a.states = b.states
+      | Explorer.Limit_reached a, Explorer.Limit_reached b -> a.states = b.states
+      | Explorer.Violation a, Explorer.Violation b -> a.states = b.states && a.trace = b.trace
+      | (Explorer.Exhausted _ | Explorer.Limit_reached _ | Explorer.Violation _), _ ->
+        QCheck.Test.fail_reportf "explorer: %s, reference: %s"
+          (Format.asprintf "%a" Explorer.pp_outcome got)
+          (Format.asprintf "%a" Explorer.pp_outcome want))
 
 (* ------------------------------------------------------------------ *)
 (* Randomized soundness: long random executions of the robust system
@@ -650,6 +954,14 @@ let () =
           Alcotest.test_case "restore shares no array" `Quick test_restore_shares_no_array;
           Alcotest.test_case "snapshot outgrows its buffer" `Quick
             test_snapshot_outgrows_its_buffer;
+          Alcotest.test_case "buffer hash = snapshot hash" `Quick
+            test_buffer_hash_is_snapshot_hash;
+          Alcotest.test_case "buffer equality in place" `Quick test_buffer_equality_in_place;
+          Alcotest.test_case "probe allocates nothing" `Quick test_probe_allocates_nothing;
+          Alcotest.test_case "explorer copies only new states" `Quick
+            test_explorer_copies_only_new_states;
+          Alcotest.test_case "restore after an array is replaced" `Quick
+            test_restore_after_array_replaced;
         ] );
       ( "model-check (Section 5)",
         [
@@ -678,6 +990,7 @@ let () =
       ( "random",
         [
           qt random_soundness; qt snapshot_restore_property; qt kept_copy_property;
-          qt snapshot_hash_spread_property;
+          qt snapshot_hash_spread_property; qt successor_encoding_property;
+          qt differential_explorer_property;
         ] );
     ]

@@ -422,6 +422,34 @@ let test_fetch_retries_then_degrade side () =
   check_bool "traffic flows on the fresh SA" true
     (Receiver.right_edge f.receiver > 0)
 
+(* q is reset again while its wakeup waits to retry a corrupt FETCH,
+   then woken again. The first wakeup's retry timer must not fire into
+   the second: one chain of 3 FETCHes, one degrade. (A timer that only
+   checked that some wakeup is in progress ran both chains: 6 FETCHes
+   and degrades at 320 and 350 us.) *)
+let test_aborted_wakeup_retry_is_dropped () =
+  let latency = us 40 in
+  let f = make_fixture ~kp:5 ~kq:5 ~gap:(us 10) ~save_latency:latency () in
+  Sim_disk.set_faults f.disk_q (faulty corrupt_reads);
+  let degraded_at = ref [] in
+  Receiver.set_degrade_handler f.receiver (fun () ->
+      degraded_at := Time.to_ns (Engine.now f.engine) :: !degraded_at);
+  Sender.start f.sender;
+  let at t action = ignore (Engine.schedule_at f.engine ~at:(us t) action) in
+  let wakeup () = Receiver.wakeup f.receiver ~on_ready:ignore () in
+  at 105 (fun () -> Receiver.reset f.receiver);
+  at 200 wakeup (* FETCH 1 fails; a retry is due at 240 *);
+  at 220 (fun () -> Receiver.reset f.receiver);
+  at 230 wakeup;
+  run_until f (us 229);
+  check_int "aborted wakeup's FETCH" 1 (Sim_disk.fetches_corrupt f.disk_q);
+  run_until f (us 2000);
+  check_int "one chain of 3 FETCHes after the second wakeup" 4
+    (Sim_disk.fetches_corrupt f.disk_q);
+  Alcotest.(check (list int64)) "one degrade, at the chain's third failure"
+    [ Time.to_ns (us 350) ] !degraded_at;
+  check_int "counted once" 1 f.metrics.Metrics.degraded_reestablish
+
 (* Every SAVE after establishment fails. p keeps sending only up to
    durable + leap (1 + 10) and then holds its send slot, re-issuing
    the SAVE; q delivers up to its durable edge + leap (0 + 10) and
@@ -458,6 +486,50 @@ let test_write_failures_engage_guards side () =
     check_int "catch-up retried twice" 2 f.metrics.Metrics.save_retries;
     Alcotest.(check (option int)) "durable edge unchanged" (Some 0)
       (Receiver.last_stored f.receiver)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation per packet *)
+
+(* A persisted receiver whose static K is never reached does the
+   volatile receiver's work per in-order packet and nothing more: a
+   static policy has no gap estimate to feed, so no instant is read or
+   boxed. *)
+let test_static_k_receiver_allocates_as_volatile () =
+  let params = Sa.derive_params ~window_width:64 ~spi:0x1l ~secret:"alloc" () in
+  let packets =
+    Array.init 20_000 (fun i -> Packet.fresh (Esp.encap ~sa:params ~seq:(i + 1) ~payload:"m"))
+  in
+  let words_per_packet persistence =
+    let engine = Engine.create () in
+    let rx =
+      Receiver.create ~sa:(Sa.create params) ~metrics:(Metrics.create ()) ~persistence engine
+    in
+    Receiver.on_packet rx packets.(0);
+    let before = Gc.minor_words () in
+    for i = 1 to Array.length packets - 1 do
+      Receiver.on_packet rx packets.(i)
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int (Array.length packets - 1) in
+    check_int "all delivered" (Array.length packets) (Receiver.right_edge rx);
+    words
+  in
+  let engine = Engine.create () in
+  let disk = Sim_disk.create ~name:"dq" ~latency:(us 40) engine in
+  let persisted =
+    Some
+      {
+        Receiver.store = Sim_disk.store disk;
+        key = "recv_edge";
+        policy = K_policy.make (K_policy.static 1_000_000);
+        robust = false;
+        wakeup_buffer = true;
+        retries = Durable.retries;
+      }
+  in
+  let volatile = words_per_packet None and persisted = words_per_packet persisted in
+  if persisted > volatile +. 0.01 then
+    Alcotest.failf "persisted static-K receiver: %.2f minor words per packet, volatile %.2f"
+      persisted volatile
 
 (* ------------------------------------------------------------------ *)
 (* Per-SA footprint *)
@@ -538,11 +610,17 @@ let () =
             (test_fetch_retries_then_degrade `P);
           Alcotest.test_case "q FETCH retries then degrade" `Quick
             (test_fetch_retries_then_degrade `Q);
+          Alcotest.test_case "aborted wakeup's retry dropped" `Quick
+            test_aborted_wakeup_retry_is_dropped;
           Alcotest.test_case "p holds at durable + leap" `Quick
             (test_write_failures_engage_guards `P);
           Alcotest.test_case "q bounded slide on failing SAVEs" `Quick
             (test_write_failures_engage_guards `Q);
         ] );
       ( "footprint",
-        [ Alcotest.test_case "tapped endpoint at setup" `Quick test_endpoint_footprint ] );
+        [
+          Alcotest.test_case "tapped endpoint at setup" `Quick test_endpoint_footprint;
+          Alcotest.test_case "static K receiver allocates as volatile" `Quick
+            test_static_k_receiver_allocates_as_volatile;
+        ] );
     ]
