@@ -2068,6 +2068,33 @@ let micro report =
           end;
           Receiver.on_packet rx packets.(!next);
           incr next );
+      (* The same through the daemon's receive entry: the frames are
+         held in one arena, as a receive batch leaves them, and each is
+         decoded where it lies. check.sh gates its allocation: a copy
+         of every frame out of the arena would add a string per
+         packet. *)
+      ( "receiver-on-frame",
+        let eng = Engine.create () in
+        let len = Esp.overhead ~sa + String.length payload in
+        let arena = Bytes.create (4096 * len) in
+        let frames =
+          Array.init 4096 (fun i ->
+              let off = i * len in
+              ignore (Esp.encap_into ~sa ~seq:(i + 1) ~payload arena ~off : int);
+              Slice.make arena ~off ~len)
+        in
+        let rx =
+          Receiver.create ~sa:(Sa.create sa) ~metrics:(Metrics.create ())
+            ~persistence:None eng
+        in
+        let next = ref 0 in
+        fun () ->
+          if !next = Array.length frames then begin
+            Receiver.install_sa rx (Sa.create sa);
+            next := 0
+          end;
+          Receiver.on_frame rx frames.(!next);
+          incr next );
       (* The explorer's inner loop on a fixed set of 64 reachable
          states of E11's robust model (random walks of up to 23 steps
          from its initial state): restore each and list its steps, then

@@ -12,7 +12,7 @@ type config = {
   dpd : Dpd.config;
   keep_alive : Time.t;
   window : int;
-  framing : Packet.framing;
+  framing : Sa.framing;
 }
 
 let default_config =
@@ -24,7 +24,7 @@ let default_config =
     dpd = Dpd.default_config;
     keep_alive = Time.of_ms 50;
     window = 64;
-    framing = Packet.Seq64;
+    framing = Sa.Seq64;
   }
 
 type outcome = {
@@ -101,7 +101,9 @@ let run ?(seed = 7) ?(replay_announce = false) ~reset_at ~downtime ~horizon conf
                       longer verify under any installed state. *)
                    Receiver.install_sa receiver_b
                      (Sa.create
-                        (Sa.derive_params ~window_width:config.window ~spi:0x6002l
+                        (Sa.derive_params
+                           ~algo:{ Sa.default_algo with framing = config.framing }
+                           ~window_width:config.window ~spi:0x6002l
                            ~secret:"post-teardown-unrelated" ()))))
         end)
   in
@@ -140,16 +142,13 @@ let run ?(seed = 7) ?(replay_announce = false) ~reset_at ~downtime ~horizon conf
                       match !announce_seq with
                       | None -> ()
                       | Some a ->
-                        (* The peek must respect the wire framing: an
-                           Esn32 packet carries only the low 32 bits,
-                           at a different offset than Seq64's be64. *)
+                        (* The peek reads the wire as the survivor's
+                           SA frames it: an ESN packet carries only the
+                           low 32 bits, inferred from B's edge. *)
                         let peek_seq wire =
-                          match config.framing with
-                          | Packet.Seq64 -> Esp.seq_of_packet wire
-                          | Packet.Esn32 ->
-                            Esp.seq_of_packet_esn
-                              ~edge:(Receiver.right_edge receiver_b)
-                              ~w:config.window wire
+                          Esp.seq_of_packet
+                            ~sa:(Receiver.sa receiver_b).Sa.params
+                            ~edge:(Receiver.right_edge receiver_b) wire
                         in
                         ignore
                           (Resets_attack.Adversary.replay_matching adversary

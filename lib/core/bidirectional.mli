@@ -27,7 +27,7 @@ type config = {
       (** how long the survivor retains the SAs after detecting
           death *)
   window : int;
-  framing : Packet.framing;
+  framing : Resets_ipsec.Sa.framing;
       (** wire framing for the A→B SA (default [Seq64]); the
           adversary's announcement peek parses accordingly *)
 }

@@ -24,13 +24,14 @@ type t = {
 }
 
 let create ?trace ?(sender_name = "p") ?(receiver_name = "q")
-    ?(link_name = "link") ?payload ?(framing = Packet.Seq64) ?(window = 64)
+    ?(link_name = "link") ?payload ?(framing = Sa.Seq64) ?(window = 64)
     ?arena ?(faults = Link.no_faults)
     ?(link_jitter = Time.zero) ?link_prng ?(tap = Tap { capacity = None })
     ~spi ~secret ~link_latency ~traffic ~metrics ~sender_persistence
     ~receiver_persistence engine =
   let params =
-    Sa.derive_params ~window_width:window ?arena ~spi ~secret ()
+    Sa.derive_params ~algo:{ Sa.default_algo with framing }
+      ~window_width:window ?arena ~spi ~secret ()
   in
   let sa_p = Sa.create params and sa_q = Sa.create params in
   let link_prng =
@@ -51,12 +52,12 @@ let create ?trace ?(sender_name = "p") ?(receiver_name = "q")
            ~mark:Packet.mark_replayed engine)
   in
   let sender =
-    Sender.create ?trace ~name:sender_name ?payload ~framing ~sa:sa_p
+    Sender.create ?trace ~name:sender_name ?payload ~sa:sa_p
       ~send:(Link.send link) ~traffic ~metrics
       ~persistence:sender_persistence engine
   in
   let receiver =
-    Receiver.create ?trace ~name:receiver_name ~framing ~sa:sa_q ~metrics
+    Receiver.create ?trace ~name:receiver_name ~sa:sa_q ~metrics
       ~persistence:receiver_persistence engine
   in
   Link.set_deliver link (Receiver.on_packet receiver);
@@ -70,8 +71,11 @@ let metrics t = t.metrics
 
 let start t = Sender.start t.sender
 
+(* The fresh SA negotiates the live one's transforms, ESN included. *)
 let reestablish t ~cost ~prng ~spi ~on_installed =
-  Ike.establish ~window_width:t.window ?arena:t.arena t.engine ~cost ~prng ~spi
+  let algo = (Sender.sa t.sender).Sa.params.Sa.algo in
+  Ike.establish ~algo ~window_width:t.window ?arena:t.arena t.engine ~cost
+    ~prng ~spi
     ~on_complete:(fun params ->
       Sender.install_sa t.sender (Sa.create params);
       Receiver.install_sa t.receiver (Sa.create params);

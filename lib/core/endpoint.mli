@@ -46,7 +46,7 @@ val create :
   ?receiver_name:string ->
   ?link_name:string ->
   ?payload:(seq:int -> string) ->
-  ?framing:Packet.framing ->
+  ?framing:Resets_ipsec.Sa.framing ->
   ?window:int ->
   ?arena:Resets_ipsec.Sadb_flat.t ->
   ?faults:Link.faults ->
@@ -62,10 +62,11 @@ val create :
   receiver_persistence:Receiver.persistence option ->
   Engine.t ->
   t
-(** Derives both sides' SA from [spi]/[secret] (in slots of [arena]
-    when given, else each in a private arena), creates the link, taps
-    it (default: yes, retaining up to [1 lsl 20] packets), creates
-    sender and receiver, and connects the deliver hook. [metrics]
+(** Derives both sides' SA from [spi]/[secret] (the default
+    algorithms in [framing], default [Seq64]; in slots of [arena] when
+    given, else each in a private arena), creates the link, taps it
+    (default: yes, retaining up to [1 lsl 20] packets), creates sender
+    and receiver, and connects the deliver hook. [metrics]
     should be per-endpoint when many endpoints run in one engine:
     sequence numbers of distinct SAs overlap, and the delivery ledger
     is kept per metrics object.
@@ -93,10 +94,10 @@ val reestablish :
   spi:int32 ->
   on_installed:(unit -> unit) ->
   unit
-(** Renegotiate the association with IKE-lite (the endpoint's window
-    width, in its arena when it has one) and install the fresh SA on
-    both sides; then [on_installed]. The re-establishment fallback of
-    every composer. *)
+(** Renegotiate the association with IKE-lite (the live SA's
+    algorithms and framing, the endpoint's window width, in its arena
+    when it has one) and install the fresh SA on both sides; then
+    [on_installed]. The re-establishment fallback of every composer. *)
 
 val resume_fresh : t -> unit
 (** After {!reestablish}: a side that is down comes up on the fresh SA

@@ -31,7 +31,7 @@ type scenario = {
   link_jitter : Time.t;
   faults : Link.faults;
   window : int;
-  framing : Packet.framing;
+  framing : Sa.framing;
   resets : Reset_schedule.t;
   attack : attack;
   sender_stop_at : Time.t option;
@@ -52,7 +52,7 @@ let default =
     link_jitter = Time.zero;
     faults = Link.no_faults;
     window = 64;
-    framing = Packet.Seq64;
+    framing = Sa.Seq64;
     resets = Reset_schedule.none;
     attack = No_attack;
     sender_stop_at = None;

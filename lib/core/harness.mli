@@ -71,7 +71,7 @@ type scenario = {
       (** uniform extra delay in [0, jitter] — drives reordering *)
   faults : Resets_sim.Link.faults;  (** drop/duplicate probabilities *)
   window : int;  (** receiver anti-replay window width w (RFC 2401) *)
-  framing : Packet.framing;  (** ESP sequence-number encoding *)
+  framing : Resets_ipsec.Sa.framing;  (** ESP sequence-number encoding *)
   resets : Resets_workload.Reset_schedule.t;
       (** when each endpoint crashes and for how long *)
   attack : attack;

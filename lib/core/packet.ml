@@ -6,5 +6,3 @@ type t = {
 let fresh wire = { wire; replayed = false }
 
 let mark_replayed t = { t with replayed = true }
-
-type framing = Seq64 | Esn32

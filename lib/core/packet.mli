@@ -17,9 +17,3 @@ val fresh : string -> t
 val mark_replayed : t -> t
 (** Used by the adversary when injecting a captured copy. *)
 
-(** Wire framing for the sequence number. *)
-type framing =
-  | Seq64  (** full 64-bit number on the wire (RFC 4304 extended) *)
-  | Esn32
-      (** low 32 bits on the wire; the receiver infers the epoch from
-          its window and the ICV covers the full number *)

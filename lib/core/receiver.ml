@@ -15,7 +15,6 @@ type t = {
   engine : Engine.t;
   name : string;
   trace : Trace.t option;
-  framing : Packet.framing;
   mutable sa : Sa.t;
   metrics : Metrics.t;
   durable : Durable.t option; (* None: the volatile process *)
@@ -29,8 +28,8 @@ type t = {
 }
 
 
-let create ?(name = "q") ?trace ?(framing = Packet.Seq64)
-    ?(preload_store = true) ~sa ~metrics ~persistence engine =
+let create ?(name = "q") ?trace ?(preload_store = true) ~sa ~metrics
+    ~persistence engine =
   let durable, robust, wakeup_buffer =
     match persistence with
     | None -> (None, false, false)
@@ -47,7 +46,6 @@ let create ?(name = "q") ?trace ?(framing = Packet.Seq64)
     engine;
     name;
     trace;
-    framing;
     sa;
     metrics;
     durable;
@@ -81,22 +79,24 @@ let deliver t ~seq ~payload ~replayed =
      match t.durable with None -> () | Some d -> Durable.observe_gap d);
   List.iter (fun hook -> hook ~seq ~payload) t.deliver_hooks
 
-(* Process one packet through decap + window. Returns [`Deferred pkt]
-   in robust mode when the packet must wait for an urgent SAVE. *)
-let rec process t (pkt : Packet.t) =
-  let decapped =
-    match t.framing with
-    | Packet.Seq64 -> Esp.decap_slice ~sa:t.sa.Sa.params pkt.Packet.wire
-    | Packet.Esn32 ->
-      Esp.decap_esn_slice ~sa:t.sa.Sa.params
-        ~edge:(Replay_window.right_edge t.sa.Sa.window)
-        ~w:(Replay_window.w t.sa.Sa.window)
-        pkt.Packet.wire
-  in
-  match decapped with
+(* A frame the receiver holds past the call that handed it over is
+   copied: it may be a view of the caller's buffer (an rx-arena slot,
+   which the next receive batch overwrites). *)
+let keep ~replayed frame ~off ~len =
+  { Packet.wire = String.sub frame off len; replayed }
+
+(* Process the [len]-byte frame at [off] in [frame] through decap +
+   window. In robust mode a frame that would slide the edge past the
+   durable horizon is kept until an urgent SAVE makes it durable. *)
+let rec process t ~replayed frame ~off ~len =
+  match
+    Esp.decap_range ~sa:t.sa.Sa.params
+      ~edge:(Replay_window.right_edge (window t))
+      frame ~off ~len
+  with
   | Error _ -> t.metrics.Metrics.bad_icv <- t.metrics.Metrics.bad_icv + 1
   | Ok (seq, payload) ->
-    if pkt.Packet.replayed then
+    if replayed then
       t.metrics.Metrics.arrived_replayed <- t.metrics.Metrics.arrived_replayed + 1
     else t.metrics.Metrics.arrived_fresh <- t.metrics.Metrics.arrived_fresh + 1;
     let prospective = max seq (Replay_window.right_edge (window t)) in
@@ -110,7 +110,8 @@ let rec process t (pkt : Packet.t) =
         (t.robust || Durable.failing d) && prospective > Durable.horizon d
       | None -> false
     in
-    if needs_catchup then defer t pkt ~edge:prospective
+    if needs_catchup then
+      defer t (keep ~replayed frame ~off ~len) ~edge:prospective
     else begin
       let verdict = Replay_window.admit (window t) seq in
       if Option.is_some t.trace then
@@ -120,13 +121,16 @@ let rec process t (pkt : Packet.t) =
         let displacement = Replay_window.right_edge (window t) - seq in
         if displacement > t.metrics.Metrics.max_displacement then
           t.metrics.Metrics.max_displacement <- displacement;
-        deliver t ~seq ~payload ~replayed:pkt.Packet.replayed;
+        deliver t ~seq ~payload ~replayed;
         match t.durable with
         | None -> ()
         | Some d -> Durable.save_if_due d (Replay_window.right_edge (window t))
       end
-      else Metrics.record_rejection t.metrics ~seq ~replayed:pkt.Packet.replayed
+      else Metrics.record_rejection t.metrics ~seq ~replayed
     end
+
+and process_kept t (pkt : Packet.t) =
+  process t ~replayed:pkt.replayed pkt.wire ~off:0 ~len:(String.length pkt.wire)
 
 (* Robust mode: hold the packet and make the prospective edge durable
    before letting the window slide to it. *)
@@ -165,7 +169,7 @@ and catchup_save t d ~edge ~attempt =
       tell t "catchup.done" (string_of_int edge);
       let held = List.rev t.catchup_buffer in
       t.catchup_buffer <- [];
-      if not t.down then List.iter (process t) held)
+      if not t.down then List.iter (process_kept t) held)
 
 let set_degrade_handler t f =
   match t.durable with
@@ -178,17 +182,24 @@ let set_degrade_handler t f =
         t.catchup_saving <- false;
         f ())
 
-let on_packet t pkt =
-  if not t.down then process t pkt
+let receive t ~replayed frame ~off ~len =
+  if not t.down then process t ~replayed frame ~off ~len
   else if t.wakeup_buffer && waking t then begin
     t.metrics.Metrics.buffered_during_wakeup <-
       t.metrics.Metrics.buffered_during_wakeup + 1;
-    t.wakeup_buffer_q <- pkt :: t.wakeup_buffer_q
+    t.wakeup_buffer_q <- keep ~replayed frame ~off ~len :: t.wakeup_buffer_q
   end
   else
     (* The host is off (or waking without a buffer): arrivals are lost,
        like any packet sent to a dead machine. *)
     t.metrics.Metrics.dropped_host_down <- t.metrics.Metrics.dropped_host_down + 1
+
+let on_packet t (pkt : Packet.t) =
+  receive t ~replayed:pkt.replayed pkt.wire ~off:0 ~len:(String.length pkt.wire)
+
+let on_frame t (s : Resets_util.Slice.t) =
+  receive t ~replayed:false (Bytes.unsafe_to_string s.base) ~off:s.off
+    ~len:s.len
 
 let reset t =
   (* A reset during a wakeup aborts it; one while down is a no-op. *)
@@ -205,7 +216,7 @@ let reset t =
 let drain_wakeup_buffer t =
   let held = List.rev t.wakeup_buffer_q in
   t.wakeup_buffer_q <- [];
-  List.iter (process t) held
+  List.iter (process_kept t) held
 
 let wakeup t ?(on_ready = fun () -> ()) () =
   if not t.down then invalid_arg "Receiver.wakeup: not down";

@@ -51,24 +51,31 @@ type t
 val create :
   ?name:string ->
   ?trace:Resets_sim.Trace.t ->
-  ?framing:Packet.framing ->
   ?preload_store:bool ->
   sa:Resets_ipsec.Sa.t ->
   metrics:Metrics.t ->
   persistence:persistence option ->
   Resets_sim.Engine.t ->
   t
-(** [framing] must match the sender's (default [Seq64]). Under [Esn32]
-    the full sequence number is inferred from the window edge before
-    ICV verification, per RFC 4304. [preload_store:false] skips the
-    establishment write of the initial edge — for a daemon restarting
-    against a store that already holds the previous incarnation's edge
-    (it then recovers via {!reset} + {!wakeup}). *)
+(** The SA's {!Resets_ipsec.Sa.framing} sets how frames are decoded:
+    under [Esn32] the full sequence number is inferred from the window
+    edge before ICV verification, per RFC 4304. [preload_store:false]
+    skips the establishment write of the initial edge — for a daemon
+    restarting against a store that already holds the previous
+    incarnation's edge (it then recovers via {!reset} + {!wakeup}). *)
 
 val on_packet : t -> Packet.t -> unit
 (** Feed one arriving packet: the link's deliver hook
-    ({!Resets_sim.Link.set_deliver}) in simulation, the daemon's
-    socket handler on the wire. *)
+    ({!Resets_sim.Link.set_deliver}) in simulation. A packet the
+    receiver keeps (in the wakeup or the catch-up buffer) is copied. *)
+
+val on_frame : t -> Resets_util.Slice.t -> unit
+(** {!on_packet} for a frame viewed in the caller's buffer — the
+    daemon's rx-arena slot, read where it lies. The frame is a fresh
+    arrival (nothing on the wire says otherwise) and is decoded in
+    place; it is copied only when the receiver keeps it past the call,
+    in the wakeup or the catch-up buffer, so the caller may reuse its
+    buffer as soon as [on_frame] returns. *)
 
 val on_deliver : t -> (seq:int -> payload:Resets_util.Slice.t -> unit) -> unit
 (** Register an application-level consumer of delivered payloads. The

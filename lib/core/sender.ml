@@ -19,7 +19,6 @@ type t = {
   name : string;
   trace : Trace.t option;
   payload : seq:int -> string;
-  framing : Packet.framing;
   mutable sa : Sa.t;
   send : Packet.t -> unit;
   traffic : Resets_workload.Traffic.t;
@@ -35,8 +34,7 @@ type t = {
 let default_payload ~seq = "message-" ^ string_of_int seq
 
 let create ?(name = "p") ?trace ?(payload = default_payload)
-    ?(framing = Packet.Seq64) ?(preload_store = true) ~sa ~send ~traffic
-    ~metrics ~persistence engine =
+    ?(preload_store = true) ~sa ~send ~traffic ~metrics ~persistence engine =
   let durable, trigger =
     match persistence with
     | None -> (None, On_count)
@@ -53,7 +51,6 @@ let create ?(name = "p") ?trace ?(payload = default_payload)
     name;
     trace;
     payload;
-    framing;
     sa;
     send;
     traffic;
@@ -97,12 +94,7 @@ let send_one t =
   (* Feed the actual inter-send gap to the policy. *)
   (match t.durable with None -> () | Some d -> Durable.observe_gap d);
   let seq = Sa.next_send_seq t.sa in
-  let payload = t.payload ~seq in
-  let wire =
-    match t.framing with
-    | Packet.Seq64 -> Esp.encap ~sa:t.sa.Sa.params ~seq ~payload
-    | Packet.Esn32 -> Esp.encap_esn ~sa:t.sa.Sa.params ~seq ~payload
-  in
+  let wire = Esp.encap ~sa:t.sa.Sa.params ~seq ~payload:(t.payload ~seq) in
   t.send (Packet.fresh wire);
   t.metrics.Metrics.sent <- t.metrics.Metrics.sent + 1;
   (* Background SAVE: sending continues while it is in flight. *)

@@ -55,7 +55,6 @@ val create :
   ?name:string ->
   ?trace:Resets_sim.Trace.t ->
   ?payload:(seq:int -> string) ->
-  ?framing:Packet.framing ->
   ?preload_store:bool ->
   sa:Resets_ipsec.Sa.t ->
   send:(Packet.t -> unit) ->

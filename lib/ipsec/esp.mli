@@ -2,21 +2,31 @@
     number the anti-replay machinery rides on.
 
     Wire layout (honest framing, not bit-exact RFC 4303):
-    [spi(4) | seq(8, big-endian) | ciphertext | icv]. The ICV covers
-    the SPI, sequence number and ciphertext; the per-packet nonce is
-    [salt(4) || seq(8)], so sequence-number reuse would also be
-    nonce reuse — one more reason the SAVE/FETCH leap matters.
+    [spi(4) | seq | ciphertext | icv]. The SA's {!Sa.framing} sets the
+    [seq] field: the full number as 8 big-endian bytes ([Seq64], the
+    unbounded integer of the paper), or RFC 4304's ESN, its low 32 bits
+    ([Esn32]). Either way the ICV covers the SPI, the full 64-bit
+    number and the ciphertext (under ESN the SA's SPI, so the decoder
+    also rejects a frame whose SPI is not the SA's), and the per-packet
+    nonce is [salt(4) || seq(8)], so sequence-number reuse would also
+    be nonce reuse — one more reason the SAVE/FETCH leap matters.
 
-    We carry 64-bit sequence numbers (RFC 4304 extended style) because
-    the paper treats them as unbounded integers.
+    One encoder ({!encap_into}) and one decoder ({!decap_range}) serve
+    both framings. An [Esn32] receiver supplies its window's right
+    edge, from which the decoder infers the full number ({!Esn.infer},
+    with the SA's [window_width]) before it verifies the ICV; a wrong
+    inference therefore fails the integrity check — exactly the
+    RFC-specified behaviour, and the reason a SAVE/FETCH wakeup leap
+    must recover an edge whose epoch is right.
 
-    The codec is zero-copy: [encap] writes the packet into one
-    exact-size buffer (header, in-place encrypt, MAC into the tail);
-    [decap_slice] verifies the ICV by streaming over the packet and
-    returns the plaintext as a {!Resets_util.Slice.t} into the SA's
-    scratch buffer (or into the packet itself under null encryption),
-    valid until the next codec operation on the same SA. The string
-    [decap] remains as a copying wrapper. *)
+    The codec is zero-copy: the encoder writes the packet into one
+    buffer (header, in-place encrypt, MAC into the tail); the decoder
+    verifies the ICV by streaming over the frame where it lies — a wire
+    string or an rx-arena slot — and returns the plaintext as a
+    {!Resets_util.Slice.t} into the SA's scratch buffer (or into the
+    frame itself under null encryption), valid until the next codec
+    operation on the same SA. [encap], [decap], [decap_slice] and
+    [decap_of_slice] are thin wrappers over the two. *)
 
 type error =
   | Malformed  (** too short to parse *)
@@ -24,9 +34,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
-
-val encap : sa:Sa.params -> seq:Resets_util.Seqno.t -> payload:string -> string
-(** Build a wire packet. @raise Invalid_argument on negative [seq]. *)
 
 val encap_into :
   sa:Sa.params ->
@@ -36,44 +43,69 @@ val encap_into :
   off:int ->
   int
 (** Write the wire packet directly at [off] in a caller-owned buffer
-    (a tx pool slot) and return its total length — [encap] without the
-    per-packet allocation. @raise Invalid_argument on negative [seq]
-    or if the frame does not fit. *)
+    (a tx pool slot) and return its total length. @raise
+    Invalid_argument on negative [seq] or if the frame does not fit. *)
+
+val encap : sa:Sa.params -> seq:Resets_util.Seqno.t -> payload:string -> string
+(** [encap_into] a fresh exact-size buffer. @raise Invalid_argument on
+    negative [seq]. *)
+
+val decap_range :
+  sa:Sa.params ->
+  edge:Resets_util.Seqno.t ->
+  string ->
+  off:int ->
+  len:int ->
+  (Resets_util.Seqno.t * Resets_util.Slice.t, error) result
+(** [decap_range ~sa ~edge frame ~off ~len] verifies the ICV of the
+    [len]-byte frame at [off] in [frame] and returns (sequence number,
+    payload). [edge] is the receiver window's right edge: an [Esn32]
+    SA infers the full number from it, a [Seq64] SA ignores it. An
+    [Esn32] frame whose SPI is not the SA's is [Bad_icv]. The payload
+    is a view into the SA's scratch buffer (or into [frame],
+    under null encryption), valid only until the next codec operation
+    on the same SA and, for a frame in a shared buffer, until that
+    buffer is reused. Replay-window processing is the caller's job — in
+    IPsec the window check precedes and follows ICV verification; here
+    the caller sequences those steps. *)
+
+(** {1 Seq64 wrappers}
+
+    The decoders below have no receiver edge to infer an ESN number
+    from: given an [Esn32] SA they raise [Invalid_argument] rather than
+    guess one. *)
 
 val decap : sa:Sa.params -> string -> (Resets_util.Seqno.t * string, error) result
-(** Verify the ICV, decrypt, and return (sequence number, payload).
-    Replay-window processing is the caller's job — in IPsec the window
-    check precedes and follows ICV verification; here the caller
-    sequences those steps. *)
+(** {!decap_range} over a whole wire string, the payload copied out. *)
 
 val decap_slice :
   sa:Sa.params ->
   string ->
   (Resets_util.Seqno.t * Resets_util.Slice.t, error) result
-(** Like [decap] but the payload is a view into the SA's scratch
-    buffer (or the packet, under null encryption) — valid only until
-    the next codec operation on the same SA. *)
+(** {!decap_range} over a whole wire string. *)
 
 val decap_of_slice :
   sa:Sa.params ->
   Resets_util.Slice.t ->
   (Resets_util.Seqno.t * Resets_util.Slice.t, error) result
-(** [decap_slice] for a frame that is itself a view into a shared
-    buffer — an rx arena slot holding a just-received datagram. No
-    string is ever materialized: the ICV streams over the viewed
-    bytes and the returned payload slice follows the usual scratch
-    lifetime rules (additionally: it must be consumed before the arena
-    slot is reused by the next receive batch). *)
+(** {!decap_range} over a frame viewed in a shared buffer — an rx arena
+    slot holding a just-received datagram. *)
 
-val seq_of_packet : string -> Resets_util.Seqno.t option
-(** Peek at the sequence number without verifying (what an adversary on
-    the path can read). Seq64 framing only — an [Esn32] packet carries
-    just 32 low bits at a different offset; use {!seq_of_packet_esn}. *)
+(** {1 Header peeks} *)
+
+val seq_of_packet :
+  sa:Sa.params -> edge:Resets_util.Seqno.t -> string -> Resets_util.Seqno.t option
+(** The sequence number a packet will verify under, unverified — what
+    an on-path adversary can read, given the receiver window position
+    it assumes ([edge], used by [Esn32] SAs only). [None] if the packet
+    is short or, under [Esn32], its SPI is not the SA's or the inferred
+    epoch is before the first. *)
 
 val spi_of_packet : string -> int32 option
 
 val seq_of_slice : Resets_util.Slice.t -> Resets_util.Seqno.t option
-(** {!seq_of_packet} over an arena-backed frame, allocation-free. *)
+(** A [Seq64] header's sequence number, read in place off an
+    arena-backed frame. *)
 
 val spi_of_slice : Resets_util.Slice.t -> int32 option
 (** {!spi_of_packet} over an arena-backed frame — what the daemon's
@@ -81,47 +113,4 @@ val spi_of_slice : Resets_util.Slice.t -> int32 option
     owns it. *)
 
 val overhead : sa:Sa.params -> int
-(** Bytes added to a payload by [encap]. *)
-
-(** {1 ESN framing (RFC 4304 style)}
-
-    The wire carries only the low 32 bits of the sequence number; the
-    ICV covers the {e full} 64-bit value, which the receiver infers
-    from its window state ({!Esn.infer}) before verification. A wrong
-    inference therefore fails the integrity check — exactly the
-    RFC-specified behaviour, and the reason a SAVE/FETCH wakeup leap
-    must recover an edge whose epoch is right. *)
-
-val encap_esn : sa:Sa.params -> seq:Resets_util.Seqno.t -> payload:string -> string
-(** Wire: [spi(4) | seq_low(4) | ciphertext | icv] with the ICV (and
-    nonce) computed over the full [seq]. *)
-
-val decap_esn :
-  sa:Sa.params ->
-  edge:Resets_util.Seqno.t ->
-  w:int ->
-  string ->
-  (Resets_util.Seqno.t * string, error) result
-(** [decap_esn ~sa ~edge ~w packet] infers the full sequence number
-    from the packet's low 32 bits and the receiver's window position,
-    then verifies and decrypts under it. *)
-
-val decap_esn_slice :
-  sa:Sa.params ->
-  edge:Resets_util.Seqno.t ->
-  w:int ->
-  string ->
-  (Resets_util.Seqno.t * Resets_util.Slice.t, error) result
-(** Slice-returning variant of [decap_esn]; same lifetime rules as
-    {!decap_slice}. *)
-
-val seq_low_of_packet_esn : string -> int option
-(** The wire's 32 low sequence bits, as an on-path observer reads
-    them. *)
-
-val seq_of_packet_esn :
-  edge:Resets_util.Seqno.t -> w:int -> string -> Resets_util.Seqno.t option
-(** Reconstruct the full sequence number an [Esn32] packet will verify
-    under, given the receiver window position the observer assumes —
-    the framing-aware counterpart of {!seq_of_packet}. [None] if the
-    packet is short or the inferred epoch is pre-history. *)
+(** Bytes added to a payload by [encap]: the header and the ICV. *)

@@ -4,9 +4,12 @@ type integ_alg = Hmac_sha256_128 | Hmac_sha256_full
 
 type encr_alg = Chacha20 | Null_encr
 
+type framing = Seq64 | Esn32
+
 type algo = {
   integ : integ_alg;
   encr : encr_alg;
+  framing : framing;
 }
 
 let icv_length = function
@@ -28,7 +31,7 @@ type crypto = {
   hmac : Resets_crypto.Hmac.state;
   cipher : Resets_crypto.Chacha20.state;
   nonce : Bytes.t;  (* 12: salt(4) ‖ seq(8 BE); salt prefilled *)
-  hdr : Bytes.t;  (* 12: reconstructed ESN covered-prefix scratch *)
+  hdr : Bytes.t;  (* 12: the long header an ESN ICV covers *)
   mutable scratch : Bytes.t;  (* decap plaintext staging, grows on demand *)
 }
 
@@ -42,7 +45,7 @@ type params = {
   crypto : crypto;
 }
 
-let default_algo = { integ = Hmac_sha256_128; encr = Chacha20 }
+let default_algo = { integ = Hmac_sha256_128; encr = Chacha20; framing = Seq64 }
 
 let derive_crypto keys =
   let nonce = Bytes.create 12 in

@@ -17,10 +17,24 @@ type encr_alg =
   | Chacha20
   | Null_encr  (** integrity only (AH-style payloads inside ESP) *)
 
+(** How the ESP header carries the sequence number: IKEv2 negotiates
+    it with the SA, as the ESN transform (RFC 7296, transform type 5),
+    so both peers' codecs read it from here. *)
+type framing =
+  | Seq64  (** the full 64-bit number on the wire *)
+  | Esn32
+      (** RFC 4304 ESN: the low 32 bits on the wire; the receiver
+          infers the rest from its window ({!Esn.infer}), and the ICV
+          covers the full number *)
+
 type algo = {
   integ : integ_alg;
   encr : encr_alg;
+  framing : framing;
 }
+
+val default_algo : algo
+(** HMAC-SHA-256-128, ChaCha20, [Seq64]. *)
 
 val icv_length : integ_alg -> int
 
@@ -39,7 +53,7 @@ type crypto = {
   hmac : Resets_crypto.Hmac.state;
   cipher : Resets_crypto.Chacha20.state;
   nonce : Bytes.t;  (** 12 bytes: salt(4) ‖ seq(8 BE); salt prefilled *)
-  hdr : Bytes.t;  (** 12-byte reconstructed-header scratch (ESN ICV) *)
+  hdr : Bytes.t;  (** 12-byte scratch: the long header an [Esn32] ICV covers *)
   mutable scratch : Bytes.t;  (** decap plaintext staging *)
 }
 
@@ -70,7 +84,8 @@ val derive_params :
   unit ->
   params
 (** Derive the key material for [spi] from a shared [secret] via HKDF;
-    both peers calling this with the same inputs get identical SAs. *)
+    both peers calling this with the same inputs get identical SAs.
+    [algo] defaults to {!default_algo}. *)
 
 (** Mutable per-endpoint state layered over shared [params]. A
     unidirectional SA has a sending side (sequence counter) and a

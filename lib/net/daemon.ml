@@ -603,8 +603,10 @@ let run cfg =
       ignore (Engine.schedule_after engine ~after:period beat))
     cfg.stats_path;
   (* Each received frame's SPI is read in place off the rx arena and
-     range-checked; only a frame some SA owns is copied, once, into its
-     [Packet.t]. A frame too short to carry an SPI has none (-1). *)
+     range-checked, and the frame is decoded where it lies: the
+     receiver copies it only to keep it past the call (in its wakeup
+     or catch-up buffer). A frame too short to carry an SPI has none
+     (-1). *)
   if cfg.role = Recv then
     Transport_udp.set_slice_handler sock (fun slice ->
         let i =
@@ -615,7 +617,7 @@ let run cfg =
         if i < 0 || i >= cfg.sas then incr rx_no_sa
         else
           match sas.(i).endpoint with
-          | Rx r -> Receiver.on_packet r (Packet.fresh (Slice.to_string slice))
+          | Rx r -> Receiver.on_frame r slice
           | Tx _ -> ());
   (* Between due events: wait until the next one, at most 20 ms so a
      stop request is seen promptly — on the socket when receiving. *)

@@ -22,8 +22,9 @@
     (at most 20 ms) and {!Transport_udp.drain}s whole [recvmmsg]
     batches into the rx arena; the SPI is read off each frame in place
     ({!Resets_ipsec.Esp.spi_of_slice}), range-checked, and the frame
-    goes straight to its SA's {!Resets_core.Receiver.on_packet}, copied
-    once into the [Packet.t]. Sending, frames are staged in the
+    goes straight to its SA's {!Resets_core.Receiver.on_frame}, which
+    decodes it in the arena and copies it only to keep it past the
+    call. Sending, frames are staged in the
     socket's tx pool and flushed at every engine-tick boundary
     ([run_clocked]'s [tick] hook), so staged frames never outlive a
     tick. Heartbeats are an engine timer that reads the SAs' live

@@ -367,6 +367,11 @@ alloc_gate window-admit 1
 # entry would add 10 (30), per-packet trace formatting about 55, so
 # the budget sits between: either regression fails the gate.
 alloc_gate receiver-on-packet 26
+# The same packet through Receiver.on_frame, the daemon's receive
+# entry, from a frame held in an arena: decoded where it lies, 20 words
+# steady state like receiver-on-packet (budget ~1.3x). Copying each
+# frame out of the arena into a string would add ~40 words.
+alloc_gate receiver-on-frame 26
 # The explorer's inner loop over 64 fixed states of E11's robust model
 # (restore, list steps, then per successor restore, execute, snapshot,
 # hash): 4,639 words per run steady state. A restore that copies each

@@ -53,7 +53,9 @@ let test_esn_framing_converges_and_rejects_replay () =
   (* same scenario as above, but the A->B SA uses Esn32 wire framing,
      so the adversary-side replay peek must reconstruct the full
      sequence number from the 32 low bits (the framing-aware path) *)
-  let cfg = { Bidirectional.default_config with Bidirectional.framing = Packet.Esn32 } in
+  let cfg =
+    { Bidirectional.default_config with Bidirectional.framing = Resets_ipsec.Sa.Esn32 }
+  in
   let o =
     Bidirectional.run ~replay_announce:true ~reset_at:(ms 10) ~downtime:(ms 10)
       ~horizon:(ms 90) cfg

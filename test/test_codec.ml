@@ -1,9 +1,11 @@
-(* Differential suite: the zero-copy slice codec against a test-local
-   reimplementation of the legacy string codec (the pre-refactor Esp,
-   rebuilt here from the public one-shot crypto APIs). The two must be
-   observationally equivalent — byte-identical wires, agreeing decodes
-   in both directions, agreeing rejections on truncation and tamper —
-   or the refactor changed the protocol, not just the representation. *)
+(* Differential suite: the zero-copy codec — one encoder and one
+   decoder for both sequence-number framings — against a test-local
+   reimplementation of the legacy string codecs (the pre-refactor Esp,
+   one encoder and decoder per framing, rebuilt here from the public
+   one-shot crypto APIs). The two must be observationally equivalent —
+   byte-identical wires, agreeing decodes in both directions, agreeing
+   rejections on truncation and tamper — or the refactor changed the
+   protocol, not just the representation. *)
 
 open Resets_util
 open Resets_crypto
@@ -70,7 +72,7 @@ module Legacy = struct
     Buffer.add_string buf ciphertext;
     Buffer.contents buf
 
-  let encap_esn ~(sa : Sa.params) ~seq ~payload =
+  let esn_encap ~(sa : Sa.params) ~seq ~payload =
     let ciphertext = encrypt sa ~seq payload in
     let tag = icv sa (esn_covered sa ~seq ciphertext) in
     let buf = Buffer.create (esn_header_length + String.length ciphertext + 32) in
@@ -80,14 +82,16 @@ module Legacy = struct
     Buffer.add_string buf tag;
     Buffer.contents buf
 
-  let decap_esn ~(sa : Sa.params) ~edge ~w packet =
+  let esn_decap ~(sa : Sa.params) ~edge ~w packet =
     let icv_len = Sa.icv_length sa.algo.integ in
     let n = String.length packet in
     if n < esn_header_length + icv_len then Error Esp.Malformed
     else begin
       let seq_low = Int32.to_int (Wire.get_be32 packet 4) land 0xffffffff in
       let seq = Esn.infer ~edge ~w ~seq_low in
-      if seq < 0 then Error Esp.Bad_icv
+      (* The ICV covers the SA's SPI, not the wire's copy: compare it. *)
+      if seq < 0 || not (Int32.equal (Wire.get_be32 packet 0) sa.spi) then
+        Error Esp.Bad_icv
       else begin
         let ciphertext =
           String.sub packet esn_header_length (n - icv_len - esn_header_length)
@@ -101,16 +105,41 @@ module Legacy = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Fixtures: one SA per algo combination, shared by both codecs. *)
+(* Fixtures: one SA per algo combination and framing, shared by both
+   codecs. The oracle for an SA is the legacy codec of its framing. *)
 
 let sa_of_algo algo = Sa.derive_params ~algo ~spi:0xC0DEl ~secret:"codec-diff" ()
 
-let all_algos =
-  [
-    ("chacha/icv16", { Sa.integ = Sa.Hmac_sha256_128; encr = Sa.Chacha20 });
-    ("chacha/icv32", { Sa.integ = Sa.Hmac_sha256_full; encr = Sa.Chacha20 });
-    ("null/icv16", { Sa.integ = Sa.Hmac_sha256_128; encr = Sa.Null_encr });
-  ]
+let algos framing =
+  List.map
+    (fun (name, integ, encr) -> (name, { Sa.integ; encr; framing }))
+    [
+      ("chacha/icv16", Sa.Hmac_sha256_128, Sa.Chacha20);
+      ("chacha/icv32", Sa.Hmac_sha256_full, Sa.Chacha20);
+      ("null/icv16", Sa.Hmac_sha256_128, Sa.Null_encr);
+    ]
+
+let seq64_algos = algos Sa.Seq64
+let esn_algos = algos Sa.Esn32
+let all_algos = seq64_algos @ esn_algos
+
+let legacy_encap ~(sa : Sa.params) ~seq ~payload =
+  match sa.algo.framing with
+  | Sa.Seq64 -> Legacy.encap ~sa ~seq ~payload
+  | Sa.Esn32 -> Legacy.esn_encap ~sa ~seq ~payload
+
+let legacy_decap ~(sa : Sa.params) ~edge packet =
+  match sa.algo.framing with
+  | Sa.Seq64 -> Legacy.decap ~sa packet
+  | Sa.Esn32 -> Legacy.esn_decap ~sa ~edge ~w:sa.window_width packet
+
+(* The one decoder over [len] bytes at [off] in [frame], payload
+   copied out for comparison. *)
+let decap_at ~sa ~edge ?(off = 0) ?len frame =
+  let len = Option.value len ~default:(String.length frame - off) in
+  Result.map
+    (fun (seq, p) -> (seq, Slice.to_string p))
+    (Esp.decap_range ~sa ~edge frame ~off ~len)
 
 let same_error = function
   | Error Esp.Malformed, Error Esp.Malformed -> true
@@ -120,32 +149,47 @@ let same_error = function
 
 let payload_gen = QCheck.(string_of_size Gen.(0 -- 300))
 
+(* Sequence numbers near the start, across the first ESN epoch boundary
+   and deep in a later epoch. *)
+let seq_gen =
+  QCheck.map
+    (fun (base, n) -> base + n + 1)
+    QCheck.(pair (oneofl [ 0; Esn.epoch - 8; 3 * Esn.epoch ]) small_nat)
+
+(* A receiver edge just behind [seq], so ESN inference lands in its
+   epoch. *)
+let edge_of seq = max 0 (seq - 3)
+
 let qt = QCheck_alcotest.to_alcotest
 
 (* ------------------------------------------------------------------ *)
-(* Wire byte-equality: new encap = legacy encap, all framings *)
+(* Wire byte-equality: the one encoder = legacy encap, both framings *)
 
 let encap_bytes_equal =
   QCheck.Test.make ~name:"Esp.encap = legacy encap (byte-identical)" ~count:150
-    QCheck.(pair payload_gen small_nat)
+    QCheck.(pair payload_gen seq_gen)
     (fun (payload, seq) ->
-      let seq = seq + 1 in
       List.for_all
         (fun (_, algo) ->
           let sa = sa_of_algo algo in
-          Esp.encap ~sa ~seq ~payload = Legacy.encap ~sa ~seq ~payload)
+          Esp.encap ~sa ~seq ~payload = legacy_encap ~sa ~seq ~payload)
         all_algos)
 
-let encap_esn_bytes_equal =
-  QCheck.Test.make ~name:"Esp.encap_esn = legacy encap_esn (byte-identical)"
+let encap_into_offset_equal =
+  QCheck.Test.make ~name:"Esp.encap_into at an offset = legacy encap"
     ~count:150
-    QCheck.(pair payload_gen small_nat)
-    (fun (payload, seq) ->
-      let seq = seq + 1 in
+    QCheck.(triple payload_gen seq_gen (int_range 1 200))
+    (fun (payload, seq, off) ->
       List.for_all
         (fun (_, algo) ->
           let sa = sa_of_algo algo in
-          Esp.encap_esn ~sa ~seq ~payload = Legacy.encap_esn ~sa ~seq ~payload)
+          let wire = legacy_encap ~sa ~seq ~payload in
+          let len = String.length wire in
+          let slot = Bytes.make (off + len + 64) '\xa5' in
+          Esp.encap_into ~sa ~seq ~payload slot ~off = len
+          && Bytes.sub_string slot off len = wire
+          && Bytes.sub_string slot 0 off = String.make off '\xa5'
+          && Bytes.sub_string slot (off + len) 64 = String.make 64 '\xa5')
         all_algos)
 
 (* ------------------------------------------------------------------ *)
@@ -154,9 +198,8 @@ let encap_esn_bytes_equal =
 let cross_decode_seq64 =
   QCheck.Test.make ~name:"cross-decode Seq64: old wire -> new decap and back"
     ~count:150
-    QCheck.(pair payload_gen small_nat)
+    QCheck.(pair payload_gen seq_gen)
     (fun (payload, seq) ->
-      let seq = seq + 1 in
       List.for_all
         (fun (_, algo) ->
           let sa = sa_of_algo algo in
@@ -164,28 +207,52 @@ let cross_decode_seq64 =
           let new_wire = Esp.encap ~sa ~seq ~payload in
           Esp.decap ~sa old_wire = Ok (seq, payload)
           && Legacy.decap ~sa new_wire = Ok (seq, payload)
+          && decap_at ~sa ~edge:0 old_wire = Ok (seq, payload)
           && (match Esp.decap_slice ~sa old_wire with
              | Ok (s, slice) -> s = seq && Slice.equal_string slice payload
              | Error _ -> false))
-        all_algos)
+        seq64_algos)
 
 let cross_decode_esn =
   QCheck.Test.make ~name:"cross-decode Esn32: old wire -> new decap and back"
     ~count:150
-    QCheck.(pair payload_gen small_nat)
+    QCheck.(pair payload_gen seq_gen)
     (fun (payload, seq) ->
-      let seq = seq + 1 in
-      let edge = max 0 (seq - 3) and w = 64 in
+      let edge = edge_of seq and w = 64 in
       List.for_all
         (fun (_, algo) ->
           let sa = sa_of_algo algo in
-          let old_wire = Legacy.encap_esn ~sa ~seq ~payload in
-          let new_wire = Esp.encap_esn ~sa ~seq ~payload in
-          Esp.decap_esn ~sa ~edge ~w old_wire = Ok (seq, payload)
-          && Legacy.decap_esn ~sa ~edge ~w new_wire = Ok (seq, payload)
-          && (match Esp.decap_esn_slice ~sa ~edge ~w old_wire with
-             | Ok (s, slice) -> s = seq && Slice.equal_string slice payload
-             | Error _ -> false))
+          let old_wire = Legacy.esn_encap ~sa ~seq ~payload in
+          let new_wire = Esp.encap ~sa ~seq ~payload in
+          decap_at ~sa ~edge old_wire = Ok (seq, payload)
+          && Legacy.esn_decap ~sa ~edge ~w new_wire = Ok (seq, payload))
+        esn_algos)
+
+(* A frame in an rx-arena slot: at a non-zero offset inside a larger
+   buffer, junk on both sides. The one decoder reads it where it lies,
+   under either framing. *)
+let arena_slot_decodes =
+  QCheck.Test.make ~name:"arena slot: frame at an offset decodes in place"
+    ~count:150
+    QCheck.(triple payload_gen seq_gen (int_range 1 200))
+    (fun (payload, seq, off) ->
+      List.for_all
+        (fun (_, algo) ->
+          let sa = sa_of_algo algo in
+          let wire = legacy_encap ~sa ~seq ~payload in
+          let len = String.length wire in
+          let arena = Bytes.make (off + len + 64) '\x5a' in
+          Bytes.blit_string wire 0 arena off len;
+          let frame = Slice.make arena ~off ~len in
+          decap_at ~sa ~edge:(edge_of seq) ~off ~len (Bytes.unsafe_to_string arena)
+          = Ok (seq, payload)
+          &&
+          match sa.algo.framing with
+          | Sa.Seq64 ->
+            (match Esp.decap_of_slice ~sa frame with
+            | Ok (s, p) -> s = seq && Slice.equal_string p payload
+            | Error _ -> false)
+          | Sa.Esn32 -> true)
         all_algos)
 
 (* ------------------------------------------------------------------ *)
@@ -193,34 +260,30 @@ let cross_decode_esn =
 
 let truncation_agrees =
   QCheck.Test.make ~name:"truncated packets: identical verdicts" ~count:100
-    QCheck.(triple payload_gen small_nat small_nat)
+    QCheck.(triple payload_gen seq_gen small_nat)
     (fun (payload, seq, cut) ->
-      let seq = seq + 1 in
       List.for_all
         (fun (_, algo) ->
           let sa = sa_of_algo algo in
           let wire = Esp.encap ~sa ~seq ~payload in
           let cut = cut mod (String.length wire + 1) in
           let truncated = String.sub wire 0 cut in
-          same_error (Esp.decap ~sa truncated, Legacy.decap ~sa truncated)
-          &&
-          let wire_esn = Esp.encap_esn ~sa ~seq ~payload in
-          let cut_esn = cut mod (String.length wire_esn + 1) in
-          let truncated_esn = String.sub wire_esn 0 cut_esn in
           same_error
-            ( Esp.decap_esn ~sa ~edge:seq ~w:64 truncated_esn,
-              Legacy.decap_esn ~sa ~edge:seq ~w:64 truncated_esn ))
+            ( decap_at ~sa ~edge:seq truncated,
+              legacy_decap ~sa ~edge:seq truncated ))
         all_algos)
 
 (* ------------------------------------------------------------------ *)
 (* Tamper: flip any one bit, both codecs reject (or agree) *)
 
+(* Every bit of the frame is guarded in both framings: flipping any one
+   is an error, and the same error from both codecs. *)
 let tamper_agrees =
   QCheck.Test.make ~name:"bit-flipped packets: both codecs reject identically"
     ~count:200
-    QCheck.(quad payload_gen small_nat small_nat small_nat)
+    QCheck.(quad payload_gen seq_gen small_nat small_nat)
     (fun (payload, seq, byte_idx, bit) ->
-      let seq = seq + 1 in
+      let edge = edge_of seq in
       List.for_all
         (fun (_, algo) ->
           let sa = sa_of_algo algo in
@@ -230,13 +293,9 @@ let tamper_agrees =
           Bytes.set flipped i
             (Char.chr (Char.code wire.[i] lxor (1 lsl (bit mod 8))));
           let flipped = Bytes.to_string flipped in
-          let new_r = Esp.decap ~sa flipped in
-          let old_r = Legacy.decap ~sa flipped in
-          same_error (new_r, old_r)
-          && (match (new_r, old_r) with
-             | Ok a, Ok b -> a = b (* flip in an ignored... never: all bytes covered *)
-             | _ -> true)
-          && new_r <> Ok (seq, payload))
+          let new_r = decap_at ~sa ~edge flipped in
+          let old_r = legacy_decap ~sa ~edge flipped in
+          Result.is_error new_r && same_error (new_r, old_r))
         all_algos)
 
 (* ------------------------------------------------------------------ *)
@@ -246,20 +305,35 @@ let test_known_wire_stability () =
   (* A pinned wire byte sequence: catches accidental format drift that
      a purely differential test (comparing two same-session codecs)
      would miss. *)
-  let sa = sa_of_algo { Sa.integ = Sa.Hmac_sha256_128; encr = Sa.Chacha20 } in
+  let sa = sa_of_algo Sa.default_algo in
   let wire = Esp.encap ~sa ~seq:7 ~payload:"attack at dawn" in
   check_str "spi+seq header" "000000c0de0000000000000007"
     ("00" ^ Hex.encode (String.sub wire 0 12));
   Alcotest.(check int)
     "wire length" (12 + 14 + 16) (String.length wire);
   (* decap returns the payload *)
-  check_bool "roundtrip" true (Esp.decap ~sa wire = Ok (7, "attack at dawn"))
+  check_bool "roundtrip" true (Esp.decap ~sa wire = Ok (7, "attack at dawn"));
+  (* ESN: the low 32 bits of seq = 2^32 + 7 only, 4 bytes shorter *)
+  let sa = sa_of_algo { Sa.default_algo with framing = Sa.Esn32 } in
+  let seq = Esn.epoch + 7 in
+  let wire = Esp.encap ~sa ~seq ~payload:"attack at dawn" in
+  check_str "spi+seq_low header" "000000c0de00000007"
+    ("00" ^ Hex.encode (String.sub wire 0 8));
+  Alcotest.(check int) "esn wire length" (8 + 14 + 16) (String.length wire);
+  check_bool "esn roundtrip" true
+    (decap_at ~sa ~edge:(seq - 1) wire = Ok (seq, "attack at dawn"));
+  (* The ESN ICV covers the SA's SPI, so the wire's is compared. *)
+  let other_spi = Bytes.of_string wire in
+  Bytes.set other_spi 3 '\xdf';
+  check_bool "esn frame under another spi" true
+    (decap_at ~sa ~edge:(seq - 1) (Bytes.to_string other_spi)
+    = Error Esp.Bad_icv)
 
 let test_slice_scratch_reuse () =
   (* Two successive decaps on one SA reuse the scratch buffer: the
      first slice's contents are overwritten by the second decap —
      documented lifetime, and the reason consumers copy if they keep. *)
-  let sa = sa_of_algo { Sa.integ = Sa.Hmac_sha256_128; encr = Sa.Chacha20 } in
+  let sa = sa_of_algo Sa.default_algo in
   let w1 = Esp.encap ~sa ~seq:1 ~payload:"first-payload!" in
   let w2 = Esp.encap ~sa ~seq:2 ~payload:"SECOND-PAYLOAD" in
   match (Esp.decap_slice ~sa w1, ()) with
@@ -277,9 +351,9 @@ let test_slice_scratch_reuse () =
 let () =
   Alcotest.run "codec"
     [
-      ("wire-equality", [ qt encap_bytes_equal; qt encap_esn_bytes_equal ]);
+      ("wire-equality", [ qt encap_bytes_equal; qt encap_into_offset_equal ]);
       ( "cross-decode",
-        [ qt cross_decode_seq64; qt cross_decode_esn ] );
+        [ qt cross_decode_seq64; qt cross_decode_esn; qt arena_slot_decodes ] );
       ("rejection", [ qt truncation_agrees; qt tamper_agrees ]);
       ( "stability",
         [

@@ -340,6 +340,81 @@ let test_receiver_non_robust_jump_vulnerability () =
   check_int "replay accepted (documented weakness)" 1
     f.metrics.Metrics.replay_accepted
 
+(* The daemon hands the receiver a frame in its rx arena
+   ([Receiver.on_frame]) and reuses the arena as soon as the call
+   returns. A frame the receiver keeps past the call must therefore be
+   its own copy: here one waits in the wakeup buffer and one in a
+   robust receiver's catch-up buffer while the caller's buffer is
+   overwritten, and each SAVE completes only when the test releases
+   it. *)
+let test_kept_frames_outlive_the_callers_buffer () =
+  let engine = Engine.create () in
+  let params = Sa.derive_params ~window_width:64 ~spi:0x5l ~secret:"kept" () in
+  let receiver ~robust =
+    let disk = Sim_disk.create ~name:"dq" ~latency:(us 1) engine in
+    let inner = Sim_disk.store disk in
+    let held = ref [] in
+    let store =
+      {
+        inner with
+        Store.save =
+          (fun ~key ~value ~on_error ~on_complete ->
+            held := (fun () -> inner.Store.save ~key ~value ~on_error ~on_complete) :: !held);
+      }
+    in
+    let release () = List.iter (fun save -> save ()) (List.rev !held) in
+    let metrics = Metrics.create () in
+    let rx =
+      Receiver.create ~sa:(Sa.create params) ~metrics
+        ~persistence:
+          (Some
+             {
+               Receiver.store;
+               key = "recv_edge";
+               policy = K_policy.make (K_policy.static 5);
+               robust;
+               wakeup_buffer = true;
+               retries = 3;
+             })
+        engine
+    in
+    let got = ref [] in
+    Receiver.on_deliver rx (fun ~seq ~payload ->
+        got := (seq, Resets_util.Slice.to_string payload) :: !got);
+    (rx, metrics, release, got)
+  in
+  (* one frame at an odd offset of a caller-owned buffer, as a receive
+     batch leaves it in the rx arena, and one filling a buffer of its
+     own: neither may be kept as a view *)
+  let buf = Bytes.make 512 '\000' in
+  let frame ~off ~seq payload =
+    let len = Esp.encap_into ~sa:params ~seq ~payload buf ~off in
+    Resets_util.Slice.make buf ~off ~len
+  in
+  let slot = Bytes.create (Esp.overhead ~sa:params + String.length "catch-up-held") in
+  let q1, m1, release1, got1 = receiver ~robust:false in
+  Receiver.reset q1;
+  Receiver.wakeup q1 ();
+  check_bool "waking on a held SAVE" true (Receiver.is_recovering q1);
+  Receiver.on_frame q1 (frame ~off:3 ~seq:20 "wakeup-buffered");
+  check_int "parked in the wakeup buffer" 1 m1.Metrics.buffered_during_wakeup;
+  (* durable 0 + leap 10: seq 100 waits for the catch-up SAVE *)
+  let q2, m2, release2, got2 = receiver ~robust:true in
+  Receiver.on_frame q2
+    (Resets_util.Slice.make slot ~off:0
+       ~len:(Esp.encap_into ~sa:params ~seq:100 ~payload:"catch-up-held" slot ~off:0));
+  check_int "held for the catch-up SAVE" 0 m2.Metrics.delivered;
+  (* the next receive batch reuses the buffers *)
+  Bytes.fill buf 0 (Bytes.length buf) '\xff';
+  Bytes.fill slot 0 (Bytes.length slot) '\xff';
+  release1 ();
+  release2 ();
+  ignore (Engine.run ~until:(us 100) engine);
+  let delivered = Alcotest.(check (list (pair int string))) in
+  delivered "wakeup-buffered frame" [ (20, "wakeup-buffered") ] !got1;
+  delivered "catch-up frame" [ (100, "catch-up-held") ] !got2;
+  check_int "no ICV failure" 0 (m1.Metrics.bad_icv + m2.Metrics.bad_icv)
+
 (* ------------------------------------------------------------------ *)
 (* Store faults: the recovery retries, the degrade hand-off and the
    write-failure guards, one case per side *)
@@ -421,6 +496,56 @@ let test_fetch_retries_then_degrade side () =
   check_int "wakeup's on_ready fired once" 1 !ready;
   check_bool "traffic flows on the fresh SA" true
     (Receiver.right_edge f.receiver > 0)
+
+(* An ESN association that degrades to IKE through
+   [Endpoint.reestablish] stays ESN: the fresh SA negotiates the live
+   one's transforms. Had both peers fallen back to Seq64 together,
+   delivery alone would not show it, so the fresh SAs' algo is checked
+   too. *)
+let test_esn_reestablish_stays_esn () =
+  let engine = Engine.create () in
+  let metrics = Metrics.create () in
+  let esn = { Sa.default_algo with framing = Sa.Esn32 } in
+  let disk_q = Sim_disk.create ~name:"dq" ~latency:(us 40) engine in
+  Sim_disk.set_faults disk_q (faulty corrupt_reads);
+  let ep =
+    Endpoint.create ~framing:Sa.Esn32 ~spi:0x3l ~secret:"esn-degrade" ~link_latency:(us 1)
+      ~traffic:(Resets_workload.Traffic.constant ~gap:(us 10))
+      ~metrics ~sender_persistence:None
+      ~receiver_persistence:
+        (Some
+           {
+             Receiver.store = Sim_disk.store disk_q;
+             key = "recv_edge";
+             policy = K_policy.make (K_policy.static 5);
+             robust = false;
+             wakeup_buffer = true;
+             retries = 3;
+           })
+      engine
+  in
+  let sender = Endpoint.sender ep and receiver = Endpoint.receiver ep in
+  let delivered_at_install = ref (-1) in
+  Receiver.set_degrade_handler receiver (fun () ->
+      Endpoint.reestablish ep ~cost:Ike.default_cost
+        ~prng:(Resets_util.Prng.create 5) ~spi:0x4l ~on_installed:(fun () ->
+          delivered_at_install := metrics.Metrics.delivered;
+          Endpoint.resume_fresh ep));
+  Endpoint.start ep;
+  ignore (Engine.schedule_at engine ~at:(us 105) (fun () -> Receiver.reset receiver));
+  ignore
+    (Engine.schedule_at engine ~at:(us 200) (fun () -> Receiver.wakeup receiver ()));
+  ignore (Engine.run ~until:(Time.of_ms 40) engine);
+  check_int "degraded once" 1 metrics.Metrics.degraded_reestablish;
+  check_bool "re-established" true (!delivered_at_install >= 0);
+  let fresh side sa =
+    check_int (side ^ " holds the fresh SA") 0x4 (Int32.to_int sa.Sa.params.Sa.spi);
+    check_bool (side ^ "'s fresh SA is ESN") true (sa.Sa.params.Sa.algo = esn)
+  in
+  fresh "p" (Sender.sa sender);
+  fresh "q" (Receiver.sa receiver);
+  check_bool "its frames deliver" true
+    (metrics.Metrics.delivered - !delivered_at_install > 500)
 
 (* q is reset again while its wakeup waits to retry a corrupt FETCH,
    then woken again. The first wakeup's retry timer must not fire into
@@ -603,6 +728,8 @@ let () =
             test_receiver_robust_reset_during_catchup;
           Alcotest.test_case "non-robust jump weakness" `Quick
             test_receiver_non_robust_jump_vulnerability;
+          Alcotest.test_case "kept frames outlive the caller's buffer" `Quick
+            test_kept_frames_outlive_the_callers_buffer;
         ] );
       ( "store faults",
         [
@@ -612,6 +739,8 @@ let () =
             (test_fetch_retries_then_degrade `Q);
           Alcotest.test_case "aborted wakeup's retry dropped" `Quick
             test_aborted_wakeup_retry_is_dropped;
+          Alcotest.test_case "ESN SA degrades to IKE and stays ESN" `Quick
+            test_esn_reestablish_stays_esn;
           Alcotest.test_case "p holds at durable + leap" `Quick
             (test_write_failures_engage_guards `P);
           Alcotest.test_case "q bounded slide on failing SAVEs" `Quick

@@ -142,11 +142,21 @@ let test_esn_volatile_reset () =
 (* ------------------------------------------------------------------ *)
 (* ESN ESP framing: ICV over the inferred full sequence number *)
 
-let esn_sa = Sa.derive_params ~spi:0x77l ~secret:"esn-test" ()
+let esn_sa =
+  Sa.derive_params
+    ~algo:{ Sa.default_algo with framing = Sa.Esn32 }
+    ~spi:0x77l ~secret:"esn-test" ()
+
+(* The one decoder over a whole wire string, payload copied out; the
+   window width (64) is the SA's. *)
+let decap_at ~edge wire =
+  Result.map
+    (fun (seq, p) -> (seq, Resets_util.Slice.to_string p))
+    (Esp.decap_range ~sa:esn_sa ~edge wire ~off:0 ~len:(String.length wire))
 
 let test_esn_esp_roundtrip_epoch0 () =
-  let wire = Esp.encap_esn ~sa:esn_sa ~seq:42 ~payload:"hello" in
-  match Esp.decap_esn ~sa:esn_sa ~edge:40 ~w:64 wire with
+  let wire = Esp.encap ~sa:esn_sa ~seq:42 ~payload:"hello" in
+  match decap_at ~edge:40 wire with
   | Ok (seq, payload) ->
     check_int "seq" 42 seq;
     Alcotest.(check string) "payload" "hello" payload
@@ -154,9 +164,9 @@ let test_esn_esp_roundtrip_epoch0 () =
 
 let test_esn_esp_roundtrip_high_epoch () =
   let seq = (3 * epoch) + 5 in
-  let wire = Esp.encap_esn ~sa:esn_sa ~seq ~payload:"deep" in
+  let wire = Esp.encap ~sa:esn_sa ~seq ~payload:"deep" in
   (* receiver's edge is nearby: inference recovers the full number *)
-  match Esp.decap_esn ~sa:esn_sa ~edge:(seq - 3) ~w:64 wire with
+  match decap_at ~edge:(seq - 3) wire with
   | Ok (seq', _) -> check_int "full seq recovered" seq seq'
   | Error e -> Alcotest.failf "decap failed: %s" (Esp.error_to_string e)
 
@@ -165,33 +175,31 @@ let test_esn_esp_wrong_epoch_fails_icv () =
      epoch 1: the inferred number is wrong, so the ICV must fail — the
      RFC-specified behaviour *)
   let seq = (3 * epoch) + 5 in
-  let wire = Esp.encap_esn ~sa:esn_sa ~seq ~payload:"deep" in
+  let wire = Esp.encap ~sa:esn_sa ~seq ~payload:"deep" in
   check_bool "rejected across epochs" true
-    (Result.is_error (Esp.decap_esn ~sa:esn_sa ~edge:(epoch + 1000) ~w:64 wire))
+    (Result.is_error (decap_at ~edge:(epoch + 1000) wire))
 
 let test_esn_esp_across_wrap () =
   (* traffic spanning an epoch boundary all verifies when the edge
      tracks it *)
   let edge = ref (epoch - 3) in
   for seq = epoch - 2 to epoch + 2 do
-    let wire = Esp.encap_esn ~sa:esn_sa ~seq ~payload:"x" in
-    (match Esp.decap_esn ~sa:esn_sa ~edge:!edge ~w:64 wire with
+    let wire = Esp.encap ~sa:esn_sa ~seq ~payload:"x" in
+    (match decap_at ~edge:!edge wire with
     | Ok (seq', _) -> check_int (Printf.sprintf "seq %d" seq) seq seq'
     | Error e -> Alcotest.failf "decap %d failed: %s" seq (Esp.error_to_string e));
     edge := seq
   done
 
 let test_esn_esp_tamper () =
-  let wire = Esp.encap_esn ~sa:esn_sa ~seq:7 ~payload:"data" in
+  let wire = Esp.encap ~sa:esn_sa ~seq:7 ~payload:"data" in
   let tampered =
     String.mapi (fun i c -> if i = String.length wire - 1 then Char.chr (Char.code c lxor 1) else c) wire
   in
-  check_bool "tamper rejected" true
-    (Result.is_error (Esp.decap_esn ~sa:esn_sa ~edge:6 ~w:64 tampered))
+  check_bool "tamper rejected" true (decap_at ~edge:6 tampered = Error Esp.Bad_icv)
 
 let test_esn_esp_malformed () =
-  check_bool "short" true
-    (Result.is_error (Esp.decap_esn ~sa:esn_sa ~edge:0 ~w:64 "tiny"))
+  check_bool "short" true (decap_at ~edge:0 "tiny" = Error Esp.Malformed)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-SA recovery *)

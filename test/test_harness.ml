@@ -74,7 +74,7 @@ let test_esn_framing_agrees_with_seq64 () =
     }
   in
   let a = Harness.run scenario in
-  let b = Harness.run { scenario with framing = Packet.Esn32 } in
+  let b = Harness.run { scenario with framing = Resets_ipsec.Sa.Esn32 } in
   check_int "same deliveries" a.Harness.metrics.Metrics.delivered
     b.Harness.metrics.Metrics.delivered;
   check_int "no replays either way" 0

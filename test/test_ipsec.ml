@@ -88,7 +88,7 @@ let test_esp_payload_encrypted () =
   check_bool "ciphertext opaque" false (contains wire payload)
 
 let test_esp_null_encr_exposes_payload () =
-  let sa = params ~algo:{ Sa.integ = Sa.Hmac_sha256_128; encr = Sa.Null_encr } () in
+  let sa = params ~algo:{ Sa.default_algo with encr = Sa.Null_encr } () in
   let wire = Esp.encap ~sa ~seq:1 ~payload:"clear" in
   check_str "payload in clear" "clear" (String.sub wire 12 5);
   match Esp.decap ~sa wire with
@@ -122,15 +122,16 @@ let test_esp_malformed () =
 let test_esp_peek () =
   let sa = params () in
   let wire = Esp.encap ~sa ~seq:12345 ~payload:"x" in
-  Alcotest.(check (option int)) "seq peek" (Some 12345) (Esp.seq_of_packet wire);
+  Alcotest.(check (option int)) "seq peek" (Some 12345)
+    (Esp.seq_of_packet ~sa ~edge:0 wire);
   Alcotest.(check (option int32)) "spi peek" (Some 0x42l) (Esp.spi_of_packet wire);
-  Alcotest.(check (option int)) "peek short" None (Esp.seq_of_packet "xx")
+  Alcotest.(check (option int)) "peek short" None (Esp.seq_of_packet ~sa ~edge:0 "xx")
 
 let test_esp_overhead () =
   let sa = params () in
   let wire = Esp.encap ~sa ~seq:1 ~payload:"12345" in
   check_int "overhead formula" (String.length wire - 5) (Esp.overhead ~sa);
-  let full = params ~algo:{ Sa.integ = Sa.Hmac_sha256_full; encr = Sa.Chacha20 } () in
+  let full = params ~algo:{ Sa.default_algo with integ = Sa.Hmac_sha256_full } () in
   check_int "full tag overhead" (12 + 32) (Esp.overhead ~sa:full)
 
 let test_esp_rejects_negative_seq () =
@@ -138,35 +139,59 @@ let test_esp_rejects_negative_seq () =
   Alcotest.check_raises "negative" (Invalid_argument "Esp.encap: negative sequence number")
     (fun () -> ignore (Esp.encap ~sa ~seq:(-1) ~payload:""))
 
+let esn_params () = params ~algo:{ Sa.default_algo with framing = Sa.Esn32 } ()
+
+(* The one decoder over a whole wire string, payload copied out. *)
+let decap_at ~sa ~edge wire =
+  Result.map
+    (fun (seq, p) -> (seq, Resets_util.Slice.to_string p))
+    (Esp.decap_range ~sa ~edge wire ~off:0 ~len:(String.length wire))
+
 let test_esp_peek_esn () =
-  let sa = params () in
+  let sa = esn_params () in
   let seq = (1 lsl 32) + 7 in
-  let wire = Esp.encap_esn ~sa ~seq ~payload:"x" in
-  (* the wire carries only the 32 low bits *)
-  Alcotest.(check (option int)) "low bits" (Some 7) (Esp.seq_low_of_packet_esn wire);
-  (* a framing-aware peek recovers the full value from the window position *)
+  let wire = Esp.encap ~sa ~seq ~payload:"x" in
+  (* the wire carries only the 32 low bits, and the header is 8 bytes *)
+  Alcotest.(check int32) "low bits" 7l (Wire.get_be32 wire 4);
+  check_int "esn overhead" (8 + 16) (Esp.overhead ~sa);
+  (* the peek recovers the full value from the window position *)
   Alcotest.(check (option int)) "full seq inferred" (Some seq)
-    (Esp.seq_of_packet_esn ~edge:(seq - 3) ~w:64 wire);
-  (* the Seq64 peek reads 8 bytes where only 4 are sequence — wrong answer *)
-  check_bool "seq64 peek misreads esn wire" true (Esp.seq_of_packet wire <> Some seq);
+    (Esp.seq_of_packet ~sa ~edge:(seq - 3) wire);
+  (* read under a Seq64 SA, the header's bytes are not the number *)
+  check_bool "seq64 peek misreads esn wire" true
+    (Esp.seq_of_packet ~sa:(params ()) ~edge:0 wire <> Some seq);
   (* a low value whose inferred epoch is pre-history yields None *)
-  let early = Esp.encap_esn ~sa ~seq:((1 lsl 32) - 1) ~payload:"x" in
+  let early = Esp.encap ~sa ~seq:((1 lsl 32) - 1) ~payload:"x" in
   Alcotest.(check (option int)) "pre-history" None
-    (Esp.seq_of_packet_esn ~edge:0 ~w:64 early);
-  Alcotest.(check (option int)) "short wire" None
-    (Esp.seq_of_packet_esn ~edge:0 ~w:64 "xx");
-  Alcotest.(check (option int)) "short wire low" None (Esp.seq_low_of_packet_esn "xx")
+    (Esp.seq_of_packet ~sa ~edge:0 early);
+  Alcotest.(check (option int)) "short wire" None (Esp.seq_of_packet ~sa ~edge:0 "xx")
+
+let test_esp_wrappers_refuse_esn () =
+  (* decap, decap_slice and decap_of_slice have no edge to infer an
+     ESN number from: they refuse an ESN SA instead of guessing *)
+  let sa = esn_params () in
+  let wire = Esp.encap ~sa ~seq:7 ~payload:"x" in
+  let refused f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | Ok _ | Error _ -> false
+  in
+  check_bool "decap" true (refused (fun () -> Result.map fst (Esp.decap ~sa wire)));
+  check_bool "decap_slice" true
+    (refused (fun () -> Result.map fst (Esp.decap_slice ~sa wire)));
+  check_bool "decap_of_slice" true
+    (refused (fun () ->
+         Result.map fst (Esp.decap_of_slice ~sa (Resets_util.Slice.of_string wire))));
+  check_bool "decap_range with the edge" true (decap_at ~sa ~edge:6 wire = Ok (7, "x"))
 
 let esp_esn_peek_matches_decap =
   QCheck.Test.make ~name:"esn peek agrees with what decap verifies" ~count:200
     QCheck.(pair (int_range 64 1_000_000) small_nat)
     (fun (edge, delta) ->
-      let sa = params () in
+      let sa = esn_params () in
       let seq = edge + 1 + (delta mod 64) in
-      let wire = Esp.encap_esn ~sa ~seq ~payload:"p" in
-      match
-        (Esp.seq_of_packet_esn ~edge ~w:64 wire, Esp.decap_esn ~sa ~edge ~w:64 wire)
-      with
+      let wire = Esp.encap ~sa ~seq ~payload:"p" in
+      match (Esp.seq_of_packet ~sa ~edge wire, decap_at ~sa ~edge wire) with
       | Some peeked, Ok (verified, _) -> peeked = seq && verified = seq
       | _ -> false)
 
@@ -180,7 +205,7 @@ let esp_decap_never_crashes =
       (match Esp.decap ~sa junk with
       | Ok _ | Error _ -> true)
       &&
-      match Esp.decap_esn ~sa ~edge:1000 ~w:64 junk with
+      match decap_at ~sa:(esn_params ()) ~edge:1000 junk with
       | Ok _ | Error _ -> true)
 
 let esp_bitflip_never_accepted =
@@ -338,6 +363,8 @@ let () =
           Alcotest.test_case "malformed" `Quick test_esp_malformed;
           Alcotest.test_case "peek" `Quick test_esp_peek;
           Alcotest.test_case "peek esn" `Quick test_esp_peek_esn;
+          Alcotest.test_case "seq64 wrappers refuse esn" `Quick
+            test_esp_wrappers_refuse_esn;
           Alcotest.test_case "overhead" `Quick test_esp_overhead;
           Alcotest.test_case "negative seq" `Quick test_esp_rejects_negative_seq;
           qt esp_esn_peek_matches_decap;
