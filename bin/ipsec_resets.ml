@@ -1022,22 +1022,27 @@ let serve_cmd =
   in
   let impair_conv =
     let parse s =
-      match Resets_core.Impair.spec_of_string s with
-      | Ok spec -> Ok spec
+      match Resets_sim.Link.faults_of_string s with
+      | Ok faults -> Ok faults
       | Error msg -> Error (`Msg msg)
     in
     Arg.conv
-      (parse, fun fmt s -> Format.pp_print_string fmt (Resets_core.Impair.spec_to_string s))
+      ( parse,
+        fun fmt f ->
+          Format.pp_print_string fmt (Resets_sim.Link.faults_to_string f) )
   in
   let impair =
     Arg.(
       value
-      & opt impair_conv Resets_core.Impair.none
+      & opt impair_conv Resets_sim.Link.no_faults
       & info [ "impair" ] ~docv:"SPEC"
           ~doc:
-            "Deterministic wire impairment on the send path, e.g. \
-             $(b,drop=0.05,dup=0.01,reorder=0.02,delay=0.01:4,ge=0.01:0.2:0.9) \
-             (ge = Gilbert-Elliott enter:exit:drop burst loss).")
+            "Deterministic wire faults on the send path, run by the \
+             simulator's channel model (one seeded link per SA), e.g. \
+             $(b,drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8): \
+             i.i.d. loss, duplication, reordering (a frame held back by \
+             the given delay) and Gilbert-Elliott enter:exit:drop burst \
+             loss. Probabilities must lie in [0, 1].")
   in
   let impair_seed =
     Arg.(
@@ -1064,7 +1069,9 @@ let serve_cmd =
           ~doc:
             "Deterministic file-store fault plan, e.g. \
              $(b,write_fail=0.05,torn=0.02,corrupt=0.01,stale=0.01): transient \
-             write failures, aborted renames, corrupt/stale checked reads.")
+             write failures, aborted renames, corrupt/stale checked reads. \
+             Probabilities must lie in [0, 1], and the $(b,latency) factor \
+             must be finite and >= 0.")
   in
   let fault_seed =
     Arg.(

@@ -98,6 +98,8 @@ let run ?(seed = 5) strategy config =
       | None -> () (* epoch already retired: the packet is lost *)
       | Some receiver -> Receiver.on_packet receiver (Packet.fresh wire))
   in
+  let wire = Link.create ~latency:config.link_latency engine in
+  Link.set_deliver wire receive;
   (* ---- sender with rollover --------------------------------------- *)
   let next_spi = ref 0x9000l in
   let sender_params = ref None in
@@ -141,10 +143,7 @@ let run ?(seed = 5) strategy config =
         let seq = !sent_in_epoch + 1 in
         sent_in_epoch := seq;
         incr sent;
-        let wire = Esp.encap ~sa:params ~seq ~payload:"data" in
-        ignore
-          (Engine.schedule_after engine ~after:config.link_latency (fun () ->
-               receive wire));
+        Link.send wire (Esp.encap ~sa:params ~seq ~payload:"data");
         if
           strategy = Make_before_break
           && (not !rekey_started)

@@ -65,9 +65,9 @@ val create :
   t
 (** [send] is the channel: every packet p emits goes through it —
     {!Resets_sim.Link.send} in simulation, a socket write in the wire
-    daemon, optionally behind {!Impair.wrap}. It returns nothing: a
-    packet the medium refuses is lost, which the protocol tolerates by
-    design.
+    daemon (through a [Link] when its wire is impaired). It returns
+    nothing: a packet the medium refuses is lost, which the protocol
+    tolerates by design.
 
     With persistence, the store is preloaded with the initial sequence
     number (established state is durable) — unless [preload_store] is

@@ -119,20 +119,24 @@ let failed msg =
     r_error = Some msg;
   }
 
-let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
-    ~send_extra ~watchdog ~expect_recovery () =
+(* A receiver and a sender daemon on one socket under a fresh, started
+   supervisor, every flag derived from [params] and [cell]. With
+   [stall], the supervisor's watchdog kills a receiver whose heartbeat
+   file stops growing for that long. The daemons outlive the warmup,
+   the receiver's time down (the planned downtime, or the stall) and
+   its restarted run. *)
+let launch_pair ~bin ~dir ~params ~(cell : cell) ?stall ~recv_extra
+    ~send_extra ~expect_recovery () =
   mkdir_p dir;
   let sock = Filename.concat dir "wire.sock" in
   let store_recv = Filename.concat dir "store-recv" in
-  let store_send = Filename.concat dir "store-send" in
   let hb_recv = Filename.concat dir "hb-recv.jsonl" in
-  let hb_send = Filename.concat dir "hb-send.jsonl" in
-  let sas = sas_of_scope cell.scope in
-  let total_s = params.warmup_s +. params.downtime_s +. params.post_s +. 10. in
+  let down_s = Option.value stall ~default:params.downtime_s in
+  let total_s = params.warmup_s +. down_s +. params.post_s +. 15. in
   let f = Printf.sprintf "%g" in
   let common =
     [
-      "--sas"; string_of_int sas;
+      "--sas"; string_of_int (sas_of_scope cell.scope);
       "-k"; string_of_int params.k;
       "--rate"; f params.rate_pps;
       "--heartbeat"; f params.heartbeat_s;
@@ -157,8 +161,8 @@ let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
     [ bin; "serve"; "--role"; "send"; "--peer"; "unix:" ^ sock ]
     @ common
     @ [
-        "--store"; store_send;
-        "--stats"; hb_send;
+        "--store"; Filename.concat dir "store-send";
+        "--stats"; Filename.concat dir "hb-send.jsonl";
         "--churn"; churn_to_string cell.churn;
         "--duration"; f total_s;
         "--impair-seed"; string_of_int params.seed;
@@ -173,7 +177,7 @@ let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
         (Supervisor.default_spec ~name:"recv" ~argv:recv_argv
            ~log:(Filename.concat dir "recv.log"))
         with
-        watchdog;
+        watchdog = Option.map (fun d -> (hb_recv, d)) stall;
       }
   in
   let _send_slot =
@@ -182,6 +186,14 @@ let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
          ~log:(Filename.concat dir "send.log"))
   in
   Supervisor.start sup;
+  (sup, recv_slot, hb_recv, store_recv)
+
+let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
+    ~send_extra ~expect_recovery () =
+  let sup, recv_slot, hb_recv, store_recv =
+    launch_pair ~bin ~dir ~params ~cell ~recv_extra ~send_extra
+      ~expect_recovery ()
+  in
   let finish r =
     Supervisor.stop sup ~grace:3.;
     r
@@ -275,15 +287,6 @@ type cell_result = {
 
 let percentiles values =
   let s = Stats.Sample.create () in
-  List.iter (fun v -> Stats.Sample.add s (float_of_int v)) values;
-  if Stats.Sample.count s = 0 then (0., 0., 0.)
-  else
-    ( Stats.Sample.percentile s 50.,
-      Stats.Sample.percentile s 99.,
-      Stats.Sample.percentile s 100. )
-
-let float_percentiles values =
-  let s = Stats.Sample.create () in
   List.iter (Stats.Sample.add s) values;
   if Stats.Sample.count s = 0 then (0., 0., 0.)
   else
@@ -308,8 +311,8 @@ let cell_ok r =
 let json_of_cell_result r =
   let lost = List.concat_map (fun rep -> rep.r_lost) r.repeats in
   let ttc = List.filter_map (fun rep -> rep.r_ttc_s) r.repeats in
-  let l50, l99, lmax = percentiles lost in
-  let t50, t99, tmax = float_percentiles ttc in
+  let l50, l99, lmax = percentiles (List.map float_of_int lost) in
+  let t50, t99, tmax = percentiles ttc in
   let errors =
     List.filter_map (fun rep -> rep.r_error) r.repeats
     |> List.map (fun e -> Json.String e)
@@ -359,7 +362,7 @@ let run_cell ~bin ~workdir ~params ~log (cell : cell) =
           ~dir:(Filename.concat (Filename.concat workdir (cell_id cell))
                   (Printf.sprintf "rep%d" r))
           ~params ~cell ~kill_signal:Sys.sigkill ~recv_extra:[] ~send_extra:[]
-          ~watchdog:None ~expect_recovery ())
+          ~expect_recovery ())
   in
   { cell; sas = sas_of_scope cell.scope; bound; repeats }
 
@@ -372,7 +375,7 @@ let run_sigterm_probe ~bin ~workdir ~params ~log () =
   let dir = Filename.concat workdir "kill-sigterm" in
   let r =
     run_repeat ~bin ~dir ~params ~cell ~kill_signal:Sys.sigterm ~recv_extra:[]
-      ~send_extra:[] ~watchdog:None ~expect_recovery:true ()
+      ~send_extra:[] ~expect_recovery:true ()
   in
   (* The graceful incarnation must have left a terminal heartbeat, and
      the restart must recover at least the edge that heartbeat shows
@@ -431,56 +434,13 @@ let run_sigstop_probe ~bin ~workdir ~params ~log () =
   log "kill-mode probe: sigstop (watchdog)";
   let cell = { scope = Whole_sadb; discipline = Per_sa; churn = Steady } in
   let dir = Filename.concat workdir "kill-sigstop" in
-  mkdir_p dir;
-  let hb_recv = Filename.concat dir "hb-recv.jsonl" in
-  let stall = Float.max 0.8 (6. *. params.heartbeat_s) in
   (* The stalled daemon is invisible to [kill]-style scheduling: only
      the watchdog notices the heartbeat file has stopped growing. *)
-  let sock = Filename.concat dir "wire.sock" in
-  let total_s = params.warmup_s +. stall +. params.post_s +. 15. in
-  let f = Printf.sprintf "%g" in
-  let common =
-    [
-      "--sas"; string_of_int (sas_of_scope cell.scope);
-      "-k"; string_of_int params.k;
-      "--rate"; f params.rate_pps;
-      "--heartbeat"; f params.heartbeat_s;
-      "--graceful"; "--quiet";
-    ]
+  let stall = Float.max 0.8 (6. *. params.heartbeat_s) in
+  let sup, recv_slot, hb_recv, _ =
+    launch_pair ~bin ~dir ~params ~cell ~stall ~recv_extra:[] ~send_extra:[]
+      ~expect_recovery:true ()
   in
-  let sup = Supervisor.create () in
-  let recv_slot =
-    Supervisor.add sup
-      {
-        (Supervisor.default_spec ~name:"recv"
-           ~argv:(fun inc ->
-             [ bin; "serve"; "--role"; "recv"; "--bind"; "unix:" ^ sock ]
-             @ common
-             @ [
-                 "--store"; Filename.concat dir "store-recv";
-                 "--stats"; hb_recv;
-                 "--duration"; (if inc = 0 then f total_s else f params.post_s);
-               ]
-             @ if inc > 0 then [ "--expect-recovery" ] else [])
-           ~log:(Filename.concat dir "recv.log"))
-        with
-        watchdog = Some (hb_recv, stall);
-      }
-  in
-  let _send_slot =
-    Supervisor.add sup
-      (Supervisor.default_spec ~name:"send"
-         ~argv:(fun _ ->
-           [ bin; "serve"; "--role"; "send"; "--peer"; "unix:" ^ sock ]
-           @ common
-           @ [
-               "--store"; Filename.concat dir "store-send";
-               "--stats"; Filename.concat dir "hb-send.jsonl";
-               "--duration"; f total_s;
-             ])
-         ~log:(Filename.concat dir "send.log"))
-  in
-  Supervisor.start sup;
   let warm () =
     match Heartbeat.last (Heartbeat.load hb_recv) with
     | Some line -> Heartbeat.all_delivering line
@@ -544,22 +504,20 @@ let run_faulty ~bin ~workdir ~params ~log () =
       ~params ~cell ~kill_signal:Sys.sigkill
       ~recv_extra:
         [ "--store-faults"; store_spec; "--fault-seed"; string_of_int params.seed ]
-      ~send_extra:[] ~watchdog:None ~expect_recovery:true ()
+      ~send_extra:[] ~expect_recovery:true ()
   in
   log "faulty cell: wire impairment";
-  let impair_spec = "drop=0.05,dup=0.02,reorder=0.02,ge=0.02:0.3:0.8" in
+  let impair_spec = "drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8" in
   let r_wire =
     run_repeat ~bin
       ~dir:(Filename.concat workdir "faulty-wire")
       ~params ~cell ~kill_signal:Sys.sigkill ~recv_extra:[]
       ~send_extra:[ "--impair"; impair_spec ]
-      ~watchdog:None ~expect_recovery:true ()
+      ~expect_recovery:true ()
   in
   let one name spec r =
     let ok =
-      r.r_converged
-      && List.for_all (fun l -> l <= bound) r.r_lost
-      && match r.r_gate_exit with Some c -> c = 0 | None -> false
+      cell_ok { cell; sas = sas_of_scope cell.scope; bound; repeats = [ r ] }
     in
     ( Json.Obj
         [

@@ -44,7 +44,7 @@ type config = {
   sndbuf : int option;
   discipline : discipline;
   churn : churn;
-  impair : Impair.spec;  (** send-path wire impairment plan *)
+  impair : Link.faults;  (** send-path wire faults *)
   impair_seed : int;
   store_faults : Faults.spec;  (** file-store fault plan *)
   fault_seed : int;
@@ -76,7 +76,7 @@ let default =
     sndbuf = None;
     discipline = Per_sa;
     churn = Steady;
-    impair = Impair.none;
+    impair = Link.no_faults;
     impair_seed = 1;
     store_faults = Faults.none;
     fault_seed = 1;
@@ -397,15 +397,19 @@ let make_sa cfg engine ~store ~fetch ~save_lat ~send i =
       end;
       Rx receiver
     | Send ->
-      (* The impairment plan sits in front of the socket, one instance
-         per SA keyed by SA index. *)
+      (* An impaired wire is a Link in front of the socket, one per SA
+         on the daemon's engine, its PRNG keyed by SA index. *)
       let send =
-        if Impair.is_none cfg.impair then send
-        else
-          Impair.wrap
-            (Impair.create ~spec:cfg.impair
-               ~prng:(Prng.keyed ~seed:cfg.impair_seed ~stream:i))
-            send
+        if cfg.impair = Link.no_faults then send
+        else begin
+          let link =
+            Link.create ~faults:cfg.impair
+              ~prng:(Prng.keyed ~seed:cfg.impair_seed ~stream:i)
+              ~latency:Time.zero engine
+          in
+          Link.set_deliver link send;
+          Link.send link
+        end
       in
       let gap = Time.of_ns (Int64.of_float (1e9 /. cfg.rate_pps)) in
       let sender =
@@ -515,7 +519,7 @@ let report cfg ~elapsed_s ~sock ~rx_no_sa ~gate stats =
           | Steady -> "steady"
           | Storm -> "storm"
           | Mixed -> "mixed") );
-      ("impair", Json.String (Impair.spec_to_string cfg.impair));
+      ("impair", Json.String (Link.faults_to_string cfg.impair));
       ("store_faults", Json.String (Faults.spec_to_string cfg.store_faults));
       ("elapsed_s", Json.Float elapsed_s);
       ("wire_rx", Json.Int (Transport_udp.rx_frames sock));

@@ -101,10 +101,12 @@ type config = {
   sndbuf : int option;  (** request an explicit [SO_SNDBUF] *)
   discipline : discipline;
   churn : churn;
-  impair : Resets_core.Impair.spec;
-      (** seed-deterministic impairment on every sender's view of the
-          wire (loss, bursts, dup, reorder, delay); {!Impair.none}
-          leaves the send path untouched *)
+  impair : Resets_sim.Link.faults;
+      (** the wire's faults on every sender's send path (loss, bursts,
+          duplication, reordering by a delay): one seeded
+          {!Resets_sim.Link} per SA on the daemon's engine, in front of
+          the socket. {!Resets_sim.Link.no_faults} creates no link: the
+          send path is the socket send itself *)
   impair_seed : int;
       (** PRNG root for impairment (and churn) streams, keyed per SA
           by index *)

@@ -50,9 +50,10 @@ let roll_read t : read_outcome =
   else `Ok
 
 let spec_to_string s =
-  Printf.sprintf "write_fail=%g,torn=%g,corrupt=%g,stale=%g,latency=%g"
-    s.write_fail_prob s.torn_prob s.read_corrupt_prob s.read_stale_prob
-    s.latency_factor
+  let f = Json.float_to_string in
+  Printf.sprintf "write_fail=%s,torn=%s,corrupt=%s,stale=%s,latency=%s"
+    (f s.write_fail_prob) (f s.torn_prob) (f s.read_corrupt_prob)
+    (f s.read_stale_prob) (f s.latency_factor)
 
 let spec_of_string str =
   let parse_field acc part =
@@ -64,23 +65,29 @@ let spec_of_string str =
       | Some i -> (
         let key = String.sub part 0 i
         and v = String.sub part (i + 1) (String.length part - i - 1) in
-        match float_of_string_opt v with
-        | None -> Error (Printf.sprintf "%s: %S is not a number" key v)
-        | Some f when f < 0. ->
-          Error (Printf.sprintf "%s must be non-negative" key)
-        | Some f -> (
-          match key with
-          | "write_fail" -> Ok { spec with write_fail_prob = f }
-          | "torn" -> Ok { spec with torn_prob = f }
-          | "corrupt" -> Ok { spec with read_corrupt_prob = f }
-          | "stale" -> Ok { spec with read_stale_prob = f }
-          | "latency" -> Ok { spec with latency_factor = f }
+        let prob set =
+          match float_of_string_opt v with
+          | Some p when Float.is_finite p && p >= 0. && p <= 1. -> Ok (set p)
           | _ ->
-            Error
-              (Printf.sprintf
-                 "unknown fault field %S (expected write_fail, torn, corrupt, \
-                  stale, latency)"
-                 key))))
+            Error (Printf.sprintf "%s: %S is not a probability in [0, 1]" key v)
+        in
+        match key with
+        | "write_fail" -> prob (fun p -> { spec with write_fail_prob = p })
+        | "torn" -> prob (fun p -> { spec with torn_prob = p })
+        | "corrupt" -> prob (fun p -> { spec with read_corrupt_prob = p })
+        | "stale" -> prob (fun p -> { spec with read_stale_prob = p })
+        | "latency" -> (
+          match float_of_string_opt v with
+          | Some l when Float.is_finite l && l >= 0. ->
+            Ok { spec with latency_factor = l }
+          | _ ->
+            Error (Printf.sprintf "latency: %S is not a finite factor >= 0" v))
+        | _ ->
+          Error
+            (Printf.sprintf
+               "unknown fault field %S (expected write_fail, torn, corrupt, \
+                stale, latency)"
+               key)))
   in
   if String.trim str = "" then Ok none
   else

@@ -36,8 +36,11 @@ val spec_to_string : spec -> string
     CLI wire format; fields at their default may be omitted. *)
 
 val spec_of_string : string -> (spec, string) result
-(** Inverse of {!spec_to_string}; omitted fields default to {!none}'s.
-    The empty string is {!none}. *)
+(** Inverse of {!spec_to_string}: it reads a printed spec back to the
+    same spec. Omitted fields default to {!none}'s; the empty string is
+    {!none}. A probability that is not finite or not in \[0, 1\], a
+    latency factor that is not finite or is negative, and an unknown
+    field are refused, with a message naming the field. *)
 
 type t
 

@@ -24,6 +24,81 @@ let no_faults =
     burst = None;
   }
 
+(* A delay in the largest unit that holds it exactly: 10ms, 1500us. *)
+let delay_to_string t =
+  let ns = Time.to_ns t in
+  let unit, scale =
+    List.find
+      (fun (_, scale) -> Int64.rem ns scale = 0L)
+      [ ("s", 1_000_000_000L); ("ms", 1_000_000L); ("us", 1_000L); ("ns", 1L) ]
+  in
+  Int64.to_string (Int64.div ns scale) ^ unit
+
+let faults_to_string f =
+  let p = Json.float_to_string in
+  String.concat ","
+    (List.concat
+       [
+         (if f.loss_prob <> 0. then [ "drop=" ^ p f.loss_prob ] else []);
+         (if f.dup_prob <> 0. then [ "dup=" ^ p f.dup_prob ] else []);
+         (if f.reorder_prob <> 0. || not (Time.equal f.reorder_delay Time.zero)
+          then
+            [
+              Printf.sprintf "reorder=%s:%s" (p f.reorder_prob)
+                (delay_to_string f.reorder_delay);
+            ]
+          else []);
+         (match f.burst with
+         | Some b ->
+           [ Printf.sprintf "ge=%s:%s:%s" (p b.p_gb) (p b.p_bg) (p b.bad_loss) ]
+         | None -> []);
+       ])
+
+let faults_of_string str =
+  let ( let* ) = Result.bind in
+  let prob key v =
+    match float_of_string_opt v with
+    | Some p when Float.is_finite p && p >= 0. && p <= 1. -> Ok p
+    | _ -> Error (Printf.sprintf "%s: %S is not a probability in [0, 1]" key v)
+  in
+  let field acc part =
+    let* f = acc in
+    match String.index_opt part '=' with
+    | None -> Error (Printf.sprintf "%s: expected %s=VALUE" part part)
+    | Some i -> (
+      let key = String.sub part 0 i in
+      let value = String.sub part (i + 1) (String.length part - i - 1) in
+      match (key, String.split_on_char ':' value) with
+      | "drop", [ v ] ->
+        let* p = prob key v in
+        Ok { f with loss_prob = p }
+      | "dup", [ v ] ->
+        let* p = prob key v in
+        Ok { f with dup_prob = p }
+      | "reorder", [ v; d ] -> (
+        let* p = prob key v in
+        match Time.duration_of_string d with
+        | Some delay -> Ok { f with reorder_prob = p; reorder_delay = delay }
+        | None -> Error (Printf.sprintf "reorder: %S is not a duration" d))
+      | "ge", [ enter; exit_; drop ] ->
+        let* p_gb = prob key enter in
+        let* p_bg = prob key exit_ in
+        let* bad_loss = prob key drop in
+        Ok { f with burst = Some { p_gb; p_bg; good_loss = 0.; bad_loss } }
+      | ("drop" | "dup"), _ ->
+        Error (Printf.sprintf "%s: expected %s=P" key key)
+      | "reorder", _ ->
+        Error "reorder: expected reorder=P:DURATION, e.g. reorder=0.02:10ms"
+      | "ge", _ -> Error "ge: expected ge=ENTER:EXIT:DROP"
+      | _ ->
+        Error
+          (key ^ ": unknown impairment field (expected drop, dup, reorder, ge)"))
+  in
+  String.split_on_char ',' str
+  |> List.map String.trim
+  |> List.filter (( <> ) "")
+  |> List.fold_left field (Ok no_faults)
+
 type 'a t = {
   engine : Engine.t;
   name : string;

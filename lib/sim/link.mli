@@ -1,16 +1,23 @@
 (** Unidirectional network link with delay, jitter, loss, reordering
-    and duplication.
+    and duplication: the one channel model, on every simulated path and
+    on the daemon's impaired wire.
 
     The paper's channel "may lose or reorder" messages and hosts an
     adversary who "can insert … a copy of any message that was sent
     earlier"; {!on_transit} exposes every packet to observers (the
     adversary's recorder), and {!inject} lets an observer insert
-    packets of its own. *)
+    packets of its own.
+
+    A link schedules its deliveries on an {!Engine}, whatever drives
+    that engine: virtual time in simulation, or a real monotonic clock
+    under {!Engine.run_clocked}, where the daemon's impaired wire runs
+    one link per SA in front of its socket and a reordered frame
+    leaves its delay later in wall-clock time. *)
 
 type 'a t
 (** A link carrying packets of type ['a]; delivery order and
-    timing are driven entirely by the {!Engine}, so runs are
-    reproducible. *)
+    timing are driven entirely by the {!Engine}, so runs on virtual
+    time are reproducible. *)
 
 (** Gilbert–Elliott correlated burst loss: a two-state (good/bad)
     Markov chain stepped once per sent packet, with a per-state loss
@@ -36,6 +43,26 @@ type faults = {
 
 val no_faults : faults
 (** All probabilities zero, no burst mode: a perfect link. *)
+
+val faults_of_string : string -> (faults, string) result
+(** The fault grammar, comma-separated fields:
+    - [drop=P] sets [loss_prob];
+    - [dup=P] sets [dup_prob];
+    - [reorder=P:DURATION] sets [reorder_prob] and [reorder_delay]
+      (the duration as {!Time.duration_of_string} reads it, e.g.
+      [10ms]);
+    - [ge=ENTER:EXIT:DROP] sets [burst] to
+      [{ p_gb = ENTER; p_bg = EXIT; good_loss = 0; bad_loss = DROP }].
+
+    [""] is {!no_faults}. Unknown fields, [reorder=P] without a delay
+    and any probability that is not finite or not in \[0, 1\] are
+    refused, with a message that starts with the field's name. *)
+
+val faults_to_string : faults -> string
+(** The grammar's form of a spec, without spaces, omitting fields at
+    their {!no_faults} value ([""] for {!no_faults}).
+    {!faults_of_string} reads it back to the same spec for every spec
+    the grammar can express: [good_loss] is not printed. *)
 
 val create :
   ?name:string ->

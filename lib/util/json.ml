@@ -28,15 +28,16 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
-(* Shortest decimal rendering that parses back to the same float; a
-   trailing ".0" is forced so the parser types it as Float, not Int. *)
+let float_to_string f =
+  let s15 = Printf.sprintf "%.15g" f in
+  if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
+
+(* A trailing ".0" is forced so the parser types the number as Float,
+   not Int. *)
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
-    let s =
-      let s15 = Printf.sprintf "%.15g" f in
-      if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
-    in
+    let s = float_to_string f in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
 
 let rec emit ~indent ~level buf j =

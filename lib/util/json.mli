@@ -33,6 +33,12 @@ val pp : Format.formatter -> t -> unit
 val write_file : string -> t -> unit
 (** Pretty-print to a file with a trailing newline. Overwrites. *)
 
+val float_to_string : float -> string
+(** The shortest decimal rendering, of ["%.15g"] and ["%.17g"], that
+    [float_of_string] reads back to the same finite float: how JSON
+    numbers are printed, without the [".0"] they are forced to carry,
+    and how the wire and store fault grammars print probabilities. *)
+
 (** {1 Parsing} *)
 
 val parse : string -> (t, string) result

@@ -423,20 +423,27 @@ for b, r in sorted(rows.items()):
           + (" (mmsg)" if r.get("mmsg") else " (fallback)"))
 PY
 
-echo "== daemon loopback smoke (unix-dgram, kill/recover, batch sweep) =="
+echo "== daemon loopback smoke (unix-dgram, kill/recover, batch sweep, impaired wire) =="
 # Two real processes over a UNIX-datagram socket: receiver daemon is
 # SIGKILLed mid-run and restarted on the same durable store while the
 # sender keeps transmitting. The restarted receiver's convergence gate
 # (edge recovered, leap within 2k, no cross-incarnation replay, zero
 # duplicates) is the verdict; nonzero exit fails the check. Run once
 # unbatched and once at the full batch depth: convergence must not
-# depend on the wire batching mode.
+# depend on the wire batching mode. Then once more with the sender
+# behind E17's impaired wire (loss, duplication, 10 ms reordering,
+# bursts): the duplicates must be refused and the loss stay within 2k.
 for wire_batch in 1 32; do
   echo "-- daemon loopback at --batch $wire_batch --"
   BATCH=$wire_batch sh scripts/daemon_loopback.sh \
     _build/default/bin/ipsec_resets.exe \
     || { echo "daemon loopback kill/recover gate failed at --batch $wire_batch" >&2; exit 1; }
 done
+e17_wire="drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8"
+echo "-- daemon loopback through the impaired wire ($e17_wire) --"
+IMPAIR=$e17_wire sh scripts/daemon_loopback.sh \
+  _build/default/bin/ipsec_resets.exe \
+  || { echo "daemon loopback kill/recover gate failed through the impaired wire" >&2; exit 1; }
 
 echo "== E17 fleet smoke (supervised kill/recover, one cell per reset scope) =="
 # One matrix cell per reset scope (single-SA / whole-SADB / disk-lost)

@@ -10,6 +10,9 @@
 # With no argument the binary is built and located via dune.
 # BATCH=<n> selects the wire batch depth (recvmmsg/sendmmsg frames per
 # syscall) for both daemons; default 32, BATCH=1 runs unbatched.
+# IMPAIR=<spec> puts the sender's frames through an impaired wire
+# (serve --impair, e.g. drop=0.05,dup=0.02,reorder=0.02:10ms); default
+# none, a clean wire.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,6 +42,7 @@ SAS=2
 K=8
 RATE=400
 BATCH=${BATCH:-32}
+IMPAIR=${IMPAIR:-}
 
 # Spawn a receiver incarnation and wait for it to bind, retrying on a
 # bind failure: a stale socket file left by a killed receiver (or a
@@ -84,7 +88,8 @@ start_recv --duration 30 --quiet
 # Sender runs across the whole experiment, including the receiver's
 # downtime, so the restarted receiver must leap over the gap.
 "$BIN" serve --role send --peer "unix:$SOCK" \
-  --sas "$SAS" -k "$K" --rate "$RATE" --duration 8 --batch "$BATCH" --quiet &
+  --sas "$SAS" -k "$K" --rate "$RATE" --duration 8 --batch "$BATCH" \
+  --impair "$IMPAIR" --quiet &
 SENDER_PID=$!
 
 sleep 2

@@ -2,12 +2,13 @@
    IPv6 and qcheck round-trip properties), the batched nonblocking
    UNIX-datagram socket pair (empty-datagram delivery, partial-batch
    accounting, mmsg-vs-fallback differential, batched-vs-unbatched
-   stream equality), the zero-copy slice face, the wire impairment
-   plan, in-process send-role daemons against a scratch socket (a
-   smoke run, and the impairment in front of the socket), and the
-   daemon executable itself: a graceful SIGTERM flush, a send/receive
-   pair over a unix-dgram socket, frames no SA owns, and the recovery
-   gate's cross-incarnation replay check. The two-process
+   stream equality), the zero-copy slice face, in-process send-role
+   daemons against a scratch socket (a smoke run, and the impaired
+   wire in front of the socket), and the daemon executable itself: a
+   graceful SIGTERM flush, a send/receive pair over a unix-dgram
+   socket, a receiver behind an impaired wire, frames no SA owns, and
+   the recovery gate's cross-incarnation replay check. The wire's fault
+   model is Resets_sim.Link, tested in test_sim. The two-process
    kill-and-recover experiment lives in scripts/daemon_loopback.sh. *)
 
 open Resets_net
@@ -429,132 +430,6 @@ let test_daemon_send_smoke () =
   check_bool "reports wire pressure" true (contains s "tx_flushes")
 
 (* ------------------------------------------------------------------ *)
-(* Impair: the deterministic wire-impairment wrapper *)
-
-module Impair = Resets_core.Impair
-module Packet = Resets_core.Packet
-
-let impair_spec_str = "drop=0.2,dup=0.1,reorder=0.1,delay=0.05:3,ge=0.1:0.4:0.9"
-
-let test_impair_spec_roundtrip () =
-  match Impair.spec_of_string impair_spec_str with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok spec -> (
-    let s = Impair.spec_to_string spec in
-    match Impair.spec_of_string s with
-    | Ok spec2 ->
-      check_string "print/parse fixpoint" s (Impair.spec_to_string spec2)
-    | Error e -> Alcotest.failf "re-parse failed: %s" e)
-
-let test_impair_spec_rejects_garbage () =
-  List.iter
-    (fun s ->
-      match Impair.spec_of_string s with
-      | Ok _ -> Alcotest.failf "accepted %S" s
-      | Error _ -> ())
-    [ "drop=2.0"; "nope=0.1"; "ge=0.1:0.2"; "drop=x"; "dup=-0.5" ]
-
-(* Run a numbered packet stream through an impairment and collect the
-   emitted stream (payloads are the sequence numbers). *)
-let impair_run spec seed n =
-  let t =
-    Impair.create ~spec ~prng:(Resets_util.Prng.create seed)
-  in
-  let out = ref [] in
-  for i = 1 to n do
-    Impair.offer t
-      (Packet.fresh (string_of_int i))
-      ~emit:(fun p -> out := p.Packet.wire :: !out)
-  done;
-  ( List.rev !out,
-    ( Impair.offered t,
-      Impair.dropped t,
-      Impair.duplicated t,
-      Impair.reordered t,
-      Impair.delayed t ) )
-
-let test_impair_deterministic () =
-  let spec =
-    match Impair.spec_of_string impair_spec_str with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "parse: %s" e
-  in
-  let a = impair_run spec 42 500 and b = impair_run spec 42 500 in
-  check_bool "same seed, same stream and counters" true (a = b);
-  let c = impair_run spec 43 500 in
-  check_bool "different seed, different stream" true (fst a <> fst c)
-
-let test_impair_drop_all () =
-  let spec = { Impair.none with Impair.drop_prob = 1.0 } in
-  let out, (offered, dropped, _, _, _) = impair_run spec 1 100 in
-  check_int "nothing emitted" 0 (List.length out);
-  check_int "all offered" 100 offered;
-  check_int "all dropped" 100 dropped
-
-let test_impair_dup_all () =
-  let spec = { Impair.none with Impair.dup_prob = 1.0 } in
-  let out, (_, _, duplicated, _, _) = impair_run spec 1 50 in
-  check_int "every frame twice" 100 (List.length out);
-  check_int "counted" 50 duplicated;
-  (* both copies carry the same bytes — the wire duplicated the frame,
-     it did not invent one (the receiver's window rejects the second
-     copy; the [lost] metric excludes such rejections) *)
-  check_bool "copies are byte-identical pairs" true
-    (out = List.concat_map (fun i ->
-         [ string_of_int i; string_of_int i ])
-         (List.init 50 (fun i -> i + 1)))
-
-let test_impair_reorder_holds () =
-  (* a held frame only re-enters on a later Emit; with reorder=1.0
-     every frame is held, no Emit ever happens, and the whole stream
-     dies in the hold queue — the documented end-of-stream loss *)
-  let spec = { Impair.none with Impair.reorder_prob = 1.0 } in
-  let out, (offered, _, _, reordered, _) = impair_run spec 1 6 in
-  check_int "nothing emitted" 0 (List.length out);
-  check_int "all offered" 6 offered;
-  check_int "all counted reordered" 6 reordered
-
-let test_impair_reorder_swaps () =
-  (* with reorder < 1 some frames Emit and flush the hold queue: the
-     emitted stream is a permutation of a subset of the offered one,
-     with at least one inversion (a held frame re-entered late).
-     Everything is a pure function of the seed, so the properties are
-     stable run to run. *)
-  let spec = { Impair.none with Impair.reorder_prob = 0.5 } in
-  let out, (offered, dropped, _, reordered, _) = impair_run spec 1 40 in
-  check_int "nothing dropped" 0 dropped;
-  check_bool "some frames reordered" true (reordered > 0);
-  check_bool "emitted is a subset" true
-    (List.length out <= offered
-    && List.for_all
-         (fun w ->
-           let i = int_of_string w in
-           1 <= i && i <= offered)
-         out);
-  let distinct = List.sort_uniq compare out in
-  check_int "no frame emitted twice" (List.length out)
-    (List.length distinct);
-  let rec has_inversion = function
-    | a :: (b :: _ as rest) ->
-      int_of_string a > int_of_string b || has_inversion rest
-    | _ -> false
-  in
-  check_bool "at least one adjacent inversion" true (has_inversion out)
-
-let test_impair_wrap_counts () =
-  let spec = { Impair.none with Impair.drop_prob = 1.0 } in
-  let t =
-    Impair.create ~spec ~prng:(Resets_util.Prng.create 3)
-  in
-  let delivered = ref 0 in
-  let send = Impair.wrap t (fun _ -> incr delivered) in
-  for _ = 1 to 20 do
-    send (Packet.fresh "p")
-  done;
-  check_int "inner send never saw a frame" 0 !delivered;
-  check_int "offered counted" 20 (Impair.offered t)
-
-(* ------------------------------------------------------------------ *)
 (* Graceful SIGTERM: the daemon flushes a final SAVE and stamps the
    terminal heartbeat. Needs a real process to signal, so spawn the
    real daemon executable (a dune dep of this test) exactly as the
@@ -778,6 +653,54 @@ let test_daemon_recv_pair () =
       delivered
       (Heartbeat.total (fun sa -> sa.Heartbeat.delivered) t)
 
+(* A receiver behind the impaired wire: the sender runs E17's wire
+   faults (loss, duplication, reordering by 10 ms, bursts) for 1.5 s.
+   Per SA the receiver delivers, delivers nothing twice, sees no
+   integrity failure, loses at most 2k fresh messages, and refuses more
+   fresh frames than it lost: duplicate copies reached q and were
+   turned away. *)
+let test_daemon_recv_behind_impaired_wire () =
+  if not (Sys.file_exists daemon_bin) then
+    Alcotest.failf "daemon binary not built at %s" daemon_bin;
+  let dir = fresh_dir "impaired" in
+  let file = Filename.concat dir in
+  let sock = scratch_path "impaired" in
+  let k = 4 in
+  let common = [ "--sas"; "2"; "-k"; string_of_int k; "--heartbeat"; "0.1" ] in
+  let recv =
+    spawn_serve
+      ([ "--role"; "recv"; "--bind"; "unix:" ^ sock; "--duration"; "10";
+         "--graceful"; "--store"; file "store-recv"; "--stats"; file "hb-recv";
+         "--json"; file "rep-recv" ]
+      @ common)
+  in
+  await_startup (file "hb-recv") recv;
+  let send =
+    spawn_serve
+      ([ "--role"; "send"; "--peer"; "unix:" ^ sock; "--rate"; "400";
+         "--duration"; "1.5"; "--store"; file "store-send"; "--impair";
+         "drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8" ]
+      @ common)
+  in
+  check_int "sender exit" 0 (exit_code send);
+  Unix.sleepf 0.2;
+  Unix.kill recv Sys.sigterm;
+  check_int "receiver exit" 0 (exit_code recv);
+  let per_sa = jlist "per_sa" (read_json (file "rep-recv")) in
+  check_int "one row per SA" 2 (List.length per_sa);
+  let bound = Resets_core.Analysis.max_fresh_discards ~kq:k in
+  List.iter
+    (fun sa ->
+      let spi = jint "spi" sa and lost = jint "lost" sa in
+      let name = Printf.sprintf "spi %d: %s" spi in
+      check_bool (name "delivered") true (jint "delivered" sa > 0);
+      check_int (name "dups") 0 (jint "dups" sa);
+      check_int (name "bad_icv") 0 (jint "bad_icv" sa);
+      check_bool (name "lost <= 2k") true (0 <= lost && lost <= bound);
+      check_bool (name "duplicate copies refused") true
+        (jint "fresh_rejected" sa > lost))
+    per_sa
+
 (* Frames no SA owns are counted, not silently dropped: a 1-SA
    receiver is fed an ESP frame under the SPI just past its range and a
    frame too short to carry an SPI. Both count as [rx_no_sa] in the
@@ -827,10 +750,10 @@ let test_daemon_rx_no_sa () =
       (jint "rx_no_sa" (wire (Json.parse_exn last)))
   | [] -> Alcotest.fail "no heartbeat"
 
-(* The impairment plan sits in front of the socket: whatever it emits
-   is one frame attempt, so a send role aimed at a peer that is not
-   listening attempts 0 frames under drop=1, two per message under
-   dup=1, and one per message without a plan. *)
+(* The impaired wire sits in front of the socket: whatever its Link
+   delivers is one frame attempt, so a send role aimed at a peer that
+   is not listening attempts 0 frames under drop=1, two per message
+   under dup=1, and one per message on a clean wire. *)
 let test_daemon_impair_in_front_of_socket () =
   let attempts impair =
     let cfg =
@@ -844,8 +767,8 @@ let test_daemon_impair_in_front_of_socket () =
         duration = 0.4;
         store_dir = fresh_dir "impair";
         impair =
-          (match Impair.spec_of_string impair with
-          | Ok spec -> spec
+          (match Resets_sim.Link.faults_of_string impair with
+          | Ok faults -> faults
           | Error e -> Alcotest.failf "impair spec: %s" e);
       }
     in
@@ -992,19 +915,6 @@ let () =
         [
           Alcotest.test_case "slice face" `Quick test_transport_slice_face;
         ] );
-      ( "impair",
-        [
-          Alcotest.test_case "spec round trip" `Quick test_impair_spec_roundtrip;
-          Alcotest.test_case "spec rejects garbage" `Quick
-            test_impair_spec_rejects_garbage;
-          Alcotest.test_case "deterministic" `Quick test_impair_deterministic;
-          Alcotest.test_case "drop all" `Quick test_impair_drop_all;
-          Alcotest.test_case "dup all" `Quick test_impair_dup_all;
-          Alcotest.test_case "reorder holds to stream end" `Quick
-            test_impair_reorder_holds;
-          Alcotest.test_case "reorder swaps" `Quick test_impair_reorder_swaps;
-          Alcotest.test_case "wrapped transport" `Quick test_impair_wrap_counts;
-        ] );
       ( "daemon",
         [
           Alcotest.test_case "send smoke" `Quick test_daemon_send_smoke;
@@ -1012,6 +922,8 @@ let () =
           Alcotest.test_case "sigterm graceful flush" `Quick
             test_daemon_sigterm_graceful;
           Alcotest.test_case "recv/send pair" `Quick test_daemon_recv_pair;
+          Alcotest.test_case "receiver behind the impaired wire" `Quick
+            test_daemon_recv_behind_impaired_wire;
           Alcotest.test_case "frames no SA owns are counted" `Quick
             test_daemon_rx_no_sa;
           Alcotest.test_case "impairment in front of the socket" `Quick

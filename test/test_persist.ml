@@ -298,6 +298,55 @@ let test_fault_pattern_deterministic () =
     (let _, failed, corrupt = run 7 in
      failed > 0 && corrupt > 0)
 
+(* The fault grammar `serve --store-faults` reads: a probability outside
+   [0, 1] or not finite, and a latency factor that is negative or not
+   finite, are refused by name; a factor above 1 is a slowdown, not a
+   probability, and stays accepted. *)
+let test_fault_spec_refuses_out_of_range () =
+  List.iter
+    (fun (s, field) ->
+      match Faults.spec_of_string s with
+      | Ok spec ->
+        Alcotest.failf "accepted %S as %S" s (Faults.spec_to_string spec)
+      | Error e ->
+        check_bool (Printf.sprintf "%S: %S names %s" s e field) true
+          (String.starts_with ~prefix:(field ^ ": ") e))
+    [
+      ("write_fail=2", "write_fail");
+      ("corrupt=1.5", "corrupt");
+      ("stale=nan", "stale");
+      ("write_fail=inf", "write_fail");
+      ("torn=-0.1", "torn");
+      ("latency=-1", "latency");
+      ("latency=inf", "latency");
+    ]
+
+let test_fault_spec_latency_above_one () =
+  match Faults.spec_of_string "latency=3" with
+  | Ok spec ->
+    check_bool "latency factor 3, no faults" true
+      (spec = { Faults.none with latency_factor = 3. })
+  | Error e -> Alcotest.failf "latency=3 refused: %s" e
+
+let test_fault_spec_fixpoint () =
+  List.iter
+    (fun s ->
+      match Faults.spec_of_string s with
+      | Error e -> Alcotest.failf "%S refused: %s" s e
+      | Ok spec -> (
+        let printed = Faults.spec_to_string spec in
+        match Faults.spec_of_string printed with
+        | Ok again ->
+          check_bool (Printf.sprintf "%S parses back to the same spec" printed)
+            true (again = spec)
+        | Error e -> Alcotest.failf "printed %S refused: %s" printed e))
+    [
+      "";
+      "write_fail=0.05,torn=0.03,corrupt=0.02,stale=0.02";
+      "latency=3";
+      "stale=1,write_fail=0.12345678901234567,latency=0.1";
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* File_store *)
 
@@ -706,6 +755,12 @@ let () =
             test_fault_clean_fetch_checked;
           Alcotest.test_case "fault pattern determinism" `Quick
             test_fault_pattern_deterministic;
+          Alcotest.test_case "spec refuses out-of-range values" `Quick
+            test_fault_spec_refuses_out_of_range;
+          Alcotest.test_case "spec accepts latency above 1" `Quick
+            test_fault_spec_latency_above_one;
+          Alcotest.test_case "spec print/parse fixpoint" `Quick
+            test_fault_spec_fixpoint;
         ] );
       ( "file_store",
         [

@@ -389,6 +389,147 @@ let test_link_requires_prng_for_faults () =
            ~latency:(us 1) e
           : unit Link.t))
 
+(* The fault grammar: printing a spec and parsing the result gives the
+   same spec back, for hand-written specs and for seeded random ones
+   whose probabilities need all 17 digits. *)
+let e17_wire = "drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8"
+
+let parse_faults s =
+  match Link.faults_of_string s with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "%S refused: %s" s e
+
+let test_link_faults_fixpoint () =
+  let e17 = parse_faults e17_wire in
+  Alcotest.(check string) "E17's wire spec prints as written" e17_wire
+    (Link.faults_to_string e17);
+  check_bool "E17's delay" true (Time.equal e17.Link.reorder_delay (Time.of_ms 10));
+  check_bool "ge leaves the good state lossless" true
+    (match e17.Link.burst with Some b -> b.Link.good_loss = 0. | None -> false);
+  Alcotest.(check string) "no faults prints empty" ""
+    (Link.faults_to_string Link.no_faults);
+  check_bool "empty parses to no faults" true (parse_faults "" = Link.no_faults);
+  Alcotest.(check string) "a delay in its exact unit" "reorder=0.5:1500us"
+    (Link.faults_to_string (parse_faults "reorder=0.5:1.5 ms"));
+  Alcotest.(check string) "spaces around fields" "drop=0.1,dup=0.2"
+    (Link.faults_to_string (parse_faults " dup=0.2 , drop=0.1 ,"));
+  let prng = Prng.create 9 in
+  for _ = 1 to 200 do
+    let p () = if Prng.bernoulli prng 0.3 then 0. else Prng.float prng 1. in
+    let f =
+      {
+        Link.loss_prob = p ();
+        dup_prob = p ();
+        reorder_prob = p ();
+        reorder_delay = Time.of_ns (Int64.of_int (Prng.int prng 1_000_000_000));
+        burst =
+          (if Prng.bernoulli prng 0.5 then None
+           else Some { Link.p_gb = p (); p_bg = p (); good_loss = 0.; bad_loss = p () });
+      }
+    in
+    let s = Link.faults_to_string f in
+    check_bool (Printf.sprintf "%S has no spaces" s) false (String.contains s ' ');
+    check_bool (Printf.sprintf "%S parses back to the same spec" s) true
+      (parse_faults s = f)
+  done
+
+let test_link_faults_refusals () =
+  List.iter
+    (fun (s, field) ->
+      match Link.faults_of_string s with
+      | Ok f -> Alcotest.failf "accepted %S as %S" s (Link.faults_to_string f)
+      | Error e ->
+        check_bool (Printf.sprintf "%S: %S names %s" s e field) true
+          (String.starts_with ~prefix:(field ^ ": ") e))
+    [
+      ("nope=0.1", "nope");
+      ("delay=0.05:3", "delay");
+      ("reorder=0.1", "reorder");
+      ("reorder=0.1:fast", "reorder");
+      ("drop=2", "drop");
+      ("dup=-0.5", "dup");
+      ("drop=nan", "drop");
+      ("dup=inf", "dup");
+      ("drop=x", "drop");
+      ("drop", "drop");
+      ("ge=0.1:0.2", "ge");
+      ("ge=0.1:0.2:1.5", "ge");
+      ("reorder=1.01:10ms", "reorder");
+    ]
+
+(* [n] numbered packets, one every 10 us, through a link with [faults]
+   and a PRNG seeded [seed]: the arrivals in order with their times, and
+   the link's fault counters. *)
+let link_arrivals faults ~seed n =
+  let e = Engine.create () in
+  let link = Link.create ~faults ~prng:(Prng.create seed) ~latency:(us 1) e in
+  let arrivals = ref [] in
+  Link.set_deliver link (fun i ->
+      arrivals := (i, Time.to_ns (Engine.now e)) :: !arrivals);
+  for i = 1 to n do
+    ignore (Engine.schedule_at e ~at:(us (10 * i)) (fun () -> Link.send link i))
+  done;
+  ignore (Engine.run e);
+  ( List.rev !arrivals,
+    (Link.dropped link, Link.duplicated link, Link.reordered link) )
+
+let test_link_seeded_arrivals () =
+  let faults = parse_faults "drop=0.2,dup=0.1,reorder=0.1:25us,ge=0.1:0.4:0.9" in
+  let a = link_arrivals faults ~seed:42 500 in
+  check_bool "same seed, same sends: same arrivals and counters" true
+    (a = link_arrivals faults ~seed:42 500);
+  check_bool "another seed: other arrivals" true
+    (fst a <> fst (link_arrivals faults ~seed:43 500))
+
+let test_link_reorder_inverts () =
+  (* A packet on the slow path is overtaken by the packets sent within
+     its delay: every packet arrives exactly once, out of order. *)
+  let arrivals, (dropped, _, reordered) =
+    link_arrivals (parse_faults "reorder=0.5:25us") ~seed:1 40
+  in
+  let order = List.map fst arrivals in
+  check_int "nothing dropped" 0 dropped;
+  check_bool "some packets reordered" true (reordered > 0);
+  Alcotest.(check (list int)) "each packet once" (List.init 40 succ)
+    (List.sort compare order);
+  let rec inversions = function
+    | a :: (b :: _ as rest) -> (if a > b then 1 else 0) + inversions rest
+    | _ -> 0
+  in
+  check_bool "at least one inversion" true (inversions order > 0)
+
+let test_link_on_a_monotonic_clock () =
+  (* The daemon's impaired wire: links on an engine that a real clock
+     drives. The held packet leaves its 5 ms delay later in wall-clock
+     time, after a packet sent 1 ms behind it on a clean link. *)
+  let clock =
+    Clock.of_ns_source (fun () -> Int64.of_float (Unix.gettimeofday () *. 1e9))
+  in
+  let e = Engine.create () in
+  let arrivals = ref [] in
+  let deliver x = arrivals := (x, Clock.elapsed clock) :: !arrivals in
+  let held =
+    Link.create ~faults:(parse_faults "reorder=1:5ms") ~prng:(Prng.create 1)
+      ~latency:Time.zero e
+  and clean = Link.create ~latency:Time.zero e in
+  Link.set_deliver held deliver;
+  Link.set_deliver clean deliver;
+  Link.send held "held";
+  ignore
+    (Engine.schedule_at e ~at:(Time.of_ms 1) (fun () -> Link.send clean "clean"));
+  let idle ~due =
+    match due with None -> Engine.stop e | Some _ -> Unix.sleepf 0.0005
+  in
+  ignore (Engine.run_clocked ~clock ~idle ~until:(Time.of_sec 5.) e);
+  check_int "held counted reordered" 1 (Link.reordered held);
+  match List.rev !arrivals with
+  | [ ("clean", t_clean); ("held", t_held) ] ->
+    check_bool "clean arrives after its send" true Time.(Time.of_ms 1 <= t_clean);
+    check_bool "held arrives after its delay" true Time.(Time.of_ms 5 <= t_held)
+  | l ->
+    Alcotest.failf "arrival order %s"
+      (String.concat ", " (List.map fst l))
+
 (* ------------------------------------------------------------------ *)
 (* Duration pretty-printing *)
 
@@ -586,5 +727,15 @@ let () =
           Alcotest.test_case "burst all bad" `Quick test_link_burst_all_bad;
           Alcotest.test_case "inject while down" `Quick test_link_inject_while_down_counts_dropped;
           Alcotest.test_case "faults need prng" `Quick test_link_requires_prng_for_faults;
+          Alcotest.test_case "faults print/parse fixpoint" `Quick
+            test_link_faults_fixpoint;
+          Alcotest.test_case "faults grammar refusals" `Quick
+            test_link_faults_refusals;
+          Alcotest.test_case "seeded arrivals deterministic" `Quick
+            test_link_seeded_arrivals;
+          Alcotest.test_case "reorder inverts arrivals" `Quick
+            test_link_reorder_inverts;
+          Alcotest.test_case "on a monotonic clock" `Quick
+            test_link_on_a_monotonic_clock;
         ] );
     ]
