@@ -795,16 +795,6 @@ let serve_cmd =
           Printf.eprintf "serve: bad %s: %s\n%!" label msg;
           exit 1)
     in
-    (* "--k auto" on a live daemon means: start at the default cadence
-       and let the adaptive policy re-derive it from measured
-       wall-clock SAVE latency — there is no simulated T_save to
-       compute a static floor from. *)
-    let k, adaptive =
-      match k with
-      | None -> (8, adaptive)
-      | Some `Auto -> (8, true)
-      | Some (`Fixed v) -> (v, adaptive)
-    in
     let cfg =
       {
         Daemon.role = (match role with `Send -> Daemon.Send | `Recv -> Daemon.Recv);
@@ -886,21 +876,18 @@ let serve_cmd =
   let k =
     Arg.(
       value
-      & opt (some k_auto_conv) None
+      & opt positive_int_conv 8
       & info [ "k" ] ~docv:"K"
-          ~doc:
-            "SAVE every K messages (default 8); wakeup leap is 2K. $(b,auto) \
-             starts at the default and lets the adaptive policy re-derive the \
-             cadence from measured SAVE latency (implies --adaptive).")
+          ~doc:"SAVE every K messages; wakeup leap is 2K.")
   in
   let adaptive =
     Arg.(
       value & flag
       & info [ "adaptive" ]
           ~doc:
-            "Re-derive each SA's SAVE cadence online from wall-clock SAVE \
-             latency and inter-send gaps; the recovery gate's leap bound \
-             widens to the policy ceiling.")
+            "Re-derive each SA's SAVE cadence online, starting at -k, from \
+             wall-clock SAVE latency and inter-send gaps; the recovery \
+             gate's leap bound widens to the policy ceiling.")
   in
   let window =
     Arg.(
@@ -1070,8 +1057,8 @@ let serve_cmd =
             "Deterministic file-store fault plan, e.g. \
              $(b,write_fail=0.05,torn=0.02,corrupt=0.01,stale=0.01): transient \
              write failures, aborted renames, corrupt/stale checked reads. \
-             Probabilities must lie in [0, 1], and the $(b,latency) factor \
-             must be finite and >= 0.")
+             Probabilities must lie in [0, 1]. A file store does not slow \
+             its writes, so a $(b,latency) factor other than 1 is refused.")
   in
   let fault_seed =
     Arg.(

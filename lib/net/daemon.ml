@@ -92,8 +92,8 @@ let no_eintr ~default f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> default
 
 (* The SAVE-interval policy every SA of this daemon runs under.
-   [--k auto] (adaptive) re-derives K online from the wall-clock SAVE
-   latency the file store actually exhibits. *)
+   [--adaptive] starts at [k] and re-derives K online from the
+   wall-clock SAVE latency the file store actually exhibits. *)
 let policy_mode cfg =
   if cfg.adaptive then K_policy.adaptive ~initial_k:cfg.k ()
   else K_policy.static cfg.k
@@ -546,6 +546,12 @@ let run cfg =
     invalid_arg
       (Printf.sprintf "Daemon.run: batch must be in [1, %d]" Batch_io.max_batch);
   if cfg.heartbeat <= 0. then invalid_arg "Daemon.run: heartbeat must be > 0";
+  (* only Sim_disk slows its writes by the factor; a file store's
+     latency is the disk's own *)
+  if cfg.store_faults.Faults.latency_factor <> 1. then
+    invalid_arg
+      "Daemon.run: store-fault latency must be 1: a file store does not slow \
+       its writes";
   (match (cfg.role, cfg.bind, cfg.peer) with
   | Recv, None, _ -> invalid_arg "Daemon.run: Recv needs a bind address"
   | Send, _, None -> invalid_arg "Daemon.run: Send needs a peer address"

@@ -113,7 +113,9 @@ type config = {
   store_faults : Resets_persist.Faults.spec;
       (** seed-deterministic fault plan on the file store (transient
           write failures, aborted renames, corrupt/stale checked
-          reads); {!Resets_persist.Faults.none} = clean store *)
+          reads); {!Resets_persist.Faults.none} = clean store. Its
+          latency factor must be 1: a file store does not slow its
+          writes *)
   fault_seed : int;  (** PRNG root for the store-fault plan (stream 0) *)
   handle_signals : bool;
       (** install a SIGTERM handler: on delivery the daemon stops
@@ -130,4 +132,7 @@ val default : config
 val run : config -> int * Resets_util.Json.t
 (** Run to [duration]; returns (exit code, final report). Exit 0 on
     success, 2 when the [expect_recovery] gate found violations
-    (listed under ["gate"] in the report). *)
+    (listed under ["gate"] in the report).
+    @raise Invalid_argument on a config it cannot run: no SAs, a batch
+    or heartbeat out of range, a store-fault latency other than 1, a
+    role without its address. *)

@@ -340,3 +340,27 @@ let as_bool = function Bool b -> Some b | _ -> None
 let as_list = function List items -> Some items | _ -> None
 
 let equal (a : t) (b : t) = a = b
+
+let diff ?(ignore = []) a b =
+  let key path k = if path = "" then k else path ^ "." ^ k in
+  let kept = List.filter (fun (k, _) -> not (List.mem k ignore)) in
+  let rec value path a b =
+    match (a, b) with
+    | Obj fa, Obj fb -> fields path (kept fa) (kept fb)
+    | List la, List lb when List.compare_lengths la lb = 0 -> items path 0 la lb
+    | _ -> if a = b then None else Some path
+  and fields path fa fb =
+    match (fa, fb) with
+    | [], [] -> None
+    | (ka, va) :: ra, (kb, vb) :: rb when ka = kb -> (
+      match value (key path ka) va vb with None -> fields path ra rb | d -> d)
+    | (k, _) :: _, _ | [], (k, _) :: _ -> Some (key path k)
+  and items path i la lb =
+    match (la, lb) with
+    | a :: ra, b :: rb -> (
+      match value (Printf.sprintf "%s[%d]" path i) a b with
+      | None -> items path (i + 1) ra rb
+      | d -> d)
+    | _ -> None
+  in
+  value "" a b

@@ -71,3 +71,12 @@ val as_list : t -> t list option
 
 val equal : t -> t -> bool
 (** Structural equality; object key order is significant. *)
+
+val diff : ?ignore:string list -> t -> t -> string option
+(** The path of the first place where the two trees differ, e.g.
+    ["measured.sweep[3].skipped_seqnos"] ([""] is the root), or [None]
+    when they are equal. Keys named in [ignore] are dropped from every
+    object, at any depth, before the comparison. Otherwise it is as
+    strict as {!equal}: key order counts, and [Int 1] differs from
+    [Float 1.0]. Lists of different lengths differ at the list's own
+    path. *)

@@ -7,9 +7,11 @@
    wire in front of the socket), and the daemon executable itself: a
    graceful SIGTERM flush, a send/receive pair over a unix-dgram
    socket, a receiver behind an impaired wire, frames no SA owns, and
-   the recovery gate's cross-incarnation replay check. The wire's fault
-   model is Resets_sim.Link, tested in test_sim. The two-process
-   kill-and-recover experiment lives in scripts/daemon_loopback.sh. *)
+   the recovery gate's cross-incarnation replay check; and the CLI's
+   stealth paired run, which costs goodput and breaks no invariant.
+   The wire's fault model is Resets_sim.Link, tested in test_sim. The
+   two-process kill-and-recover experiment lives in
+   scripts/daemon_loopback.sh. *)
 
 open Resets_net
 module Batch_io = Resets_net_stubs.Batch_io
@@ -872,11 +874,78 @@ let test_daemon_validates () =
   (match Daemon.run { Daemon.default with Daemon.bind = None } with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "recv without bind must be rejected");
-  match
-    Daemon.run { Daemon.default with Daemon.role = Daemon.Send; peer = None }
-  with
+  (match
+     Daemon.run { Daemon.default with Daemon.role = Daemon.Send; peer = None }
+   with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "send without peer must be rejected"
+  | _ -> Alcotest.fail "send without peer must be rejected");
+  (* a file store has no latency knob: a slow-disk plan would be
+     accepted and change nothing *)
+  let slow = { Resets_persist.Faults.none with latency_factor = 3. } in
+  match Daemon.run { Daemon.default with Daemon.store_faults = slow } with
+  | exception Invalid_argument msg ->
+    check_bool (Printf.sprintf "names latency: %s" msg) true (contains msg "latency")
+  | _ -> Alcotest.fail "a store-fault latency factor must be rejected"
+
+(* The adaptive daemon: every SA starts at k = 8 and re-derives its
+   cadence within the policy's clamps. *)
+let test_daemon_adaptive () =
+  let cfg =
+    {
+      Daemon.default with
+      Daemon.role = Daemon.Send;
+      bind = None;
+      peer = Some (Transport_udp.Unix_dgram (scratch_path "adaptive"));
+      sas = 2;
+      adaptive = true;
+      rate_pps = 400.;
+      duration = 0.4;
+      store_dir = fresh_dir "adaptive";
+      stats_path = None;
+      json_path = None;
+    }
+  in
+  let rc, report = Daemon.run cfg in
+  check_int "clean exit" 0 rc;
+  check_string "k_policy" "auto:8"
+    (Option.value ~default:"" (Option.bind (Json.member "k_policy" report) Json.as_string));
+  let sas = jlist "per_sa" report in
+  check_int "one row per SA" 2 (List.length sas);
+  List.iter
+    (fun sa ->
+      let k = jint "k_now" sa in
+      check_bool (Printf.sprintf "k_now %d in [1, 4096]" k) true (k >= 1 && k <= 4096))
+    sas
+
+(* A stealth paired run on the CLI: the save-window drop costs goodput
+   (the oracle is the same seed attack-free) but injects nothing, so no
+   replay is accepted, nothing is delivered twice and no sequence number
+   is reused. Exit 2 is the verdict that delivery did not resume in the
+   horizon; only a usage or internal error fails here. *)
+let test_run_stealth_paired () =
+  let ic =
+    Unix.open_process_args_in daemon_bin
+      [| daemon_bin; "run"; "--attack"; "stealth-save-drop@5"; "--paired"; "--json" |]
+  in
+  let out = In_channel.input_all ic in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED (0 | 2) -> ()
+  | Unix.WEXITED c -> Alcotest.failf "run exited %d" c
+  | _ -> Alcotest.fail "run did not exit normally");
+  let j = Json.parse_exn out in
+  let ratio =
+    Option.value ~default:nan (Option.bind (Json.member "goodput_ratio" j) Json.as_float)
+  in
+  check_bool (Printf.sprintf "goodput ratio %.3f < 1" ratio) true (ratio < 1.);
+  let verdict =
+    Option.bind (Json.member "primary" j) (Json.member "verdict")
+    |> Option.value ~default:Json.Null
+  in
+  List.iter
+    (fun field ->
+      check_bool field true
+        (Option.bind (Json.member field verdict) Json.as_bool = Some true))
+    [ "no_replay_accepted"; "no_duplicate_delivery"; "no_seqno_reuse" ]
 
 let () =
   Alcotest.run "net"
@@ -919,6 +988,7 @@ let () =
         [
           Alcotest.test_case "send smoke" `Quick test_daemon_send_smoke;
           Alcotest.test_case "config validation" `Quick test_daemon_validates;
+          Alcotest.test_case "adaptive policy" `Quick test_daemon_adaptive;
           Alcotest.test_case "sigterm graceful flush" `Quick
             test_daemon_sigterm_graceful;
           Alcotest.test_case "recv/send pair" `Quick test_daemon_recv_pair;
@@ -938,4 +1008,6 @@ let () =
             (test_replay_check_after (fun hb ->
                  String.sub hb 0 (String.length hb / 2)));
         ] );
+      ( "cli",
+        [ Alcotest.test_case "stealth paired run" `Quick test_run_stealth_paired ] );
     ]

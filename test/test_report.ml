@@ -91,6 +91,24 @@ let test_json_parse_errors () =
       | Ok _ -> Alcotest.fail (Printf.sprintf "parse %S should fail" s))
     [ ""; "{"; "[1,"; "{\"a\":}"; "tru"; "1.2.3"; "\"unterminated"; "[1] x"; "{'a':1}" ]
 
+(* Json.diff: the first differing path, with ignored keys dropped at
+   any depth; as strict as Json.equal. A small artifact: two rows, each
+   with a wall clock that [diff_case] ignores, and one check. *)
+let artifact ?(wall = 0.5) ?(rows = [ 3; 5 ]) ?(pass = true) () =
+  let row n = Json.Obj [ ("skipped", Json.Int n); ("wall_clock_s", Json.Float wall) ] in
+  Json.Obj
+    [
+      ("measured", Json.Obj [ ("sweep", Json.List (List.map row rows)) ]);
+      ( "checks",
+        Json.List [ Json.Obj [ ("name", Json.String "c"); ("pass", Json.Bool pass) ] ] );
+    ]
+
+let diff_case name expected a b =
+  Alcotest.test_case ("diff: " ^ name) `Quick (fun () ->
+      Alcotest.(check (option string))
+        name expected
+        (Json.diff ~ignore:[ "wall_clock_s" ] a b))
+
 let json_gen =
   let open QCheck.Gen in
   (* keep strings printable-ish but include escapes *)
@@ -265,6 +283,17 @@ let () =
           Alcotest.test_case "nesting" `Quick test_json_nesting;
           Alcotest.test_case "float typing" `Quick test_json_float_typing;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          diff_case "an ignored key inside a row" None (artifact ()) (artifact ~wall:9. ());
+          diff_case "a changed row field" (Some "measured.sweep[1].skipped") (artifact ())
+            (artifact ~rows:[ 3; 6 ] ());
+          diff_case "a flipped check" (Some "checks[0].pass") (artifact ())
+            (artifact ~pass:false ());
+          diff_case "a dropped row" (Some "measured.sweep") (artifact ())
+            (artifact ~rows:[ 5 ] ());
+          diff_case "Int against Float" (Some "") (Json.Int 1) (Json.Float 1.0);
+          diff_case "key order" (Some "a")
+            (Json.Obj [ ("a", Json.Int 1); ("b", Json.Int 2) ])
+            (Json.Obj [ ("b", Json.Int 2); ("a", Json.Int 1) ]);
           qt json_roundtrip_prop;
         ] );
       ( "report",
