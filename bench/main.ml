@@ -1742,16 +1742,16 @@ let e16 report =
   let open Resets_persist in
   let disks =
     [
-      ("clean", Sim_disk.Faults.none);
+      ("clean", Faults.none);
       (* 40x the nominal write latency: one SAVE takes 4 ms against a
          1 ms static cadence, so the static discipline's writes keep
          superseding each other and its durable edge freezes — the
          regime the adaptive policy exists for. *)
-      ("slow", { Sim_disk.Faults.none with Sim_disk.Faults.latency_factor = 40. });
+      ("slow", { Faults.none with Faults.latency_factor = 40. });
       ( "flaky",
         {
-          Sim_disk.Faults.none with
-          Sim_disk.Faults.write_fail_prob = 0.2;
+          Faults.none with
+          Faults.write_fail_prob = 0.2;
           latency_factor = 20.;
         } );
     ]

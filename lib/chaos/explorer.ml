@@ -15,7 +15,7 @@ type schedule = {
   horizon : Time.t;
   resets : Reset_schedule.t;
   link_faults : Link.faults;
-  disk_faults : Sim_disk.Faults.spec;
+  disk_faults : Faults.spec;
   attack : Harness.attack;
 }
 
@@ -90,9 +90,9 @@ let generate config index =
   in
   (* Disk faults: most schedules stress the store (the new surface). *)
   let disk_faults =
-    if Prng.bernoulli prng 0.25 then Sim_disk.Faults.none
+    if Prng.bernoulli prng 0.25 then Faults.none
     else
-      Sim_disk.Faults.
+      Faults.
         {
           write_fail_prob = Prng.float prng 0.3;
           torn_prob = Prng.float prng 0.3;
@@ -120,7 +120,7 @@ let generate config index =
     if not config.stealth then (disk_faults, attack)
     else begin
       let latency_factor = 1.5 +. Prng.float prng 4.5 in
-      let disk_faults = { disk_faults with Sim_disk.Faults.latency_factor } in
+      let disk_faults = { disk_faults with Faults.latency_factor } in
       let from =
         time_in prng ~lo:(Time.of_ms 2)
           ~hi:(Time.of_ns (Int64.div (Time.to_ns horizon) 2L))
@@ -203,8 +203,8 @@ let violations_of config sched = fst (judge config sched)
 (* ------------------------------------------------------------------ *)
 (* Shrinking *)
 
-let no_disk_field f (s : Sim_disk.Faults.spec) =
-  let open Sim_disk.Faults in
+let no_disk_field f (s : Faults.spec) =
+  let open Faults in
   match f with
   | `Write -> { s with write_fail_prob = 0. }
   | `Torn -> { s with torn_prob = 0. }
@@ -258,10 +258,10 @@ let candidates sched ~first_violation_at =
           Some { sched with disk_faults = no_disk_field tag s }
         else None)
       [
-        (`Write, s.Sim_disk.Faults.write_fail_prob > 0.);
-        (`Torn, s.Sim_disk.Faults.torn_prob > 0.);
-        (`Corrupt, s.Sim_disk.Faults.read_corrupt_prob > 0.);
-        (`Stale, s.Sim_disk.Faults.read_stale_prob > 0.);
+        (`Write, s.Faults.write_fail_prob > 0.);
+        (`Torn, s.Faults.torn_prob > 0.);
+        (`Corrupt, s.Faults.read_corrupt_prob > 0.);
+        (`Stale, s.Faults.read_stale_prob > 0.);
       ]
   in
   let shorter_downtimes =
@@ -297,14 +297,14 @@ let candidates sched ~first_violation_at =
     | _ -> []
   in
   let faster_disk =
-    let f = sched.disk_faults.Sim_disk.Faults.latency_factor in
+    let f = sched.disk_faults.Faults.latency_factor in
     if f > 1.0 then
       let f' = if f <= 1.25 then 1.0 else 1.0 +. ((f -. 1.0) /. 2.0) in
       [
         {
           sched with
           disk_faults =
-            { sched.disk_faults with Sim_disk.Faults.latency_factor = f' };
+            { sched.disk_faults with Faults.latency_factor = f' };
         };
       ]
     else []
@@ -516,14 +516,14 @@ let schedule_to_json s =
         Json.Obj
           [
             ( "write_fail_prob",
-              Json.Float s.disk_faults.Sim_disk.Faults.write_fail_prob );
-            ("torn_prob", Json.Float s.disk_faults.Sim_disk.Faults.torn_prob);
+              Json.Float s.disk_faults.Faults.write_fail_prob );
+            ("torn_prob", Json.Float s.disk_faults.Faults.torn_prob);
             ( "read_corrupt_prob",
-              Json.Float s.disk_faults.Sim_disk.Faults.read_corrupt_prob );
+              Json.Float s.disk_faults.Faults.read_corrupt_prob );
             ( "read_stale_prob",
-              Json.Float s.disk_faults.Sim_disk.Faults.read_stale_prob );
+              Json.Float s.disk_faults.Faults.read_stale_prob );
             ( "latency_factor",
-              Json.Float s.disk_faults.Sim_disk.Faults.latency_factor );
+              Json.Float s.disk_faults.Faults.latency_factor );
           ] );
       ("attack", attack_to_json s.attack);
     ]

@@ -32,7 +32,7 @@ type schedule = {
   horizon : Time.t;
   resets : Reset_schedule.t;
   link_faults : Link.faults;
-  disk_faults : Sim_disk.Faults.spec;
+  disk_faults : Faults.spec;
   attack : Harness.attack;
 }
 

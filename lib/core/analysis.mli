@@ -26,8 +26,8 @@ val k_of_rates :
     safe K for a SAVE that takes [t_save] against messages spaced
     [t_msg] — [max 1 (ceil (t_save / t_msg))]. This is {!k_min}
     clamped to at least 1 (an instantaneous SAVE still needs a
-    positive interval). [run --k auto] and the adaptive policy's
-    re-derivation both go through this rule.
+    positive interval). [run --kp auto], [run --kq auto] and the
+    adaptive policy's re-derivation all go through this rule.
     @raise Invalid_argument on a non-positive [t_msg] or negative
     [t_save]. *)
 

@@ -36,7 +36,7 @@ type scenario = {
   attack : attack;
   sender_stop_at : Time.t option;
   keep_trace : bool;
-  disk_faults : Sim_disk.Faults.spec;
+  disk_faults : Faults.spec;
       (* storage fault plan, applied to both endpoint disks *)
   monitor : bool; (* attach the online invariant monitor *)
 }
@@ -57,7 +57,7 @@ let default =
     attack = No_attack;
     sender_stop_at = None;
     keep_trace = false;
-    disk_faults = Sim_disk.Faults.none;
+    disk_faults = Faults.none;
     monitor = false;
   }
 
@@ -250,18 +250,16 @@ let run scenario =
      for the same reason. *)
   let disk_fault_prng_p = Prng.split master in
   let disk_fault_prng_q = Prng.split master in
-  if not (Sim_disk.Faults.is_none scenario.disk_faults) then begin
+  if not (Faults.is_none scenario.disk_faults) then begin
     Option.iter
       (fun disk ->
         Sim_disk.set_faults disk
-          (Sim_disk.Faults.create ~spec:scenario.disk_faults
-             ~prng:disk_fault_prng_p))
+          (Faults.create ~spec:scenario.disk_faults ~prng:disk_fault_prng_p))
       disk_p;
     Option.iter
       (fun disk ->
         Sim_disk.set_faults disk
-          (Sim_disk.Faults.create ~spec:scenario.disk_faults
-             ~prng:disk_fault_prng_q))
+          (Faults.create ~spec:scenario.disk_faults ~prng:disk_fault_prng_q))
       disk_q
   end;
   let next_spi = ref 0x2000l in
@@ -373,10 +371,8 @@ let run scenario =
     match persistence_disk with
     | None -> (0, 0, 0, 0)
     | Some disk ->
-      ( Sim_disk.saves_completed disk,
-        Sim_disk.saves_lost disk,
-        Sim_disk.saves_failed disk,
-        Sim_disk.fetches_corrupt disk + Sim_disk.fetches_stale disk )
+      let n = Sim_disk.tally disk in
+      (n.completed, n.lost, n.failed, n.corrupt + n.stale)
   in
   let saves_completed_p, saves_lost_p, saves_failed_p, fetches_corrupt_p =
     saves_of disk_p

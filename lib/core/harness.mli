@@ -81,7 +81,7 @@ type scenario = {
   keep_trace : bool;
       (** retain the event ring for post-run inspection ([--trace-out]
           forces this on) *)
-  disk_faults : Resets_persist.Sim_disk.Faults.spec;
+  disk_faults : Resets_persist.Faults.spec;
       (** storage fault plan (write failures, torn snapshots, corrupt or
           stale FETCHes), applied to both endpoint disks; the fault
           PRNGs are split from the master after link/traffic/ike, so

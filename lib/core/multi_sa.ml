@@ -518,6 +518,7 @@ let run_shard ~seed discipline config (lo, hi) =
     (fun ep -> Metrics.absorb ~into:totals (Endpoint.metrics ep))
     endpoints;
   let sum f = Array.fold_left (fun acc ep -> acc + f ep) 0 endpoints in
+  let disk_tally = Sim_disk.tally disk in
   {
     lo;
     hi;
@@ -525,11 +526,10 @@ let run_shard ~seed discipline config (lo, hi) =
     recovered_at = !all_recovered_at;
     metrics = totals;
     adversary_injected = sum Endpoint.injected_count;
-    disk_writes = Sim_disk.saves_completed disk;
-    disk_saves_lost = Sim_disk.saves_lost disk;
-    disk_saves_failed = Sim_disk.saves_failed disk;
-    disk_fetches_corrupt =
-      Sim_disk.fetches_corrupt disk + Sim_disk.fetches_stale disk;
+    disk_writes = disk_tally.completed;
+    disk_saves_lost = disk_tally.lost;
+    disk_saves_failed = disk_tally.failed;
+    disk_fetches_corrupt = disk_tally.corrupt + disk_tally.stale;
     link_dropped = sum (fun ep -> Link.dropped (Endpoint.link ep));
     link_duplicated = sum (fun ep -> Link.duplicated (Endpoint.link ep));
     link_reordered = sum (fun ep -> Link.reordered (Endpoint.link ep));

@@ -49,6 +49,45 @@ let roll_read t : read_outcome =
   else if Prng.bernoulli t.prng t.spec.read_stale_prob then `Stale
   else `Ok
 
+(* The entries of a write that become durable: all of them, none, or
+   the torn prefix. *)
+let landed outcome entries =
+  match outcome with
+  | `Ok -> entries
+  | `Fail -> []
+  | `Torn prefix -> List.filteri (fun i _ -> i < prefix) entries
+
+let count_write (n : Store.tally) outcome =
+  match outcome with
+  | `Ok -> n.completed <- n.completed + 1
+  | `Fail -> n.failed <- n.failed + 1
+  | `Torn _ ->
+    n.failed <- n.failed + 1;
+    n.torn <- n.torn + 1
+
+(* One checked read on any medium: the roll picks the record served
+   (the latest, a bit-flipped latest, or the superseded one when it
+   exists), then the checksum and the generation classify it. *)
+let serve plan (n : Store.tally) ~key ~(latest : Envelope.t) ~prev =
+  let served : Envelope.t =
+    match plan with
+    | None -> latest
+    | Some t -> (
+      match roll_read t with
+      | `Ok -> latest
+      | `Corrupt_bit bit -> { latest with value = latest.value lxor (1 lsl bit) }
+      | `Stale -> Option.value (prev ()) ~default:latest)
+  in
+  if not (Envelope.verify ~key served) then begin
+    n.corrupt <- n.corrupt + 1;
+    Store.Corrupt
+  end
+  else if served.gen < latest.gen then begin
+    n.stale <- n.stale + 1;
+    Store.Stale served.value
+  end
+  else Store.Fetched served.value
+
 let spec_to_string s =
   let f = Json.float_to_string in
   Printf.sprintf "write_fail=%s,torn=%s,corrupt=%s,stale=%s,latency=%s"

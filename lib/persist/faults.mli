@@ -68,4 +68,40 @@ type read_outcome = [ `Ok | `Corrupt_bit of int | `Stale ]
 val roll_read : t -> read_outcome
 (** Roll the fate of one checked fetch. [`Corrupt_bit b] flips bit [b]
     of the served value (the envelope checksum then fails); [`Stale]
-    serves the last superseded record when one exists. *)
+    serves the last superseded record when one exists. Called only by
+    {!serve}. *)
+
+(** {1 The one fault path}
+
+    Every medium serves its checked reads through {!serve}, lands its
+    writes through {!landed} and counts them through {!count_write}, so
+    one plan gives the same verdicts and the same {!Store.tally} on the
+    simulated disk and on both file layouts. A medium keeps, for every
+    key, the record its last install under a plan replaced: that is
+    the record a stale roll serves. *)
+
+val landed : [< write_outcome ] -> 'a list -> 'a list
+(** The entries of a write that become durable under its outcome:
+    all of them ([`Ok]), none ([`Fail]) or the first [n] ([`Torn n]). *)
+
+val count_write : Store.tally -> [< write_outcome ] -> unit
+(** Count one finished write: [`Ok] as completed, [`Fail] as failed,
+    [`Torn _] as failed and torn. A write that an I/O error stopped
+    counts as [`Fail]. *)
+
+val serve :
+  t option ->
+  Store.tally ->
+  key:string ->
+  latest:Envelope.t ->
+  prev:(unit -> Envelope.t option) ->
+  Store.checked_fetch
+(** [serve plan tally ~key ~latest ~prev] is one checked FETCH of
+    [key], whose durable record is [latest]. Under a plan it rolls
+    {!roll_read} once: [`Corrupt_bit] serves [latest] with one value
+    bit flipped, [`Stale] serves [prev ()] (the superseded record, or
+    [latest] when there is none). The served record is [Corrupt] when
+    its checksum fails, [Stale] when its generation is below
+    [latest]'s, and [Fetched] otherwise; the first two are counted in
+    [tally]. Without a plan nothing is rolled and [latest] is
+    verified. [prev] is called only on a stale roll. *)

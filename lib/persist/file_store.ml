@@ -1,26 +1,8 @@
-type t = {
-  dir : string;
-  mutable faults : Faults.t option;
-  mutable begun : int;
-  mutable completed : int;
-  mutable failed : int;
-  mutable renames_torn : int;
-  mutable corrupt_served : int;
-  mutable stale_served : int;
-}
+type t = { dir : string; mutable faults : Faults.t option; tally : Store.tally }
 
 let create ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  {
-    dir;
-    faults = None;
-    begun = 0;
-    completed = 0;
-    failed = 0;
-    renames_torn = 0;
-    corrupt_served = 0;
-    stale_served = 0;
-  }
+  { dir; faults = None; tally = Store.tally () }
 
 let set_faults t faults = t.faults <- Some faults
 
@@ -97,81 +79,56 @@ let atomic_write ~abort_before_rename ~dir ~final content =
     `Ok
   end
 
-(* Crash-atomic, durable save of one checksummed envelope.
+(* Install [value] as the key's next generation, crash-atomically and
+   durably. Under a plan the record it replaces is kept first, as the
+   superseded record a stale read serves; without one the store stays
+   one file per key. [abort] is the injected torn rename. *)
+let install t ~key ~value ~abort =
+  let final = path t key in
+  let old = read_envelope ~key final in
+  let gen = match old with Some e -> e.Envelope.gen + 1 | None -> 1 in
+  (match (t.faults, old) with
+  | Some _, Some old ->
+    ignore
+      (atomic_write ~abort_before_rename:false ~dir:t.dir
+         ~final:(prev_path t key) (Envelope.to_string old)
+        : [ `Ok | `Aborted ])
+  | _ -> ());
+  atomic_write ~abort_before_rename:abort ~dir:t.dir ~final
+    (Envelope.to_string (Envelope.make ~key ~value ~gen))
 
-   Under a fault plan every save rolls {!Faults.roll_write} with two
+(* Under a fault plan every save rolls {!Faults.roll_write} with two
    "entries" — the tmp write and the rename, the two phases a real
    filesystem save has. [`Fail] is a transient write/fsync failure
    (nothing touches the medium); [`Torn _] is the aborted rename. Both
    report [on_error]; retrying models re-attempting the write and may
    succeed — transient-fault semantics, same contract as Sim_disk. *)
 let save ?(on_error = fun () -> ()) t ~key ~value ~on_complete =
-  t.begun <- t.begun + 1;
+  t.tally.begun <- t.tally.begun + 1;
   let outcome =
     match t.faults with
     | None -> `Ok
     | Some f -> Faults.roll_write f ~n_entries:2
   in
-  match outcome with
-  | `Fail ->
-    t.failed <- t.failed + 1;
-    on_error ()
-  | (`Ok | `Torn _) as outcome -> (
-    let final = path t key in
-    let old = read_envelope ~key final in
-    let gen = match old with Some e -> e.Envelope.gen + 1 | None -> 1 in
-    let env = Envelope.make ~key ~value ~gen in
-    match
-      (* Keep the superseded record around for stale-read injection —
-         only under a plan, so the fault-free path stays file-per-key. *)
-      (match (t.faults, old) with
-      | Some _, Some old_env ->
-        ignore
-          (atomic_write ~abort_before_rename:false ~dir:t.dir
-             ~final:(prev_path t key)
-             (Envelope.to_string old_env)
-            : [ `Ok | `Aborted ])
-      | _ -> ());
-      atomic_write
-        ~abort_before_rename:(outcome <> `Ok)
-        ~dir:t.dir ~final (Envelope.to_string env)
-    with
-    | `Ok ->
-      t.completed <- t.completed + 1;
-      on_complete ()
-    | `Aborted ->
-      t.failed <- t.failed + 1;
-      t.renames_torn <- t.renames_torn + 1;
-      on_error ()
-    | exception (Unix.Unix_error _ | Sys_error _) ->
-      t.failed <- t.failed + 1;
-      on_error ())
+  let outcome =
+    if outcome = `Fail then `Fail
+    else
+      match install t ~key ~value ~abort:(outcome <> `Ok) with
+      | `Ok | `Aborted -> outcome
+      | exception (Unix.Unix_error _ | Sys_error _) -> `Fail
+  in
+  Faults.count_write t.tally outcome;
+  if outcome = `Ok then on_complete () else on_error ()
 
 (* Establishment write: the durable truth, bypassing the fault plan
    (established state is durable by assumption — same contract as
    Sim_disk.preload). *)
 let preload t ~key ~value =
-  let final = path t key in
-  let gen =
-    match read_envelope ~key final with Some e -> e.Envelope.gen + 1 | None -> 1
-  in
-  match
-    atomic_write ~abort_before_rename:false ~dir:t.dir ~final
-      (Envelope.to_string (Envelope.make ~key ~value ~gen))
-  with
-  | `Ok | `Aborted -> ()
-  | exception (Unix.Unix_error _ | Sys_error _) -> ()
+  try ignore (install t ~key ~value ~abort:false : [ `Ok | `Aborted ])
+  with Unix.Unix_error _ | Sys_error _ -> ()
 
 let fetch t ~key =
-  match read_envelope ~key (path t key) with
-  | Some e -> Some e.Envelope.value
-  | None -> None
-
-let classify ~key served latest =
-  if not (Envelope.verify ~key served) then `Corrupt
-  else if served.Envelope.gen < latest.Envelope.gen then
-    `Stale served.Envelope.value
-  else `Fetched served.Envelope.value
+  Option.map (fun e -> e.Envelope.value) (read_envelope ~key (path t key))
 
 let fetch_checked t ~key =
   let file = path t key in
@@ -179,31 +136,9 @@ let fetch_checked t ~key =
   else
     match read_envelope ~key file with
     | None -> Store.Corrupt (* file exists but does not parse *)
-    | exception Sys_error _ -> Store.Corrupt
-    | Some latest -> (
-      let served =
-        match t.faults with
-        | None -> latest
-        | Some f -> (
-          match Faults.roll_read f with
-          | `Corrupt_bit bit ->
-            { latest with Envelope.value = latest.Envelope.value lxor (1 lsl bit) }
-          | `Stale -> (
-            match read_envelope ~key (prev_path t key) with
-            | Some p -> p
-            | None -> latest)
-          | `Ok -> latest)
-      in
-      match classify ~key served latest with
-      | `Corrupt ->
-        t.corrupt_served <- t.corrupt_served + 1;
-        Store.Corrupt
-      | `Stale v ->
-        t.stale_served <- t.stale_served + 1;
-        Store.Stale v
-      | `Fetched v -> Store.Fetched v)
-
-let crash (_ : t) = ()
+    | Some latest ->
+      Faults.serve t.faults t.tally ~key ~latest ~prev:(fun () ->
+          read_envelope ~key (prev_path t key))
 
 let keys t =
   Sys.readdir t.dir |> Array.to_list
@@ -219,12 +154,7 @@ let remove t ~key =
   let prev = prev_path t key in
   if Sys.file_exists prev then Sys.remove prev
 
-let saves_begun t = t.begun
-let saves_completed t = t.completed
-let saves_failed t = t.failed
-let renames_torn t = t.renames_torn
-let fetches_corrupt t = t.corrupt_served
-let fetches_stale t = t.stale_served
+let tally t = t.tally
 
 let store ?(base_latency = Resets_sim.Time.of_ms 1) t =
   {
@@ -252,14 +182,9 @@ module Snapshot = struct
     prev_file : string;
     dir : string;
     sfaults : Faults.t option;
-    table : (string, int) Hashtbl.t; (* durable truth, mirrors the file *)
+    mutable table : (string, int) Hashtbl.t; (* durable truth, mirrors the file *)
     mutable gen : int;
-    mutable s_begun : int;
-    mutable s_completed : int;
-    mutable s_failed : int;
-    mutable s_torn : int;
-    mutable s_corrupt : int;
-    mutable s_stale : int;
+    tally : Store.tally;
   }
 
   (* File format: line 0 is "gen N"; each further line is
@@ -321,133 +246,87 @@ module Snapshot = struct
         gen
       | None | (exception Sys_error _) -> 0
     in
-    {
-      file;
-      prev_file = file ^ ".prev";
-      dir;
-      sfaults = faults;
-      table;
-      gen;
-      s_begun = 0;
-      s_completed = 0;
-      s_failed = 0;
-      s_torn = 0;
-      s_corrupt = 0;
-      s_stale = 0;
-    }
+    { file; prev_file = file ^ ".prev"; dir; sfaults = faults; table; gen;
+      tally = Store.tally () }
 
-  let entries s =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.table [])
+  let sorted table =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [])
 
-  let write_table ?(faulty = true) s updates =
-    s.s_begun <- s.s_begun + 1;
-    (* the entries of THIS write: current durable truth plus the update *)
+  let entries s = sorted s.table
+
+  (* One write of the whole table with [key] set to [value]; [true] when
+     it completed. A torn write lands a strict prefix of the sorted
+     entries, and the rest keep their previous durable values (or stay
+     absent): Sim_disk's torn-snapshot semantics. *)
+  let write_table ?(faulty = true) s ~key ~value =
+    s.tally.begun <- s.tally.begun + 1;
     let staged = Hashtbl.copy s.table in
-    List.iter (fun (k, v) -> Hashtbl.replace staged k v) updates;
-    let new_entries =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) staged [])
-    in
-    let n = List.length new_entries in
+    Hashtbl.replace staged key value;
+    let written = sorted staged in
     let outcome =
       match s.sfaults with
-      | Some f when faulty -> Faults.roll_write f ~n_entries:(max n 2)
+      | Some f when faulty ->
+        Faults.roll_write f ~n_entries:(max (List.length written) 2)
       | _ -> `Ok
     in
-    match outcome with
-    | `Fail ->
-      s.s_failed <- s.s_failed + 1;
-      `Error
-    | (`Ok | `Torn _) as outcome -> (
-      let durable_entries =
-        match outcome with
-        | `Ok -> new_entries
-        | `Torn prefix ->
-          (* a strict prefix of the write's entries becomes durable;
-             the rest keep their previous durable values (or vanish if
-             they had none) — Sim_disk's torn-snapshot semantics *)
-          List.filteri (fun i _ -> i < prefix) new_entries
-          @ List.filter_map
-              (fun (k, _) ->
-                Option.map (fun v -> (k, v)) (Hashtbl.find_opt s.table k))
-              (List.filteri (fun i _ -> i >= prefix) new_entries)
-      in
-      let gen = s.gen + 1 in
-      match
-        (match s.sfaults with
-        | Some _ when Sys.file_exists s.file ->
+    let outcome =
+      if outcome = `Fail then `Fail
+      else
+        let table = Hashtbl.copy s.table in
+        List.iter
+          (fun (k, v) -> Hashtbl.replace table k v)
+          (Faults.landed outcome written);
+        let gen = s.gen + 1 in
+        match
           (* keep the superseded snapshot for stale-read injection *)
-          (match read_file s.file with
-          | Some old ->
-            ignore
-              (atomic_write ~abort_before_rename:false ~dir:s.dir
-                 ~final:s.prev_file old
-                : [ `Ok | `Aborted ])
-          | None -> ())
-        | _ -> ());
-        atomic_write ~abort_before_rename:false ~dir:s.dir ~final:s.file
-          (render ~gen durable_entries)
-      with
-      | `Ok | `Aborted ->
-        s.gen <- gen;
-        Hashtbl.reset s.table;
-        List.iter (fun (k, v) -> Hashtbl.replace s.table k v) durable_entries;
-        (match outcome with
-        | `Torn _ ->
-          s.s_failed <- s.s_failed + 1;
-          s.s_torn <- s.s_torn + 1;
-          `Error
-        | `Ok ->
-          s.s_completed <- s.s_completed + 1;
-          `Done)
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-        s.s_failed <- s.s_failed + 1;
-        `Error)
+          if Option.is_some s.sfaults then
+            Option.iter
+              (fun old ->
+                ignore
+                  (atomic_write ~abort_before_rename:false ~dir:s.dir
+                     ~final:s.prev_file old
+                    : [ `Ok | `Aborted ]))
+              (read_file s.file);
+          atomic_write ~abort_before_rename:false ~dir:s.dir ~final:s.file
+            (render ~gen (sorted table))
+        with
+        | `Ok | `Aborted ->
+          s.gen <- gen;
+          s.table <- table;
+          outcome
+        | exception (Unix.Unix_error _ | Sys_error _) -> `Fail
+    in
+    Faults.count_write s.tally outcome;
+    outcome = `Ok
 
   let save ?(on_error = fun () -> ()) s ~key ~value ~on_complete =
-    match write_table s [ (key, value) ] with
-    | `Done -> on_complete ()
-    | `Error -> on_error ()
+    if write_table s ~key ~value then on_complete () else on_error ()
 
-  let preload s ~key ~value =
-    ignore (write_table ~faulty:false s [ (key, value) ] : [ `Done | `Error ])
+  let preload s ~key ~value = ignore (write_table ~faulty:false s ~key ~value : bool)
 
   let fetch s ~key = Hashtbl.find_opt s.table key
 
   let fetch_checked s ~key =
     match Hashtbl.find_opt s.table key with
     | None -> Store.Missing
-    | Some value -> (
-      match s.sfaults with
-      | None -> Store.Fetched value
-      | Some f -> (
-        match Faults.roll_read f with
-        | `Corrupt_bit _ ->
-          s.s_corrupt <- s.s_corrupt + 1;
-          Store.Corrupt
-        | `Stale -> (
-          (* the superseded record: this key's value in the previous
-             durable snapshot, when one exists and differs in gen *)
-          match Option.bind (read_file s.prev_file) parse with
-          | Some (pgen, pentries) when pgen < s.gen -> (
-            match
-              List.find_opt (fun (k, _, _) -> String.equal k key)
-                (List.map (fun (k, v, sum) -> (k, v, sum)) pentries)
-            with
-            | Some (k, v, sum)
-              when Int64.equal sum (Envelope.checksum ~key:k ~value:v ~gen:pgen)
-              ->
-              s.s_stale <- s.s_stale + 1;
-              Store.Stale v
-            | _ -> Store.Fetched value)
-          | _ -> Store.Fetched value)
-        | `Ok -> Store.Fetched value))
+    | Some value ->
+      (* the superseded record: this key's entry in the previous
+         durable snapshot, when one exists with an older generation *)
+      let prev () =
+        match Option.bind (read_file s.prev_file) parse with
+        | Some (pgen, pentries) when pgen < s.gen ->
+          List.find_map
+            (fun (k, value, sum) ->
+              if String.equal k key then Some { Envelope.value; gen = pgen; sum }
+              else None)
+            pentries
+        | _ -> None
+      in
+      Faults.serve s.sfaults s.tally ~key
+        ~latest:(Envelope.make ~key ~value ~gen:s.gen)
+        ~prev
 
-  let saves_begun s = s.s_begun
-  let saves_completed s = s.s_completed
-  let saves_failed s = s.s_failed
-  let snapshots_torn s = s.s_torn
-  let fetches_corrupt s = s.s_corrupt
-  let fetches_stale s = s.s_stale
+  let tally s = s.tally
 
   let store ?(base_latency = Resets_sim.Time.of_ms 1) s =
     {

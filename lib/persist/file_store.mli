@@ -7,7 +7,7 @@
     the final name, and the directory is fsynced so the rename itself
     survives a power cut. A reader (or a post-crash FETCH) sees either
     the old complete value or the new complete value — never a torn
-    write — matching the [Store.S] contract. Used by the CLI, the wire
+    write — matching the {!Store} contract. Used by the CLI, the wire
     daemon ([serve]) and examples against a real filesystem.
 
     {b On-medium format.} Each key is one file holding a checksummed
@@ -24,11 +24,12 @@
     file is fully written and left behind, but the final name never
     changes — the old value stays the durable truth, which is exactly
     the atomicity the protocol relies on). Every {!fetch_checked} under
-    a plan rolls once and may serve a corrupt (bit-flipped, caught by
-    checksum) or stale (superseded generation) record. Rolls are
-    consumed in operation order, so the fault pattern is a pure
-    function of the plan's seed; a store without a plan behaves exactly
-    as before. *)
+    a plan is one {!Faults.serve} and may serve a corrupt (bit-flipped,
+    caught by checksum) or stale (superseded generation) record; every
+    install under a plan, [preload] included, keeps the record it
+    replaces in a [.prev] file for that stale read. Rolls are consumed
+    in operation order, so the fault pattern is a pure function of the
+    plan's seed; a store without a plan writes one file per key. *)
 
 type t
 
@@ -39,10 +40,19 @@ val set_faults : t -> Faults.t -> unit
 (** Attach (or replace) a deterministic fault plan; a store without
     one behaves exactly as before. *)
 
-include Store.S with type t := t
-(** [save] here completes synchronously (the callback runs before
-    [save] returns); [crash] is a no-op because a real filesystem's
-    durable state is exactly what the files hold. *)
+val save :
+  ?on_error:(unit -> unit) ->
+  t ->
+  key:string ->
+  value:int ->
+  on_complete:(unit -> unit) ->
+  unit
+(** Persist [value] under [key]. Completes synchronously: [on_complete]
+    (or, when the plan fails or tears the write or the filesystem
+    errs, [on_error]) runs before [save] returns. *)
+
+val fetch : t -> key:string -> int option
+(** Last durably stored value, if any. *)
 
 val keys : t -> string list
 (** Keys present on disk, unordered. *)
@@ -63,21 +73,12 @@ val preload : t -> key:string -> value:int -> unit
     SA-establishment state is durable by assumption (same contract as
     {!Sim_disk.preload}). *)
 
-val saves_begun : t -> int
-val saves_completed : t -> int
-
-val saves_failed : t -> int
-(** Saves that reported [on_error]: transient failures, aborted
-    renames, and real filesystem errors. *)
-
-val renames_torn : t -> int
-(** Injected aborted renames (tmp written, final name unchanged). *)
-
-val fetches_corrupt : t -> int
-(** Checked fetches that served a corrupt record. *)
-
-val fetches_stale : t -> int
-(** Checked fetches that served a stale (superseded) record. *)
+val tally : t -> Store.tally
+(** This store's live counters. [failed] counts every save that
+    reported [on_error] (transient failures, aborted renames, real
+    filesystem errors), [torn] the aborted renames (tmp written, final
+    name unchanged); [lost] stays 0, a save being synchronous.
+    Preloads are not counted. *)
 
 val store : ?base_latency:Resets_sim.Time.t -> t -> Store.t
 (** This store as a first-class {!Store.t}. Saves complete
@@ -118,15 +119,11 @@ module Snapshot : sig
   val preload : snap -> key:string -> value:int -> unit
   val fetch : snap -> key:string -> int option
   val fetch_checked : snap -> key:string -> Store.checked_fetch
-  val saves_begun : snap -> int
-  val saves_completed : snap -> int
-  val saves_failed : snap -> int
 
-  val snapshots_torn : snap -> int
-  (** Snapshot writes that installed a strict prefix of new values. *)
-
-  val fetches_corrupt : snap -> int
-  val fetches_stale : snap -> int
+  val tally : snap -> Store.tally
+  (** [torn] counts snapshot writes that installed a strict prefix of
+      new values. A preload is a write of the whole table here, and
+      counts as begun and completed. *)
 
   val store : ?base_latency:Resets_sim.Time.t -> snap -> Store.t
   (** This snapshot as a first-class {!Store.t} — a save of any one

@@ -1,18 +1,6 @@
 open Resets_util
 open Resets_sim
 
-(* The fault plan and the checksummed envelope now live in their own
-   modules ({!Faults}, {!Envelope}) shared with the real File_store;
-   this disk keeps rolling them in the historical order, so committed
-   fault artifacts replay byte-identically. *)
-
-module Faults = Faults
-
-type envelope = Envelope.t = { value : int; gen : int; sum : int64 }
-
-let checksum = Envelope.checksum
-let verify = Envelope.verify
-
 type pending = {
   id : int;
   keys : string list;
@@ -25,20 +13,14 @@ type t = {
   name : string;
   base_latency : Time.t;
   jitter : (Time.t * Prng.t) option;
-  durable : (string, envelope) Hashtbl.t;
-  prev : (string, envelope) Hashtbl.t; (* last superseded version per key *)
+  durable : (string, Envelope.t) Hashtbl.t;
+  prev : (string, Envelope.t) Hashtbl.t; (* last superseded version per key *)
   mutable faults : Faults.t option;
   mutable latency_observer : (Time.t -> unit) option;
   mutable pending : pending list;
   mutable next_latency : Time.t option;
   mutable next_id : int;
-  mutable begun : int;
-  mutable completed : int;
-  mutable lost : int;
-  mutable failed : int;
-  mutable torn : int;
-  mutable corrupt_served : int;
-  mutable stale_served : int;
+  tally : Store.tally;
 }
 
 let make ?trace ?(name = "disk") ?faults ~latency ~jitter engine =
@@ -55,13 +37,7 @@ let make ?trace ?(name = "disk") ?faults ~latency ~jitter engine =
     pending = [];
     next_latency = None;
     next_id = 0;
-    begun = 0;
-    completed = 0;
-    lost = 0;
-    failed = 0;
-    torn = 0;
-    corrupt_served = 0;
-    stale_served = 0;
+    tally = Store.tally ();
   }
 
 let create ?trace ?name ?faults ~latency engine =
@@ -121,14 +97,7 @@ let install t ~key ~value =
       e.gen + 1
     | None -> 1
   in
-  Hashtbl.replace t.durable key { value; gen; sum = checksum ~key ~value ~gen }
-
-(* One PRNG roll per begun write, drawn at begin time in write order so
-   the fault pattern is a pure function of the plan's seed. *)
-let roll_write t ~n_entries =
-  match t.faults with
-  | None -> `Ok
-  | Some f -> (Faults.roll_write f ~n_entries :> [ `Ok | `Fail | `Torn of int ])
+  Hashtbl.replace t.durable key (Envelope.make ~key ~value ~gen)
 
 (* Begin one write covering [entries]. All keys become durable together
    when the single completion event fires; a crash before then loses the
@@ -149,30 +118,32 @@ let begin_write t ~entries ~label ~on_complete ~on_error =
      and a completion-based observer would starve exactly when the
      latency signal matters most. *)
   (match t.latency_observer with None -> () | Some f -> f latency);
-  t.begun <- t.begun + 1;
+  t.tally.begun <- t.tally.begun + 1;
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
-  let outcome = roll_write t ~n_entries:(List.length entries) in
+  (* One roll per begun write, drawn at begin time in write order, so
+     the fault pattern is a pure function of the plan's seed. *)
+  let outcome =
+    match t.faults with
+    | None -> `Ok
+    | Some f -> Faults.roll_write f ~n_entries:(List.length entries)
+  in
   tell t "save.begin" label;
   let handle =
     Engine.schedule_after t.engine ~after:latency (fun () ->
         t.pending <- List.filter (fun p -> p.id <> id) t.pending;
+        List.iter
+          (fun (key, value) -> install t ~key ~value)
+          (Faults.landed outcome entries);
+        Faults.count_write t.tally outcome;
         match outcome with
         | `Ok ->
-          List.iter (fun (key, value) -> install t ~key ~value) entries;
-          t.completed <- t.completed + 1;
           tell t "save.done" label;
           on_complete ()
         | `Fail ->
-          t.failed <- t.failed + 1;
           tell t "save.fail" label;
           on_error ()
         | `Torn prefix ->
-          List.iteri
-            (fun i (key, value) -> if i < prefix then install t ~key ~value)
-            entries;
-          t.failed <- t.failed + 1;
-          t.torn <- t.torn + 1;
           tell t "save.torn" (Printf.sprintf "%s (%d durable)" label prefix);
           on_error ())
   in
@@ -208,55 +179,37 @@ let remove t ~key =
 let key_count t = Hashtbl.length t.durable
 
 let fetch t ~key =
-  Option.map (fun e -> e.value) (Hashtbl.find_opt t.durable key)
+  Option.map (fun (e : Envelope.t) -> e.value) (Hashtbl.find_opt t.durable key)
 
 let fetch_checked t ~key =
   match Hashtbl.find_opt t.durable key with
   | None -> Store.Missing
   | Some latest ->
-    let served =
-      match t.faults with
-      | None -> latest
-      | Some f -> (
-        match Faults.roll_read f with
-        | `Corrupt_bit bit -> { latest with value = latest.value lxor (1 lsl bit) }
-        | `Stale -> (
-          match Hashtbl.find_opt t.prev key with
-          | Some p -> p
-          | None -> latest)
-        | `Ok -> latest)
+    let verdict =
+      Faults.serve t.faults t.tally ~key ~latest ~prev:(fun () ->
+          Hashtbl.find_opt t.prev key)
     in
-    if not (verify ~key served) then begin
-      t.corrupt_served <- t.corrupt_served + 1;
-      tell t "fetch.corrupt" key;
-      Store.Corrupt
-    end
-    else if served.gen < latest.gen then begin
-      t.stale_served <- t.stale_served + 1;
+    (match verdict with
+    | Store.Corrupt -> tell t "fetch.corrupt" key
+    | Store.Stale _ ->
       tell t "fetch.stale"
-        (Printf.sprintf "%s gen %d < %d" key served.gen latest.gen);
-      Store.Stale served.value
-    end
-    else Store.Fetched served.value
+        (Printf.sprintf "%s gen %d < %d" key (Hashtbl.find t.prev key).gen
+           latest.gen)
+    | Store.Fetched _ | Store.Missing -> ());
+    verdict
 
 let crash t =
   let n = List.length t.pending in
   List.iter (fun p -> Engine.cancel p.handle) t.pending;
   t.pending <- [];
-  t.lost <- t.lost + n;
+  t.tally.lost <- t.tally.lost + n;
   if n > 0 then tell t "crash.lost_writes" (string_of_int n) else tell t "crash" ""
 
 let in_flight t = List.length t.pending
 
 let base_latency t = t.base_latency
 
-let saves_begun t = t.begun
-let saves_completed t = t.completed
-let saves_lost t = t.lost
-let saves_failed t = t.failed
-let snapshots_torn t = t.torn
-let fetches_corrupt t = t.corrupt_served
-let fetches_stale t = t.stale_served
+let tally t = t.tally
 
 let store t =
   {

@@ -20,6 +20,8 @@
     paper's fully reliable store. All faults are rolled from the plan's
     own PRNG in a fixed order, so a fault pattern is a pure function of
     its seed, and a disk without a plan behaves exactly as before.
+    Reads are served, writes landed and both counted by {!Faults}, the
+    path {!File_store} shares.
 
     {b Per-shard isolation.} A disk belongs to exactly one
     {!Resets_sim.Engine.t} (its completion events are scheduled there)
@@ -28,16 +30,11 @@
     free: writes to distinct keys never interact (per-key supersede is
     the only cross-write rule), so as long as no two shards share a
     key, D disks behave exactly like one disk that happens to admit D
-    concurrent writers. Only the per-disk counters ([saves_*],
+    concurrent writers. Only the per-disk counters ({!tally},
     [key_count]) become per-shard and must be summed in sa-index order
     by the merge step. *)
 
 open Resets_sim
-
-(** The injectable fault plan — now the library-wide {!Faults} model,
-    shared with {!File_store} so the same seed-deterministic plan can
-    be rolled against the simulated medium or the real filesystem. *)
-module Faults = Faults
 
 type t
 
@@ -76,7 +73,24 @@ val set_latency_observer : t -> (Time.t -> unit) -> unit
     completions. A pure observer — installing one changes no simulation
     event and consumes no PRNG draw. *)
 
-include Store.S with type t := t
+val save :
+  ?on_error:(unit -> unit) ->
+  t ->
+  key:string ->
+  value:int ->
+  on_complete:(unit -> unit) ->
+  unit
+(** Begin persisting [value] under [key]: durable after the disk
+    latency, when [on_complete] runs; [on_error] runs instead when the
+    fault plan fails or tears the write. A newer write to the key
+    supersedes this one while it is in flight. *)
+
+val fetch : t -> key:string -> int option
+(** Last durably stored value, if any. *)
+
+val crash : t -> unit
+(** Reset of the attached host: every in-flight write is discarded
+    (counted as lost); durable state is untouched. *)
 
 val save_snapshot :
   ?on_error:(unit -> unit) ->
@@ -87,7 +101,7 @@ val save_snapshot :
 (** [save_snapshot t ~entries ~on_complete] begins ONE write covering
     every [(key, value)] pair: all keys become durable together after
     the disk latency, a crash before completion loses the whole
-    snapshot, and the write counts once in [saves_begun]/[saves_completed].
+    snapshot, and the write counts once in the {!tally}.
     A snapshot supersedes any in-flight write touching one of its keys
     (and is itself superseded, as a whole, by a later write to any of
     them) — the same "only the most recent write can become durable"
@@ -126,24 +140,10 @@ val key_count : t -> int
 val in_flight : t -> int
 (** Number of pending (not yet durable) writes. *)
 
-val saves_begun : t -> int
-val saves_completed : t -> int
-
-val saves_lost : t -> int
-(** Writes discarded by crashes. *)
-
-val saves_failed : t -> int
-(** Writes that reported failure (transient failures plus torn
-    snapshots). *)
-
-val snapshots_torn : t -> int
-(** Multi-key writes that left a strict prefix durable. *)
-
-val fetches_corrupt : t -> int
-(** Checked fetches that served a corrupt record. *)
-
-val fetches_stale : t -> int
-(** Checked fetches that served a stale (superseded) record. *)
+val tally : t -> Store.tally
+(** This disk's live counters: writes begun, completed, failed, torn
+    and lost to crashes, and checked fetches served corrupt or stale.
+    Preloads are not counted. *)
 
 val latency_of_next_save : t -> Time.t
 (** The latency the next save will incur (samples jitter eagerly so

@@ -1,18 +1,3 @@
-module type S = sig
-  type t
-
-  val save :
-    ?on_error:(unit -> unit) ->
-    t ->
-    key:string ->
-    value:int ->
-    on_complete:(unit -> unit) ->
-    unit
-
-  val fetch : t -> key:string -> int option
-  val crash : t -> unit
-end
-
 type checked_fetch =
   | Fetched of int
   | Missing
@@ -43,3 +28,16 @@ let preload t ~key ~value = t.preload ~key ~value
 let crash t = t.crash ()
 let base_latency t = t.base_latency
 let label t = t.label
+
+type tally = {
+  mutable begun : int;
+  mutable completed : int;
+  mutable failed : int;
+  mutable torn : int;
+  mutable lost : int;
+  mutable corrupt : int;
+  mutable stale : int;
+}
+
+let tally () =
+  { begun = 0; completed = 0; failed = 0; torn = 0; lost = 0; corrupt = 0; stale = 0 }

@@ -10,41 +10,14 @@
     - a SAVE still {e in flight} at a reset leaves the previously
       stored value in place (the write is lost, not torn). *)
 
-module type S = sig
-  type t
-
-  val save :
-    ?on_error:(unit -> unit) ->
-    t ->
-    key:string ->
-    value:int ->
-    on_complete:(unit -> unit) ->
-    unit
-  (** Begin persisting [value] under [key]. [on_complete] runs when the
-      write is durable. Starting a new save for the same key while one
-      is in flight supersedes the pending write. [on_error] (default: do
-      nothing) runs instead of [on_complete] when the store reports the
-      write as failed — nothing became durable, the previous value is
-      intact, and the caller may retry; stores without fault injection
-      never invoke it. *)
-
-  val fetch : t -> key:string -> int option
-  (** Last durably stored value, if any. *)
-
-  val crash : t -> unit
-  (** Simulate a reset of the attached host: every in-flight save is
-      discarded; durable state is untouched. *)
-end
-
 (** {1 First-class stores}
 
     The protocol processes ({!Resets_core.Sender}, [Receiver]) hold a
     store as a {e value} rather than a functor argument, so one compiled
     sender runs against the simulated disk in a deterministic replay
-    {e and} against the real filesystem in the wire daemon. The record
-    mirrors {!S} plus the checked-fetch and preload operations the
-    protocol needs; {!Sim_disk.store} and {!File_store.store} build
-    it. *)
+    {e and} against the real filesystem in the wire daemon.
+    {!Sim_disk.store}, {!File_store.store} and
+    {!File_store.Snapshot.store} build it. *)
 
 (** Result of a checked (integrity-verified) fetch. *)
 type checked_fetch =
@@ -63,9 +36,12 @@ type t = {
     unit;
       (** Begin persisting [value] under [key]; [on_complete] once
           durable, [on_error] if the write failed leaving the previous
-          value intact. May complete synchronously (the real
-          filesystem) or after a scheduled latency (the simulated
-          disk); callers must cope with both. *)
+          value intact (the caller may retry; a store without a fault
+          plan only reports a real I/O error). Starting a new save for
+          the same key while one is in flight supersedes the pending
+          write. May complete synchronously (the real filesystem) or
+          after a scheduled latency (the simulated disk); callers must
+          cope with both. *)
   fetch : key:string -> int option;  (** last durable value *)
   fetch_checked : key:string -> checked_fetch;
       (** FETCH with integrity verification; one call per protocol
@@ -88,8 +64,7 @@ val save :
   value:int ->
   on_complete:(unit -> unit) ->
   unit
-(** {!S.save} over the record ([on_error] defaults to doing
-    nothing). *)
+(** The record's [save] ([on_error] defaults to doing nothing). *)
 
 val fetch : t -> key:string -> int option
 val fetch_checked : t -> key:string -> checked_fetch
@@ -97,3 +72,26 @@ val preload : t -> key:string -> value:int -> unit
 val crash : t -> unit
 val base_latency : t -> Resets_sim.Time.t
 val label : t -> string
+
+(** {1 Counters}
+
+    Every medium counts its writes and checked reads in one tally, the
+    same fields whichever medium it is: {!Faults.count_write} counts a
+    finished write and {!Faults.serve} a checked read. *)
+
+type tally = {
+  mutable begun : int;  (** writes begun *)
+  mutable completed : int;  (** writes that became durable *)
+  mutable failed : int;
+      (** writes that reported failure: transient failures, torn
+          writes and real I/O errors *)
+  mutable torn : int;
+      (** failed writes that tore: a strict prefix of a snapshot's
+          entries landed, or a file's rename was aborted *)
+  mutable lost : int;  (** writes in flight at a crash *)
+  mutable corrupt : int;  (** checked reads that served a corrupt record *)
+  mutable stale : int;  (** checked reads that served a superseded record *)
+}
+
+val tally : unit -> tally
+(** All counters zero. *)

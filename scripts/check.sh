@@ -150,7 +150,7 @@ echo "== MICRO (allocation budgets, wire sweep, engine determinism) =="
 # 2 when one fails.
 dune exec bench/main.exe -- MICRO --json="$out" >/dev/null
 
-echo "== daemon loopback smoke (unix-dgram, kill/recover, batch sweep, impaired wire) =="
+echo "== daemon loopback smoke (unix-dgram, kill/recover, batch sweep, impaired wire, faulty store) =="
 # Two real processes over a UNIX-datagram socket: receiver daemon is
 # SIGKILLed mid-run and restarted on the same durable store while the
 # sender keeps transmitting. The restarted receiver's convergence gate
@@ -160,6 +160,9 @@ echo "== daemon loopback smoke (unix-dgram, kill/recover, batch sweep, impaired 
 # depend on the wire batching mode. Then once more with the sender
 # behind E17's impaired wire (loss, duplication, 10 ms reordering,
 # bursts): the duplicates must be refused and the loss stay within 2k.
+# Last, once with the receiver's file store under E17's faulty-store
+# plan (failed and torn writes, corrupt and stale reads): the restarted
+# receiver's recovery FETCH goes through the faulty read path.
 for wire_batch in 1 32; do
   echo "-- daemon loopback at --batch $wire_batch --"
   BATCH=$wire_batch sh scripts/daemon_loopback.sh \
@@ -171,6 +174,11 @@ echo "-- daemon loopback through the impaired wire ($e17_wire) --"
 IMPAIR=$e17_wire sh scripts/daemon_loopback.sh \
   _build/default/bin/ipsec_resets.exe \
   || { echo "daemon loopback kill/recover gate failed through the impaired wire" >&2; exit 1; }
+e17_store="write_fail=0.05,torn=0.03,corrupt=0.02,stale=0.02"
+echo "-- daemon loopback with a faulty store ($e17_store) --"
+STORE_FAULTS=$e17_store sh scripts/daemon_loopback.sh \
+  _build/default/bin/ipsec_resets.exe \
+  || { echo "daemon loopback kill/recover gate failed with a faulty store" >&2; exit 1; }
 
 echo "== E17 fleet smoke (supervised kill/recover, one cell per reset scope) =="
 # One matrix cell per reset scope (single-SA / whole-SADB / disk-lost)

@@ -13,6 +13,10 @@
 # IMPAIR=<spec> puts the sender's frames through an impaired wire
 # (serve --impair, e.g. drop=0.05,dup=0.02,reorder=0.02:10ms); default
 # none, a clean wire.
+# STORE_FAULTS=<spec> puts both receiver incarnations' file store under
+# a seeded fault plan (serve --store-faults, e.g.
+# write_fail=0.05,torn=0.03,corrupt=0.02,stale=0.02); default none, a
+# reliable store.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,6 +47,7 @@ K=8
 RATE=400
 BATCH=${BATCH:-32}
 IMPAIR=${IMPAIR:-}
+STORE_FAULTS=${STORE_FAULTS:-}
 
 # Spawn a receiver incarnation and wait for it to bind, retrying on a
 # bind failure: a stale socket file left by a killed receiver (or a
@@ -58,7 +63,8 @@ start_recv() {
     [ -e "$SOCK" ] && rm -f "$SOCK"
     "$BIN" serve --role recv --bind "unix:$SOCK" \
       --sas "$SAS" -k "$K" --batch "$BATCH" \
-      --store "$STORE" --stats "$STATS" "$@" &
+      --store "$STORE" --stats "$STATS" \
+      --store-faults "$STORE_FAULTS" --fault-seed 1 "$@" &
     RECV_PID=$!
     i=0
     while [ ! -S "$SOCK" ]; do

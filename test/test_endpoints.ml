@@ -85,7 +85,7 @@ let test_sender_periodic_save_cadence () =
   Sender.start f.sender;
   run_until f (us 1005);
   check_int "sent 100" 100 f.metrics.Metrics.sent;
-  check_int "20 saves" 20 (Sim_disk.saves_completed f.disk_p);
+  check_int "20 saves" 20 (Sim_disk.tally f.disk_p).completed;
   Alcotest.(check (option int)) "last stored" (Some 101) (Sender.last_stored f.sender)
 
 let test_sender_reset_stops_sending () =
@@ -134,7 +134,7 @@ let test_sender_wakeup_after_inflight_save_lost () =
   (* wakeup SAVE completes at 135us; check durable state before the
      next periodic SAVE (which lands around 220us) becomes durable *)
   run_until f (us 150);
-  check_int "one save lost" 1 (Sim_disk.saves_lost f.disk_p);
+  check_int "one save lost" 1 (Sim_disk.tally f.disk_p).lost;
   (* fetched 1 + leap 10 = 11 > 6 (last used next-seq) : fresh *)
   Alcotest.(check (option int)) "durable after wakeup" (Some 11)
     (Sender.last_stored f.sender);
@@ -173,7 +173,7 @@ let test_receiver_delivers_and_saves () =
   run_until f (us 1010);
   check_int "delivered all" 100 f.metrics.Metrics.delivered;
   check_bool "edge advanced" true (Receiver.right_edge f.receiver >= 100);
-  check_bool "saves happened" true (Sim_disk.saves_completed f.disk_q >= 19)
+  check_bool "saves happened" true ((Sim_disk.tally f.disk_q).completed >= 19)
 
 let test_receiver_rejects_bad_icv () =
   let f = make_fixture () in
@@ -419,10 +419,10 @@ let test_kept_frames_outlive_the_callers_buffer () =
 (* Store faults: the recovery retries, the degrade hand-off and the
    write-failure guards, one case per side *)
 
-let faulty spec = Sim_disk.Faults.create ~spec ~prng:(Resets_util.Prng.create 7)
+let faulty spec = Faults.create ~spec ~prng:(Resets_util.Prng.create 7)
 
-let corrupt_reads = { Sim_disk.Faults.none with Sim_disk.Faults.read_corrupt_prob = 1. }
-let failing_writes = { Sim_disk.Faults.none with Sim_disk.Faults.write_fail_prob = 1. }
+let corrupt_reads = { Faults.none with Faults.read_corrupt_prob = 1. }
+let failing_writes = { Faults.none with Faults.write_fail_prob = 1. }
 
 (* Every wakeup FETCH serves a corrupt record: the retries wait 1x then
    2x the disk latency, the third failure spends the budget of 3 and
@@ -469,7 +469,7 @@ let test_fetch_retries_then_degrade side () =
          | `Q -> Receiver.wakeup f.receiver ~on_ready ()));
   let corrupt_by t =
     run_until f t;
-    Sim_disk.fetches_corrupt disk
+    (Sim_disk.tally disk).corrupt
   in
   let just_before t = Time.of_ns (Int64.pred (Time.to_ns t)) in
   let first_retry = Time.add wake_at latency
@@ -567,10 +567,10 @@ let test_aborted_wakeup_retry_is_dropped () =
   at 220 (fun () -> Receiver.reset f.receiver);
   at 230 wakeup;
   run_until f (us 229);
-  check_int "aborted wakeup's FETCH" 1 (Sim_disk.fetches_corrupt f.disk_q);
+  check_int "aborted wakeup's FETCH" 1 (Sim_disk.tally f.disk_q).corrupt;
   run_until f (us 2000);
   check_int "one chain of 3 FETCHes after the second wakeup" 4
-    (Sim_disk.fetches_corrupt f.disk_q);
+    (Sim_disk.tally f.disk_q).corrupt;
   Alcotest.(check (list int64)) "one degrade, at the chain's third failure"
     [ Time.to_ns (us 350) ] !degraded_at;
   check_int "counted once" 1 f.metrics.Metrics.degraded_reestablish

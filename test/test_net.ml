@@ -24,6 +24,21 @@ let scratch_path name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "resets-net-%s-%d.sock" name (Unix.getpid ()))
 
+(* Run [f] on an empty scratch directory of this run's own, and remove
+   the directory afterwards, whatever [f] does. *)
+let with_scratch_dir name f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "resets-net-%s-%d" name (Unix.getpid ()))
+  in
+  let remove () =
+    Resets_fleet.Supervisor.wipe_dir dir;
+    try Sys.rmdir dir with Sys_error _ -> ()
+  in
+  remove ();
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:remove (fun () -> f dir)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -404,10 +419,7 @@ let test_transport_slice_face () =
    socket (nobody listening: every send is counted loss) and reports. *)
 
 let test_daemon_send_smoke () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "resets-net-daemon-%d" (Unix.getpid ()))
-  in
+  with_scratch_dir "daemon" @@ fun dir ->
   let cfg =
     {
       Daemon.default with
@@ -445,15 +457,8 @@ let daemon_bin =
 let test_daemon_sigterm_graceful () =
   if not (Sys.file_exists daemon_bin) then
     Alcotest.failf "daemon binary not built at %s" daemon_bin;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "resets-net-sigterm-%d" (Unix.getpid ()))
-  in
+  with_scratch_dir "sigterm" @@ fun dir ->
   let hb = Filename.concat dir "hb.jsonl" in
-  (if Sys.file_exists dir then
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat dir f))
-       (Sys.readdir dir));
   let argv =
     [|
       daemon_bin; "serve"; "--role"; "send"; "--peer";
@@ -543,16 +548,6 @@ let test_daemon_sigterm_graceful () =
 module Heartbeat = Resets_fleet.Heartbeat
 module Json = Resets_util.Json
 
-(* An empty scratch directory of this test run's own. *)
-let fresh_dir name =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "resets-net-%s-%d" name (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Resets_fleet.Supervisor.wipe_dir dir;
-  dir
-
 let spawn_serve args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
@@ -600,7 +595,7 @@ let jlist name j =
 let test_daemon_recv_pair () =
   if not (Sys.file_exists daemon_bin) then
     Alcotest.failf "daemon binary not built at %s" daemon_bin;
-  let dir = fresh_dir "pair" in
+  with_scratch_dir "pair" @@ fun dir ->
   let file = Filename.concat dir in
   let sock = scratch_path "pair" in
   let common = [ "--sas"; "2"; "-k"; "4"; "--batch"; "1"; "--heartbeat"; "0.1" ] in
@@ -664,7 +659,7 @@ let test_daemon_recv_pair () =
 let test_daemon_recv_behind_impaired_wire () =
   if not (Sys.file_exists daemon_bin) then
     Alcotest.failf "daemon binary not built at %s" daemon_bin;
-  let dir = fresh_dir "impaired" in
+  with_scratch_dir "impaired" @@ fun dir ->
   let file = Filename.concat dir in
   let sock = scratch_path "impaired" in
   let k = 4 in
@@ -711,7 +706,7 @@ let test_daemon_recv_behind_impaired_wire () =
 let test_daemon_rx_no_sa () =
   if not (Sys.file_exists daemon_bin) then
     Alcotest.failf "daemon binary not built at %s" daemon_bin;
-  let dir = fresh_dir "nosa" in
+  with_scratch_dir "nosa" @@ fun dir ->
   let file = Filename.concat dir in
   let sock = scratch_path "nosa" in
   let spi_base = Daemon.default.Daemon.spi_base in
@@ -758,6 +753,7 @@ let test_daemon_rx_no_sa () =
    under dup=1, and one per message on a clean wire. *)
 let test_daemon_impair_in_front_of_socket () =
   let attempts impair =
+    with_scratch_dir "impair" @@ fun store_dir ->
     let cfg =
       {
         Daemon.default with
@@ -767,7 +763,7 @@ let test_daemon_impair_in_front_of_socket () =
         sas = 2;
         rate_pps = 200.;
         duration = 0.4;
-        store_dir = fresh_dir "impair";
+        store_dir;
         impair =
           (match Resets_sim.Link.faults_of_string impair with
           | Ok faults -> faults
@@ -796,7 +792,7 @@ let test_daemon_impair_in_front_of_socket () =
 let test_replay_check_after last_line () =
   if not (Sys.file_exists daemon_bin) then
     Alcotest.failf "daemon binary not built at %s" daemon_bin;
-  let dir = fresh_dir "prev" in
+  with_scratch_dir "prev" @@ fun dir ->
   let file = Filename.concat dir in
   let sock = scratch_path "prev" in
   let spi = 0x5000 in
@@ -890,6 +886,7 @@ let test_daemon_validates () =
 (* The adaptive daemon: every SA starts at k = 8 and re-derives its
    cadence within the policy's clamps. *)
 let test_daemon_adaptive () =
+  with_scratch_dir "adaptive" @@ fun store_dir ->
   let cfg =
     {
       Daemon.default with
@@ -900,7 +897,7 @@ let test_daemon_adaptive () =
       adaptive = true;
       rate_pps = 400.;
       duration = 0.4;
-      store_dir = fresh_dir "adaptive";
+      store_dir;
       stats_path = None;
       json_path = None;
     }

@@ -26,7 +26,7 @@ let test_save_becomes_durable_after_latency () =
   check_opt_int "durable" (Some 42) (Sim_disk.fetch d ~key:"s");
   Alcotest.(check (option int64)) "completion time" (Some 100_000L)
     (Option.map Time.to_ns !completed_at);
-  check_int "completed counter" 1 (Sim_disk.saves_completed d)
+  check_int "completed counter" 1 (Sim_disk.tally d).completed
 
 let test_crash_loses_in_flight_write () =
   (* The "reset occurs before the current SAVE finishes" branch of
@@ -41,7 +41,7 @@ let test_crash_loses_in_flight_write () =
   ignore (Engine.schedule_after e ~after:(us 50) (fun () -> Sim_disk.crash d));
   ignore (Engine.run e);
   check_opt_int "previous value survives" (Some 1) (Sim_disk.fetch d ~key:"s");
-  check_int "lost counter" 1 (Sim_disk.saves_lost d)
+  check_int "lost counter" 1 (Sim_disk.tally d).lost
 
 let test_completed_save_survives_crash () =
   (* The "reset occurs after the current SAVE finishes" branch. *)
@@ -78,7 +78,7 @@ let test_preload () =
   let d = Sim_disk.create ~latency:(us 10) e in
   Sim_disk.preload d ~key:"s" ~value:99;
   check_opt_int "immediately durable" (Some 99) (Sim_disk.fetch d ~key:"s");
-  check_int "no save counted" 0 (Sim_disk.saves_begun d)
+  check_int "no save counted" 0 (Sim_disk.tally d).begun
 
 let test_jittered_latency_bounds () =
   let e = Engine.create () in
@@ -96,7 +96,7 @@ let test_crash_with_nothing_pending () =
   let e = Engine.create () in
   let d = Sim_disk.create ~latency:(us 10) e in
   Sim_disk.crash d;
-  check_int "nothing lost" 0 (Sim_disk.saves_lost d)
+  check_int "nothing lost" 0 (Sim_disk.tally d).lost
 
 (* ------------------------------------------------------------------ *)
 (* Sim_disk.save_snapshot: one write covering many keys (the coalesced
@@ -109,12 +109,12 @@ let test_snapshot_atomic_durability () =
   Sim_disk.save_snapshot d
     ~entries:[| ("a", 1); ("b", 2); ("c", 3) |]
     ~on_complete:(fun () -> finished := true);
-  check_int "one write begun" 1 (Sim_disk.saves_begun d);
+  check_int "one write begun" 1 (Sim_disk.tally d).begun;
   check_int "one in flight" 1 (Sim_disk.in_flight d);
   check_opt_int "nothing durable yet" None (Sim_disk.fetch d ~key:"a");
   ignore (Engine.run e);
   check_bool "completed" true !finished;
-  check_int "one write completed" 1 (Sim_disk.saves_completed d);
+  check_int "one write completed" 1 (Sim_disk.tally d).completed;
   List.iter
     (fun (key, v) -> check_opt_int key (Some v) (Sim_disk.fetch d ~key))
     [ ("a", 1); ("b", 2); ("c", 3) ]
@@ -130,7 +130,7 @@ let test_snapshot_crash_loses_all_keys () =
   ignore (Engine.run e);
   check_opt_int "a never written" None (Sim_disk.fetch d ~key:"a");
   check_opt_int "b keeps previous value" (Some 7) (Sim_disk.fetch d ~key:"b");
-  check_int "one write lost" 1 (Sim_disk.saves_lost d)
+  check_int "one write lost" 1 (Sim_disk.tally d).lost
 
 let test_snapshot_supersedes_and_is_superseded () =
   let e = Engine.create () in
@@ -193,11 +193,11 @@ let test_snapshot_empty_rejected () =
 (* Sim_disk fault injection: the chaos harness's faulty-store model *)
 
 let faulty spec seed =
-  Sim_disk.Faults.create ~spec ~prng:(Resets_util.Prng.create seed)
+  Faults.create ~spec ~prng:(Resets_util.Prng.create seed)
 
 let test_fault_write_fails_transiently () =
   let e = Engine.create () in
-  let spec = { Sim_disk.Faults.none with write_fail_prob = 1.0 } in
+  let spec = { Faults.none with write_fail_prob = 1.0 } in
   let d = Sim_disk.create ~faults:(faulty spec 1) ~latency:(us 100) e in
   let errored = ref 0 in
   Sim_disk.save d ~key:"k" ~value:5
@@ -206,12 +206,12 @@ let test_fault_write_fails_transiently () =
   ignore (Engine.run e);
   check_int "on_error fired after the latency" 1 !errored;
   check_opt_int "nothing durable" None (Sim_disk.fetch d ~key:"k");
-  check_int "counted failed" 1 (Sim_disk.saves_failed d);
-  check_int "not counted completed" 0 (Sim_disk.saves_completed d)
+  check_int "counted failed" 1 (Sim_disk.tally d).failed;
+  check_int "not counted completed" 0 (Sim_disk.tally d).completed
 
 let test_fault_torn_snapshot_prefix () =
   let e = Engine.create () in
-  let spec = { Sim_disk.Faults.none with torn_prob = 1.0 } in
+  let spec = { Faults.none with torn_prob = 1.0 } in
   let d = Sim_disk.create ~faults:(faulty spec 2) ~latency:(us 100) e in
   let errored = ref 0 in
   Sim_disk.save_snapshot d
@@ -220,7 +220,7 @@ let test_fault_torn_snapshot_prefix () =
     ~on_complete:(fun () -> Alcotest.fail "torn snapshot must not complete");
   ignore (Engine.run e);
   check_int "reported failed" 1 !errored;
-  check_int "counted torn" 1 (Sim_disk.snapshots_torn d);
+  check_int "counted torn" 1 (Sim_disk.tally d).torn;
   (* a STRICT prefix landed: c never durable, and b durable implies a *)
   let durable key = Sim_disk.fetch d ~key <> None in
   check_bool "last entry lost" false (durable "c");
@@ -228,19 +228,19 @@ let test_fault_torn_snapshot_prefix () =
 
 let test_fault_corrupt_fetch_detected () =
   let e = Engine.create () in
-  let spec = { Sim_disk.Faults.none with read_corrupt_prob = 1.0 } in
+  let spec = { Faults.none with read_corrupt_prob = 1.0 } in
   let d = Sim_disk.create ~faults:(faulty spec 3) ~latency:(us 10) e in
   Sim_disk.save d ~key:"k" ~value:42 ~on_complete:ignore;
   ignore (Engine.run e);
   (match Sim_disk.fetch_checked d ~key:"k" with
   | Store.Corrupt -> ()
   | _ -> Alcotest.fail "expected Corrupt");
-  check_int "counted" 1 (Sim_disk.fetches_corrupt d);
+  check_int "counted" 1 (Sim_disk.tally d).corrupt;
   check_opt_int "medium itself undamaged" (Some 42) (Sim_disk.fetch d ~key:"k")
 
 let test_fault_stale_fetch_detected () =
   let e = Engine.create () in
-  let spec = { Sim_disk.Faults.none with read_stale_prob = 1.0 } in
+  let spec = { Faults.none with read_stale_prob = 1.0 } in
   let d = Sim_disk.create ~faults:(faulty spec 4) ~latency:(us 10) e in
   Sim_disk.save d ~key:"k" ~value:1 ~on_complete:ignore;
   ignore (Engine.run e);
@@ -250,7 +250,7 @@ let test_fault_stale_fetch_detected () =
   | Store.Stale 1 -> ()
   | Store.Stale v -> Alcotest.failf "stale served %d, expected 1" v
   | _ -> Alcotest.fail "expected Stale");
-  check_int "counted" 1 (Sim_disk.fetches_stale d)
+  check_int "counted" 1 (Sim_disk.tally d).stale
 
 let test_fault_clean_fetch_checked () =
   (* Without a plan the checked path is just verification. *)
@@ -270,7 +270,7 @@ let test_fault_pattern_deterministic () =
     let e = Engine.create () in
     let spec =
       {
-        Sim_disk.Faults.write_fail_prob = 0.3;
+        Faults.write_fail_prob = 0.3;
         torn_prob = 0.0;
         read_corrupt_prob = 0.2;
         read_stale_prob = 0.1;
@@ -291,7 +291,7 @@ let test_fault_pattern_deterministic () =
       in
       trail := tag :: !trail
     done;
-    (!trail, Sim_disk.saves_failed d, Sim_disk.fetches_corrupt d)
+    (!trail, (Sim_disk.tally d).failed, (Sim_disk.tally d).corrupt)
   in
   check_bool "same seed, same faults" true (run 7 = run 7);
   check_bool "faults actually rolled" true
@@ -350,15 +350,25 @@ let test_fault_spec_fixpoint () =
 (* ------------------------------------------------------------------ *)
 (* File_store *)
 
-let temp_dir name =
-  let dir = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "resets-test-%s-%d" name (Unix.getpid ())) in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  dir
+(* Run [f] on a directory of this run's own that does not exist yet,
+   and remove the directory afterwards, whatever [f] does. *)
+let with_temp_dir name f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "resets-test-%s-%d" name (Unix.getpid ()))
+  in
+  let remove () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  remove ();
+  Fun.protect ~finally:remove (fun () -> f dir)
 
 let test_file_store_roundtrip () =
-  let store = File_store.create ~dir:(temp_dir "fs1") in
+  with_temp_dir "fs1" @@ fun dir ->
+  let store = File_store.create ~dir in
   let completed = ref false in
   File_store.save store ~key:"sa/send" ~value:12345 ~on_complete:(fun () ->
       completed := true);
@@ -366,17 +376,20 @@ let test_file_store_roundtrip () =
   check_opt_int "fetch" (Some 12345) (File_store.fetch store ~key:"sa/send")
 
 let test_file_store_missing_key () =
-  let store = File_store.create ~dir:(temp_dir "fs2") in
+  with_temp_dir "fs2" @@ fun dir ->
+  let store = File_store.create ~dir in
   check_opt_int "missing" None (File_store.fetch store ~key:"nope")
 
 let test_file_store_overwrite () =
-  let store = File_store.create ~dir:(temp_dir "fs3") in
+  with_temp_dir "fs3" @@ fun dir ->
+  let store = File_store.create ~dir in
   File_store.save store ~key:"k" ~value:1 ~on_complete:ignore;
   File_store.save store ~key:"k" ~value:2 ~on_complete:ignore;
   check_opt_int "latest" (Some 2) (File_store.fetch store ~key:"k")
 
 let test_file_store_keys_and_remove () =
-  let store = File_store.create ~dir:(temp_dir "fs4") in
+  with_temp_dir "fs4" @@ fun dir ->
+  let store = File_store.create ~dir in
   File_store.save store ~key:"alpha" ~value:1 ~on_complete:ignore;
   File_store.save store ~key:"beta/with slash" ~value:2 ~on_complete:ignore;
   let keys = List.sort compare (File_store.keys store) in
@@ -386,13 +399,14 @@ let test_file_store_keys_and_remove () =
   File_store.remove store ~key:"alpha" (* idempotent *)
 
 let test_file_store_crash_noop () =
-  let store = File_store.create ~dir:(temp_dir "fs5") in
+  with_temp_dir "fs5" @@ fun dir ->
+  let store = File_store.create ~dir in
   File_store.save store ~key:"k" ~value:3 ~on_complete:ignore;
-  File_store.crash store;
+  Store.crash (File_store.store store);
   check_opt_int "filesystem is durable" (Some 3) (File_store.fetch store ~key:"k")
 
 let test_file_store_no_tmp_residue () =
-  let dir = temp_dir "fs6" in
+  with_temp_dir "fs6" @@ fun dir ->
   let store = File_store.create ~dir in
   for v = 1 to 50 do
     File_store.save store ~key:"hot" ~value:v ~on_complete:ignore
@@ -407,7 +421,7 @@ let test_file_store_no_tmp_residue () =
 let test_file_store_stale_tmp_ignored () =
   (* A torn write is a partial tmp file left by a crash: it must be
      invisible to fetch/keys, and a later save must still land. *)
-  let dir = temp_dir "fs7" in
+  with_temp_dir "fs7" @@ fun dir ->
   let store = File_store.create ~dir in
   File_store.save store ~key:"edge" ~value:4242 ~on_complete:ignore;
   (* plant a half-written tmp next to the real file, as a crashed
@@ -428,7 +442,7 @@ let test_file_store_stale_tmp_ignored () =
     (File_store.fetch store ~key:"edge")
 
 let test_file_store_corrupt_detected () =
-  let dir = temp_dir "fs8" in
+  with_temp_dir "fs8" @@ fun dir ->
   let store = File_store.create ~dir in
   (* overwrite the final file with garbage, bypassing save *)
   let final = Filename.concat dir (Resets_util.Hex.encode "bad" ^ ".seq") in
@@ -441,7 +455,7 @@ let test_file_store_corrupt_detected () =
     (File_store.fetch_checked store ~key:"absent" = Store.Missing)
 
 let test_file_store_save_error_reported () =
-  let dir = temp_dir "fs9" in
+  with_temp_dir "fs9" @@ fun dir ->
   let store = File_store.create ~dir in
   (* Destroy the directory out from under the store: the tmp open
      fails, on_error fires, on_complete must not. *)
@@ -460,7 +474,7 @@ let test_file_store_torn_write_never_observed () =
      ever see one of the two complete values — never a prefix, suffix
      or splice. The two values share no digits and differ in length so
      any torn read fails the membership check. *)
-  let dir = temp_dir "fs10" in
+  with_temp_dir "fs10" @@ fun dir ->
   let store = File_store.create ~dir in
   let a = 77777 and b = 333333333333333 in
   File_store.save store ~key:"spin" ~value:a ~on_complete:ignore;
@@ -504,7 +518,8 @@ let fs_faulty spec seed =
   Faults.create ~spec ~prng:(Resets_util.Prng.create seed)
 
 let test_fs_fault_write_fails_transiently () =
-  let store = File_store.create ~dir:(temp_dir "fsf1") in
+  with_temp_dir "fsf1" @@ fun dir ->
+  let store = File_store.create ~dir in
   File_store.set_faults store
     (fs_faulty { Faults.none with write_fail_prob = 1.0 } 1);
   let errors = ref 0 in
@@ -512,7 +527,7 @@ let test_fs_fault_write_fails_transiently () =
     ~on_error:(fun () -> incr errors)
     ~on_complete:(fun () -> Alcotest.fail "completed under write_fail=1");
   check_int "on_error fired" 1 !errors;
-  check_int "counted" 1 (File_store.saves_failed store);
+  check_int "counted" 1 (File_store.tally store).failed;
   check_opt_int "nothing reached the medium" None
     (File_store.fetch store ~key:"k")
 
@@ -520,7 +535,7 @@ let test_fs_fault_torn_rename_keeps_old_value () =
   (* An aborted rename is the filesystem's torn write: the tmp file is
      fully written but never installed, so the old envelope stays the
      durable truth and no reader can observe an intermediate state. *)
-  let dir = temp_dir "fsf2" in
+  with_temp_dir "fsf2" @@ fun dir ->
   let store = File_store.create ~dir in
   File_store.save store ~key:"edge" ~value:100 ~on_complete:ignore;
   File_store.set_faults store
@@ -530,7 +545,7 @@ let test_fs_fault_torn_rename_keeps_old_value () =
     ~on_error:(fun () -> incr errors)
     ~on_complete:(fun () -> Alcotest.fail "completed under torn=1");
   check_int "on_error fired" 1 !errors;
-  check_int "torn counted" 1 (File_store.renames_torn store);
+  check_int "torn counted" 1 (File_store.tally store).torn;
   check_opt_int "old value still durable" (Some 100)
     (File_store.fetch store ~key:"edge");
   check_bool "checked fetch serves the old value intact" true
@@ -540,21 +555,23 @@ let test_fs_fault_torn_rename_keeps_old_value () =
     (File_store.fetch (File_store.create ~dir) ~key:"edge")
 
 let test_fs_fault_corrupt_fetch_detected () =
-  let store = File_store.create ~dir:(temp_dir "fsf3") in
+  with_temp_dir "fsf3" @@ fun dir ->
+  let store = File_store.create ~dir in
   File_store.save store ~key:"k" ~value:4242 ~on_complete:ignore;
   File_store.set_faults store
     (fs_faulty { Faults.none with read_corrupt_prob = 1.0 } 3);
   (match File_store.fetch_checked store ~key:"k" with
   | Store.Corrupt -> ()
   | _ -> Alcotest.fail "bit-flipped read not flagged Corrupt");
-  check_int "counted" 1 (File_store.fetches_corrupt store);
+  check_int "counted" 1 (File_store.tally store).corrupt;
   (* the medium itself is untouched: a clean handle reads 4242 *)
   File_store.set_faults store Faults.(create ~spec:none ~prng:(Resets_util.Prng.create 1));
   check_bool "plan off: value intact" true
     (File_store.fetch_checked store ~key:"k" = Store.Fetched 4242)
 
 let test_fs_fault_stale_fetch_detected () =
-  let store = File_store.create ~dir:(temp_dir "fsf4") in
+  with_temp_dir "fsf4" @@ fun dir ->
+  let store = File_store.create ~dir in
   File_store.set_faults store
     (fs_faulty { Faults.none with read_stale_prob = 1.0 } 4);
   File_store.save store ~key:"k" ~value:1 ~on_complete:ignore;
@@ -562,7 +579,7 @@ let test_fs_fault_stale_fetch_detected () =
   match File_store.fetch_checked store ~key:"k" with
   | Store.Stale v ->
     check_int "stale read serves the superseded generation" 1 v;
-    check_int "counted" 1 (File_store.fetches_stale store)
+    check_int "counted" 1 (File_store.tally store).stale
   | _ -> Alcotest.fail "stale read not flagged Stale"
 
 let test_fs_fault_plan_deterministic () =
@@ -574,7 +591,8 @@ let test_fs_fault_plan_deterministic () =
       read_corrupt_prob = 0.2; read_stale_prob = 0.2 }
   in
   let run name seed =
-    let store = File_store.create ~dir:(temp_dir name) in
+    with_temp_dir name @@ fun dir ->
+    let store = File_store.create ~dir in
     File_store.set_faults store (fs_faulty spec seed);
     let trace = Buffer.create 64 in
     for v = 1 to 40 do
@@ -595,7 +613,8 @@ let test_fs_fault_plan_deterministic () =
   check_bool "different seed, different pattern" true (a <> c)
 
 let test_fs_fault_preload_bypasses_plan () =
-  let store = File_store.create ~dir:(temp_dir "fsf6") in
+  with_temp_dir "fsf6" @@ fun dir ->
+  let store = File_store.create ~dir in
   File_store.set_faults store
     (fs_faulty { Faults.none with write_fail_prob = 1.0 } 5);
   File_store.preload store ~key:"k" ~value:77;
@@ -606,7 +625,7 @@ let test_fs_fault_preload_bypasses_plan () =
 (* File_store.Snapshot: the coalesced (one file per worker) store. *)
 
 let test_snap_roundtrip_and_reload () =
-  let dir = temp_dir "snap1" in
+  with_temp_dir "snap1" @@ fun dir ->
   let s = File_store.Snapshot.load ~dir ~name:"recv-w0" () in
   File_store.Snapshot.save s ~key:"sa/1" ~value:11 ~on_complete:ignore;
   File_store.Snapshot.save s ~key:"sa/2" ~value:22 ~on_complete:ignore;
@@ -627,7 +646,7 @@ let test_snap_torn_prefix () =
   (* A torn snapshot write installs a strict prefix of the new entries;
      the remaining keys keep their previous durable values (the old
      snapshot was replaced, not erased). *)
-  let dir = temp_dir "snap2" in
+  with_temp_dir "snap2" @@ fun dir ->
   let s = File_store.Snapshot.load ~dir ~name:"w" () in
   File_store.Snapshot.save s ~key:"a" ~value:1 ~on_complete:ignore;
   File_store.Snapshot.save s ~key:"b" ~value:2 ~on_complete:ignore;
@@ -640,7 +659,7 @@ let test_snap_torn_prefix () =
     ~on_error:(fun () -> incr errors)
     ~on_complete:ignore;
   check_int "torn write reported" 1 !errors;
-  check_bool "torn counted" true (File_store.Snapshot.snapshots_torn s >= 1);
+  check_bool "torn counted" true ((File_store.Snapshot.tally s).torn >= 1);
   (* reload through a clean handle: every key present, every value one
      of the two complete generations, never a splice *)
   let s2 = File_store.Snapshot.load ~dir ~name:"w" () in
@@ -653,15 +672,102 @@ let test_snap_torn_prefix () =
 
 let test_snap_store_face () =
   (* The Store.t face drives the snapshot like any other backend. *)
-  let dir = temp_dir "snap3" in
+  with_temp_dir "snap3" @@ fun dir ->
   let s = File_store.Snapshot.load ~dir ~name:"w" () in
   let st = File_store.Snapshot.store s in
   st.Store.save ~key:"k" ~value:5 ~on_error:ignore ~on_complete:ignore;
   check_opt_int "fetch through the face" (Some 5) (st.Store.fetch ~key:"k")
 
 (* ------------------------------------------------------------------ *)
+(* One fault model: the simulated disk and both file layouts, each with
+   its own copy of one plan attached before the first install, serve
+   the same checked reads and count the same corrupt and stale ones.
+   Every probability is 0 or 1 and nothing tears: the media draw
+   different numbers of write rolls by design. *)
+
+type medium_op = Save of int | Preload of int
+
+let checked_fetch =
+  Alcotest.testable
+    (fun fmt -> function
+      | Store.Fetched v -> Format.fprintf fmt "Fetched %d" v
+      | Store.Missing -> Format.pp_print_string fmt "Missing"
+      | Store.Corrupt -> Format.pp_print_string fmt "Corrupt"
+      | Store.Stale v -> Format.fprintf fmt "Stale %d" v)
+    ( = )
+
+(* Run [ops] on one key of each medium, with one checked fetch after
+   each op: per medium, the verdicts and the tally's corrupt and stale
+   counts. *)
+let serve_on_each_medium spec ops =
+  let plan () = Faults.create ~spec ~prng:(Resets_util.Prng.create 1) in
+  let key = "k" in
+  let run (st : Store.t) (tally : Store.tally) ~drain =
+    let verdicts =
+      List.map
+        (fun op ->
+          (match op with
+          | Save value -> Store.save st ~key ~value ~on_complete:ignore
+          | Preload value -> Store.preload st ~key ~value);
+          drain ();
+          Store.fetch_checked st ~key)
+        ops
+    in
+    (verdicts, tally.corrupt, tally.stale)
+  in
+  let e = Engine.create () in
+  let disk = Sim_disk.create ~faults:(plan ()) ~latency:(us 10) e in
+  let sim =
+    run (Sim_disk.store disk) (Sim_disk.tally disk) ~drain:(fun () ->
+        ignore (Engine.run e))
+  in
+  with_temp_dir "media-file" @@ fun dir ->
+  let fs = File_store.create ~dir in
+  File_store.set_faults fs (plan ());
+  let file = run (File_store.store fs) (File_store.tally fs) ~drain:ignore in
+  with_temp_dir "media-snap" @@ fun dir ->
+  let snap = File_store.Snapshot.load ~faults:(plan ()) ~dir ~name:"w" () in
+  let snapshot =
+    run (File_store.Snapshot.store snap) (File_store.Snapshot.tally snap)
+      ~drain:ignore
+  in
+  [ ("sim_disk", sim); ("file_store", file); ("snapshot", snapshot) ]
+
+(* Every install keeps the record it replaces, a preload's too: after
+   save 1, save 2 and preload 3 a stale read serves 2 on every
+   medium. *)
+let test_media_stale_after_preload () =
+  let spec = { Faults.none with read_stale_prob = 1. } in
+  List.iter
+    (fun (medium, (verdicts, corrupt, stale)) ->
+      Alcotest.(check (list checked_fetch))
+        (medium ^ " verdicts")
+        [ Store.Fetched 1; Store.Stale 1; Store.Stale 2 ]
+        verdicts;
+      check_int (medium ^ " corrupt count") 0 corrupt;
+      check_int (medium ^ " stale count") 2 stale)
+    (serve_on_each_medium spec [ Save 1; Save 2; Preload 3 ])
+
+let media_serve_alike =
+  QCheck.Test.make ~name:"Sim_disk, File_store and Snapshot serve alike"
+    ~count:50
+    QCheck.(
+      pair (triple bool bool bool)
+        (list_of_size (Gen.int_range 1 10) (pair bool (int_range 0 1000))))
+    (fun ((fail, corrupt, stale), ops) ->
+      let p b = if b then 1. else 0. in
+      let spec =
+        { Faults.none with write_fail_prob = p fail;
+          read_corrupt_prob = p corrupt; read_stale_prob = p stale }
+      in
+      let ops = List.map (fun (pre, v) -> if pre then Preload v else Save v) ops in
+      match serve_on_each_medium spec ops with
+      | (_, first) :: rest -> List.for_all (fun (_, r) -> r = first) rest
+      | [] -> false)
+
+(* ------------------------------------------------------------------ *)
 (* Last-write-wins: any sequence of saves leaves each backend holding
-   the latest value per key (the Store.S durability contract). *)
+   the latest value per key (the Store durability contract). *)
 
 let file_store_last_write_wins =
   QCheck.Test.make ~name:"File_store is last-write-wins" ~count:40
@@ -669,12 +775,7 @@ let file_store_last_write_wins =
       list_of_size (Gen.int_range 1 30)
         (pair (int_range 0 3) (int_range 0 1_000_000)))
     (fun ops ->
-      let dir =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "resets-lww-%d-%d" (Unix.getpid ()) (Hashtbl.hash ops))
-      in
-      if Sys.file_exists dir then
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      with_temp_dir "lww" @@ fun dir ->
       let fs = File_store.create ~dir in
       let reference = Hashtbl.create 8 in
       let keys = [| "a"; "b"; "c"; "d" |] in
@@ -800,6 +901,12 @@ let () =
             test_snap_roundtrip_and_reload;
           Alcotest.test_case "torn prefix" `Quick test_snap_torn_prefix;
           Alcotest.test_case "store face" `Quick test_snap_store_face;
+        ] );
+      ( "one_fault_model",
+        [
+          Alcotest.test_case "stale read after preload" `Quick
+            test_media_stale_after_preload;
+          QCheck_alcotest.to_alcotest media_serve_alike;
         ] );
       ( "equivalence",
         [
