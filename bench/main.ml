@@ -149,15 +149,9 @@ let section id title ~claim f =
     | Some dir ->
       let path = Report.write ~dir ~wall_clock_s report in
       Format.printf "[json] %s (pass=%b)@." path (Report.pass report));
-    let failed c =
-      match (Json.member "name" c, Json.member "pass" c) with
-      | Some (Json.String name), Some (Json.Bool false) -> Some (id ^ ": " ^ name)
-      | _ -> None
-    in
-    match Json.member "checks" (Report.to_json report) with
-    | Some (Json.List checks) ->
-      failed_checks := !failed_checks @ List.filter_map failed checks
-    | _ -> ()
+    failed_checks :=
+      !failed_checks
+      @ List.map (fun name -> id ^ ": " ^ name) (Report.failed report)
   end
 
 (* The fields whose values depend on the machine, not on the protocol:
@@ -1944,16 +1938,6 @@ let e16 report =
 (* E17 *)
 
 let e17 report =
-  Format.printf
-    "The reboot-convergence matrix on real processes: a fault-injecting@.\
-     supervisor runs daemon pairs over a loopback wire, SIGKILLs the@.\
-     receiver in every cell of reset scope x recovery discipline x@.\
-     background churn (wiping the store for the disk-lost scope), and@.\
-     measures — from the heartbeat JSONL alone — fresh discards against@.\
-     the 2k bound and time from respawn to full delivery. Kill-mode@.\
-     probes check the SIGTERM graceful flush and the SIGSTOP watchdog;@.\
-     faulty cells rerun the crash under a misbehaving file store and an@.\
-     impaired wire.@.@.";
   (* The daemons are the CLI's serve verb: find the binary next to this
      bench executable (or take RESETS_DAEMON_BIN). *)
   let bin =
@@ -1970,127 +1954,11 @@ let e17 report =
         "E17 needs the ipsec_resets binary (dune build, or set \
          RESETS_DAEMON_BIN)"
       false
-  else begin
-    let open Resets_fleet in
-    let params = Matrix.full_params in
-    let workdir =
-      Filename.concat (Filename.get_temp_dir_name ()) "resets-e17"
-    in
-    Report.param report "k" (Json.Int params.Matrix.k);
-    Report.param report "rate_pps" (Json.Float params.Matrix.rate_pps);
-    Report.param report "warmup_s" (Json.Float params.Matrix.warmup_s);
-    Report.param report "downtime_s" (Json.Float params.Matrix.downtime_s);
-    Report.param report "post_s" (Json.Float params.Matrix.post_s);
-    Report.param report "repeats" (Json.Int params.Matrix.repeats);
-    Report.param report "seed" (Json.Int params.Matrix.seed);
-    let result, _ok =
-      Matrix.run ~bin ~workdir
-        ~log:(fun m -> Format.printf "  [fleet] %s@." m)
-        ()
-    in
-    let rows table key =
-      match Json.member key result with
-      | Some (Json.List items) ->
-        List.iter
-          (fun item ->
-            match item with
-            | Json.Obj kv -> Report.row report ~table kv
-            | _ -> ())
-          items;
-        List.filter_map (function Json.Obj kv -> Some kv | _ -> None) items
-      | _ -> []
-    in
-    let cells = rows "cells" "cells" in
-    let kill_modes = rows "kill_modes" "kill_modes" in
-    let faulty = rows "faulty" "faulty" in
-    let bool_of kv key =
-      match List.assoc_opt key kv with Some (Json.Bool b) -> b | _ -> false
-    in
-    let float_of kv key =
-      match List.assoc_opt key kv with
-      | Some j -> Option.value (Json.as_float j) ~default:nan
-      | None -> nan
-    in
-    let bound =
-      float_of_int (Analysis.max_fresh_discards ~kq:params.Matrix.k)
-    in
-    (* The printed table, one line per cell. *)
-    Format.printf
-      "  %-34s %9s %9s %9s %6s@." "cell (scope-discipline-churn)" "lost_max"
-      "ttc_p50" "ttc_max" "ok";
-    List.iter
-      (fun kv ->
-        let s k =
-          match List.assoc_opt k kv with
-          | Some (Json.String v) -> v
-          | _ -> "?"
-        in
-        Format.printf "  %-34s %9.0f %8.3fs %8.3fs %6b@."
-          (Printf.sprintf "%s-%s-%s" (s "scope") (s "discipline") (s "churn"))
-          (float_of kv "lost_max") (float_of kv "ttc_p50_s")
-          (float_of kv "ttc_max_s") (bool_of kv "ok"))
-      cells;
-    let lost_worst =
-      List.fold_left (fun a kv -> Float.max a (float_of kv "lost_max")) 0. cells
-    in
-    let ttc_worst =
-      List.fold_left (fun a kv -> Float.max a (float_of kv "ttc_max_s")) 0.
-        cells
-    in
-    Report.measure report "cells_run" (Json.Int (List.length cells));
-    Report.measure report "lost_worst" (Json.Float lost_worst);
-    Report.measure report "ttc_worst_s" (Json.Float ttc_worst);
-    Report.check report
-      ~name:
-        "every crash-restart cell: fresh discards <= 2k and convergence \
-         detected from heartbeats alone"
-      ~bound ~value:lost_worst
-      (List.length cells = 27 && List.for_all (fun kv -> bool_of kv "ok") cells);
-    (match
-       List.find_opt
-         (fun kv -> List.assoc_opt "mode" kv = Some (Json.String "sigterm"))
-         kill_modes
-     with
-    | Some kv ->
-      Report.check report
-        ~name:
-          "SIGTERM graceful stop: terminal heartbeat written and the \
-           restart recovers the final edge"
-        (bool_of kv "ok")
-    | None ->
-      Report.check report ~name:"SIGTERM kill-mode probe ran" false);
-    (match
-       List.find_opt
-         (fun kv -> List.assoc_opt "mode" kv = Some (Json.String "sigstop"))
-         kill_modes
-     with
-    | Some kv ->
-      Report.check report
-        ~name:
-          "SIGSTOP stall: the heartbeat watchdog forces the restart and \
-           the pair reconverges"
-        (bool_of kv "ok")
-    | None ->
-      Report.check report ~name:"SIGSTOP kill-mode probe ran" false);
-    List.iter
-      (fun kv ->
-        let s =
-          match List.assoc_opt "fault" kv with
-          | Some (Json.String v) -> v
-          | _ -> "?"
-        in
-        Report.check report
-          ~name:
-            (Printf.sprintf
-               "faulty %s cell: discards still <= 2k through injected faults"
-               s)
-          ~bound
-          ~value:(float_of kv "lost_max")
-          (bool_of kv "ok"))
-      faulty;
-    if List.length faulty <> 2 then
-      Report.check report ~name:"both faulty cells ran" false
-  end
+  else
+    Resets_fleet.Matrix.run ~bin
+      ~workdir:(Filename.concat (Filename.get_temp_dir_name ()) "resets-e17")
+      ~log:(fun m -> Format.printf "  [fleet] %s@." m)
+      report
 
 (* ------------------------------------------------------------------ *)
 (* MICRO *)
@@ -2628,17 +2496,7 @@ let experiments () =
        cadence online, restores safety on every cell and recovers most of \
        the attack-free oracle's goodput at bounded SAVE overhead."
     e16;
-  section "E17" "reboot-convergence matrix: supervised daemon pairs"
-    ~claim:
-      "On real processes over a real wire, every combination of reset \
-       scope (one SA, the whole SADB, a lost disk), recovery discipline \
-       (per-SA files, coalesced snapshot, re-establishment) and background \
-       churn converges after a SIGKILL-and-restart with at most 2k fresh \
-       discards, detected from the heartbeat file alone; a SIGTERM flush \
-       survives to the next incarnation, a SIGSTOP stall is caught only \
-       by the heartbeat watchdog, and the bound holds through injected \
-       store faults and wire impairment."
-    e17;
+  section "E17" Resets_fleet.Matrix.title ~claim:Resets_fleet.Matrix.claim e17;
   section "MICRO" "hot-path microbenchmarks"
     ~claim:
       "Per-packet hot paths (window admit, ESP, HMAC, SHA-256, ChaCha20) \

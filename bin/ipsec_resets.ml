@@ -1097,38 +1097,44 @@ let serve_cmd =
 
 let fleet_cmd =
   let open Resets_fleet in
-  let go smoke json_out workdir bin repeats seed quiet =
+  let go smoke json_out workdir bin repeats seed batch quiet =
     let params0 = if smoke then Matrix.smoke_params else Matrix.full_params in
-    let params = { params0 with Matrix.repeats; seed } in
+    let params = { params0 with Matrix.repeats; seed; batch } in
     let cells = if smoke then Matrix.smoke_cells else Matrix.full_cells in
     let bin = match bin with Some b -> b | None -> Sys.executable_name in
     let log msg = if not quiet then Format.printf "[fleet] %s@." msg in
-    let report, ok =
-      Matrix.run ~bin ~workdir ~log ~cells ~params ~kill_modes:(not smoke)
-        ~faulty:(not smoke) ()
+    let report = Report.create ~id:"E17" ~title:Matrix.title ~claim:Matrix.claim in
+    let t0 = Unix.gettimeofday () in
+    Matrix.run ~bin ~workdir ~log ~cells ~params ~kill_modes:(not smoke) report;
+    let json =
+      Report.to_json ~wall_clock_s:(Unix.gettimeofday () -. t0)
+        ~generator:"ipsec_resets fleet" report
     in
     (match json_out with
     | Some path ->
-      Resets_util.Json.write_file path report;
+      Resets_util.Json.write_file path json;
       if not quiet then Format.printf "[fleet] wrote %s@." path
-    | None -> print_endline (Resets_util.Json.to_string_pretty report));
+    | None -> print_endline (Resets_util.Json.to_string_pretty json));
+    List.iter (Printf.eprintf "check failed: E17: %s\n") (Report.failed report);
     if not quiet then
-      Format.printf "[fleet] %s@." (if ok then "all gates held" else "FAILED");
-    if ok then 0 else 2
+      Format.printf "[fleet] %s@."
+        (if Report.pass report then "all gates held" else "FAILED");
+    if Report.pass report then 0 else 2
   in
   let smoke =
     Arg.(
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "Small matrix: one cell per reset scope, short durations, no \
-             kill-mode probes or faulty cells — the check.sh gate.")
+            "Small matrix: one cell per reset scope, short durations, the \
+             faulty cells but no kill-mode probes — the check.sh gate.")
   in
   let json_out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write the full report to $(docv).")
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Write the E17 record (BENCH_E17.json's schema) to $(docv).")
   in
   let workdir =
     Arg.(
@@ -1159,6 +1165,13 @@ let fleet_cmd =
       & info [ "seed" ] ~docv:"N"
           ~doc:"Root seed for impairment and fault plans.")
   in
+  let batch =
+    Arg.(
+      value
+      & opt positive_int_conv Matrix.smoke_params.batch
+      & info [ "batch" ] ~docv:"N"
+          ~doc:"Wire batch depth of both daemons ($(b,serve --batch)).")
+  in
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"No per-cell progress output.")
   in
@@ -1173,7 +1186,8 @@ let fleet_cmd =
           the 2k bound from heartbeats alone. Exit 0 when every gate \
           holds, 2 otherwise (matching serve --expect-recovery).")
     Term.(
-      const go $ smoke $ json_out $ workdir $ bin $ repeats $ seed $ quiet)
+      const go $ smoke $ json_out $ workdir $ bin $ repeats $ seed $ batch
+      $ quiet)
 
 (* ------------------------------------------------------------------ *)
 (* trace *)

@@ -301,7 +301,7 @@ let checked_durable_edge h i =
    shard schedules only its own SAs, at the very same absolute times
    the unsharded chain would have reached them. That closed form is
    what gives the parallel run a sequential oracle. It needs a
-   deterministic per-SA step, hence an un-jittered disk (per-SA) and
+   deterministic per-SA step: the disk's write latency (per-SA) and
    the fixed IKE handshake duration (Reestablish). [on_complete] fires
    when every SA is processing again. *)
 let recover h ~on_complete =

@@ -54,7 +54,10 @@ let row t ~table fields =
 
 let check t ~name ?bound ?value ok = t.checks <- { name; bound; value; ok } :: t.checks
 
-let pass t = List.for_all (fun c -> c.ok) t.checks
+let failed t =
+  List.rev (List.filter_map (fun c -> if c.ok then None else Some c.name) t.checks)
+
+let pass t = failed t = []
 
 let check_to_json c =
   let opt name v rest =

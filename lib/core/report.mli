@@ -40,6 +40,9 @@ val check : t -> name:string -> ?bound:float -> ?value:float -> bool -> unit
 (** Record one pass/fail verdict against a paper bound. [bound] is the
     permitted limit (e.g. 2·Kp), [value] the observed quantity. *)
 
+val failed : t -> string list
+(** The names of the checks that failed, in the order recorded. *)
+
 val pass : t -> bool
 (** Conjunction of all recorded checks; [true] when none were
     recorded. *)

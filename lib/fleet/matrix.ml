@@ -1,4 +1,5 @@
 open Resets_util
+module Report = Resets_core.Report
 
 type scope = Single_sa | Whole_sadb | Disk_lost
 type discipline = Per_sa | Coalesced | Reestablish
@@ -35,8 +36,10 @@ type params = {
   heartbeat_s : float;
   repeats : int;
   seed : int;
+  batch : int;
 }
 
+(* [batch] 32 is serve's own default wire batch depth. *)
 let smoke_params =
   {
     k = 4;
@@ -47,18 +50,15 @@ let smoke_params =
     heartbeat_s = 0.1;
     repeats = 1;
     seed = 1;
+    batch = 32;
   }
 
 let full_params =
   {
-    k = 4;
-    rate_pps = 200.;
+    smoke_params with
     warmup_s = 1.5;
     downtime_s = 0.6;
     post_s = 2.5;
-    heartbeat_s = 0.1;
-    repeats = 1;
-    seed = 1;
   }
 
 let all_scopes = [ Single_sa; Whole_sadb; Disk_lost ]
@@ -95,32 +95,64 @@ let mkdir_p dir =
   go dir
 
 (* ------------------------------------------------------------------ *)
-(* One crash-restart experiment: warm a daemon pair up, kill the
-   receiver on schedule (optionally wiping its disk), let the
-   supervisor restart it, and measure convergence from the heartbeat
-   file alone.                                                         *)
+(* One crash-restart experiment: warm a daemon pair up, reset the
+   receiver on schedule — a signal and a planned downtime (optionally
+   wiping its disk), or a stop only the heartbeat watchdog can catch —
+   let the supervisor restart it, and measure convergence from the
+   heartbeat file alone.                                               *)
+
+type reset = Kill of int | Stop
+
+(* How long a stopped receiver's heartbeat file stays still before the
+   watchdog kills it. *)
+let stall_s params = Float.max 0.8 (6. *. params.heartbeat_s)
 
 type repeat_result = {
+  r_caught : bool; (* respawned after the reset (a stop: by the watchdog) *)
+  r_watchdog_restarts : int;
   r_converged : bool;
   r_ttc_s : float option; (* restart -> first all-SAs-delivering hb *)
-  r_lost : int list; (* per SA: post-restart fresh messages lost *)
-  r_recovered : int; (* SAs that recovered stored state *)
+  r_killed : Heartbeat.line option; (* the reset incarnation's shutdown line *)
+  r_final : Heartbeat.line option; (* the restarted incarnation's last line *)
   r_gate_exit : int option; (* restarted daemon's exit code *)
   r_error : string option;
 }
 
 let failed msg =
   {
+    r_caught = false;
+    r_watchdog_restarts = 0;
     r_converged = false;
     r_ttc_s = None;
-    r_lost = [];
-    r_recovered = 0;
+    r_killed = None;
+    r_final = None;
     r_gate_exit = None;
     r_error = Some msg;
   }
 
+(* Per SA: post-restart fresh messages lost, and whether it recovered
+   stored state, from the restarted incarnation's last line. *)
+let lost r =
+  match r.r_final with
+  | Some l -> List.map (fun sa -> sa.Heartbeat.lost) l.sas
+  | None -> []
+
+let recovered r =
+  match r.r_final with
+  | Some l -> List.length (List.filter (fun sa -> sa.Heartbeat.recovered) l.sas)
+  | None -> 0
+
+(* The crash-restart verdict: converged from the heartbeats, at most
+   [bound] fresh messages lost on every SA, and the restarted daemon's
+   own gate passed. *)
+let repeat_ok ~bound r =
+  r.r_converged
+  && List.for_all (fun l -> l <= bound) (lost r)
+  && r.r_gate_exit = Some 0
+
 (* A receiver and a sender daemon on one socket under a fresh, started
-   supervisor, every flag derived from [params] and [cell]. With
+   supervisor in an emptied [dir] (no store or heartbeat of an earlier
+   run carries over), every flag derived from [params] and [cell]. With
    [stall], the supervisor's watchdog kills a receiver whose heartbeat
    file stops growing for that long. The daemons outlive the warmup,
    the receiver's time down (the planned downtime, or the stall) and
@@ -128,6 +160,7 @@ let failed msg =
 let launch_pair ~bin ~dir ~params ~(cell : cell) ?stall ~recv_extra
     ~send_extra ~expect_recovery () =
   mkdir_p dir;
+  Supervisor.wipe_dir dir;
   let sock = Filename.concat dir "wire.sock" in
   let store_recv = Filename.concat dir "store-recv" in
   let hb_recv = Filename.concat dir "hb-recv.jsonl" in
@@ -140,6 +173,7 @@ let launch_pair ~bin ~dir ~params ~(cell : cell) ?stall ~recv_extra
       "-k"; string_of_int params.k;
       "--rate"; f params.rate_pps;
       "--heartbeat"; f params.heartbeat_s;
+      "--batch"; string_of_int params.batch;
       "--graceful"; "--quiet";
     ]
   in
@@ -188,22 +222,22 @@ let launch_pair ~bin ~dir ~params ~(cell : cell) ?stall ~recv_extra
   Supervisor.start sup;
   (sup, recv_slot, hb_recv, store_recv)
 
-let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
-    ~send_extra ~expect_recovery () =
+let run_repeat ~bin ~dir ~params ~(cell : cell) ~reset ?(recv_extra = [])
+    ?(send_extra = []) () =
+  let stall = match reset with Stop -> Some (stall_s params) | Kill _ -> None in
+  (* Re-establishment and a lost disk start a fresh sequence space:
+     recovery of stored state is impossible by construction, so the
+     daemon-side gate drops its recovery requirement there (the
+     heartbeat-side convergence check still applies in full). *)
+  let expect_recovery = cell.scope <> Disk_lost in
   let sup, recv_slot, hb_recv, store_recv =
-    launch_pair ~bin ~dir ~params ~cell ~recv_extra ~send_extra
+    launch_pair ~bin ~dir ~params ~cell ?stall ~recv_extra ~send_extra
       ~expect_recovery ()
   in
   let finish r =
     Supervisor.stop sup ~grace:3.;
     r
   in
-  let recv_pid () =
-    match Supervisor.proc recv_slot with
-    | Some p -> Some (Proc.pid p)
-    | None -> None
-  in
-  let pid0 = recv_pid () in
   (* Warmup: every SA delivering, with enough traffic behind it that
      periodic SAVEs have happened (> 2k messages per SA). *)
   let warm () =
@@ -213,26 +247,29 @@ let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
       && List.for_all (fun sa -> sa.Heartbeat.delivered > 2 * params.k) line.sas
     | None -> false
   in
-  if not (Supervisor.tick_until sup ~timeout:(params.warmup_s +. 10.) warm) then
+  let warmed =
+    Supervisor.tick_until sup ~timeout:(params.warmup_s +. 10.) warm
+  in
+  match (warmed, Supervisor.proc recv_slot) with
+  | false, _ | true, None ->
     finish (failed "warmup: receiver never reached steady delivery")
-  else begin
+  | true, Some proc0 ->
     (* The scripted reset. *)
-    Supervisor.kill recv_slot ~signal:kill_signal ~hold:params.downtime_s
-      ~wipe:(match cell.scope with Disk_lost -> [ store_recv ] | _ -> []);
+    (match reset with
+    | Kill signal ->
+      Supervisor.kill recv_slot ~signal ~hold:params.downtime_s
+        ~wipe:(match cell.scope with Disk_lost -> [ store_recv ] | _ -> [])
+    | Stop -> Proc.kill proc0 Sys.sigstop);
     let respawned () =
-      match (pid0, recv_pid ()) with
-      | Some p0, Some p1 -> p1 <> p0
-      | _ -> false
+      match Supervisor.proc recv_slot with
+      | Some p -> Proc.pid p <> Proc.pid proc0
+      | None -> false
     in
-    if
-      not
-        (Supervisor.tick_until sup
-           ~timeout:(params.downtime_s +. 10.)
-           respawned)
-    then finish (failed "restart: supervisor never respawned the receiver")
+    let down_s = Option.value stall ~default:params.downtime_s in
+    if not (Supervisor.tick_until sup ~timeout:(down_s +. 15.) respawned) then
+      finish (failed "restart: supervisor never respawned the receiver")
     else begin
       let proc1 = Option.get (Supervisor.proc recv_slot) in
-      let pid1 = Proc.pid proc1 in
       let restart_at = Proc.started_at proc1 in
       (* The restarted incarnation runs a bounded duration; once it is
          up, stop resurrecting it so its exit code survives. *)
@@ -244,29 +281,25 @@ let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
         match Proc.poll proc1 with Proc.Exited c -> Some c | _ -> None
       in
       Supervisor.stop sup ~grace:3.;
-      let post = Heartbeat.of_pid (Heartbeat.load hb_recv) ~pid:pid1 in
+      let hb = Heartbeat.load hb_recv in
+      let post = Heartbeat.of_pid hb ~pid:(Proc.pid proc1) in
       let converged_line = Heartbeat.first_delivering post in
-      let last_line =
-        match Heartbeat.terminal post with
-        | Some l -> Some l
-        | None -> Heartbeat.last post
-      in
+      let watchdog_restarts = Supervisor.watchdog_restarts recv_slot in
       {
+        r_caught =
+          (match reset with Stop -> watchdog_restarts >= 1 | Kill _ -> true);
+        r_watchdog_restarts = watchdog_restarts;
         r_converged = converged_line <> None;
         r_ttc_s =
           Option.map
             (fun (l : Heartbeat.line) ->
               Float.max 0. ((float_of_int l.ts_ns /. 1e9) -. restart_at))
             converged_line;
-        r_lost =
-          (match last_line with
-          | Some l -> List.map (fun sa -> sa.Heartbeat.lost) l.sas
-          | None -> []);
-        r_recovered =
-          (match last_line with
-          | Some l ->
-            List.length (List.filter (fun sa -> sa.Heartbeat.recovered) l.sas)
-          | None -> 0);
+        r_killed = Heartbeat.terminal (Heartbeat.of_pid hb ~pid:(Proc.pid proc0));
+        r_final =
+          (match Heartbeat.terminal post with
+          | Some l -> Some l
+          | None -> Heartbeat.last post);
         r_gate_exit = gate_exit;
         r_error =
           (if converged_line = None then
@@ -274,16 +307,27 @@ let run_repeat ~bin ~dir ~params ~(cell : cell) ~kill_signal ~recv_extra
            else None);
       }
     end
-  end
 
 (* ------------------------------------------------------------------ *)
+(* E17's record: every row, measure and check goes straight into one
+   [Report.t].                                                         *)
 
-type cell_result = {
-  cell : cell;
-  sas : int;
-  bound : int;
-  repeats : repeat_result list;
-}
+let title = "reboot-convergence matrix: supervised daemon pairs"
+
+let claim =
+  "On real processes over a real wire, every combination of reset scope \
+   (one SA, the whole SADB, a lost disk), recovery discipline (per-SA \
+   files, coalesced snapshot, re-establishment) and background churn \
+   converges after a SIGKILL-and-restart with at most 2k fresh discards, \
+   detected from the heartbeat file alone; a SIGTERM flush survives to the \
+   next incarnation, a SIGSTOP stall is caught only by the heartbeat \
+   watchdog, and the bound holds through injected store faults and wire \
+   impairment."
+
+(* The faulty cells' plans: a misbehaving file store under the
+   receiver, an impaired wire in front of the sender. *)
+let store_faults = "write_fail=0.05,torn=0.03,corrupt=0.02,stale=0.02"
+let wire_impairment = "drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8"
 
 let percentiles values =
   let s = Stats.Sample.create () in
@@ -294,286 +338,188 @@ let percentiles values =
       Stats.Sample.percentile s 99.,
       Stats.Sample.percentile s 100. )
 
-let cell_ok r =
-  let lost_ok =
-    List.for_all
-      (fun rep -> List.for_all (fun l -> l <= r.bound) rep.r_lost)
-      r.repeats
-  in
-  let conv_ok = List.for_all (fun rep -> rep.r_converged) r.repeats in
-  let gate_ok =
-    List.for_all
-      (fun rep -> match rep.r_gate_exit with Some c -> c = 0 | None -> false)
-      r.repeats
-  in
-  lost_ok && conv_ok && gate_ok
+let gate_exit_json r =
+  match r.r_gate_exit with Some c -> Json.Int c | None -> Json.Null
 
-let json_of_cell_result r =
-  let lost = List.concat_map (fun rep -> rep.r_lost) r.repeats in
-  let ttc = List.filter_map (fun rep -> rep.r_ttc_s) r.repeats in
-  let l50, l99, lmax = percentiles (List.map float_of_int lost) in
-  let t50, t99, tmax = percentiles ttc in
-  let errors =
-    List.filter_map (fun rep -> rep.r_error) r.repeats
-    |> List.map (fun e -> Json.String e)
-  in
-  Json.Obj
-    [
-      ("scope", Json.String (scope_to_string r.cell.scope));
-      ("discipline", Json.String (discipline_to_string r.cell.discipline));
-      ("churn", Json.String (churn_to_string r.cell.churn));
-      ("sas", Json.Int r.sas);
-      ("repeats", Json.Int (List.length r.repeats));
-      ("bound_2k", Json.Int r.bound);
-      ("lost_p50", Json.Float l50);
-      ("lost_p99", Json.Float l99);
-      ("lost_max", Json.Float lmax);
-      ("ttc_p50_s", Json.Float t50);
-      ("ttc_p99_s", Json.Float t99);
-      ("ttc_max_s", Json.Float tmax);
-      ( "converged",
-        Json.Bool (List.for_all (fun rep -> rep.r_converged) r.repeats) );
-      ( "recovered_sas",
-        Json.Int (List.fold_left (fun a rep -> a + rep.r_recovered) 0 r.repeats)
-      );
-      ( "gate_exits",
-        Json.List
-          (List.map
-             (fun rep ->
-               match rep.r_gate_exit with
-               | Some c -> Json.Int c
-               | None -> Json.Null)
-             r.repeats) );
-      ("ok", Json.Bool (cell_ok r));
-      ("errors", Json.List errors);
-    ]
-
-let run_cell ~bin ~workdir ~params ~log (cell : cell) =
-  let bound = Resets_core.Analysis.max_fresh_discards ~kq:params.k in
-  (* Re-establishment and a lost disk start a fresh sequence space:
-     recovery of stored state is impossible by construction, so the
-     daemon-side gate drops its recovery requirement there (the
-     heartbeat-side convergence check still applies in full). *)
-  let expect_recovery = cell.scope <> Disk_lost in
+let run_cell ~bin ~workdir ~params ~bound ~log report (cell : cell) =
   let repeats =
     List.init params.repeats (fun r ->
         log (Printf.sprintf "cell %s rep %d" (cell_id cell) r);
         run_repeat ~bin
           ~dir:(Filename.concat (Filename.concat workdir (cell_id cell))
                   (Printf.sprintf "rep%d" r))
-          ~params ~cell ~kill_signal:Sys.sigkill ~recv_extra:[] ~send_extra:[]
-          ~expect_recovery ())
+          ~params ~cell ~reset:(Kill Sys.sigkill) ())
   in
-  { cell; sas = sas_of_scope cell.scope; bound; repeats }
+  let l50, l99, lmax =
+    percentiles (List.map float_of_int (List.concat_map lost repeats))
+  in
+  let t50, t99, tmax =
+    percentiles (List.filter_map (fun r -> r.r_ttc_s) repeats)
+  in
+  let ok = List.for_all (repeat_ok ~bound) repeats in
+  log
+    (Printf.sprintf "cell %s: lost_max %.0f, ttc_max %.3f s, %s" (cell_id cell)
+       lmax tmax
+       (if ok then "ok" else "FAILED"));
+  Report.row report ~table:"cells"
+    [
+      ("scope", Json.String (scope_to_string cell.scope));
+      ("discipline", Json.String (discipline_to_string cell.discipline));
+      ("churn", Json.String (churn_to_string cell.churn));
+      ("sas", Json.Int (sas_of_scope cell.scope));
+      ("repeats", Json.Int (List.length repeats));
+      ("bound_2k", Json.Int bound);
+      ("lost_p50", Json.Float l50);
+      ("lost_p99", Json.Float l99);
+      ("lost_max", Json.Float lmax);
+      ("ttc_p50_s", Json.Float t50);
+      ("ttc_p99_s", Json.Float t99);
+      ("ttc_max_s", Json.Float tmax);
+      ("converged", Json.Bool (List.for_all (fun r -> r.r_converged) repeats));
+      ( "recovered_sas",
+        Json.Int (List.fold_left (fun a r -> a + recovered r) 0 repeats) );
+      ("gate_exits", Json.List (List.map gate_exit_json repeats));
+      ("ok", Json.Bool ok);
+      ( "errors",
+        Json.List
+          (List.filter_map
+             (fun r -> Option.map (fun e -> Json.String e) r.r_error)
+             repeats) );
+    ];
+  (lmax, tmax, ok)
 
-(* ------------------------------------------------------------------ *)
-(* Kill-mode probes: SIGTERM graceful flush, SIGSTOP watchdog.         *)
+(* The kill-mode probes and the faulty cells run on a whole-SADB
+   per-SA pair in steady traffic. *)
+let probe_cell = { scope = Whole_sadb; discipline = Per_sa; churn = Steady }
 
-let run_sigterm_probe ~bin ~workdir ~params ~log () =
-  log "kill-mode probe: sigterm";
-  let cell = { scope = Whole_sadb; discipline = Per_sa; churn = Steady } in
-  let dir = Filename.concat workdir "kill-sigterm" in
-  let r =
-    run_repeat ~bin ~dir ~params ~cell ~kill_signal:Sys.sigterm ~recv_extra:[]
-      ~send_extra:[] ~expect_recovery:true ()
+(* Kill-mode probes. SIGTERM: the graceful
+   incarnation leaves a terminal heartbeat, and the restart recovers at
+   least the edge that heartbeat shows (the final blocking SAVE made
+   the freshest edge durable). SIGSTOP: the stopped daemon stays alive
+   but silent, so only the watchdog can force its restart. *)
+let run_kill_modes ~bin ~workdir ~params ~bound ~log report =
+  let probe mode reset =
+    log ("kill-mode probe: " ^ mode);
+    run_repeat ~bin ~dir:(Filename.concat workdir ("kill-" ^ mode)) ~params
+      ~cell:probe_cell ~reset ()
   in
-  (* The graceful incarnation must have left a terminal heartbeat, and
-     the restart must recover at least the edge that heartbeat shows
-     (the final blocking SAVE made the freshest edge durable). *)
-  let hb = Heartbeat.load (Filename.concat dir "hb-recv.jsonl") in
-  (* pids in order of first appearance = incarnation order *)
-  let pids =
-    List.fold_left
-      (fun acc (l : Heartbeat.line) ->
-        if List.mem l.pid acc then acc else acc @ [ l.pid ])
-      [] hb
-  in
-  let term =
-    match pids with
-    | first :: _ -> Heartbeat.terminal (Heartbeat.of_pid hb ~pid:first)
-    | [] -> None
-  in
-  let graceful = match term with
+  let r = probe "sigterm" (Kill Sys.sigterm) in
+  let graceful =
+    match r.r_killed with
     | Some l -> l.Heartbeat.reason = Some "sigterm"
     | None -> false
   in
   let recovered_fresh =
-    match (term, pids) with
-    | Some tl, _ :: rest -> (
-      let final_edges =
-        List.map (fun sa -> (sa.Heartbeat.spi, sa.Heartbeat.edge)) tl.sas
-      in
-      match rest with
-      | [] -> false
-      | _ ->
-        let last_pid = List.nth pids (List.length pids - 1) in
-        (match Heartbeat.last (Heartbeat.of_pid hb ~pid:last_pid) with
-        | Some l ->
-          List.for_all
-            (fun sa ->
-              match List.assoc_opt sa.Heartbeat.spi final_edges with
-              | Some e -> sa.Heartbeat.recovered && sa.Heartbeat.recovered_from >= e
-              | None -> false)
-            l.sas
-        | None -> false))
+    match (r.r_killed, r.r_final) with
+    | Some term, Some final ->
+      List.for_all
+        (fun sa ->
+          List.exists
+            (fun (t : Heartbeat.sa) ->
+              t.spi = sa.Heartbeat.spi && sa.recovered
+              && sa.recovered_from >= t.edge)
+            term.sas)
+        final.sas
     | _ -> false
   in
-  let ok = graceful && recovered_fresh && r.r_converged in
-  ( Json.Obj
-      [
-        ("mode", Json.String "sigterm");
-        ("terminal_heartbeat", Json.Bool (term <> None));
-        ("reason_sigterm", Json.Bool graceful);
-        ("recovered_from_final_edge", Json.Bool recovered_fresh);
-        ("converged", Json.Bool r.r_converged);
-        ("ok", Json.Bool ok);
-      ],
-    ok )
+  let ok = graceful && recovered_fresh && repeat_ok ~bound r in
+  Report.row report ~table:"kill_modes"
+    [
+      ("mode", Json.String "sigterm");
+      ("terminal_heartbeat", Json.Bool (r.r_killed <> None));
+      ("reason_sigterm", Json.Bool graceful);
+      ("recovered_from_final_edge", Json.Bool recovered_fresh);
+      ("converged", Json.Bool r.r_converged);
+      ("ok", Json.Bool ok);
+    ];
+  Report.check report
+    ~name:
+      "SIGTERM graceful stop: terminal heartbeat written and the restart \
+       recovers the final edge"
+    ok;
+  let r = probe "sigstop" Stop in
+  let ok = r.r_caught && repeat_ok ~bound r in
+  Report.row report ~table:"kill_modes"
+    [
+      ("mode", Json.String "sigstop");
+      ("watchdog_restarts", Json.Int r.r_watchdog_restarts);
+      ("stall_deadline_s", Json.Float (stall_s params));
+      ("caught", Json.Bool r.r_caught);
+      ("converged", Json.Bool r.r_converged);
+      ("ok", Json.Bool ok);
+    ];
+  Report.check report
+    ~name:
+      "SIGSTOP stall: the heartbeat watchdog forces the restart and the pair \
+       reconverges"
+    ok
 
-let run_sigstop_probe ~bin ~workdir ~params ~log () =
-  log "kill-mode probe: sigstop (watchdog)";
-  let cell = { scope = Whole_sadb; discipline = Per_sa; churn = Steady } in
-  let dir = Filename.concat workdir "kill-sigstop" in
-  (* The stalled daemon is invisible to [kill]-style scheduling: only
-     the watchdog notices the heartbeat file has stopped growing. *)
-  let stall = Float.max 0.8 (6. *. params.heartbeat_s) in
-  let sup, recv_slot, hb_recv, _ =
-    launch_pair ~bin ~dir ~params ~cell ~stall ~recv_extra:[] ~send_extra:[]
-      ~expect_recovery:true ()
-  in
-  let warm () =
-    match Heartbeat.last (Heartbeat.load hb_recv) with
-    | Some line -> Heartbeat.all_delivering line
-    | None -> false
-  in
-  let warmed = Supervisor.tick_until sup ~timeout:(params.warmup_s +. 10.) warm in
-  let pid0 =
-    match Supervisor.proc recv_slot with
-    | Some p -> Proc.pid p
-    | None -> -1
-  in
-  (* Stall, do not kill: the process stays alive but silent. *)
-  (match Supervisor.proc recv_slot with
-  | Some p -> Proc.kill p Sys.sigstop
-  | None -> ());
-  let respawned () =
-    Supervisor.watchdog_restarts recv_slot >= 1
-    &&
-    match Supervisor.proc recv_slot with
-    | Some p -> Proc.pid p <> pid0 && Proc.alive p
-    | None -> false
-  in
-  let caught =
-    Supervisor.tick_until sup ~timeout:(stall +. 15.) respawned
-  in
-  let converged =
-    caught
-    && Supervisor.tick_until sup ~timeout:(params.post_s +. 10.) (fun () ->
-           match Supervisor.proc recv_slot with
-           | Some p -> (
-             match Heartbeat.last (Heartbeat.of_pid (Heartbeat.load hb_recv) ~pid:(Proc.pid p)) with
-             | Some l -> Heartbeat.all_delivering l
-             | None -> false)
-           | None -> true (* already exited after its bounded duration *))
-  in
-  Supervisor.stop sup ~grace:3.;
-  let ok = warmed && caught && converged in
-  ( Json.Obj
-      [
-        ("mode", Json.String "sigstop");
-        ("watchdog_restarts", Json.Int (Supervisor.watchdog_restarts recv_slot));
-        ("stall_deadline_s", Json.Float stall);
-        ("caught", Json.Bool caught);
-        ("converged", Json.Bool converged);
-        ("ok", Json.Bool ok);
-      ],
-    ok )
-
-(* ------------------------------------------------------------------ *)
-(* Faulty cells: the same crash-restart experiment against an impaired
-   wire and against a misbehaving file store.                          *)
-
-let run_faulty ~bin ~workdir ~params ~log () =
-  let cell = { scope = Whole_sadb; discipline = Per_sa; churn = Steady } in
-  let bound = Resets_core.Analysis.max_fresh_discards ~kq:params.k in
-  log "faulty cell: store faults";
-  let store_spec = "write_fail=0.05,torn=0.03,corrupt=0.02,stale=0.02" in
-  let r_store =
-    run_repeat ~bin
-      ~dir:(Filename.concat workdir "faulty-store")
-      ~params ~cell ~kill_signal:Sys.sigkill
-      ~recv_extra:
-        [ "--store-faults"; store_spec; "--fault-seed"; string_of_int params.seed ]
-      ~send_extra:[] ~expect_recovery:true ()
-  in
-  log "faulty cell: wire impairment";
-  let impair_spec = "drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8" in
-  let r_wire =
-    run_repeat ~bin
-      ~dir:(Filename.concat workdir "faulty-wire")
-      ~params ~cell ~kill_signal:Sys.sigkill ~recv_extra:[]
-      ~send_extra:[ "--impair"; impair_spec ]
-      ~expect_recovery:true ()
-  in
-  let one name spec r =
-    let ok =
-      cell_ok { cell; sas = sas_of_scope cell.scope; bound; repeats = [ r ] }
+(* Faulty cells: the same crash-restart experiment against a
+   misbehaving file store and an impaired wire. *)
+let run_faulty ~bin ~workdir ~params ~bound ~log report =
+  let faulty fault spec ~recv_extra ~send_extra =
+    log ("faulty cell: " ^ fault);
+    let r =
+      run_repeat ~bin ~dir:(Filename.concat workdir ("faulty-" ^ fault)) ~params
+        ~cell:probe_cell ~reset:(Kill Sys.sigkill) ~recv_extra ~send_extra ()
     in
-    ( Json.Obj
-        [
-          ("fault", Json.String name);
-          ("spec", Json.String spec);
-          ("bound_2k", Json.Int bound);
-          ( "lost_max",
-            Json.Int (List.fold_left max 0 r.r_lost) );
-          ("converged", Json.Bool r.r_converged);
-          ( "gate_exit",
-            match r.r_gate_exit with Some c -> Json.Int c | None -> Json.Null );
-          ("ok", Json.Bool ok);
-        ],
-      ok )
+    let lost_max = List.fold_left max 0 (lost r) in
+    let ok = repeat_ok ~bound r in
+    Report.row report ~table:"faulty"
+      [
+        ("fault", Json.String fault);
+        ("spec", Json.String spec);
+        ("bound_2k", Json.Int bound);
+        ("lost_max", Json.Int lost_max);
+        ("converged", Json.Bool r.r_converged);
+        ("gate_exit", gate_exit_json r);
+        ("ok", Json.Bool ok);
+      ];
+    Report.check report
+      ~name:
+        (Printf.sprintf
+           "faulty %s cell: discards still <= 2k through injected faults" fault)
+      ~bound:(float_of_int bound) ~value:(float_of_int lost_max) ok
   in
-  let j1, ok1 = one "store" store_spec r_store in
-  let j2, ok2 = one "wire" impair_spec r_wire in
-  ([ j1; j2 ], ok1 && ok2)
-
-(* ------------------------------------------------------------------ *)
+  faulty "store" store_faults
+    ~recv_extra:
+      [
+        "--store-faults"; store_faults;
+        "--fault-seed"; string_of_int params.seed;
+      ]
+    ~send_extra:[];
+  faulty "wire" wire_impairment ~recv_extra:[]
+    ~send_extra:[ "--impair"; wire_impairment ]
 
 let run ~bin ~workdir ?(log = fun _ -> ()) ?(cells = full_cells)
-    ?(params = full_params) ?(kill_modes = true) ?(faulty = true) () =
+    ?(params = full_params) ?(kill_modes = true) report =
   mkdir_p workdir;
-  let cell_results = List.map (run_cell ~bin ~workdir ~params ~log) cells in
-  let kill_results, kill_ok =
-    if kill_modes then begin
-      let j1, ok1 = run_sigterm_probe ~bin ~workdir ~params ~log () in
-      let j2, ok2 = run_sigstop_probe ~bin ~workdir ~params ~log () in
-      ([ j1; j2 ], ok1 && ok2)
-    end
-    else ([], true)
+  List.iter
+    (fun (name, v) -> Report.param report name v)
+    [
+      ("k", Json.Int params.k);
+      ("rate_pps", Json.Float params.rate_pps);
+      ("warmup_s", Json.Float params.warmup_s);
+      ("downtime_s", Json.Float params.downtime_s);
+      ("post_s", Json.Float params.post_s);
+      ("repeats", Json.Int params.repeats);
+      ("seed", Json.Int params.seed);
+      ("batch", Json.Int params.batch);
+    ];
+  let bound = Resets_core.Analysis.max_fresh_discards ~kq:params.k in
+  let results =
+    List.map (run_cell ~bin ~workdir ~params ~bound ~log report) cells
   in
-  let faulty_results, faulty_ok =
-    if faulty then run_faulty ~bin ~workdir ~params ~log ()
-    else ([], true)
-  in
-  let cells_ok = List.for_all cell_ok cell_results in
-  let all_ok = cells_ok && kill_ok && faulty_ok in
-  ( Json.Obj
-      [
-        ("k", Json.Int params.k);
-        ( "bound_2k",
-          Json.Int (Resets_core.Analysis.max_fresh_discards ~kq:params.k) );
-        ("rate_pps", Json.Float params.rate_pps);
-        ("warmup_s", Json.Float params.warmup_s);
-        ("downtime_s", Json.Float params.downtime_s);
-        ("post_s", Json.Float params.post_s);
-        ("repeats", Json.Int params.repeats);
-        ("seed", Json.Int params.seed);
-        ("cells", Json.List (List.map json_of_cell_result cell_results));
-        ("kill_modes", Json.List kill_results);
-        ("faulty", Json.List faulty_results);
-        ("cells_ok", Json.Bool cells_ok);
-        ("kill_modes_ok", Json.Bool kill_ok);
-        ("faulty_ok", Json.Bool faulty_ok);
-        ("all_ok", Json.Bool all_ok);
-      ],
-    all_ok )
+  let lost_worst = List.fold_left (fun a (l, _, _) -> Float.max a l) 0. results in
+  Report.measure report "cells_run" (Json.Int (List.length results));
+  Report.measure report "lost_worst" (Json.Float lost_worst);
+  Report.measure report "ttc_worst_s"
+    (Json.Float (List.fold_left (fun a (_, t, _) -> Float.max a t) 0. results));
+  Report.check report
+    ~name:
+      "every crash-restart cell: fresh discards <= 2k and convergence \
+       detected from heartbeats alone"
+    ~bound:(float_of_int bound) ~value:lost_worst
+    (List.for_all (fun (_, _, ok) -> ok) results);
+  if kill_modes then run_kill_modes ~bin ~workdir ~params ~bound ~log report;
+  run_faulty ~bin ~workdir ~params ~bound ~log report

@@ -13,18 +13,20 @@
       reset ([Steady] constant, [Storm] bursty rekey-storm pacing,
       [Mixed]).
 
-    Each cell runs the scripted experiment: warm a pair up under a
-    {!Supervisor}, SIGKILL the receiver, hold the planned downtime
-    (wiping the store for [Disk_lost]), let the supervisor respawn it
-    with [--expect-recovery], and measure — {e from the heartbeat
-    JSONL alone} — messages lost to stale state ([fresh_rejected])
-    against the paper's 2·K bound, and time from respawn to the first
-    heartbeat with every SA delivering.
+    Each cell runs one crash-restart experiment, the same driver for
+    every row: warm a pair up under a {!Supervisor}, reset the receiver
+    (SIGKILL and the planned downtime, wiping the store for
+    [Disk_lost]), let the supervisor respawn it with
+    [--expect-recovery], and measure — {e from the heartbeat JSONL
+    alone} — messages lost to stale state against the paper's 2·K
+    bound, and time from respawn to the first heartbeat with every SA
+    delivering.
 
     Beyond the matrix, {!run} exercises two kill-mode probes (SIGTERM
     graceful flush: the terminal heartbeat's edge must be durable;
     SIGSTOP stall: only the heartbeat watchdog can catch it) and two
-    faulty cells (a misbehaving file store, an impaired wire). *)
+    faulty cells (a misbehaving file store, an impaired wire), and
+    records everything as E17's {!Resets_core.Report.t}. *)
 
 type scope = Single_sa | Whole_sadb | Disk_lost
 type discipline = Per_sa | Coalesced | Reestablish
@@ -40,6 +42,7 @@ type params = {
   heartbeat_s : float;
   repeats : int;
   seed : int;  (** impairment / fault-plan seed *)
+  batch : int;  (** both daemons' wire batch depth ([serve --batch]) *)
 }
 
 val smoke_params : params
@@ -52,6 +55,10 @@ val smoke_cells : cell list
 (** One cell per reset scope (seconds of wall clock) — the check.sh
     gate. *)
 
+val title : string
+val claim : string
+(** E17's title and paper claim, for {!Resets_core.Report.create}. *)
+
 val run :
   bin:string ->
   workdir:string ->
@@ -59,13 +66,15 @@ val run :
   ?cells:cell list ->
   ?params:params ->
   ?kill_modes:bool ->
-  ?faulty:bool ->
-  unit ->
-  Resets_util.Json.t * bool
-(** Run the matrix. [bin] is the [ipsec_resets] executable (its
-    [serve] verb is the daemon); [workdir] holds one directory per
+  Resets_core.Report.t ->
+  unit
+(** Run the matrix, then (with [kill_modes], the default) the two
+    kill-mode probes, then the two faulty cells, recording E17's
+    parameters, its [cells], [kill_modes] and [faulty] rows, its
+    measures ([cells_run], [lost_worst], [ttc_worst_s]) and one check
+    per gate into the report: every cell converged with at most 2k
+    fresh messages lost and a clean daemon exit, each probe passed,
+    each faulty cell passed. [bin] is the [ipsec_resets] executable
+    (its [serve] verb is the daemon); [workdir] holds one directory per
     cell (sockets, stores, heartbeats, logs — inspectable after a
-    failure). Returns the full JSON report and whether every gate
-    held: every cell converged with [fresh_rejected <= 2k] and a
-    clean daemon exit, both kill-mode probes passed, both faulty
-    cells passed. *)
+    failure). *)

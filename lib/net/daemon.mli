@@ -55,9 +55,11 @@ type role = Send | Recv
 type discipline =
   | Per_sa  (** one store key per SA, each recovered independently *)
   | Coalesced
-      (** one {!Resets_persist.File_store.Snapshot} file: every SA
-          saves and recovers together (the paper's Section 6 coalesced
-          discipline on a real disk) *)
+      (** one {!Resets_persist.File_store.Snapshot} file holding every
+          SA's counter (our coalesced extension, not the paper's): every
+          save of one SA rewrites the whole file, and recovery reads
+          every edge back from it, but each SA's blocking wakeup SAVE is
+          still its own write of the whole file *)
   | Reestablish
       (** ignore stored state; every SA establishes a fresh sequence
           space (recovery by re-establishment — the alternative the

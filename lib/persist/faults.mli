@@ -19,7 +19,7 @@ type spec = {
   read_corrupt_prob : float;  (** a checked fetch serves a bit-flipped record *)
   read_stale_prob : float;  (** a checked fetch serves the superseded record *)
   latency_factor : float;
-      (** multiply every write's latency (after jitter) by this —
+      (** multiply every write's latency by this —
           models a disk degraded by contention or wear. [1.] (the
           [none] default) leaves latency untouched; no PRNG rolls are
           consumed, so a plan differing only in this field keeps the
@@ -77,8 +77,8 @@ val roll_read : t -> read_outcome
     writes through {!landed} and counts them through {!count_write}, so
     one plan gives the same verdicts and the same {!Store.tally} on the
     simulated disk and on both file layouts. A medium keeps, for every
-    key, the record its last install under a plan replaced: that is
-    the record a stale roll serves. *)
+    key, the record its last landed install under a plan replaced: that
+    is the record a stale roll serves. *)
 
 val landed : [< write_outcome ] -> 'a list -> 'a list
 (** The entries of a write that become durable under its outcome:

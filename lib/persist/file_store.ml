@@ -81,14 +81,15 @@ let atomic_write ~abort_before_rename ~dir ~final content =
 
 (* Install [value] as the key's next generation, crash-atomically and
    durably. Under a plan the record it replaces is kept first, as the
-   superseded record a stale read serves; without one the store stays
-   one file per key. [abort] is the injected torn rename. *)
+   superseded record a stale read serves, unless [abort] (the injected
+   torn rename) leaves that record the latest; without a plan the store
+   stays one file per key. *)
 let install t ~key ~value ~abort =
   let final = path t key in
   let old = read_envelope ~key final in
   let gen = match old with Some e -> e.Envelope.gen + 1 | None -> 1 in
   (match (t.faults, old) with
-  | Some _, Some old ->
+  | Some _, Some old when not abort ->
     ignore
       (atomic_write ~abort_before_rename:false ~dir:t.dir
          ~final:(prev_path t key) (Envelope.to_string old)
@@ -135,7 +136,10 @@ let fetch_checked t ~key =
   if not (Sys.file_exists file) then Store.Missing
   else
     match read_envelope ~key file with
-    | None -> Store.Corrupt (* file exists but does not parse *)
+    | None ->
+      (* the file exists but does not parse *)
+      t.tally.corrupt <- t.tally.corrupt + 1;
+      Store.Corrupt
     | Some latest ->
       Faults.serve t.faults t.tally ~key ~latest ~prev:(fun () ->
           read_envelope ~key (prev_path t key))
@@ -254,55 +258,53 @@ module Snapshot = struct
 
   let entries s = sorted s.table
 
-  (* One write of the whole table with [key] set to [value]; [true] when
-     it completed. A torn write lands a strict prefix of the sorted
-     entries, and the rest keep their previous durable values (or stay
-     absent): Sim_disk's torn-snapshot semantics. *)
-  let write_table ?(faulty = true) s ~key ~value =
-    s.tally.begun <- s.tally.begun + 1;
+  (* One write of the whole table with [key] set to [value] under
+     [plan], and its outcome. A torn write lands a strict prefix of the
+     sorted entries, and the rest keep their previous durable values (or
+     stay absent): Sim_disk's torn-snapshot semantics. *)
+  let write_table s ~plan ~key ~value =
     let staged = Hashtbl.copy s.table in
     Hashtbl.replace staged key value;
     let written = sorted staged in
     let outcome =
-      match s.sfaults with
-      | Some f when faulty ->
-        Faults.roll_write f ~n_entries:(max (List.length written) 2)
-      | _ -> `Ok
+      match plan with
+      | Some f -> Faults.roll_write f ~n_entries:(max (List.length written) 2)
+      | None -> `Ok
     in
-    let outcome =
-      if outcome = `Fail then `Fail
-      else
-        let table = Hashtbl.copy s.table in
-        List.iter
-          (fun (k, v) -> Hashtbl.replace table k v)
-          (Faults.landed outcome written);
-        let gen = s.gen + 1 in
-        match
-          (* keep the superseded snapshot for stale-read injection *)
-          if Option.is_some s.sfaults then
-            Option.iter
-              (fun old ->
-                ignore
-                  (atomic_write ~abort_before_rename:false ~dir:s.dir
-                     ~final:s.prev_file old
-                    : [ `Ok | `Aborted ]))
-              (read_file s.file);
-          atomic_write ~abort_before_rename:false ~dir:s.dir ~final:s.file
-            (render ~gen (sorted table))
-        with
-        | `Ok | `Aborted ->
-          s.gen <- gen;
-          s.table <- table;
-          outcome
-        | exception (Unix.Unix_error _ | Sys_error _) -> `Fail
-    in
-    Faults.count_write s.tally outcome;
-    outcome = `Ok
+    if outcome = `Fail then `Fail
+    else
+      let table = Hashtbl.copy s.table in
+      List.iter
+        (fun (k, v) -> Hashtbl.replace table k v)
+        (Faults.landed outcome written);
+      let gen = s.gen + 1 in
+      match
+        (* keep the superseded snapshot for stale-read injection *)
+        if Option.is_some s.sfaults then
+          Option.iter
+            (fun old ->
+              ignore
+                (atomic_write ~abort_before_rename:false ~dir:s.dir
+                   ~final:s.prev_file old
+                  : [ `Ok | `Aborted ]))
+            (read_file s.file);
+        atomic_write ~abort_before_rename:false ~dir:s.dir ~final:s.file
+          (render ~gen (sorted table))
+      with
+      | `Ok | `Aborted ->
+        s.gen <- gen;
+        s.table <- table;
+        outcome
+      | exception (Unix.Unix_error _ | Sys_error _) -> `Fail
 
   let save ?(on_error = fun () -> ()) s ~key ~value ~on_complete =
-    if write_table s ~key ~value then on_complete () else on_error ()
+    s.tally.begun <- s.tally.begun + 1;
+    let outcome = write_table s ~plan:s.sfaults ~key ~value in
+    Faults.count_write s.tally outcome;
+    if outcome = `Ok then on_complete () else on_error ()
 
-  let preload s ~key ~value = ignore (write_table ~faulty:false s ~key ~value : bool)
+  (* Establishment write: bypasses the plan and is not counted. *)
+  let preload s ~key ~value = ignore (write_table s ~plan:None ~key ~value)
 
   let fetch s ~key = Hashtbl.find_opt s.table key
 

@@ -26,8 +26,9 @@
     the atomicity the protocol relies on). Every {!fetch_checked} under
     a plan is one {!Faults.serve} and may serve a corrupt (bit-flipped,
     caught by checksum) or stale (superseded generation) record; every
-    install under a plan, [preload] included, keeps the record it
-    replaces in a [.prev] file for that stale read. Rolls are consumed
+    install under a plan whose rename happens, [preload] included,
+    keeps the record it replaces in a [.prev] file for that stale
+    read (an aborted rename replaces nothing). Rolls are consumed
     in operation order, so the fault pattern is a pure function of the
     plan's seed; a store without a plan writes one file per key. *)
 
@@ -74,11 +75,12 @@ val preload : t -> key:string -> value:int -> unit
     {!Sim_disk.preload}). *)
 
 val tally : t -> Store.tally
-(** This store's live counters. [failed] counts every save that
-    reported [on_error] (transient failures, aborted renames, real
-    filesystem errors), [torn] the aborted renames (tmp written, final
-    name unchanged); [lost] stays 0, a save being synchronous.
-    Preloads are not counted. *)
+(** This store's live counters, by {!Store.tally}'s one rule.
+    [failed] counts every save that reported [on_error] (transient
+    failures, aborted renames, real filesystem errors), [torn] the
+    aborted renames (tmp written, final name unchanged); [lost] stays
+    0, a save being synchronous; [corrupt] includes a key file that
+    does not parse. Preloads are not counted. *)
 
 val store : ?base_latency:Resets_sim.Time.t -> t -> Store.t
 (** This store as a first-class {!Store.t}. Saves complete
@@ -89,8 +91,9 @@ val store : ?base_latency:Resets_sim.Time.t -> t -> Store.t
 
 (** Coalesced snapshot store: every SA of a host (or worker shard)
     keeps its counter in ONE file, rewritten atomically as a whole on
-    every save — the on-disk twin of {!Sim_disk.save_snapshot} and the
-    coalesced persistence discipline of the paper's Section 6. A crash
+    every save — the on-disk twin of {!Sim_disk.save_snapshot} and of
+    our coalesced persistence discipline (an extension; the paper
+    persists each SA on its own). A crash
     keeps or loses nothing partially (rename atomicity), and recovery
     reads every SA's edge back with one file. Under a fault plan a
     snapshot write may fail or {e tear}: a strict prefix of its sorted
@@ -121,9 +124,9 @@ module Snapshot : sig
   val fetch_checked : snap -> key:string -> Store.checked_fetch
 
   val tally : snap -> Store.tally
-  (** [torn] counts snapshot writes that installed a strict prefix of
-      new values. A preload is a write of the whole table here, and
-      counts as begun and completed. *)
+  (** This snapshot's live counters, by {!Store.tally}'s one rule.
+      [torn] counts snapshot writes that installed a strict prefix of
+      new values. Preloads are not counted. *)
 
   val store : ?base_latency:Resets_sim.Time.t -> snap -> Store.t
   (** This snapshot as a first-class {!Store.t} — a save of any one

@@ -1,4 +1,3 @@
-open Resets_util
 open Resets_sim
 
 type pending = {
@@ -12,68 +11,44 @@ type t = {
   trace : Trace.t option;
   name : string;
   base_latency : Time.t;
-  jitter : (Time.t * Prng.t) option;
   durable : (string, Envelope.t) Hashtbl.t;
   prev : (string, Envelope.t) Hashtbl.t; (* last superseded version per key *)
   mutable faults : Faults.t option;
   mutable latency_observer : (Time.t -> unit) option;
   mutable pending : pending list;
-  mutable next_latency : Time.t option;
   mutable next_id : int;
   tally : Store.tally;
 }
 
-let make ?trace ?(name = "disk") ?faults ~latency ~jitter engine =
+let create ?trace ?(name = "disk") ?faults ~latency engine =
   {
     engine;
     trace;
     name;
     base_latency = latency;
-    jitter;
     durable = Hashtbl.create 16;
     prev = Hashtbl.create 16;
     faults;
     latency_observer = None;
     pending = [];
-    next_latency = None;
     next_id = 0;
     tally = Store.tally ();
   }
-
-let create ?trace ?name ?faults ~latency engine =
-  make ?trace ?name ?faults ~latency ~jitter:None engine
-
-let create_jittered ?trace ?name ?faults ~latency ~jitter ~prng engine =
-  make ?trace ?name ?faults ~latency ~jitter:(Some (jitter, prng)) engine
 
 let set_faults t faults = t.faults <- Some faults
 
 let set_latency_observer t f = t.latency_observer <- Some f
 
-let sample_latency t =
-  let base =
-    match t.jitter with
-    | None -> t.base_latency
-    | Some (jitter, prng) ->
-      let extra = Prng.int prng (Int64.to_int (Time.to_ns jitter) + 1) in
-      Time.add t.base_latency (Time.of_ns (Int64.of_int extra))
-  in
-  (* Latency inflation is part of the fault plan (a disk degraded by the
-     environment); factor 1 — every plan predating it — leaves the
-     arithmetic untouched. *)
+(* Latency inflation is part of the fault plan (a disk degraded by the
+   environment); factor 1 — every plan predating it — leaves the
+   arithmetic untouched. *)
+let write_latency t =
   match t.faults with
   | Some f when Faults.latency_factor f <> 1. ->
     Time.of_ns
-      (Int64.of_float (Faults.latency_factor f *. Int64.to_float (Time.to_ns base)))
-  | Some _ | None -> base
-
-let latency_of_next_save t =
-  match t.next_latency with
-  | Some l -> l
-  | None ->
-    let l = sample_latency t in
-    t.next_latency <- Some l;
-    l
+      (Int64.of_float
+         (Faults.latency_factor f *. Int64.to_float (Time.to_ns t.base_latency)))
+  | Some _ | None -> t.base_latency
 
 let tell t event detail =
   match t.trace with
@@ -111,8 +86,7 @@ let begin_write t ~entries ~label ~on_complete ~on_error =
   in
   if superseded > 0 then
     tell t "save.supersede" (Printf.sprintf "%s (%d dropped)" label superseded);
-  let latency = latency_of_next_save t in
-  t.next_latency <- None;
+  let latency = write_latency t in
   (* Observed at begin time, not completion: under supersede pressure a
      too-small K means writes are cancelled before they ever complete,
      and a completion-based observer would starve exactly when the

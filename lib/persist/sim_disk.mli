@@ -48,18 +48,6 @@ val create :
 (** [create ~latency engine] is an empty disk whose writes take
     [latency]. [name] labels trace entries (default ["disk"]). *)
 
-val create_jittered :
-  ?trace:Trace.t ->
-  ?name:string ->
-  ?faults:Faults.t ->
-  latency:Time.t ->
-  jitter:Time.t ->
-  prng:Resets_util.Prng.t ->
-  Engine.t ->
-  t
-(** Like [create] but each write takes [latency + U(0, jitter)] — the
-    paper notes SAVE duration varies with CPU load. *)
-
 val set_faults : t -> Faults.t -> unit
 (** Attach (or replace) the fault plan after construction. Used by the
     harness so fault-free scenarios keep their PRNG split order — and
@@ -105,8 +93,9 @@ val save_snapshot :
     A snapshot supersedes any in-flight write touching one of its keys
     (and is itself superseded, as a whole, by a later write to any of
     them) — the same "only the most recent write can become durable"
-    rule as [save]. This is the coalesced multi-SA persistence
-    discipline of Section 6: many SAs amortise one disk write.
+    rule as [save]. This is our coalesced multi-SA persistence
+    discipline (an extension; the paper persists each SA on its own):
+    many SAs amortise one disk write.
     Under a fault plan the snapshot may fail outright or tear: a torn
     snapshot installs a strict prefix of [entries] (in array order) and
     still reports [on_error]. @raise Invalid_argument when [entries] is
@@ -141,18 +130,13 @@ val in_flight : t -> int
 (** Number of pending (not yet durable) writes. *)
 
 val tally : t -> Store.tally
-(** This disk's live counters: writes begun, completed, failed, torn
-    and lost to crashes, and checked fetches served corrupt or stale.
-    Preloads are not counted. *)
-
-val latency_of_next_save : t -> Time.t
-(** The latency the next save will incur (samples jitter eagerly so
-    callers can reason about the schedule in tests). *)
+(** This disk's live counters, by {!Store.tally}'s one rule: writes
+    begun, completed, failed, torn and lost to crashes, and checked
+    fetches served corrupt or stale. Preloads are not counted. *)
 
 val base_latency : t -> Time.t
-(** The jitter-free write latency this disk was created with. The shard
-    layer's staggered per-SA recovery schedule is computed from it, so
-    deterministic sharding requires an un-jittered disk (see
+(** The write latency this disk was created with. The shard layer's
+    staggered per-SA recovery schedule is computed from it (see
     {!Resets_core.Multi_sa}). *)
 
 val store : t -> Store.t

@@ -53,7 +53,7 @@ type t = {
       (** Host reset: discard in-flight writes, keep durable state.
           No-op on stores with synchronous saves. *)
   base_latency : Resets_sim.Time.t;
-      (** Jitter-free write latency; recovery schedules (and the
+      (** The medium's write latency; recovery schedules (and the
           shard layer's stagger) are computed from it. *)
 }
 
@@ -77,7 +77,11 @@ val label : t -> string
 
     Every medium counts its writes and checked reads in one tally, the
     same fields whichever medium it is: {!Faults.count_write} counts a
-    finished write and {!Faults.serve} a checked read. *)
+    finished write and {!Faults.serve} a checked read. One rule holds on
+    every medium: a save counts as begun and then by how it ended; a
+    checked read counts when it serves a corrupt record (a flipped bit,
+    or a file that does not parse) or a stale one; preloads and
+    unchecked fetches count nothing. *)
 
 type tally = {
   mutable begun : int;  (** writes begun *)

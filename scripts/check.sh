@@ -150,118 +150,68 @@ echo "== MICRO (allocation budgets, wire sweep, engine determinism) =="
 # 2 when one fails.
 dune exec bench/main.exe -- MICRO --json="$out" >/dev/null
 
-echo "== daemon loopback smoke (unix-dgram, kill/recover, batch sweep, impaired wire, faulty store) =="
-# Two real processes over a UNIX-datagram socket: receiver daemon is
-# SIGKILLed mid-run and restarted on the same durable store while the
-# sender keeps transmitting. The restarted receiver's convergence gate
-# (edge recovered, leap within 2k, no cross-incarnation replay, zero
-# duplicates) is the verdict; nonzero exit fails the check. Run once
-# unbatched and once at the full batch depth: convergence must not
-# depend on the wire batching mode. Then once more with the sender
-# behind E17's impaired wire (loss, duplication, 10 ms reordering,
-# bursts): the duplicates must be refused and the loss stay within 2k.
-# Last, once with the receiver's file store under E17's faulty-store
-# plan (failed and torn writes, corrupt and stale reads): the restarted
-# receiver's recovery FETCH goes through the faulty read path.
-for wire_batch in 1 32; do
-  echo "-- daemon loopback at --batch $wire_batch --"
-  BATCH=$wire_batch sh scripts/daemon_loopback.sh \
-    _build/default/bin/ipsec_resets.exe \
-    || { echo "daemon loopback kill/recover gate failed at --batch $wire_batch" >&2; exit 1; }
+echo "== E17 fleet smoke (supervised kill/recover at --batch 32 and 1) =="
+# Daemon pairs over a real wire under the fault-injecting fleet
+# supervisor: the receiver is SIGKILLed mid-run and respawned on the
+# same store (wiped for the disk-lost scope) while the sender keeps
+# transmitting. One cell per reset scope (single-SA / whole-SADB /
+# disk-lost), then two faulty cells: the receiver's file store under
+# E17's fault plan (failed and torn writes, corrupt and stale reads),
+# and the sender behind E17's impaired wire (loss, duplication, 10 ms
+# reordering, bursts). A cell holds when the restarted daemon's own
+# --expect-recovery gate exits 0 and the heartbeat JSONL shows it
+# converged with at most 2k fresh messages lost. Run at serve's default
+# batch depth and unbatched: convergence must not depend on the wire
+# batching mode. fleet exits 2 when a check fails (named on stderr);
+# the wall-clock cap keeps a hung daemon pair from wedging the gate.
+cap=
+command -v timeout >/dev/null 2>&1 && cap="timeout 300"
+for batch in "" "--batch 1"; do
+  echo "-- fleet --smoke $batch --"
+  rc=0
+  $cap dune exec bin/ipsec_resets.exe -- fleet --smoke $batch \
+    --workdir "$out/fleet" --json "$out/fleet-smoke.json" --quiet || rc=$?
+  case $rc in
+    0) ;;
+    124) echo "E17 smoke $batch: wall-clock timeout — hung daemon pair?" >&2; exit 1 ;;
+    *) echo "E17 smoke $batch failed (exit $rc)" >&2; exit 1 ;;
+  esac
 done
-e17_wire="drop=0.05,dup=0.02,reorder=0.02:10ms,ge=0.02:0.3:0.8"
-echo "-- daemon loopback through the impaired wire ($e17_wire) --"
-IMPAIR=$e17_wire sh scripts/daemon_loopback.sh \
-  _build/default/bin/ipsec_resets.exe \
-  || { echo "daemon loopback kill/recover gate failed through the impaired wire" >&2; exit 1; }
-e17_store="write_fail=0.05,torn=0.03,corrupt=0.02,stale=0.02"
-echo "-- daemon loopback with a faulty store ($e17_store) --"
-STORE_FAULTS=$e17_store sh scripts/daemon_loopback.sh \
-  _build/default/bin/ipsec_resets.exe \
-  || { echo "daemon loopback kill/recover gate failed with a faulty store" >&2; exit 1; }
+echo "E17 smoke: every cell converged within the 2k bound at both depths"
 
-echo "== E17 fleet smoke (supervised kill/recover, one cell per reset scope) =="
-# One matrix cell per reset scope (single-SA / whole-SADB / disk-lost)
-# through the fault-injecting fleet supervisor: daemon pairs over a
-# real wire, the receiver SIGKILLed and respawned (store wiped for the
-# disk-lost scope), convergence and the 2k fresh-loss bound re-derived
-# from the heartbeat JSONL alone. Exit 0 is the verdict that every
-# smoke cell held; exit 2 says a cell broke the bound or failed to
-# converge; anything else is an infrastructure error. The wall-clock
-# cap keeps a hung daemon pair from wedging the gate.
-rc=0
-if command -v timeout >/dev/null 2>&1; then
-  timeout 300 dune exec bin/ipsec_resets.exe -- fleet --smoke \
-    --workdir "$out/fleet" --json "$out/fleet-smoke.json" --quiet || rc=$?
-else
-  dune exec bin/ipsec_resets.exe -- fleet --smoke \
-    --workdir "$out/fleet" --json "$out/fleet-smoke.json" --quiet || rc=$?
-fi
-case $rc in
-  0) ;;
-  2) echo "E17 smoke: a cell broke the 2k bound or failed to converge" >&2
-     [ -f "$out/fleet-smoke.json" ] && cat "$out/fleet-smoke.json" >&2
-     exit 1 ;;
-  124) echo "E17 smoke: wall-clock timeout — hung daemon pair?" >&2; exit 1 ;;
-  *) echo "E17 smoke errored (exit $rc)" >&2; exit 1 ;;
-esac
-test -s "$out/fleet-smoke.json" || { echo "missing fleet-smoke.json" >&2; exit 1; }
-grep -q '"all_ok": true' "$out/fleet-smoke.json" \
-  || { echo "fleet-smoke.json does not report all_ok" >&2; exit 1; }
-echo "E17 smoke: all reset-scope cells converged within the 2k bound"
-
-echo "== leap mutant (E1 must fail when the wakeup leap is K) =="
-# A gate counts only once it has been seen to go red. The wakeup leap
-# is defined once, in lib/core/k_policy.ml: in a copy of the tree that
-# definition becomes K instead of 2K, and E1's Figure 1 checks must
-# then fail: the copy's bench must exit 2, the status of a failed check
-# (0 would be a missed mutant, anything else a crash or a usage error).
-# The copy builds in about 6 s with a warm dune cache; E1 runs in about
-# a second.
-mutant="$out/leap-mutant"
+echo "== mutants (each patch in mutants/ must fail its Killed-by section) =="
+# A gate counts only once it has been seen to go red. Each patch in
+# mutants/ breaks one paper clause, named in its header (the text
+# before its first ---, which patch skips), together with the one bench
+# section that must kill it (a "Killed-by: <section>" line). Each is
+# applied in turn to one copy of the tree, the copy's bench is built
+# (about 6 s with a warm dune cache) and the section must exit 2, the
+# status of a failed check: 0 is a missed mutant, anything else a
+# crash or a usage error. The patch is then reverted.
+mutant="$out/mutant"
 mkdir -p "$mutant"
 tar --exclude=./_build --exclude=./.bench_build --exclude=./.git -cf - . \
   | (cd "$mutant" && tar -xf -)
-leap='let leap_of_k k = 2 \* k$'
-policy="$mutant/lib/core/k_policy.ml"
-defs=$(grep -c "^$leap" "$policy" || true)
-if [ "$defs" -ne 1 ]; then
-  echo "leap mutant: $defs leap definitions in k_policy.ml (expected 1)" >&2
-  exit 1
-fi
-sed "s/^$leap/let leap_of_k k = k/" "$policy" >"$policy.mutant"
-mv "$policy.mutant" "$policy"
-(cd "$mutant" && dune build --root . bench/main.exe 2>&1) \
-  || { echo "leap mutant: the copy does not build" >&2; exit 1; }
-rc=0
-"$mutant/_build/default/bench/main.exe" E1 --no-json >/dev/null \
-  2>"$out/mutant.err" || rc=$?
-if [ "$rc" -ne 2 ]; then
-  cat "$out/mutant.err" >&2
-  echo "leap mutant: E1 exited $rc with leap K (expected 2)" >&2
-  exit 1
-fi
-echo "leap K: E1 fails, as it must"
-
-echo "== wakeup-SAVE mutant (E15 must fail when the wakeup SAVE does not block) =="
-# The same copy, with k_policy.ml restored: mutants/ holds source
-# patches, each naming the clause it breaks and the gate that must
-# kill it. This one makes the wakeup SAVE in lib/core/durable.ml
-# non-blocking; a second reset during it must then surface as an
-# invariant violation in E15's stock batch (about 6 s).
-cp lib/core/k_policy.ml "$policy"
-(cd "$mutant" && patch -p1 --quiet <mutants/wakeup-save-nonblocking.patch) \
-  || { echo "wakeup mutant: the patch does not apply" >&2; exit 1; }
-(cd "$mutant" && dune build --root . bench/main.exe 2>&1) \
-  || { echo "wakeup mutant: the copy does not build" >&2; exit 1; }
-rc=0
-"$mutant/_build/default/bench/main.exe" E15 --no-json >/dev/null \
-  2>"$out/mutant.err" || rc=$?
-if [ "$rc" -ne 2 ]; then
-  cat "$out/mutant.err" >&2
-  echo "wakeup mutant: E15 exited $rc (expected 2)" >&2
-  exit 1
-fi
-echo "non-blocking wakeup SAVE: E15 fails, as it must"
+for patch in mutants/*.patch; do
+  section=$(sed -n '/^---/q; s/^Killed-by: *\([A-Z0-9]*\)$/\1/p' "$patch")
+  case $section in
+    ''|*[!A-Z0-9]*) echo "$patch: no single Killed-by: <section> line in its header" >&2; exit 1 ;;
+  esac
+  (cd "$mutant" && patch -p1 --quiet <"$patch") \
+    || { echo "$patch: does not apply" >&2; exit 1; }
+  (cd "$mutant" && dune build --root . bench/main.exe 2>&1) \
+    || { echo "$patch: the patched copy does not build" >&2; exit 1; }
+  rc=0
+  "$mutant/_build/default/bench/main.exe" "$section" --no-json >/dev/null \
+    2>"$out/mutant.err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    cat "$out/mutant.err" >&2
+    echo "$patch: $section exited $rc (expected 2)" >&2
+    exit 1
+  fi
+  (cd "$mutant" && patch -p1 -R --quiet <"$patch") \
+    || { echo "$patch: does not revert" >&2; exit 1; }
+  echo "$patch: $section fails, as it must"
+done
 
 echo "OK"

@@ -10,8 +10,8 @@
    the recovery gate's cross-incarnation replay check; and the CLI's
    stealth paired run, which costs goodput and breaks no invariant.
    The wire's fault model is Resets_sim.Link, tested in test_sim. The
-   two-process kill-and-recover experiment lives in
-   scripts/daemon_loopback.sh. *)
+   two-process kill-and-recover experiment is E17's
+   (Resets_fleet.Matrix, run by `ipsec_resets fleet`). *)
 
 open Resets_net
 module Batch_io = Resets_net_stubs.Batch_io

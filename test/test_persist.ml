@@ -80,18 +80,6 @@ let test_preload () =
   check_opt_int "immediately durable" (Some 99) (Sim_disk.fetch d ~key:"s");
   check_int "no save counted" 0 (Sim_disk.tally d).begun
 
-let test_jittered_latency_bounds () =
-  let e = Engine.create () in
-  let prng = Resets_util.Prng.create 3 in
-  let d = Sim_disk.create_jittered ~latency:(us 100) ~jitter:(us 50) ~prng e in
-  for _ = 1 to 20 do
-    let l = Time.to_us (Sim_disk.latency_of_next_save d) in
-    check_bool "latency in [100,150]us" true (l >= 100. && l <= 150.);
-    (* consume the sampled latency *)
-    Sim_disk.save d ~key:"k" ~value:0 ~on_complete:ignore;
-    ignore (Engine.run e)
-  done
-
 let test_crash_with_nothing_pending () =
   let e = Engine.create () in
   let d = Sim_disk.create ~latency:(us 10) e in
@@ -451,6 +439,7 @@ let test_file_store_corrupt_detected () =
   close_out oc;
   check_bool "fetch_checked flags garbage" true
     (File_store.fetch_checked store ~key:"bad" = Store.Corrupt);
+  check_int "counted corrupt" 1 (File_store.tally store).corrupt;
   check_bool "missing key reported" true
     (File_store.fetch_checked store ~key:"absent" = Store.Missing)
 
@@ -582,6 +571,24 @@ let test_fs_fault_stale_fetch_detected () =
     check_int "counted" 1 (File_store.tally store).stale
   | _ -> Alcotest.fail "stale read not flagged Stale"
 
+let test_fs_fault_aborted_rename_keeps_superseded () =
+  (* An aborted rename replaces nothing, so it must not replace the
+     superseded record either: after save 1, save 2 and a torn save 3
+     a stale read serves 1, as Sim_disk's does. *)
+  with_temp_dir "fsf7" @@ fun dir ->
+  let store = File_store.create ~dir in
+  File_store.set_faults store (fs_faulty Faults.none 7);
+  File_store.save store ~key:"k" ~value:1 ~on_complete:ignore;
+  File_store.save store ~key:"k" ~value:2 ~on_complete:ignore;
+  File_store.set_faults store
+    (fs_faulty { Faults.none with torn_prob = 1.0 } 7);
+  File_store.save store ~key:"k" ~value:3 ~on_complete:ignore;
+  check_int "torn counted" 1 (File_store.tally store).torn;
+  File_store.set_faults store
+    (fs_faulty { Faults.none with read_stale_prob = 1.0 } 7);
+  check_bool "stale read serves the record save 2 replaced" true
+    (File_store.fetch_checked store ~key:"k" = Store.Stale 1)
+
 let test_fs_fault_plan_deterministic () =
   (* Two stores over different directories, same seed: the fault plan
      must produce the identical outcome sequence — sharding and disk
@@ -681,9 +688,10 @@ let test_snap_store_face () =
 (* ------------------------------------------------------------------ *)
 (* One fault model: the simulated disk and both file layouts, each with
    its own copy of one plan attached before the first install, serve
-   the same checked reads and count the same corrupt and stale ones.
-   Every probability is 0 or 1 and nothing tears: the media draw
-   different numbers of write rolls by design. *)
+   the same checked reads and count the same writes and reads. Every
+   probability is 0 or 1 and nothing tears: the media draw different
+   numbers of write rolls by design, but then agree on every write's
+   outcome. *)
 
 type medium_op = Save of int | Preload of int
 
@@ -697,8 +705,7 @@ let checked_fetch =
     ( = )
 
 (* Run [ops] on one key of each medium, with one checked fetch after
-   each op: per medium, the verdicts and the tally's corrupt and stale
-   counts. *)
+   each op: per medium, the verdicts and the tally. *)
 let serve_on_each_medium spec ops =
   let plan () = Faults.create ~spec ~prng:(Resets_util.Prng.create 1) in
   let key = "k" in
@@ -713,7 +720,7 @@ let serve_on_each_medium spec ops =
           Store.fetch_checked st ~key)
         ops
     in
-    (verdicts, tally.corrupt, tally.stale)
+    (verdicts, tally)
   in
   let e = Engine.create () in
   let disk = Sim_disk.create ~faults:(plan ()) ~latency:(us 10) e in
@@ -739,13 +746,13 @@ let serve_on_each_medium spec ops =
 let test_media_stale_after_preload () =
   let spec = { Faults.none with read_stale_prob = 1. } in
   List.iter
-    (fun (medium, (verdicts, corrupt, stale)) ->
+    (fun (medium, (verdicts, (tally : Store.tally))) ->
       Alcotest.(check (list checked_fetch))
         (medium ^ " verdicts")
         [ Store.Fetched 1; Store.Stale 1; Store.Stale 2 ]
         verdicts;
-      check_int (medium ^ " corrupt count") 0 corrupt;
-      check_int (medium ^ " stale count") 2 stale)
+      check_int (medium ^ " corrupt count") 0 tally.corrupt;
+      check_int (medium ^ " stale count") 2 tally.stale)
     (serve_on_each_medium spec [ Save 1; Save 2; Preload 3 ])
 
 let media_serve_alike =
@@ -827,7 +834,6 @@ let () =
           Alcotest.test_case "supersede" `Quick test_supersede_same_key;
           Alcotest.test_case "independent keys" `Quick test_independent_keys;
           Alcotest.test_case "preload" `Quick test_preload;
-          Alcotest.test_case "jitter bounds" `Quick test_jittered_latency_bounds;
           Alcotest.test_case "crash idle" `Quick test_crash_with_nothing_pending;
         ] );
       ( "snapshot",
@@ -890,6 +896,8 @@ let () =
             test_fs_fault_corrupt_fetch_detected;
           Alcotest.test_case "stale fetch" `Quick
             test_fs_fault_stale_fetch_detected;
+          Alcotest.test_case "aborted rename keeps the superseded record"
+            `Quick test_fs_fault_aborted_rename_keeps_superseded;
           Alcotest.test_case "fault plan determinism" `Quick
             test_fs_fault_plan_deterministic;
           Alcotest.test_case "preload bypasses plan" `Quick

@@ -161,6 +161,8 @@ let test_report_schema () =
   check_bool "pass before failing check" true (Report.pass r);
   Report.check r ~name:"failing check" false;
   check_bool "pass reflects failures" false (Report.pass r);
+  Alcotest.(check (list string))
+    "failed names the failing check" [ "failing check" ] (Report.failed r);
   check_string "filename" "BENCH_EX.json" (Report.filename r);
   (* the serialized record survives a parse and keeps the schema *)
   let j = Json.parse_exn (Json.to_string (Report.to_json ~wall_clock_s:0.5 r)) in
