@@ -2191,15 +2191,16 @@ let micro report =
         ~bound:budget ?value:words
         (match words with Some w -> w <= budget | None -> false))
     [
-      (* The codec hot paths, ~1.8x the steady state (encap 43, decap 54
-         at 256 B): past them a copy or a boxed intermediate crept back
-         into the per-packet path. *)
+      (* The codec hot paths, set at ~1.8x the steady state of the
+         streaming codec (encap 43, decap 54 at 256 B; 37 and 48 with
+         the one-call kernel): past them a copy or a boxed intermediate
+         crept back into the per-packet path. *)
       ("esp-encap-256B", 78.);
       ("esp-decap-256B", 97.);
-      (* The batched wire path's per-frame codec work: steady state 6 /
-         15 words per frame, budgets 2x that. A string or boxed
-         intermediate creeping back into the zero-copy datapath shows
-         here before it shows as lost pps. *)
+      (* The batched wire path's per-frame codec work: steady state 0 /
+         9 words per frame (the budgets were 2x the streaming codec's 6 /
+         15). A string or boxed intermediate creeping back into the
+         zero-copy datapath shows here before it shows as lost pps. *)
       ("esp-encap-into-256B", 12.);
       ("esp-decap-slice-256B", 30.);
       (* One timer-wheel event (fire + self-reschedule), ~15 words
@@ -2209,14 +2210,14 @@ let micro report =
       (* Replay admission stays allocation-free: 1 tolerates measurement
          jitter, not boxing. *)
       ("window-admit", 1.);
-      (* Receiver.on_packet, 20 words steady state. A per-delivery
-         (epoch, seq) table entry would add 10 (30), per-packet trace
-         formatting about 55, so the budget sits between: either
-         regression fails. *)
+      (* Receiver.on_packet, 14 words steady state (20 with the
+         streaming codec). A per-delivery (epoch, seq) table entry would
+         add 10, per-packet trace formatting about 55, so the budget
+         sits above both steady states and below either regression. *)
       ("receiver-on-packet", 26.);
-      (* Receiver.on_frame over a frame in an arena, 20 words steady
-         state like on_packet (budget ~1.3x). Copying each frame out of
-         the arena into a string would add ~40. *)
+      (* Receiver.on_frame over a frame in an arena, 14 words steady
+         state like on_packet. Copying each frame out of the arena into
+         a string would add ~40. *)
       ("receiver-on-frame", 26.);
       (* 4,639 words steady state. A restore that copies each bool array
          again instead of overwriting the live one in place makes it

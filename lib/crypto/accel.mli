@@ -1,5 +1,6 @@
 (** Runtime switch for the C crypto fast paths (SHA-256 block compress,
-    ChaCha20 keystream XOR). The pure-OCaml implementations remain the
+    ChaCha20 keystream XOR, and the ESP frame kernel {!Esp_kernel}
+    builds on them). The pure-OCaml implementations remain the
     reference; the C primitives are bit-for-bit equivalent and are used
     by default when compiled in. Set [RESETS_NO_ACCEL=1] in the
     environment (checked once at startup) or call [set_enabled false]
@@ -40,3 +41,18 @@ val chacha20_xor : int array -> Bytes.t -> int -> int -> int -> unit
     keystream into [buf.(off .. off+len-1)]. [init] is the 16-word
     state template (constants, key, nonce); word 12 is ignored in
     favour of [counter0]. Internal: bounds unchecked. *)
+
+external esp_seal :
+  string -> int -> int -> int -> string -> Bytes.t -> int -> unit
+  = "caml_resets_esp_seal_byte" "caml_resets_esp_seal"
+[@@noalloc]
+(** [esp_seal key shape spi seq payload dst off]: {!Esp_kernel.seal}'s
+    C kernel, an external here so that a call is a direct C call.
+    Internal: bounds unchecked. *)
+
+external esp_unseal :
+  string -> int -> int -> int -> string -> int -> int -> Bytes.t -> bool
+  = "caml_resets_esp_unseal_byte" "caml_resets_esp_unseal"
+[@@noalloc]
+(** [esp_unseal key shape spi seq frame off clen scratch]:
+    {!Esp_kernel.unseal}'s C kernel. Internal: bounds unchecked. *)

@@ -1,17 +1,20 @@
-/* C fast paths for the two per-packet crypto inner loops.
+/* C fast paths for the per-packet crypto: the two inner loops, and
+ * the ESP frame kernel built on them.
  *
- * The OCaml implementations in sha256.ml / chacha20.ml remain the
- * reference (validated against the RFC/FIPS vectors) and the fallback;
- * these primitives compute the exact same block functions on the same
- * state layout.  SHA-256 has two compressors here: a portable scalar
- * one, and on x86-64 one built on the SHA extensions (SHA-NI), chosen
- * once by CPUID when the library loads.  All are leaf calls: they
- * allocate nothing, never release the runtime lock, and touch only the
- * buffers they are handed, so they are safe as [@@noalloc] externals.
+ * The OCaml implementations in sha256.ml / chacha20.ml / esp_kernel.ml
+ * remain the reference (validated against the RFC/FIPS vectors) and
+ * the fallback; these primitives compute the exact same functions on
+ * the same state layout.  SHA-256 has two compressors here: a portable
+ * scalar one, and on x86-64 one built on the SHA extensions (SHA-NI),
+ * chosen once by CPUID when the library loads.  All are leaf calls:
+ * they allocate nothing, never release the runtime lock, keep their
+ * state on the stack and touch only the buffers they are handed, so
+ * they are safe as [@@noalloc] externals and from any domain.
  *
- * State crosses the boundary as OCaml [int array]s holding u32 words
- * (tagged immediates: Long_val/Val_long, no boxing, no caml_modify
- * needed).  Message bytes cross as [Bytes.t].
+ * The block functions take state as OCaml [int array]s holding u32
+ * words (tagged immediates: Long_val/Val_long, no boxing, no
+ * caml_modify needed); the ESP kernel reads the SA's key block, a
+ * string.  Message bytes cross as [Bytes.t] or strings.
  */
 
 #include <stdint.h>
@@ -246,20 +249,13 @@ CAMLprim value caml_resets_sha256_sha_ni(value unit)
     c += d; b ^= c; b = (b << 7) | (b >> 25);                          \
   } while (0)
 
-/* caml_resets_chacha20_xor init buf off len counter0
- *   init: int array of 16 u32 state-template words (constants, key,
- *         nonce); word 12 is ignored — the counter is [counter0],
- *         incremented per 64-byte block.
- *   buf:  XORed with the keystream in place over [off, off+len).     */
-CAMLprim value caml_resets_chacha20_xor(value vinit, value vbuf, value voff,
-                                        value vlen, value vctr)
+/* XOR the keystream of the 16-word state template [st] (constants,
+ * key, nonce; word 12 is ignored), from block counter [ctr] on, into
+ * [buf, buf+len). */
+static void chacha20_xor(const uint32_t st[16], unsigned char *buf, long len,
+                         uint32_t ctr)
 {
-  uint32_t st[16];
-  unsigned char *buf = Bytes_val(vbuf) + Long_val(voff);
-  long len = Long_val(vlen);
-  uint32_t ctr = (uint32_t)Long_val(vctr);
   int i;
-  for (i = 0; i < 16; i++) st[i] = (uint32_t)Long_val(Field(vinit, i));
   while (len > 0) {
     uint32_t x0 = st[0], x1 = st[1], x2 = st[2], x3 = st[3];
     uint32_t x4 = st[4], x5 = st[5], x6 = st[6], x7 = st[7];
@@ -299,5 +295,201 @@ CAMLprim value caml_resets_chacha20_xor(value vinit, value vbuf, value voff,
     len -= take;
     ctr++;
   }
+}
+
+/* caml_resets_chacha20_xor init buf off len counter0
+ *   init: int array of 16 u32 state-template words (constants, key,
+ *         nonce); word 12 is ignored — the counter is [counter0],
+ *         incremented per 64-byte block.
+ *   buf:  XORed with the keystream in place over [off, off+len).     */
+CAMLprim value caml_resets_chacha20_xor(value vinit, value vbuf, value voff,
+                                        value vlen, value vctr)
+{
+  uint32_t st[16];
+  int i;
+  for (i = 0; i < 16; i++) st[i] = (uint32_t)Long_val(Field(vinit, i));
+  chacha20_xor(st, Bytes_val(vbuf) + Long_val(voff), Long_val(vlen),
+               (uint32_t)Long_val(vctr));
   return Val_unit;
+}
+
+/* ---------------- The ESP frame kernel ---------------- */
+
+/* One call seals a frame and one call opens it, over the SA's packed
+ * key block (Esp_kernel.key): 100 bytes, read as little-endian u32
+ * words.
+ *   bytes  0-31  HMAC inner midstate: SHA-256 chaining words after
+ *                the ipad key block
+ *   bytes 32-63  HMAC outer midstate, after the opad key block
+ *   bytes 64-95  ChaCha20 key
+ *   bytes 96-99  nonce salt
+ * The codec shape (Esp_kernel.shape) is an immediate: bits 0-7 the
+ * header length (12: the 64-bit sequence number on the wire; 8: an
+ * ESN's low half), bits 8-15 the ICV length, bit 16 ChaCha20 on.
+ * The ICV is HMAC-SHA-256 over spi(4) || seq(8) || ciphertext, all
+ * big-endian; the ChaCha20 nonce is salt(4) || seq(8, big-endian),
+ * counter from 1.  Esp checks every bound before it calls. */
+
+#define KB_INNER 0
+#define KB_OUTER 32
+#define KB_KEY 64
+#define KB_SALT 96
+
+#define SHAPE_HLEN(s) ((s) & 0xff)
+#define SHAPE_ICV(s) (((s) >> 8) & 0xff)
+#define SHAPE_CIPHER(s) (((s) >> 16) & 1)
+
+static inline uint32_t le32(const unsigned char *p)
+{
+  return (uint32_t)p[0] | ((uint32_t)p[1] << 8) | ((uint32_t)p[2] << 16)
+       | ((uint32_t)p[3] << 24);
+}
+
+static inline void put_be32(unsigned char *p, uint32_t v)
+{
+  p[0] = (unsigned char)(v >> 24);
+  p[1] = (unsigned char)(v >> 16);
+  p[2] = (unsigned char)(v >> 8);
+  p[3] = (unsigned char)v;
+}
+
+/* The long header the ICV covers: spi(4) || seq(8). */
+static void esp_long_header(unsigned char hdr[12], uint32_t spi, uint64_t seq)
+{
+  put_be32(hdr, spi);
+  put_be32(hdr + 4, (uint32_t)(seq >> 32));
+  put_be32(hdr + 8, (uint32_t)seq);
+}
+
+/* ChaCha20 over [buf, buf+len) under the block's key; the nonce is the
+ * salt and the long header's sequence number. */
+static void esp_crypt(const unsigned char *kb, const unsigned char hdr[12],
+                      unsigned char *buf, long len)
+{
+  uint32_t st[16];
+  int i;
+  st[0] = 0x61707865; st[1] = 0x3320646e;
+  st[2] = 0x79622d32; st[3] = 0x6b206574;
+  for (i = 0; i < 8; i++) st[4 + i] = le32(kb + KB_KEY + 4 * i);
+  st[12] = 0;
+  st[13] = le32(kb + KB_SALT);
+  st[14] = le32(hdr + 4);
+  st[15] = le32(hdr + 8);
+  chacha20_xor(st, buf, len, 1);
+}
+
+/* The full 32-byte HMAC-SHA-256 of hdr(12) || data[0, len), resumed
+ * from the key block's midstates.  The message is hashed where it
+ * lies; only the first block (the header and up to 52 data bytes) and
+ * the padded tail are staged. */
+static void esp_mac(const unsigned char *kb, const unsigned char hdr[12],
+                    const unsigned char *data, long len, unsigned char tag[32])
+{
+  uint32_t h[8];
+  unsigned char blk[64];
+  uint64_t bits = (uint64_t)(64 + 12 + len) * 8;
+  long fill, take = len < 52 ? len : 52;
+  int i;
+  for (i = 0; i < 8; i++) h[i] = le32(kb + KB_INNER + 4 * i);
+  memcpy(blk, hdr, 12);
+  memcpy(blk + 12, data, take);
+  fill = 12 + take;
+  data += take;
+  len -= take;
+  if (fill == 64) {
+    long full = len / 64;
+    sha256_compress(h, blk, 1);
+    if (full > 0) sha256_compress(h, data, full);
+    data += 64 * full;
+    len -= 64 * full;
+    memcpy(blk, data, len);
+    fill = len;
+  }
+  blk[fill++] = 0x80;
+  if (fill > 56) {
+    memset(blk + fill, 0, 64 - fill);
+    sha256_compress(h, blk, 1);
+    fill = 0;
+  }
+  memset(blk + fill, 0, 56 - fill);
+  put_be32(blk + 56, (uint32_t)(bits >> 32));
+  put_be32(blk + 60, (uint32_t)bits);
+  sha256_compress(h, blk, 1);
+  /* the outer hash: the opad midstate, then one block holding the
+   * inner digest and its padding (64 + 32 bytes = 768 bits) */
+  for (i = 0; i < 8; i++) put_be32(blk + 4 * i, h[i]);
+  for (i = 0; i < 8; i++) h[i] = le32(kb + KB_OUTER + 4 * i);
+  blk[32] = 0x80;
+  memset(blk + 33, 0, 29);
+  put_be32(blk + 60, 768);
+  sha256_compress(h, blk, 1);
+  for (i = 0; i < 8; i++) put_be32(tag + 4 * i, h[i]);
+}
+
+/* caml_resets_esp_seal key shape spi seq payload dst off
+ *   Writes the frame for [payload] at [off] in [dst]: the header, the
+ *   payload encrypted in place, the ICV into the tail. */
+CAMLprim value caml_resets_esp_seal(value vkey, value vshape, value vspi,
+                                    value vseq, value vpayload, value vdst,
+                                    value voff)
+{
+  const unsigned char *kb = (const unsigned char *)String_val(vkey);
+  long shape = Long_val(vshape);
+  long hlen = SHAPE_HLEN(shape), plen = caml_string_length(vpayload);
+  unsigned char *frame = Bytes_val(vdst) + Long_val(voff);
+  unsigned char *ct = frame + hlen;
+  unsigned char hdr[12], tag[32];
+  esp_long_header(hdr, (uint32_t)Long_val(vspi), (uint64_t)Long_val(vseq));
+  /* the SPI, then all of the sequence number or its low half */
+  memcpy(frame, hdr, 4);
+  memcpy(frame + 4, hdr + 16 - hlen, hlen - 4);
+  memmove(ct, String_val(vpayload), plen);
+  if (SHAPE_CIPHER(shape)) esp_crypt(kb, hdr, ct, plen);
+  esp_mac(kb, hdr, ct, plen, tag);
+  memcpy(ct + plen, tag, SHAPE_ICV(shape));
+  return Val_unit;
+}
+
+CAMLprim value caml_resets_esp_seal_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_resets_esp_seal(argv[0], argv[1], argv[2], argv[3], argv[4],
+                              argv[5], argv[6]);
+}
+
+/* caml_resets_esp_unseal key shape spi seq frame off clen scratch
+ *   Compares, in constant time, the ICV of the frame at [off] in
+ *   [frame], whose ciphertext is [clen] bytes, with the one computed
+ *   under [seq].  On a match with ChaCha20 on, decrypts the ciphertext
+ *   into [scratch, scratch+clen).  Returns whether it matched. */
+CAMLprim value caml_resets_esp_unseal(value vkey, value vshape, value vspi,
+                                      value vseq, value vframe, value voff,
+                                      value vclen, value vscratch)
+{
+  const unsigned char *kb = (const unsigned char *)String_val(vkey);
+  long shape = Long_val(vshape), clen = Long_val(vclen);
+  long icv = SHAPE_ICV(shape), i;
+  const unsigned char *ct =
+      (const unsigned char *)String_val(vframe) + Long_val(voff)
+      + SHAPE_HLEN(shape);
+  const volatile unsigned char *got = ct + clen;
+  unsigned char hdr[12], tag[32], diff = 0;
+  esp_long_header(hdr, (uint32_t)Long_val(vspi), (uint64_t)Long_val(vseq));
+  esp_mac(kb, hdr, ct, clen, tag);
+  /* no early exit: every ICV byte is compared */
+  for (i = 0; i < icv; i++) diff |= tag[i] ^ got[i];
+  if (diff != 0) return Val_false;
+  if (SHAPE_CIPHER(shape)) {
+    unsigned char *out = Bytes_val(vscratch);
+    memmove(out, ct, clen);
+    esp_crypt(kb, hdr, out, clen);
+  }
+  return Val_true;
+}
+
+CAMLprim value caml_resets_esp_unseal_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_resets_esp_unseal(argv[0], argv[1], argv[2], argv[3], argv[4],
+                                argv[5], argv[6], argv[7]);
 }

@@ -21,14 +21,20 @@ type state = {
   tag : Bytes.t; (* 32-byte digest staging *)
 }
 
-let state ~key =
+(* The ipad and opad midstates of [key], computed in [ctx]. *)
+let pads ctx ~key =
   let key = normalize_key key in
-  let ctx = Sha256.init () in
   Sha256.feed ctx (xor_with key 0x36);
   let inner = Sha256.midstate ctx in
   Sha256.reset ctx;
   Sha256.feed ctx (xor_with key 0x5c);
-  let outer = Sha256.midstate ctx in
+  (inner, Sha256.midstate ctx)
+
+let pad_midstates ~key = pads (Sha256.init ()) ~key
+
+let state ~key =
+  let ctx = Sha256.init () in
+  let inner, outer = pads ctx ~key in
   { inner; outer; ctx; tag = Bytes.create tag_size }
 
 let start st = Sha256.restore st.ctx st.inner

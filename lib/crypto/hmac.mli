@@ -18,6 +18,10 @@ val mac_truncated : key:string -> bytes:int -> string -> string
 val verify : key:string -> tag:string -> string -> bool
 (** Constant-time check of a (possibly truncated) tag. *)
 
+val pad_midstates : key:string -> Sha256.midstate * Sha256.midstate
+(** The SHA-256 midstates after the ipad and the opad key block: what
+    every MAC under [key] resumes from. *)
+
 type state
 (** Reusable keyed HMAC state with precomputed ipad/opad midstates. *)
 

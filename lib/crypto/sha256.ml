@@ -67,6 +67,13 @@ let midstate ctx =
     invalid_arg "Sha256.midstate: context not on a block boundary";
   { ms_h = Array.copy ctx.h; ms_total = ctx.total_len }
 
+let midstate_words ms = Array.copy ms.ms_h
+
+let midstate_of_words h ~total =
+  if Array.length h <> 8 || total < 0 || total mod block_size <> 0 then
+    invalid_arg "Sha256.midstate_of_words";
+  { ms_h = Array.map (fun w -> w land 0xffffffff) h; ms_total = total }
+
 let restore ctx ms =
   Array.blit ms.ms_h 0 ctx.h 0 8;
   ctx.block_len <- 0;

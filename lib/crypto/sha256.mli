@@ -45,6 +45,14 @@ val midstate : ctx -> midstate
 (** @raise Invalid_argument if the context holds buffered partial-block
     bytes. *)
 
+val midstate_words : midstate -> int array
+(** The 8 chaining words (u32s, FIPS order) of a midstate, copied. *)
+
+val midstate_of_words : int array -> total:int -> midstate
+(** The midstate whose chaining words are the 8 u32s given, after
+    [total] absorbed bytes. @raise Invalid_argument unless there are 8
+    words and [total] is a non-negative multiple of 64. *)
+
 val restore : ctx -> midstate -> unit
 (** Rewind the context to a captured midstate; the context becomes
     feedable again regardless of prior finalization. *)

@@ -8,61 +8,22 @@ let error_to_string = function
 
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
+module Kernel = Resets_crypto.Esp_kernel
+
 (* spi(4), then the sequence number: all 64 bits, or the ESN's low 32. *)
-let header_length (sa : Sa.params) =
-  match sa.algo.framing with Sa.Seq64 -> 12 | Sa.Esn32 -> 8
+let header_length (sa : Sa.params) = Kernel.header_length sa.shape
 
-let overhead ~sa = header_length sa + Sa.icv_length sa.Sa.algo.integ
+let overhead ~sa = header_length sa + Kernel.icv_length sa.Sa.shape
 
-(* The per-packet nonce is salt(4) ‖ seq(8 BE); the salt half is
-   prefilled at key-derivation time, so arming it is one be64 write. *)
-let arm_nonce (sa : Sa.params) ~seq =
-  Wire.set_be64 sa.crypto.nonce 4 (Int64.of_int seq);
-  sa.crypto.nonce
-
-let encrypt_in_place (sa : Sa.params) ~seq buf ~off ~len =
-  match sa.algo.encr with
-  | Sa.Null_encr -> ()
-  | Sa.Chacha20 ->
-    Resets_crypto.Chacha20.crypt_into sa.crypto.cipher
-      ~nonce:(arm_nonce sa ~seq) buf ~off ~len
-
-(* Start the ICV over what it covers: the long header spi ‖ seq(8 BE),
-   then the [clen] ciphertext bytes after the frame's header. Under
-   Seq64 that header is the frame's own, so the whole run is MACed in
-   place. Under ESN the wire holds only the low half, so the long
-   header is rebuilt in the SA's [hdr] scratch (RFC 4304's implicit
-   high-order bits) and the streaming HMAC takes the two pieces with no
-   concatenation. *)
-let mac_covered (sa : Sa.params) ~seq frame ~off ~clen =
-  let st = sa.crypto.hmac in
-  Resets_crypto.Hmac.start st;
-  (match sa.algo.framing with
-  | Sa.Seq64 -> Resets_crypto.Hmac.add_sub st frame ~off ~len:(12 + clen)
-  | Sa.Esn32 ->
-    let hdr = sa.crypto.hdr in
-    Wire.set_be32 hdr 0 sa.spi;
-    Wire.set_be64 hdr 4 (Int64.of_int seq);
-    Resets_crypto.Hmac.add_bytes st hdr ~off:0 ~len:12;
-    Resets_crypto.Hmac.add_sub st frame ~off:(off + 8) ~len:clen);
-  st
-
+(* Each face is bounds and framing checks around one kernel call, which
+   writes or opens the whole frame (Esp_kernel); only a frame longer
+   than the decap scratch takes two (open_long). *)
 let encap_into ~(sa : Sa.params) ~seq ~payload dst ~off =
   if seq < 0 then invalid_arg "Esp.encap_into: negative sequence number";
-  let hlen = header_length sa and icv_len = Sa.icv_length sa.algo.integ in
-  let plen = String.length payload in
-  let total = hlen + plen + icv_len in
-  if off < 0 || off + total > Bytes.length dst then
+  let total = overhead ~sa + String.length payload in
+  if off < 0 || off > Bytes.length dst - total then
     invalid_arg "Esp.encap_into: out of bounds";
-  Wire.set_be32 dst off sa.spi;
-  (match sa.algo.framing with
-  | Sa.Seq64 -> Wire.set_be64 dst (off + 4) (Int64.of_int seq)
-  | Sa.Esn32 -> Wire.set_be32 dst (off + 4) (Int32.of_int (Esn.low_of seq)));
-  Bytes.blit_string payload 0 dst (off + hlen) plen;
-  encrypt_in_place sa ~seq dst ~off:(off + hlen) ~len:plen;
-  let st = mac_covered sa ~seq (Bytes.unsafe_to_string dst) ~off ~clen:plen in
-  Resets_crypto.Hmac.finish_into st ~bytes:icv_len ~dst
-    ~dst_off:(off + hlen + plen);
+  Kernel.seal sa.key ~shape:sa.shape ~spi:sa.wire_spi ~seq payload dst ~off;
   total
 
 let encap ~(sa : Sa.params) ~seq ~payload =
@@ -71,57 +32,74 @@ let encap ~(sa : Sa.params) ~seq ~payload =
   let (_ : int) = encap_into ~sa ~seq ~payload out ~off:0 in
   Bytes.unsafe_to_string out
 
-(* Decrypt the ciphertext range into the SA's scratch buffer and
-   return a slice of the plaintext (valid until the next codec
-   operation on the same SA). Null-encryption payloads are viewed in
-   the frame itself — no copy at all. *)
-let plaintext_slice (sa : Sa.params) ~seq frame ~off ~len =
-  match sa.algo.encr with
-  | Sa.Null_encr -> Slice.of_sub_string frame ~off ~len
-  | Sa.Chacha20 ->
-    let scratch = Sa.scratch_bytes sa len in
-    Bytes.blit_string frame off scratch 0 len;
-    Resets_crypto.Chacha20.crypt_into sa.crypto.cipher
-      ~nonce:(arm_nonce sa ~seq) scratch ~off:0 ~len;
-    Slice.make scratch ~off:0 ~len
+let[@inline] be32 s off = Int32.to_int (String.get_int32_be s off) land 0xffffffff
+
+(* The ICV covers the SA's SPI, not the wire's: a frame that names
+   another SPI cannot verify. *)
+let own_spi (sa : Sa.params) frame ~off = be32 frame off = sa.wire_spi
 
 (* The number a frame verifies under: read whole, or inferred from the
    ESN's low half and the receiver's [edge]. Negative when it cannot
-   verify: the inferred epoch is before the first, or an ESN frame's
-   SPI is not the SA's (its ICV covers the SA's SPI, not the wire's). *)
+   verify: the inferred epoch is before the first, or the 64 wire bits
+   are not a non-negative [int] (the ICV covers the number rebuilt from
+   the [int], so the bits must round-trip). The caller has checked that
+   the header lies in [frame]. *)
 let frame_seq (sa : Sa.params) ~edge frame ~off =
-  match sa.algo.framing with
-  | Sa.Seq64 -> Int64.to_int (Wire.get_be64 frame (off + 4))
-  | Sa.Esn32 ->
-    if not (Int32.equal (Wire.get_be32 frame off) sa.spi) then -1
-    else
-      Esn.infer ~edge ~w:sa.window_width
-        ~seq_low:(Int32.to_int (Wire.get_be32 frame (off + 4)) land 0xffffffff)
+  if header_length sa = 12 then
+    let v = String.get_int64_be frame (off + 4) in
+    if Int64.compare v 0L < 0 then -1 else Int64.to_int v
+  else Esn.infer ~edge ~w:sa.window_width ~seq_low:(be32 frame (off + 4))
+
+(* A frame longer than the SA's scratch buffer: verified with the
+   cipher off before the buffer grows, so that a forged frame cannot
+   enlarge it, then opened into the grown buffer. *)
+let open_long (sa : Sa.params) ~seq frame ~off ~clen =
+  let verify_only =
+    Kernel.shape ~header_length:(header_length sa)
+      ~icv_length:(Kernel.icv_length sa.shape) ~cipher:false
+  in
+  if
+    Kernel.unseal sa.key ~shape:verify_only ~spi:sa.wire_spi ~seq frame ~off
+      ~len:clen sa.scratch
+    && Kernel.unseal sa.key ~shape:sa.shape ~spi:sa.wire_spi ~seq frame ~off
+         ~len:clen (Sa.scratch_bytes sa clen)
+  then Ok (seq, Slice.make sa.scratch ~off:0 ~len:clen)
+  else Error Bad_icv
 
 (* [frame] may be a whole wire string or a window into a shared rx
-   arena; nothing below assumes the frame starts at offset 0. *)
+   arena; nothing below assumes the frame starts at offset 0. The
+   plaintext is decrypted into the SA's scratch buffer (valid until the
+   next codec operation on the same SA); a null-encryption payload is
+   viewed in the frame itself, with no copy at all. *)
 let decap_range ~(sa : Sa.params) ~edge frame ~off ~len =
-  let hlen = header_length sa and icv_len = Sa.icv_length sa.algo.integ in
-  if len < hlen + icv_len then Error Malformed
+  if off < 0 || len < 0 || off > String.length frame - len then
+    invalid_arg "Esp.decap_range: out of bounds";
+  let hlen = header_length sa in
+  let clen = len - hlen - Kernel.icv_length sa.shape in
+  if clen < 0 then Error Malformed
+  else if not (own_spi sa frame ~off) then Error Bad_icv
   else begin
     let seq = frame_seq sa ~edge frame ~off in
-    let clen = len - hlen - icv_len in
-    if
-      seq < 0
-      || not
-           (Resets_crypto.Hmac.finish_verify
-              (mac_covered sa ~seq frame ~off ~clen)
-              ~tag:frame ~tag_off:(off + hlen + clen) ~tag_len:icv_len)
-    then Error Bad_icv
-    else Ok (seq, plaintext_slice sa ~seq frame ~off:(off + hlen) ~len:clen)
+    let cipher = Kernel.cipher sa.shape in
+    if seq < 0 then Error Bad_icv
+    else if cipher && clen > Bytes.length sa.scratch then
+      open_long sa ~seq frame ~off ~clen
+    else if
+      Kernel.unseal sa.key ~shape:sa.shape ~spi:sa.wire_spi ~seq frame ~off
+        ~len:clen sa.scratch
+    then
+      Ok
+        ( seq,
+          if cipher then Slice.make sa.scratch ~off:0 ~len:clen
+          else Slice.of_sub_string frame ~off:(off + hlen) ~len:clen )
+    else Error Bad_icv
   end
 
 (* The wrappers below have no receiver edge to infer an ESN number
    from: they refuse an ESN SA rather than guess one. *)
-let seq64_only (sa : Sa.params) =
-  match sa.algo.framing with
-  | Sa.Seq64 -> ()
-  | Sa.Esn32 -> invalid_arg "Esp: an ESN SA decodes through decap_range ~edge"
+let seq64_only sa =
+  if header_length sa <> 12 then
+    invalid_arg "Esp: an ESN SA decodes through decap_range ~edge"
 
 let decap_slice ~sa packet =
   seq64_only sa;
@@ -136,6 +114,7 @@ let decap ~sa packet =
 
 let seq_of_packet ~sa ~edge packet =
   if String.length packet < header_length sa then None
+  else if header_length sa = 8 && not (own_spi sa packet ~off:0) then None
   else
     let seq = frame_seq sa ~edge packet ~off:0 in
     if seq < 0 then None else Some seq

@@ -19,14 +19,17 @@
     RFC-specified behaviour, and the reason a SAVE/FETCH wakeup leap
     must recover an edge whose epoch is right.
 
-    The codec is zero-copy: the encoder writes the packet into one
-    buffer (header, in-place encrypt, MAC into the tail); the decoder
-    verifies the ICV by streaming over the frame where it lies — a wire
-    string or an rx-arena slot — and returns the plaintext as a
-    {!Resets_util.Slice.t} into the SA's scratch buffer (or into the
-    frame itself under null encryption), valid until the next codec
-    operation on the same SA. [encap], [decap], [decap_slice] and
-    [decap_of_slice] are thin wrappers over the two. *)
+    The codec is zero-copy, and each face is bounds and framing checks
+    around one call of {!Resets_crypto.Esp_kernel} over the SA's packed
+    key block: the encoder's call writes the packet into one buffer
+    (header, in-place encrypt, ICV into the tail); the decoder's call
+    verifies the ICV over the frame where it lies — a wire string or an
+    rx-arena slot — and decrypts into the SA's scratch buffer. The
+    plaintext comes back as a {!Resets_util.Slice.t} into that buffer
+    (or into the frame itself under null encryption), valid until the
+    next codec operation on the same SA. [encap], [decap],
+    [decap_slice] and [decap_of_slice] are thin wrappers over the
+    two. *)
 
 type error =
   | Malformed  (** too short to parse *)
@@ -61,13 +64,14 @@ val decap_range :
     [len]-byte frame at [off] in [frame] and returns (sequence number,
     payload). [edge] is the receiver window's right edge: an [Esn32]
     SA infers the full number from it, a [Seq64] SA ignores it. An
-    [Esn32] frame whose SPI is not the SA's is [Bad_icv]. The payload
+    frame whose SPI is not the SA's is [Bad_icv]. The payload
     is a view into the SA's scratch buffer (or into [frame],
     under null encryption), valid only until the next codec operation
     on the same SA and, for a frame in a shared buffer, until that
     buffer is reused. Replay-window processing is the caller's job — in
     IPsec the window check precedes and follows ICV verification; here
-    the caller sequences those steps. *)
+    the caller sequences those steps. @raise Invalid_argument if [off]
+    and [len] do not lie within [frame]. *)
 
 (** {1 Seq64 wrappers}
 
@@ -98,7 +102,8 @@ val seq_of_packet :
 (** The sequence number a packet will verify under, unverified — what
     an on-path adversary can read, given the receiver window position
     it assumes ([edge], used by [Esn32] SAs only). [None] if the packet
-    is short or, under [Esn32], its SPI is not the SA's or the inferred
+    is short, if under [Seq64] its 64 bits are not a non-negative
+    [int], or if under [Esn32] its SPI is not the SA's or the inferred
     epoch is before the first. *)
 
 val spi_of_packet : string -> int32 option

@@ -22,52 +22,34 @@ type keys = {
   salt : string;
 }
 
-(* Keyed-crypto state derived once from [keys] and carried alongside
-   them: the HMAC ipad/opad midstates, the parsed cipher key, and the
-   per-packet scratch buffers the codec reuses. One [crypto] serves
-   one packet operation at a time — fine for the single-threaded
-   simulator, where each encap/decap completes within its call. *)
-type crypto = {
-  hmac : Resets_crypto.Hmac.state;
-  cipher : Resets_crypto.Chacha20.state;
-  nonce : Bytes.t;  (* 12: salt(4) ‖ seq(8 BE); salt prefilled *)
-  hdr : Bytes.t;  (* 12: the long header an ESN ICV covers *)
-  mutable scratch : Bytes.t;  (* decap plaintext staging, grows on demand *)
-}
+module Kernel = Resets_crypto.Esp_kernel
 
+(* The per-frame codec (Esp) reads the first five fields and nothing
+   else of the record, so they lead it. *)
 type params = {
+  wire_spi : int;
+  shape : Kernel.shape;
+  key : Kernel.key;
+  mutable scratch : Bytes.t;
+  window_width : int;
   spi : int32;
   algo : algo;
   keys : keys;
-  window_width : int;
   arena : Sadb_flat.t option;
   lifetime_packets : int option;
-  crypto : crypto;
 }
 
 let default_algo = { integ = Hmac_sha256_128; encr = Chacha20; framing = Seq64 }
 
-let derive_crypto keys =
-  let nonce = Bytes.create 12 in
-  Bytes.blit_string keys.salt 0 nonce 0 4;
-  {
-    hmac = Resets_crypto.Hmac.state ~key:keys.auth_key;
-    cipher = Resets_crypto.Chacha20.state ~key:keys.enc_key;
-    nonce;
-    hdr = Bytes.create 12;
-    scratch = Bytes.create 256;
-  }
-
 let scratch_bytes (p : params) len =
-  let c = p.crypto in
-  if Bytes.length c.scratch < len then begin
-    let cap = ref (Bytes.length c.scratch) in
+  if Bytes.length p.scratch < len then begin
+    let cap = ref (Bytes.length p.scratch) in
     while !cap < len do
       cap := !cap * 2
     done;
-    c.scratch <- Bytes.create !cap
+    p.scratch <- Bytes.create !cap
   end;
-  c.scratch
+  p.scratch
 
 let derive_params ?(algo = default_algo) ?(window_width = 64) ?arena
     ?lifetime_packets ~spi ~secret () =
@@ -84,13 +66,22 @@ let derive_params ?(algo = default_algo) ?(window_width = 64) ?arena
     }
   in
   {
+    wire_spi = Int32.to_int spi land 0xffffffff;
+    shape =
+      Kernel.shape
+        ~header_length:(match algo.framing with Seq64 -> 12 | Esn32 -> 8)
+        ~icv_length:(icv_length algo.integ)
+        ~cipher:(algo.encr = Chacha20);
+    key =
+      Kernel.key_block ~auth_key:keys.auth_key ~enc_key:keys.enc_key
+        ~salt:keys.salt;
+    scratch = Bytes.create 256;
+    window_width;
     spi;
     algo;
     keys;
-    window_width;
     arena;
     lifetime_packets;
-    crypto = derive_crypto keys;
   }
 
 (* The counters share the window's arena slot, so an SA's whole

@@ -44,29 +44,28 @@ type keys = {
   salt : string;  (** 4 bytes, mixed into the per-packet nonce *)
 }
 
-(** Keyed-crypto state derived once from the SA's keys: precomputed
-    HMAC pad midstates, parsed cipher key, and the scratch buffers the
-    packet codec reuses. One [crypto] serves one packet operation at a
-    time (the simulator is single-threaded and every encap/decap
-    completes within its call). *)
-type crypto = {
-  hmac : Resets_crypto.Hmac.state;
-  cipher : Resets_crypto.Chacha20.state;
-  nonce : Bytes.t;  (** 12 bytes: salt(4) ‖ seq(8 BE); salt prefilled *)
-  hdr : Bytes.t;  (** 12-byte scratch: the long header an [Esn32] ICV covers *)
-  mutable scratch : Bytes.t;  (** decap plaintext staging *)
-}
-
+(** The SA's immutable part (the scratch aside). The first five fields
+    are all that the per-frame codec ({!Esp}) reads of it, so they
+    lead the record; the first three are derived once from [spi],
+    [algo] and [keys]. *)
 type params = {
+  wire_spi : int;  (** [spi] as an unsigned 32-bit immediate *)
+  shape : Resets_crypto.Esp_kernel.shape;
+      (** [algo] as the kernel reads it: header length, ICV length,
+          cipher on or off *)
+  key : Resets_crypto.Esp_kernel.key;
+      (** the packed key block: HMAC pad midstates, ChaCha20 key, salt *)
+  mutable scratch : Bytes.t;
+      (** decap plaintext staging, grown ({!scratch_bytes}) only for a
+          frame whose ICV verified *)
+  window_width : int;  (** the paper's [w] *)
   spi : int32;  (** security parameter index *)
   algo : algo;
   keys : keys;
-  window_width : int;  (** the paper's [w] *)
   arena : Sadb_flat.t option;
       (** the arena shared by the SAs of a shard; [None] gives each
           {!create} a private one-slot arena *)
   lifetime_packets : int option;  (** soft lifetime, if any *)
-  crypto : crypto;  (** derived; not part of the SA's identity *)
 }
 
 val scratch_bytes : params -> int -> Bytes.t

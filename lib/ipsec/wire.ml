@@ -10,20 +10,6 @@ let put_be64 buf v =
       (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
   done
 
-let set_be32 b off v =
-  if off < 0 || off + 4 > Bytes.length b then invalid_arg "Wire.set_be32: short buffer";
-  for i = 0 to 3 do
-    Bytes.set b (off + i)
-      (Char.chr (Int32.to_int (Int32.shift_right_logical v (8 * (3 - i))) land 0xff))
-  done
-
-let set_be64 b off v =
-  if off < 0 || off + 8 > Bytes.length b then invalid_arg "Wire.set_be64: short buffer";
-  for i = 0 to 7 do
-    Bytes.set b (off + i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * (7 - i))) land 0xff))
-  done
-
 let get_be32_bytes b off =
   if off < 0 || off + 4 > Bytes.length b then
     invalid_arg "Wire.get_be32_bytes: short input";
@@ -53,12 +39,3 @@ let get_be32 s off =
     (Int32.logor
        (Int32.shift_left (byte 1) 16)
        (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
-
-let get_be64 s off =
-  if off < 0 || off + 8 > String.length s then invalid_arg "Wire.get_be64: short input";
-  let byte i = Int64.of_int (Char.code s.[off + i]) in
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (byte i)
-  done;
-  !acc

@@ -3,17 +3,7 @@
 val put_be32 : Buffer.t -> int32 -> unit
 val put_be64 : Buffer.t -> int64 -> unit
 
-val set_be32 : Bytes.t -> int -> int32 -> unit
-(** Write big-endian at a fixed offset; the in-place counterpart of
-    [put_be32]. @raise Invalid_argument on short buffer. *)
-
-val set_be64 : Bytes.t -> int -> int64 -> unit
-(** @raise Invalid_argument on short buffer. *)
-
 val get_be32 : string -> int -> int32
-(** @raise Invalid_argument on short input. *)
-
-val get_be64 : string -> int -> int64
 (** @raise Invalid_argument on short input. *)
 
 val get_be32_bytes : Bytes.t -> int -> int32

@@ -127,7 +127,8 @@ let faults_need_prng f jitter =
 
 let create ?(name = "link") ?trace ?(faults = no_faults) ?(jitter = Time.zero) ?prng
     ~latency engine =
-  if faults_need_prng faults jitter && prng = None then
+  let draws = faults_need_prng faults jitter in
+  if draws && prng = None then
     invalid_arg "Link.create: faults or jitter require a prng";
   {
     engine;
@@ -136,7 +137,9 @@ let create ?(name = "link") ?trace ?(faults = no_faults) ?(jitter = Time.zero) ?
     faults;
     base_latency = latency;
     jitter;
-    prng;
+    (* A fault-free link draws nothing: every sample would be a
+       Bernoulli(0), always false, and each link owns its generator. *)
+    prng = (if draws then prng else None);
     deliver = None;
     observers = [];
     up = true;

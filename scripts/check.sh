@@ -20,6 +20,16 @@ fi
 echo "== dune runtest =="
 dune runtest
 
+echo "== codec and crypto suites on the OCaml reference (RESETS_NO_ACCEL=1) =="
+# The ESP kernel, SHA-256 and ChaCha20 each have a C path and an OCaml
+# reference; RESETS_NO_ACCEL=1 selects the reference. Dune's test cache
+# does not key on the environment, so these two suites run directly.
+for suite in test_codec test_crypto; do
+  RESETS_NO_ACCEL=1 dune exec ./test/$suite.exe -- --compact --color=never \
+    || { echo "$suite failed on the OCaml reference" >&2; exit 1; }
+  echo
+done
+
 # The experiments whose artifacts are pinned byte-for-byte below. Most
 # run in well under a second; E7, E8, E15 and E16 take a few seconds
 # each (together about 15 s on a 2-vCPU x86-64 VM).

@@ -5,7 +5,9 @@
    one-shot crypto APIs). The two must be observationally equivalent —
    byte-identical wires, agreeing decodes in both directions, agreeing
    rejections on truncation and tamper — or the refactor changed the
-   protocol, not just the representation. *)
+   protocol, not just the representation. The codec's one kernel call
+   per frame has a C path and an OCaml reference; the kernel suite
+   holds both to the legacy codec and to the codec's bounds checks. *)
 
 open Resets_util
 open Resets_crypto
@@ -57,7 +59,7 @@ module Legacy = struct
       let tag = String.sub packet (n - icv_len) icv_len in
       if not (Ct.equal tag (icv sa covered)) then Error Esp.Bad_icv
       else begin
-        let seq = Int64.to_int (Wire.get_be64 packet 4) in
+        let seq = Int64.to_int (String.get_int64_be packet 4) in
         let ciphertext =
           String.sub packet header_length (n - icv_len - header_length)
         in
@@ -299,6 +301,167 @@ let tamper_agrees =
         all_algos)
 
 (* ------------------------------------------------------------------ *)
+(* The kernel: C = OCaml reference = legacy, on every shape *)
+
+let with_accel on f =
+  let prev = Accel.in_use () in
+  Accel.set_enabled on;
+  Fun.protect ~finally:(fun () -> Accel.set_enabled prev) f
+
+let both_paths f = List.map (fun on -> with_accel on f) [ true; false ]
+
+(* Both framings x both ciphers x both ICV lengths. *)
+let every_shape =
+  List.concat_map
+    (fun framing ->
+      List.concat_map
+        (fun encr ->
+          List.map
+            (fun integ -> { Sa.integ; encr; framing })
+            [ Sa.Hmac_sha256_128; Sa.Hmac_sha256_full ])
+        [ Sa.Chacha20; Sa.Null_encr ])
+    [ Sa.Seq64; Sa.Esn32 ]
+
+(* Payload lengths whose covered run (12-byte long header plus
+   ciphertext) is 55/56 or 119/120 bytes, where SHA-256's padding does
+   or does not spill into one more block, or any length up to 300. *)
+let kernel_payload_gen =
+  QCheck.(
+    map
+      (fun (n, c) -> String.make n c)
+      (pair (oneof [ int_range 0 300; oneofl [ 43; 44; 107; 108 ] ]) char))
+
+(* Random SPIs (the sign bit included), keys from random secrets, and
+   sequence numbers from 1 to far past 2^32. *)
+let kernel_sa_gen =
+  QCheck.(
+    triple (map Int32.of_int (int_range (-0x80000000) 0x7fffffff))
+      (string_of_size Gen.(1 -- 24))
+      (oneof
+         [
+           int_range 1 1000;
+           int_range (Esn.epoch - 8) (Esn.epoch + 8);
+           int_range (Esn.epoch + 1) (1 lsl 62 - 1);
+         ]))
+
+let kernel_differential =
+  QCheck.Test.make
+    ~name:"kernel: C = OCaml reference = legacy (wire bytes and verdicts)"
+    ~count:150
+    QCheck.(triple kernel_sa_gen kernel_payload_gen (pair small_nat (int_range 1 255)))
+    (fun ((spi, secret, seq), payload, (at, mask)) ->
+      let edge = edge_of seq in
+      List.for_all
+        (fun algo ->
+          let sa = Sa.derive_params ~algo ~spi ~secret () in
+          let wire = legacy_encap ~sa ~seq ~payload in
+          let tampered = Bytes.of_string wire in
+          let i = at mod String.length wire in
+          Bytes.set tampered i (Char.chr (Char.code wire.[i] lxor mask));
+          let tampered = Bytes.to_string tampered in
+          let legacy_verdict = legacy_decap ~sa ~edge tampered in
+          List.for_all
+            (fun (w, ok, bad) ->
+              w = wire
+              && ok = Ok (seq, payload)
+              && bad = Error Esp.Bad_icv
+              && same_error (bad, legacy_verdict))
+            (both_paths (fun () ->
+                 ( Esp.encap ~sa ~seq ~payload,
+                   decap_at ~sa ~edge wire,
+                   decap_at ~sa ~edge tampered ))))
+        every_shape)
+
+(* Every byte of the frame is covered: flip its low bit, its high bit
+   or all of it and it no longer verifies, on either path. A flipped
+   SPI byte names another SPI, which an ESN frame's ICV does not cover:
+   the decoder's SPI check rejects it. *)
+let test_kernel_every_byte () =
+  List.iter
+    (fun algo ->
+      let sa = Sa.derive_params ~algo ~spi:0x9e37l ~secret:"every-byte" () in
+      List.iter
+        (fun plen ->
+          let seq = Esn.epoch + plen + 5 in
+          let edge = edge_of seq in
+          let wire = Esp.encap ~sa ~seq ~payload:(String.make plen 'b') in
+          String.iteri
+            (fun i c ->
+              List.iter
+                (fun mask ->
+                  let flipped = Bytes.of_string wire in
+                  Bytes.set flipped i (Char.chr (Char.code c lxor mask));
+                  let flipped = Bytes.to_string flipped in
+                  List.iter
+                    (fun verdict ->
+                      if verdict <> Error Esp.Bad_icv then
+                        Alcotest.failf
+                          "%d-byte payload, byte %d xor %#x: not Bad_icv" plen i
+                          mask)
+                    (both_paths (fun () -> decap_at ~sa ~edge flipped)))
+                [ 0x01; 0x80; 0xff ])
+            wire)
+        [ 0; 1; 43; 44; 107; 108; 300 ])
+    every_shape
+
+(* The scratch buffer grows only for a frame that verifies: a forged
+   frame longer than it leaves it as it was, on either path. *)
+let test_kernel_forged_long_frame () =
+  List.iter
+    (fun on ->
+      with_accel on (fun () ->
+          let sa = sa_of_algo Sa.default_algo in
+          let cap = Bytes.length sa.Sa.scratch in
+          let payload = String.make (4 * cap) 'L' in
+          let wire = Esp.encap ~sa ~seq:3 ~payload in
+          let forged = Bytes.of_string wire in
+          Bytes.set forged (String.length wire - 1)
+            (Char.chr (Char.code wire.[String.length wire - 1] lxor 1));
+          check_bool "forged: Bad_icv" true
+            (decap_at ~sa ~edge:0 (Bytes.to_string forged) = Error Esp.Bad_icv);
+          Alcotest.(check int) "scratch not grown" cap (Bytes.length sa.Sa.scratch);
+          check_bool "authentic: decodes" true
+            (decap_at ~sa ~edge:0 wire = Ok (3, payload));
+          check_bool "scratch grown" true (Bytes.length sa.Sa.scratch >= 4 * cap)))
+    [ true; false ]
+
+(* A range outside the frame or the destination is refused before the
+   kernel runs, on either path. *)
+let test_kernel_bounds () =
+  List.iter
+    (fun algo ->
+      let sa = Sa.derive_params ~algo ~spi:0x77l ~secret:"bounds" () in
+      let payload = "bounded" in
+      let total = Esp.overhead ~sa + String.length payload in
+      let wire = Esp.encap ~sa ~seq:9 ~payload in
+      let n = String.length wire in
+      List.iter
+        (fun on ->
+          with_accel on (fun () ->
+              let encap_raises name dst ~off =
+                Alcotest.check_raises name
+                  (Invalid_argument "Esp.encap_into: out of bounds") (fun () ->
+                    ignore (Esp.encap_into ~sa ~seq:9 ~payload dst ~off : int))
+              in
+              encap_raises "negative off" (Bytes.create (total + 8)) ~off:(-1);
+              encap_raises "past the end" (Bytes.create (total + 8)) ~off:9;
+              encap_raises "short destination" (Bytes.create (total - 1)) ~off:0;
+              let decap_raises name ~off ~len =
+                Alcotest.check_raises name
+                  (Invalid_argument "Esp.decap_range: out of bounds") (fun () ->
+                    ignore (Esp.decap_range ~sa ~edge:9 wire ~off ~len))
+              in
+              decap_raises "negative off" ~off:(-1) ~len:n;
+              decap_raises "negative len" ~off:0 ~len:(-1);
+              decap_raises "len past the end" ~off:0 ~len:(n + 1);
+              decap_raises "off past the end" ~off:(n + 1) ~len:0;
+              decap_raises "window past the end" ~off:1 ~len:n;
+              check_bool "the whole frame still decodes" true
+                (decap_at ~sa ~edge:9 wire = Ok (9, payload))))
+        [ true; false ])
+    every_shape
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic spot checks *)
 
 let test_known_wire_stability () =
@@ -355,6 +518,16 @@ let () =
       ( "cross-decode",
         [ qt cross_decode_seq64; qt cross_decode_esn; qt arena_slot_decodes ] );
       ("rejection", [ qt truncation_agrees; qt tamper_agrees ]);
+      ( "kernel",
+        [
+          qt kernel_differential;
+          Alcotest.test_case "every byte flipped, both paths" `Quick
+            test_kernel_every_byte;
+          Alcotest.test_case "ranges outside frame or destination" `Quick
+            test_kernel_bounds;
+          Alcotest.test_case "forged long frame leaves the scratch" `Quick
+            test_kernel_forged_long_frame;
+        ] );
       ( "stability",
         [
           Alcotest.test_case "pinned wire bytes" `Quick test_known_wire_stability;

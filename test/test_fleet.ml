@@ -17,13 +17,19 @@ let ensure_dir d =
   (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   Supervisor.wipe_dir d
 
-let scratch name =
-  let d =
+(* A fresh directory for [f], removed with its contents however [f]
+   returns. *)
+let with_scratch_dir name f =
+  let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "resets-fleet-%s-%d" name (Unix.getpid ()))
   in
-  ensure_dir d;
-  d
+  let remove () =
+    Supervisor.wipe_dir dir;
+    try Sys.rmdir dir with Sys_error _ -> ()
+  in
+  ensure_dir dir;
+  Fun.protect ~finally:remove (fun () -> f dir)
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeat reader *)
@@ -68,7 +74,7 @@ let test_hb_lost_fallback () =
   | _ -> Alcotest.fail "line did not parse"
 
 let test_hb_file_and_queries () =
-  let dir = scratch "hb" in
+  with_scratch_dir "hb" @@ fun dir ->
   let path = Filename.concat dir "hb.jsonl" in
   let oc = open_out path in
   List.iter
@@ -145,7 +151,7 @@ let prop_sa_roundtrip =
 (* Proc *)
 
 let test_proc_exit_and_log () =
-  let dir = scratch "proc" in
+  with_scratch_dir "proc" @@ fun dir ->
   let log = Filename.concat dir "p.log" in
   let p =
     Proc.spawn ~argv:[ "/bin/sh"; "-c"; "echo from-child; exit 7" ] ~log ()
@@ -168,7 +174,7 @@ let test_proc_exit_and_log () =
   check_bool "stdout landed in the log" true (line = "from-child")
 
 let test_proc_kill () =
-  let dir = scratch "kill" in
+  with_scratch_dir "kill" @@ fun dir ->
   let p =
     Proc.spawn
       ~argv:[ "/bin/sh"; "-c"; "sleep 30" ]
@@ -190,7 +196,7 @@ let tickf sup ~timeout cond =
     (Supervisor.tick_until sup ~timeout cond)
 
 let test_sup_crash_respawn_incarnations () =
-  let dir = scratch "sup-crash" in
+  with_scratch_dir "sup-crash" @@ fun dir ->
   let marks = Filename.concat dir "marks" in
   let sup = Supervisor.create () in
   let slot =
@@ -230,7 +236,7 @@ let test_sup_crash_respawn_incarnations () =
   Supervisor.stop sup ~grace:0.2
 
 let test_sup_scripted_kill_wipes () =
-  let dir = scratch "sup-wipe" in
+  with_scratch_dir "sup-wipe" @@ fun dir ->
   let store = Filename.concat dir "store" in
   ensure_dir store;
   let oc = open_out (Filename.concat store "spi-1-seq") in
@@ -256,7 +262,7 @@ let test_sup_scripted_kill_wipes () =
   Supervisor.stop sup ~grace:0.2
 
 let test_sup_watchdog () =
-  let dir = scratch "sup-dog" in
+  with_scratch_dir "sup-dog" @@ fun dir ->
   let hb = Filename.concat dir "hb.jsonl" in
   let sup = Supervisor.create () in
   let slot =
@@ -284,7 +290,7 @@ let test_sup_watchdog () =
   Supervisor.stop sup ~grace:0.2
 
 let test_wipe_dir_recursive () =
-  let dir = scratch "wipe" in
+  with_scratch_dir "wipe" @@ fun dir ->
   let sub = Filename.concat dir "sub" in
   ensure_dir sub;
   let oc = open_out (Filename.concat sub "f") in

@@ -256,6 +256,22 @@ let test_link_down () =
   check_int "one delivered" 1 !got;
   check_int "one dropped" 1 (Link.dropped link)
 
+(* A fault-free link leaves the generator it was given untouched: its
+   next draw is the one a copy taken before the sends makes. *)
+let test_link_fault_free_draws_nothing () =
+  let e = Engine.create () in
+  let prng = Prng.create 8 in
+  let before = Prng.copy prng in
+  let link = Link.create ~prng ~latency:(us 1) e in
+  Link.set_deliver link ignore;
+  for _ = 1 to 100 do
+    Link.send link ()
+  done;
+  ignore (Engine.run e);
+  check_int "all delivered" 100 (Link.delivered link);
+  check_int "next draw unchanged" (Prng.int before 1_000_000)
+    (Prng.int prng 1_000_000)
+
 let test_link_loss_statistics () =
   let e = Engine.create () in
   let prng = Prng.create 5 in
@@ -717,6 +733,8 @@ let () =
         [
           Alcotest.test_case "latency" `Quick test_link_delivers_with_latency;
           Alcotest.test_case "no receiver" `Quick test_link_no_receiver_drops;
+          Alcotest.test_case "fault-free link draws nothing" `Quick
+            test_link_fault_free_draws_nothing;
           Alcotest.test_case "down" `Quick test_link_down;
           Alcotest.test_case "loss stats" `Quick test_link_loss_statistics;
           Alcotest.test_case "duplication" `Quick test_link_duplication;
