@@ -199,10 +199,12 @@ let json_of_latencies sample =
     ]
 
 (* Wire pressure: batch-fill percentiles on the receive side, flush
-   counts and the tx-pool high-water mark on the send side (DESIGN.md
-   §2f). [rx_no_sa] counts received frames no SA of this daemon owns:
-   too short to carry an SPI, or an SPI outside the daemon's range
-   (RFC 4303 §3.4.2's auditable "no valid SA" event). *)
+   counts and the tx-pool high-water mark on the send side, and the
+   kernel datagrams that carried the frames (fewer than the frames when
+   GSO or GRO coalesced runs; DESIGN.md §2f). [rx_no_sa] counts
+   received frames no SA of this daemon owns: too short to carry an
+   SPI, or an SPI outside the daemon's range (RFC 4303 §3.4.2's
+   auditable "no valid SA" event). *)
 let wire_json cfg sock ~rx_no_sa =
   let int f = Json.Int (f sock) in
   Json.Obj
@@ -210,6 +212,7 @@ let wire_json cfg sock ~rx_no_sa =
     | Recv ->
       [
         ("rx_frames", int Transport_udp.rx_frames);
+        ("rx_datagrams", int Transport_udp.rx_datagrams);
         ("rx_dropped", int Transport_udp.rx_dropped);
         ("rx_no_sa", Json.Int rx_no_sa);
         ("rx_batches", int Transport_udp.rx_batches);
@@ -221,6 +224,7 @@ let wire_json cfg sock ~rx_no_sa =
     | Send ->
       [
         ("tx_frames", int Transport_udp.tx_frames);
+        ("tx_datagrams", int Transport_udp.tx_datagrams);
         ("tx_errors", int Transport_udp.tx_errors);
         ("tx_flushes", int Transport_udp.tx_flushes);
         ("tx_queue_hwm", int Transport_udp.tx_queue_hwm);
@@ -251,8 +255,9 @@ let append_heartbeat ?event path cfg ~elapsed_ns ~save_lat ~wire stats =
          ]))
 
 (* The startup heartbeat carries what a post-mortem needs to interpret
-   the run's wire numbers: the configured batch and the socket-buffer
-   sizes the kernel actually granted (it clamps and rounds requests). *)
+   the run's wire numbers: the configured batch, the socket-buffer
+   sizes the kernel actually granted (it clamps and rounds requests),
+   and whether the socket sends GSO runs and reads GRO datagrams. *)
 let append_startup path cfg sock =
   end_torn_line path;
   append_line path
@@ -265,6 +270,8 @@ let append_startup path cfg sock =
          ("batch", Json.Int cfg.batch);
          ("rcvbuf_effective", Json.Int (Transport_udp.rcvbuf_effective sock));
          ("sndbuf_effective", Json.Int (Transport_udp.sndbuf_effective sock));
+         ("gso", Json.Bool (Transport_udp.gso sock));
+         ("gro", Json.Bool (Transport_udp.gro sock));
        ])
 
 (* ------------------------------------------------------------------ *)

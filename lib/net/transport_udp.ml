@@ -153,14 +153,21 @@ let create ?bind ?peer ?(batch = Batch_io.default_batch) ?rcvbuf ?sndbuf () =
   in
   Unix.set_nonblock sock;
   let peer_sockaddr = Option.map sockaddr_of_addr peer in
+  let rx = Batch_io.ring batch and tx = Batch_io.ring batch in
+  (* One kernel datagram per run of frames on a UDP socket: GRO where
+     it receives, GSO where it sends. *)
+  if family <> Unix.PF_UNIX then begin
+    if bind <> None then ignore (Batch_io.enable_gro sock rx : bool);
+    if peer <> None then ignore (Batch_io.enable_gso sock tx : bool)
+  end;
   {
     sock;
     peer = peer_sockaddr;
     dest = Option.map Batch_io.dest_of_sockaddr peer_sockaddr;
     bound_path;
     batch;
-    rx = Batch_io.ring batch;
-    tx = Batch_io.ring batch;
+    rx;
+    tx;
     tx_queued = 0;
     handler = None;
     tx_frames = 0;
@@ -231,8 +238,16 @@ let send_slice t (s : Slice.t) =
 
 let set_slice_handler t h = t.handler <- Some h
 
+(* A zero-length datagram is a real datagram: counted and delivered;
+   the codec rejects it as a short frame. *)
+let deliver t buf ~off ~len =
+  t.rx_frames <- t.rx_frames + 1;
+  match t.handler with
+  | Some h -> h (Slice.make buf ~off ~len)
+  | None -> t.rx_dropped <- t.rx_dropped + 1
+
 let drain t =
-  let total = ref 0 in
+  let frames0 = t.rx_frames in
   let continue = ref true in
   while !continue do
     let n = Batch_io.recv_batch t.sock t.rx ~count:t.batch in
@@ -242,19 +257,22 @@ let drain t =
       t.rx_batch_hist.(n) <- t.rx_batch_hist.(n) + 1;
       if n > t.rx_batch_max then t.rx_batch_max <- n;
       for i = 0 to n - 1 do
-        let len = t.rx.lens.(i) in
+        let buf = t.rx.bufs.(i) and len = t.rx.lens.(i) in
+        let seg = t.rx.segs.(i) in
         if len < 0 then
-          (* Kernel-truncated frame (cannot happen at 64 KiB slots,
+          (* Kernel-truncated datagram, or a coalesced one whose
+             segment size was lost (neither happens at 64 KiB slots,
              but the accounting is kept honest anyway). *)
           t.rx_dropped <- t.rx_dropped + 1
+        else if seg = 0 || seg >= len then deliver t buf ~off:0 ~len
         else begin
-          (* A zero-length datagram is a real datagram: counted and
-             delivered; the codec rejects it as a short frame. *)
-          t.rx_frames <- t.rx_frames + 1;
-          incr total;
-          match t.handler with
-          | Some h -> h (Slice.make t.rx.bufs.(i) ~off:0 ~len)
-          | None -> t.rx_dropped <- t.rx_dropped + 1
+          (* GRO coalesced equal segments, the last possibly shorter:
+             one frame each, in order. *)
+          let off = ref 0 in
+          while !off < len do
+            deliver t buf ~off:!off ~len:(min seg (len - !off));
+            off := !off + seg
+          done
         end
       done;
       (* A short batch means the socket queue is empty: skip the
@@ -262,7 +280,7 @@ let drain t =
       if n < t.batch then continue := false
     end
   done;
-  !total
+  t.rx_frames - frames0
 
 let wait_readable t ~timeout =
   match Unix.select [ t.sock ] [] [] timeout with
@@ -273,6 +291,10 @@ let wait_readable t ~timeout =
 let tx_frames t = t.tx_frames
 let tx_errors t = t.tx_errors
 let rx_frames t = t.rx_frames
+let tx_datagrams t = t.tx.Batch_io.datagrams
+let rx_datagrams t = t.rx.Batch_io.datagrams
+let gso t = t.tx.Batch_io.segment
+let gro t = t.rx.Batch_io.segment
 let rx_dropped t = t.rx_dropped
 let batch t = t.batch
 let tx_queued t = t.tx_queued

@@ -11,11 +11,24 @@
 
     The datapath is batched and allocation-light ({!Batch_io}):
     receives pull up to [batch] datagrams per syscall into a pooled
-    frame arena and hand each to the one handler as a
+    frame arena and hand each frame to the one handler as a
     {!Resets_util.Slice.t}; sends stage frames in a tx pool flushed by
     one batched syscall when full — and, in the daemon, at every
     engine-tick boundary ({!Resets_sim.Engine.run_clocked}'s [tick]
     hook) so a batch never outlives a tick.
+
+    On a UDP socket the kernel boundary is crossed once per run of
+    equal-length frames, not once per frame: a flush hands each run
+    ({!Batch_io.group_runs}) to the kernel as one [UDP_SEGMENT] (GSO)
+    message, and a bound socket has [UDP_GRO] on, so {!drain} reads a
+    coalesced datagram and splits it back into its frames, in order.
+    The network still carries one ESP packet per UDP datagram, and the
+    frames, their order, what a flush carries and when it leaves are
+    unchanged: only {!tx_datagrams} and {!rx_datagrams} see the
+    difference. Detection is automatic (build-time headers, a run-time
+    probe on the socket), and a GSO message the kernel refuses goes
+    again as plain datagrams with GSO off for the socket. Unix-dgram
+    sockets and the portable fallback keep one datagram per frame.
 
     Datagram semantics match the paper's channel assumptions for free:
     the network may lose, reorder or duplicate, and the protocol is
@@ -24,7 +37,9 @@
     treated as loss, never raised — a sender must keep sending while
     its peer is mid-reset, that being the whole experiment. The same
     discipline extends to batches: a partial [sendmmsg] completion
-    counts the unsent tail in [tx_errors] and never retries.
+    counts the unsent tail in [tx_errors] and never retries (one that
+    stops at a GSO run resumes there, to learn whether the kernel
+    refused GSO).
 
     Single-owner discipline: one domain owns a socket ([drain]/[send]
     are not thread-safe). The daemon's one loop owns its socket and
@@ -100,10 +115,14 @@ val set_slice_handler : t -> (Resets_util.Slice.t -> unit) -> unit
 
 val drain : t -> int
 (** Batched receive: pull every datagram currently queued (whole
-    batches per syscall, until the socket would block), feed each to
-    the installed handler, return how many. A zero-length datagram is
-    a real datagram — counted in [rx_frames] and delivered (the codec
-    rejects it as a short frame); it does {e not} end the poll. *)
+    batches per syscall, until the socket would block), feed each of
+    its frames to the installed handler, return how many frames. A
+    coalesced (GRO) datagram is split at its segment size, so the
+    handler never sees two frames as one; one whose segment size came
+    back cut short is counted in {!rx_dropped} and not delivered. A
+    zero-length datagram is a real datagram — counted in [rx_frames]
+    and delivered (the codec rejects it as a short frame); it does
+    {e not} end the poll. *)
 
 val wait_readable : t -> timeout:float -> bool
 (** Block (select) until the socket is readable or [timeout] seconds
@@ -118,8 +137,23 @@ val tx_errors : t -> int
 
 val rx_frames : t -> int
 val rx_dropped : t -> int
-(** Frames drained while no handler was installed, plus any the kernel
-    truncated. *)
+(** Frames drained while no handler was installed, plus datagrams the
+    kernel truncated or coalesced without a readable segment size. *)
+
+val tx_datagrams : t -> int
+(** Datagrams the kernel accepted: one per GSO run or plain frame, so
+    [tx_datagrams <= tx_frames], equal when no run formed. *)
+
+val rx_datagrams : t -> int
+(** Datagrams read back from the kernel, coalesced ones counted once. *)
+
+val gso : t -> bool
+(** Sends go out as GSO runs (a UDP peer, the mmsg path, a kernel with
+    [UDP_SEGMENT], and no refusal yet). *)
+
+val gro : t -> bool
+(** [UDP_GRO] is on for the socket (bound UDP, the mmsg path, a kernel
+    with [UDP_GRO]). *)
 
 (** {1 Wire-pressure observability}
 
@@ -137,12 +171,15 @@ val tx_queue_hwm : t -> int
 (** High-water mark of tx pool occupancy. *)
 
 val rx_batches : t -> int
-(** Non-empty receive batches drained. *)
+(** Non-empty receive batches drained (one [recvmmsg] each). *)
 
 val rx_batch_max : t -> int
 val rx_batch_percentile : t -> float -> int
 (** [rx_batch_percentile t 0.5] / [... 0.99]: batch-size percentiles
-    over all non-empty receive batches; 0 before any arrive. *)
+    over all non-empty receive batches; 0 before any arrive. A batch's
+    size counts datagrams per [recvmmsg], not frames: with GRO a
+    datagram may carry up to 64 frames, and [rx_frames / rx_batches]
+    is frames per batch. *)
 
 val rcvbuf_effective : t -> int
 (** [SO_RCVBUF] as the kernel granted it. *)

@@ -30,6 +30,16 @@ for suite in test_codec test_crypto; do
   echo
 done
 
+echo "== wire suite on the portable path (RESETS_NO_MMSG=1) =="
+# Batch_io has an mmsg path (recvmmsg/sendmmsg, GSO runs and GRO on UDP)
+# and a portable one (one Unix.recv/sendto per frame); RESETS_NO_MMSG=1
+# selects the portable one, for this suite and the daemons it spawns.
+# There no socket may take GSO or GRO: the portable path cannot split a
+# coalesced datagram. Run directly, as above.
+RESETS_NO_MMSG=1 dune exec ./test/test_net.exe -- --compact --color=never \
+  || { echo "test_net failed on the portable path" >&2; exit 1; }
+echo
+
 # The experiments whose artifacts are pinned byte-for-byte below. Most
 # run in well under a second; E7, E8, E15 and E16 take a few seconds
 # each (together about 15 s on a 2-vCPU x86-64 VM).

@@ -292,21 +292,20 @@ let test_partial_batch_counters () =
 
 (* The mmsg stubs and the portable fallback must deliver the identical
    frame stream: same frames, same order, same counters. Drains are
-   interleaved with sends and the batch stays under the kernel's
-   unix-dgram queue-length cap (net.unix.max_dgram_qlen, commonly 10)
-   so the loopback delivers everything — backpressure loss is real but
-   it is not what this test is about. *)
-let run_stream ~batch frames =
-  let path = scratch_path "diff" in
-  let rx =
-    Transport_udp.create ~bind:(Transport_udp.Unix_dgram path) ~batch ()
-  in
-  let tx =
-    Transport_udp.create ~peer:(Transport_udp.Unix_dgram path) ~batch ()
-  in
-  let got = ref [] in
+   interleaved with sends and, over unix-dgram (the default [addr]),
+   the batch stays under the kernel's queue-length cap
+   (net.unix.max_dgram_qlen, commonly 10) so the loopback delivers
+   everything — backpressure loss is real but it is not what this test
+   is about. Returns the frames the handler saw, in order, and both
+   (closed) transports for their counters. *)
+let run_stream ?(addr = Transport_udp.Unix_dgram (scratch_path "diff")) ~batch
+    frames =
+  let rx = Transport_udp.create ~bind:addr ~batch () in
+  let tx = Transport_udp.create ~peer:addr ~batch () in
+  let got = ref [] and n_got = ref 0 in
   Transport_udp.set_slice_handler rx (fun f ->
-      got := Resets_util.Slice.to_string f :: !got);
+      got := Resets_util.Slice.to_string f :: !got;
+      incr n_got);
   List.iter
     (fun f ->
       ignore (Transport_udp.send_frame tx f : bool);
@@ -314,34 +313,33 @@ let run_stream ~batch frames =
     frames;
   ignore (Transport_udp.flush tx : int);
   let deadline = Unix.gettimeofday () +. 2.0 in
-  while
-    List.length !got < List.length frames && Unix.gettimeofday () < deadline
-  do
+  while !n_got < List.length frames && Unix.gettimeofday () < deadline do
     ignore (Transport_udp.wait_readable rx ~timeout:0.1 : bool);
     ignore (Transport_udp.drain rx : int)
   done;
-  let sent = Transport_udp.tx_frames tx in
   Transport_udp.close tx;
   Transport_udp.close rx;
-  (List.rev !got, sent)
+  (List.rev !got, tx, rx)
 
 let test_stub_vs_fallback_identical () =
-  if not (Batch_io.mmsg_available ()) then ()
+  (* A no-op where the stubs are not in use: unavailable, or the
+     fallback forced by RESETS_NO_MMSG. *)
+  if not (Batch_io.using_mmsg ()) then ()
   else begin
     let frames =
       List.init 50 (fun i -> Printf.sprintf "frame-%03d-%s" i
                                (String.make (i mod 17) 'x'))
     in
-    check_bool "mmsg in use" true (Batch_io.using_mmsg ());
-    let via_mmsg, sent_mmsg = run_stream ~batch:8 frames in
+    let via_mmsg, tx_mmsg, _ = run_stream ~batch:8 frames in
     Batch_io.force_fallback true;
     check_bool "fallback forced" false (Batch_io.using_mmsg ());
-    let via_fallback, sent_fallback =
+    let via_fallback, tx_fallback, _ =
       Fun.protect
         ~finally:(fun () -> Batch_io.force_fallback false)
         (fun () -> run_stream ~batch:8 frames)
     in
-    check_int "same frames accepted" sent_mmsg sent_fallback;
+    check_int "same frames accepted" (Transport_udp.tx_frames tx_mmsg)
+      (Transport_udp.tx_frames tx_fallback);
     Alcotest.(check (list string))
       "identical frame stream through stub and fallback" via_mmsg via_fallback
   end
@@ -350,8 +348,8 @@ let test_stub_vs_fallback_identical () =
    same order — batching changes syscall count, not semantics. *)
 let test_batched_vs_unbatched_stream () =
   let frames = List.init 40 (fun i -> Printf.sprintf "pkt-%d" i) in
-  let batched, _ = run_stream ~batch:8 frames in
-  let unbatched, _ = run_stream ~batch:1 frames in
+  let batched, _, _ = run_stream ~batch:8 frames in
+  let unbatched, _, _ = run_stream ~batch:1 frames in
   Alcotest.(check (list string)) "same stream at batch 8 and batch 1"
     batched unbatched;
   Alcotest.(check (list string)) "nothing lost on loopback" frames batched
@@ -377,6 +375,203 @@ let test_socket_buffer_sizing () =
   check_bool "effective rcvbuf positive" true (small_rcv > 0);
   check_bool "effective sndbuf positive" true (small_snd > 0);
   check_bool "bigger request, no smaller grant" true (big_rcv >= small_rcv)
+
+(* ------------------------------------------------------------------ *)
+(* One kernel datagram per run of frames: GSO runs on send, GRO on
+   receive, over UDP loopback. *)
+
+(* The run grouping the send stub follows, over random length lists:
+   runs tile the batch in order, a run is equal lengths closed by at
+   most one shorter nonzero frame within the GSO caps, a zero-length
+   frame is a run of one, and a run ends only where the next frame
+   could not join it. *)
+let gen_lens =
+  let open QCheck.Gen in
+  let len = oneof [ oneofl [ 0; 1; 40; 41; 1100; 1500 ]; int_range 0 1500 ] in
+  map
+    (fun runs -> List.concat_map (fun (l, n) -> List.init n (fun _ -> l)) runs)
+    (list_size (int_range 1 8) (pair len (int_range 1 70)))
+
+let prop_group_runs =
+  QCheck.Test.make ~name:"GSO runs tile the batch" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list int) gen_lens)
+    (fun l ->
+      let lens = Array.of_list l and count = List.length l in
+      let firsts = Array.make (count + 1) (-1) in
+      let runs = Batch_io.group_runs lens ~count firsts in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      if firsts.(0) <> 0 || firsts.(runs) <> count then
+        fail "runs span %d..%d, not 0..%d" firsts.(0) firsts.(runs) count;
+      for k = 0 to runs - 1 do
+        let first = firsts.(k) and next = firsts.(k + 1) in
+        let run = next - first and len = lens.(first) in
+        let last = lens.(next - 1) in
+        let bytes = ref 0 in
+        for i = first to next - 1 do
+          bytes := !bytes + lens.(i)
+        done;
+        if run < 1 then fail "run %d is empty" k;
+        for i = first to next - 2 do
+          if lens.(i) <> len then fail "run %d: frame %d is not %d bytes" k i len
+        done;
+        if run > 1 && Array.exists (( = ) 0) (Array.sub lens first run) then
+          fail "run %d holds an empty frame" k;
+        if run > 1 && (last <= 0 || last > len) then
+          fail "run %d ends with %d bytes after %d" k last len;
+        if run > 1
+           && (run > Batch_io.max_run_frames || !bytes > Batch_io.max_run_bytes)
+        then fail "run %d: %d frames, %d bytes" k run !bytes;
+        if next < count then begin
+          let l = lens.(next) in
+          let closed =
+            len = 0 || last < len || l = 0 || l > len
+            || run = Batch_io.max_run_frames
+            || !bytes + l > Batch_io.max_run_bytes
+          in
+          if not closed then fail "run %d could take frame %d" k next
+        end
+      done;
+      true)
+
+let free_udp_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname s with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> assert false)
+
+let loopback () = Transport_udp.Udp ("127.0.0.1", free_udp_port ())
+
+(* Run [f] with every ring made meanwhile on the portable path. *)
+let on_fallback f =
+  let was = Batch_io.using_mmsg () in
+  Batch_io.force_fallback true;
+  Fun.protect ~finally:(fun () -> if was then Batch_io.force_fallback false) f
+
+(* Frame [i] of [len] bytes, its bytes a function of both, so a frame
+   moved, cut or merged does not compare equal. *)
+let frame_of i len = String.init len (fun j -> Char.chr ((i * 131 + j) land 0xff))
+
+(* The stream differential over udp:127.0.0.1: on the stub path (GSO
+   and GRO where the kernel has them) and on the portable path, the
+   handler sees exactly the frames offered, in order, and every offered
+   frame is accepted or counted as an error. *)
+let prop_udp_stream =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 1; 8; Batch_io.max_batch ]) gen_lens)
+  in
+  let print (batch, l) =
+    Printf.sprintf "batch %d, lengths [%s]" batch
+      (String.concat "; " (List.map string_of_int l))
+  in
+  QCheck.Test.make ~name:"UDP stream: stub = fallback = offered" ~count:25
+    (QCheck.make ~print gen)
+    (fun (batch, lens) ->
+      let frames = List.mapi frame_of lens in
+      let offered = List.length frames in
+      let check_path name (got, tx, rx) =
+        let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) name in
+        let attempted = Transport_udp.tx_frames tx + Transport_udp.tx_errors tx in
+        if attempted <> offered then
+          fail "tx_frames + tx_errors = %d, offered %d" attempted offered;
+        if List.length got <> offered then
+          fail "handler saw %d frames of %d" (List.length got) offered;
+        List.iteri
+          (fun i (a, b) -> if a <> b then fail "frame %d differs" i)
+          (List.combine frames got);
+        if Transport_udp.tx_datagrams tx > Transport_udp.tx_frames tx
+           || Transport_udp.rx_datagrams rx > Transport_udp.rx_frames rx
+        then fail "more datagrams than frames"
+      in
+      check_path "stub" (run_stream ~addr:(loopback ()) ~batch frames);
+      let ((_, tx, rx) as fallback) =
+        on_fallback (fun () -> run_stream ~addr:(loopback ()) ~batch frames)
+      in
+      check_path "fallback" fallback;
+      if Transport_udp.gso tx || Transport_udp.gro rx then
+        QCheck.Test.fail_reportf "segmentation on for the portable path";
+      true)
+
+(* Coalescing pinned on loopback: 8 equal frames flushed once cross the
+   kernel boundary as one datagram on each side and reach the handler
+   as 8 frames, in order. Skipped where the kernel lacks UDP_SEGMENT or
+   UDP_GRO, or the portable path is in use. *)
+let test_gso_gro_coalesce () =
+  let addr = loopback () in
+  let rx = Transport_udp.create ~bind:addr () in
+  let tx = Transport_udp.create ~peer:addr () in
+  Fun.protect
+    ~finally:(fun () ->
+      Transport_udp.close tx;
+      Transport_udp.close rx)
+    (fun () ->
+      if Transport_udp.gso tx && Transport_udp.gro rx then begin
+        let frames = List.init 8 (fun i -> frame_of i 40) in
+        let got = ref [] in
+        Transport_udp.set_slice_handler rx (fun f ->
+            got := Resets_util.Slice.to_string f :: !got);
+        List.iter (fun f -> ignore (Transport_udp.send_frame tx f : bool)) frames;
+        check_int "one flush sends all 8" 8 (Transport_udp.flush tx);
+        check_int "tx_flushes" 1 (Transport_udp.tx_flushes tx);
+        check_int "tx_datagrams" 1 (Transport_udp.tx_datagrams tx);
+        check_bool "readable" true (Transport_udp.wait_readable rx ~timeout:1.0);
+        check_int "drained 8 frames" 8 (Transport_udp.drain rx);
+        check_int "rx_datagrams" 1 (Transport_udp.rx_datagrams rx);
+        check_int "rx_frames" 8 (Transport_udp.rx_frames rx);
+        check_int "rx_batches" 1 (Transport_udp.rx_batches rx);
+        Alcotest.(check (list string)) "the 8 frames, in order" frames (List.rev !got)
+      end)
+
+external set_no_check : Unix.file_descr -> bool = "test_net_set_no_check"
+
+(* A GSO message the kernel refuses never raises out of a send: with
+   SO_NO_CHECK set the kernel answers a UDP_SEGMENT message with EINVAL.
+   A plain frame, then a run of 4 the kernel refuses (after a partial
+   sendmmsg) go out as 5 plain datagrams, GSO stays off for the ring,
+   and the receiver sees every frame in order. *)
+let test_gso_refusal () =
+  let port = free_udp_port () in
+  let rx = Transport_udp.create ~bind:(Transport_udp.Udp ("127.0.0.1", port)) () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let tx = Batch_io.ring 8 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Transport_udp.close rx)
+    (fun () ->
+      if Batch_io.enable_gso fd tx then begin
+        check_bool "SO_NO_CHECK" true (set_no_check fd);
+        let dest = Batch_io.Inet ("127.0.0.1", port) in
+        let send frames =
+          List.iteri
+            (fun i f ->
+              Bytes.blit_string f 0 tx.Batch_io.bufs.(i) 0 (String.length f);
+              tx.Batch_io.lens.(i) <- String.length f)
+            frames;
+          Batch_io.send_batch fd tx ~dest ~count:(List.length frames)
+        in
+        let first = frame_of 0 30 :: List.init 4 (fun i -> frame_of (i + 1) 40) in
+        let second = List.init 4 (fun i -> frame_of (i + 5) 40) in
+        check_int "refused run resent" 5 (send first);
+        check_bool "GSO off after the refusal" false tx.Batch_io.segment;
+        check_int "five plain datagrams" 5 tx.Batch_io.datagrams;
+        check_int "the next batch goes plain" 4 (send second);
+        check_int "four more datagrams" 9 tx.Batch_io.datagrams;
+        let got = ref [] in
+        Transport_udp.set_slice_handler rx (fun f ->
+            got := Resets_util.Slice.to_string f :: !got);
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while List.length !got < 9 && Unix.gettimeofday () < deadline do
+          ignore (Transport_udp.wait_readable rx ~timeout:0.05 : bool);
+          ignore (Transport_udp.drain rx : int)
+        done;
+        Alcotest.(check (list string)) "every frame, in order" (first @ second)
+          (List.rev !got)
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* The zero-copy face: frames leave via send_slice and arrive as arena
@@ -587,21 +782,26 @@ let jlist name j =
   Option.value ~default:[] (Option.bind (Json.member name j) Json.as_list)
 
 (* The receive role under the test suite: a receiving and a sending
-   daemon, 2 SAs, unbatched, about a second of traffic; the receiver is
-   stopped by SIGTERM once the sender has exited. Every frame the
-   kernel accepted from the sender must be delivered exactly once, and
-   the receiver's heartbeat file must read back through the fleet's
-   parser. *)
-let test_daemon_recv_pair () =
+   daemon, 2 SAs, about a second of traffic; the receiver is stopped by
+   SIGTERM once the sender has exited. Every frame the kernel accepted
+   from the sender must be delivered exactly once, and the receiver's
+   heartbeat file must read back through the fleet's parser. Over a
+   unix-dgram socket the pair runs unbatched, one datagram per frame;
+   over UDP loopback it runs at the default batch, where each tick's
+   equal-length frames may share a GSO run and a GRO datagram. *)
+let test_daemon_recv_pair ~udp () =
   if not (Sys.file_exists daemon_bin) then
     Alcotest.failf "daemon binary not built at %s" daemon_bin;
   with_scratch_dir "pair" @@ fun dir ->
   let file = Filename.concat dir in
-  let sock = scratch_path "pair" in
-  let common = [ "--sas"; "2"; "-k"; "4"; "--batch"; "1"; "--heartbeat"; "0.1" ] in
+  let addr, batch =
+    if udp then (Transport_udp.addr_to_string (loopback ()), [])
+    else ("unix:" ^ scratch_path "pair", [ "--batch"; "1" ])
+  in
+  let common = [ "--sas"; "2"; "-k"; "4"; "--heartbeat"; "0.1" ] @ batch in
   let recv =
     spawn_serve
-      ([ "--role"; "recv"; "--bind"; "unix:" ^ sock; "--duration"; "10";
+      ([ "--role"; "recv"; "--bind"; addr; "--duration"; "10";
          "--graceful"; "--store"; file "store-recv"; "--stats"; file "hb-recv";
          "--json"; file "rep-recv" ]
       @ common)
@@ -609,9 +809,9 @@ let test_daemon_recv_pair () =
   await_startup (file "hb-recv") recv;
   let send =
     spawn_serve
-      ([ "--role"; "send"; "--peer"; "unix:" ^ sock; "--rate"; "100";
-         "--duration"; "1"; "--store"; file "store-send"; "--json";
-         file "rep-send" ]
+      ([ "--role"; "send"; "--peer"; addr; "--rate"; "100";
+         "--duration"; "1"; "--store"; file "store-send"; "--stats";
+         file "hb-send"; "--json"; file "rep-send" ]
       @ common)
   in
   check_int "sender exit" 0 (exit_code send);
@@ -622,6 +822,41 @@ let test_daemon_recv_pair () =
   let delivered = jint "delivered" rr in
   check_bool "the sender put frames on the wire" true (jint "wire_tx" rs > 0);
   check_int "delivered = sender's wire_tx" (jint "wire_tx" rs) delivered;
+  (* The wire blocks count the kernel datagrams beside the frames, and
+     the startup lines say whether segmentation was on. *)
+  let wire j = Option.value ~default:Json.Null (Json.member "wire" j) in
+  let tx_frames = jint "tx_frames" (wire rs) and tx_dgrams = jint "tx_datagrams" (wire rs) in
+  let rx_frames = jint "rx_frames" (wire rr) and rx_dgrams = jint "rx_datagrams" (wire rr) in
+  check_int "tx_frames = wire_tx" (jint "wire_tx" rs) tx_frames;
+  check_int "rx_frames = wire_rx" (jint "wire_rx" rr) rx_frames;
+  check_bool "some tx datagrams, no more than frames" true
+    (0 < tx_dgrams && tx_dgrams <= tx_frames);
+  check_bool "some rx datagrams, no more than frames" true
+    (0 < rx_dgrams && rx_dgrams <= rx_frames);
+  let startup hb =
+    match
+      List.find_opt
+        (fun l -> contains l "\"startup\"")
+        (In_channel.with_open_bin (file hb) In_channel.input_all
+        |> String.split_on_char '\n')
+    with
+    | Some l -> Json.parse_exn l
+    | None -> Alcotest.failf "%s: no startup line" hb
+  in
+  let flag name j = Option.bind (Json.member name j) Json.as_bool in
+  let gso = flag "gso" (startup "hb-send") and gro = flag "gro" (startup "hb-recv") in
+  check_bool "startup lines record gso and gro" true (gso <> None && gro <> None);
+  if not (Batch_io.using_mmsg ()) then begin
+    (* RESETS_NO_MMSG reaches the daemons too *)
+    check_bool "portable path: no GSO" true (gso = Some false);
+    check_bool "portable path: no GRO" true (gro = Some false)
+  end;
+  if not udp then begin
+    check_bool "unix-dgram: no GSO" true (gso = Some false);
+    check_bool "unix-dgram: no GRO" true (gro = Some false);
+    check_int "unix-dgram: one tx datagram per frame" tx_frames tx_dgrams;
+    check_int "unix-dgram: one rx datagram per frame" rx_frames rx_dgrams
+  end;
   let per_sa = jlist "per_sa" rr in
   check_int "one row per SA" 2 (List.length per_sa);
   List.iter
@@ -977,6 +1212,15 @@ let () =
           Alcotest.test_case "socket buffer sizing" `Quick
             test_socket_buffer_sizing;
         ] );
+      ( "gso",
+        [
+          QCheck_alcotest.to_alcotest prop_group_runs;
+          QCheck_alcotest.to_alcotest prop_udp_stream;
+          Alcotest.test_case "8 equal frames, one datagram each side" `Quick
+            test_gso_gro_coalesce;
+          Alcotest.test_case "refused GSO run goes plain" `Quick
+            test_gso_refusal;
+        ] );
       ( "transport",
         [
           Alcotest.test_case "slice face" `Quick test_transport_slice_face;
@@ -988,7 +1232,10 @@ let () =
           Alcotest.test_case "adaptive policy" `Quick test_daemon_adaptive;
           Alcotest.test_case "sigterm graceful flush" `Quick
             test_daemon_sigterm_graceful;
-          Alcotest.test_case "recv/send pair" `Quick test_daemon_recv_pair;
+          Alcotest.test_case "recv/send pair" `Quick
+            (test_daemon_recv_pair ~udp:false);
+          Alcotest.test_case "recv/send pair over UDP" `Quick
+            (test_daemon_recv_pair ~udp:true);
           Alcotest.test_case "receiver behind the impaired wire" `Quick
             test_daemon_recv_behind_impaired_wire;
           Alcotest.test_case "frames no SA owns are counted" `Quick
