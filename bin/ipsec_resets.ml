@@ -528,10 +528,10 @@ let multi_sa_cmd =
           }
         in
         let o = Multi_sa.run ~domains discipline cfg in
-        (* the shards' traces, merged deterministically into ONE file —
+        (* the blocks' traces, merged deterministically into ONE file —
            packet-level events are identical for any --domains value;
            disk bookkeeping (crash/snapshot records) and equal-timestamp
-           tie order are per-shard (see Multi_sa) *)
+           tie order are per-block (see Multi_sa) *)
         Option.iter (fun path -> write_trace_jsonl path o.Multi_sa.trace) trace_out;
         Format.printf "ready: %a%s@." Time.pp o.Multi_sa.ready_time
           (if o.Multi_sa.recovered_fully then "" else " (horizon-capped)");

@@ -63,9 +63,9 @@ type outcome = {
   trace : Trace.entry list;
 }
 
-(* What one shard reports: SAs [lo..hi), simulated on their own engine
+(* What one block reports: SAs [lo..hi), simulated on their own engine
    and disk. [merge] reduces these to the whole-host outcome. *)
-type shard_result = {
+type block_result = {
   lo : int;
   hi : int;
   ready_at : Time.t option;
@@ -74,8 +74,13 @@ type shard_result = {
       (* absolute time every SA in range had delivered again *)
   metrics : Metrics.t;
   adversary_injected : int;
-  disk_writes : int;
-  disk_saves_lost : int;
+  disk_writes : int; (* completed writes other than coalesced snapshots *)
+  disk_saves_lost : int; (* likewise, lost at the crash *)
+  snapshots_done : Time.t list;
+      (* begin instants of this block's coalesced snapshots that became
+         durable *)
+  snapshots_lost : Time.t list;
+      (* begin instant of the snapshot in flight at the crash, if any *)
   disk_saves_failed : int;
   disk_fetches_corrupt : int;
   link_dropped : int;
@@ -83,7 +88,6 @@ type shard_result = {
   link_reordered : int;
   handshake_messages : int;
   events_fired : int;
-  wall_s : float;
   trace : Trace.entry list;
 }
 
@@ -97,10 +101,24 @@ let partition ~sa_count ~shards =
       let hi = lo + base + if i < rem then 1 else 0 in
       (lo, hi))
 
-(* Every SA in a sharded run uses the default window width; its hot
-   state (counters + window words) lives in one flat arena per shard,
-   so the shard's per-packet working set is a cache-linear block the
-   GC never traces. See Sadb_flat and DESIGN.md §2e. *)
+(* SAs per block, the unit [run] simulates on one engine. On one engine
+   carrying thousands of SAs, consecutive events belong to different
+   SAs, and each reaches per-SA records (sender, key block, link, tap,
+   receiver, window slot) that the others pushed out of cache since
+   its SA last ran; a block this small keeps them in a core's L2 for
+   the block's whole horizon. perfbench's sim-scale (4,096 SAs, seed 5,
+   12-s runs, release build, 2-vCPU Xeon with 2 MiB of L2 per core),
+   median throughput over 9 runs per size: 32 SAs 350k/s, 64 344k,
+   96 350k, 128 333k, 192 324k, 256 308k; over 3 runs, 512 262k and
+   1,024 201k; one engine 125k. Sizes from 32 to 128 lie within the
+   runs' spread; 64 sits in the middle of that plateau, with half the
+   L2 to spare. *)
+let block_sas = 64
+
+(* Every SA in a block uses the default window width; its hot state
+   (counters + window words) lives in one flat arena per block, so the
+   block's per-packet working set is a cache-linear block the GC never
+   traces. See Sadb_flat and DESIGN.md §2e. *)
 let window_width = 64
 
 (* A bounded capture buffer per tapped link: enough for any replay the
@@ -111,7 +129,7 @@ let window_width = 64
 let tap_capacity = 4096
 
 (* ------------------------------------------------------------------ *)
-(* The receiver host of one shard: its SAs share its clock and its one
+(* The receiver host of one block: its SAs share its clock and its one
    disk. It implements the three recovery disciplines:
 
    - [`Save_fetch_per_sa]: the paper, verbatim per SA. Each receiver
@@ -124,13 +142,13 @@ let tap_capacity = 4096
    - [`Reestablish]: the IETF default the paper argues against:
      renegotiate every SA with IKE-lite, serially.
 
-   A logical host of [n] SAs may be split across D shards without
-   changing any SA's outcome. Every per-SA schedule (recovery stagger,
-   SPI, disk key) is computed from the SA's global index
-   [g = first_sa + i], and nothing an SA does depends on which other
-   SAs share its shard: serialized recovery is a closed-form stagger
-   rather than a chain, and the coalesced flush runs on a fixed
-   absolute schedule and writes each SA's own edge. *)
+   A logical host of [n] SAs may be split into blocks without changing
+   any SA's outcome. Every per-SA schedule (recovery stagger, SPI, disk
+   key) is computed from the SA's global index [g = first_sa + i], and
+   nothing an SA does depends on which other SAs share its block:
+   serialized recovery is a closed-form stagger rather than a chain,
+   and the coalesced flush runs on a fixed absolute schedule and writes
+   each SA's own edge. *)
 
 (* Disk key of SA [g]'s receiver edge, [g] the global index: the
    per-SA receivers' SAVEs and the coalesced snapshots share it. *)
@@ -146,7 +164,7 @@ type host = {
   disk : Sim_disk.t;
   discipline : discipline;
   endpoints : Endpoint.t array;
-  first_sa : int; (* global index of SA 0 on this shard *)
+  first_sa : int; (* global index of SA 0 in this block *)
   ike_prngs : Prng.t array; (* one generator per SA *)
   keys : string array;
   lst : int array; (* per-SA edge as of the last begun coalesced flush *)
@@ -156,18 +174,41 @@ type host = {
       (* a coalesced recovery snapshot is in flight: the periodic flush
          must hold off or it would supersede that snapshot (same keys)
          and silently drop recovery's completion *)
+  mutable snapshot_in_flight : Time.t option; (* its begin instant *)
+  mutable snapshots_done : Time.t list;
+  mutable snapshots_lost : Time.t list;
 }
 
 let receiver_i h i = Endpoint.receiver h.endpoints.(i)
 
-(* Coalesced periodic persistence, sharding-safe form: ONE snapshot
+(* Begin one coalesced snapshot write. A flush covers every SA of the
+   block and a recovery snapshot every SA not degraded, so a new
+   snapshot shares a key with the one in flight and supersedes it: at
+   most one is in flight. The blocks write at instants of one absolute
+   schedule, where one engine would write one snapshot for the whole
+   host, so the host notes the instant each write began and whether it
+   became durable or was lost at the crash, and [merge] counts each
+   instant once. *)
+let begin_snapshot h ~entries ~on_error ~on_complete =
+  let at = Engine.now h.engine in
+  h.snapshot_in_flight <- Some at;
+  Sim_disk.save_snapshot h.disk ~entries
+    ~on_error:(fun () ->
+      h.snapshot_in_flight <- None;
+      on_error ())
+    ~on_complete:(fun () ->
+      h.snapshot_in_flight <- None;
+      h.snapshots_done <- at :: h.snapshots_done;
+      on_complete ())
+
+(* Coalesced periodic persistence, partition-safe form: ONE snapshot
    write per fixed flush period covers every SA's current edge. The
    flush schedule is absolute time [P, 2P, 3P, ...], a constant of the
    simulation rather than a function of traffic, and each SA's value in
    the snapshot is its own edge. So what is durable for SA [i] at any
    instant (in particular at a crash) depends only on [i]'s own packet
    stream and the global clock, never on which other SAs share the
-   shard. A flush with no advanced edge is skipped: the write would
+   block. A flush with no advanced edge is skipped: the write would
    change no durable value. *)
 let maybe_flush h =
   if (not h.down) && not h.recovering then begin
@@ -181,7 +222,7 @@ let maybe_flush h =
     if !advanced then begin
       let prev = Array.copy h.lst in
       Array.iteri (fun i r -> h.lst.(i) <- r) edges;
-      Sim_disk.save_snapshot h.disk
+      begin_snapshot h
         ~entries:(Array.mapi (fun i r -> (h.keys.(i), r)) edges)
         ~on_error:(fun () ->
           (* Nothing (or only a torn prefix) became durable: roll the
@@ -235,6 +276,9 @@ let create_host config ~engine ~disk ~discipline ~first_sa ~ike_prngs
       handshakes = 0;
       down = false;
       recovering = false;
+      snapshot_in_flight = None;
+      snapshots_done = [];
+      snapshots_lost = [];
     }
   in
   (match discipline with
@@ -269,6 +313,10 @@ let reset h =
   if not h.down then begin
     h.down <- true;
     h.recovering <- false;
+    Option.iter
+      (fun at -> h.snapshots_lost <- at :: h.snapshots_lost)
+      h.snapshot_in_flight;
+    h.snapshot_in_flight <- None;
     Sim_disk.crash h.disk;
     Array.iter (fun ep -> Receiver.reset (Endpoint.receiver ep)) h.endpoints
   end
@@ -294,13 +342,12 @@ let checked_durable_edge h i =
 
 (* Recovery schedules are keyed by GLOBAL SA index: SA [g] begins its
    step at [recover_time + g * step], where [step] is the discipline's
-   fixed per-SA cost. On one shard this reproduces the sequential
-   "recover SA 0, then SA 1, ..." chain exactly (the single disk
-   serializes the writes, so recovery time grows linearly with the SA
-   count, which is what E7 and E14 measure); on a sharded host each
-   shard schedules only its own SAs, at the very same absolute times
-   the unsharded chain would have reached them. That closed form is
-   what gives the parallel run a sequential oracle. It needs a
+   fixed per-SA cost. This is the sequential "recover SA 0, then SA 1,
+   ..." chain of one disk that serializes the writes (so recovery time
+   grows linearly with the SA count, which is what E7 and E14 measure),
+   yet each block schedules only its own SAs, at the very same absolute
+   times the one-engine chain would have reached them. That closed form
+   is what lets a run split its SAs into blocks. It needs a
    deterministic per-SA step: the disk's write latency (per-SA) and
    the fixed IKE handshake duration (Reestablish). [on_complete] fires
    when every SA is processing again. *)
@@ -370,7 +417,7 @@ let recover h ~on_complete =
          exponential backoff, and after the budget the remaining SAs
          degrade. Nothing resumes on non-durable state. *)
       let rec attempt k =
-        Sim_disk.save_snapshot h.disk ~entries
+        begin_snapshot h ~entries
           ~on_error:(fun () ->
             if h.recovering then
               if k + 1 >= Durable.retries then begin
@@ -403,10 +450,9 @@ let recover h ~on_complete =
       h.endpoints
 
 (* ------------------------------------------------------------------ *)
-(* One shard: SAs [lo..hi) on their own engine and disk. *)
+(* One block: SAs [lo..hi) on their own engine and disk. *)
 
-let run_shard ~seed discipline config (lo, hi) =
-  let wall_start = Unix.gettimeofday () in
+let run_block ~seed discipline config (lo, hi) =
   let n = hi - lo in
   let engine = Engine.create ~hint:(max 64 (4 * n)) () in
   let trace = if config.keep_trace then Some (Trace.create ()) else None in
@@ -418,10 +464,10 @@ let run_shard ~seed discipline config (lo, hi) =
   in
   (* One endpoint per SA, each with its own metrics (sequence spaces
      overlap across SAs) and — under the per-SA discipline — its own
-     key on this shard's disk. Everything random about SA [g] comes
+     key on this block's disk. Everything random about SA [g] comes
      from a generator keyed by (seed, g) and is drawn in a fixed
-     order, so the SA behaves identically whatever shard carries it
-     and however many shards there are. *)
+     order, so the SA behaves identically whatever block carries it
+     and however many blocks there are. *)
   let ike_prngs = Array.make n (Prng.create 0) in
   let offsets = Array.make n Time.zero in
   (* Two slots per SA (sender side + receiver side); re-established SAs
@@ -499,8 +545,8 @@ let run_shard ~seed discipline config (lo, hi) =
       Endpoint.schedule_attack ep ~message_gap:config.message_gap config.attack)
     endpoints;
   (* The fault: one host reset wipes every SA at once, then recovery
-     under the configured discipline after the downtime. Every shard
-     schedules these at the same absolute times, so the D shards crash
+     under the configured discipline after the downtime. Every block
+     schedules these at the same absolute times, so the blocks crash
      and recover as one logical host. *)
   ignore
     (Engine.schedule_at engine ~at:config.reset_at (fun () ->
@@ -526,8 +572,10 @@ let run_shard ~seed discipline config (lo, hi) =
     recovered_at = !all_recovered_at;
     metrics = totals;
     adversary_injected = sum Endpoint.injected_count;
-    disk_writes = disk_tally.completed;
-    disk_saves_lost = disk_tally.lost;
+    disk_writes = disk_tally.completed - List.length host.snapshots_done;
+    disk_saves_lost = disk_tally.lost - List.length host.snapshots_lost;
+    snapshots_done = host.snapshots_done;
+    snapshots_lost = host.snapshots_lost;
     disk_saves_failed = disk_tally.failed;
     disk_fetches_corrupt = disk_tally.corrupt + disk_tally.stale;
     link_dropped = sum (fun ep -> Link.dropped (Endpoint.link ep));
@@ -535,19 +583,20 @@ let run_shard ~seed discipline config (lo, hi) =
     link_reordered = sum (fun ep -> Link.reordered (Endpoint.link ep));
     handshake_messages = host.handshakes;
     events_fired = Engine.fired_count engine;
-    wall_s = Unix.gettimeofday () -. wall_start;
     trace =
       (match trace with
       | Some tr -> Trace.entries tr
       | None -> []);
   }
 
-(* [results] tile [0, sa_count) in SA order (they come from
-   [partition]), so the merge is a deterministic SA-ordered reduction,
-   not a bag union. *)
-let merge config (results : shard_result array) =
-  (* "All SAs are X" over the whole host is "all shards report all
-     their SAs are X", at the latest of the shard times. *)
+(* [domains] holds each domain's block results and wall clock, in SA
+   order; the blocks tile [0, sa_count) (they come from [partition]),
+   so the merge is a deterministic SA-ordered reduction, not a bag
+   union. *)
+let merge config (domains : (block_result array * float) array) =
+  let results = Array.concat (Array.to_list (Array.map fst domains)) in
+  (* "All SAs are X" over the whole host is "all blocks report all
+     their SAs are X", at the latest of the block times. *)
   let latest field =
     Array.fold_left
       (fun acc r ->
@@ -565,9 +614,15 @@ let merge config (results : shard_result array) =
   let totals = Metrics.create () in
   Array.iter (fun r -> Metrics.absorb ~into:totals r.metrics) results;
   let sum field = Array.fold_left (fun acc r -> acc + field r) 0 results in
+  (* one host snapshot per instant at which any block wrote one *)
+  let instants field =
+    List.length
+      (List.sort_uniq Time.compare
+         (List.concat_map field (Array.to_list results)))
+  in
   let trace =
-    (* Stable sort of the shard-order concatenation: time order, with
-       shard order breaking ties at equal timestamps. *)
+    (* Stable sort of the block-order concatenation: time order, with
+       block order breaking ties at equal timestamps. *)
     List.stable_sort
       (fun (a : Trace.entry) (b : Trace.entry) -> Time.compare a.time b.time)
       (List.concat_map (fun r -> r.trace) (Array.to_list results))
@@ -580,8 +635,10 @@ let merge config (results : shard_result array) =
     replay_accepted = totals.Metrics.replay_accepted;
     adversary_injected = sum (fun r -> r.adversary_injected);
     duplicate_deliveries = totals.Metrics.duplicate_deliveries;
-    disk_writes = sum (fun r -> r.disk_writes);
-    disk_saves_lost = sum (fun r -> r.disk_saves_lost);
+    disk_writes =
+      sum (fun r -> r.disk_writes) + instants (fun r -> r.snapshots_done);
+    disk_saves_lost =
+      sum (fun r -> r.disk_saves_lost) + instants (fun r -> r.snapshots_lost);
     disk_saves_failed = sum (fun r -> r.disk_saves_failed);
     disk_fetches_corrupt = sum (fun r -> r.disk_fetches_corrupt);
     link_dropped = sum (fun r -> r.link_dropped);
@@ -592,14 +649,15 @@ let merge config (results : shard_result array) =
     events_fired = sum (fun r -> r.events_fired);
     shard_stats =
       Array.map
-        (fun r ->
+        (fun (blocks, wall_s) ->
           {
-            stat_lo = r.lo;
-            stat_hi = r.hi;
-            stat_events_fired = r.events_fired;
-            stat_wall_s = r.wall_s;
+            stat_lo = blocks.(0).lo;
+            stat_hi = blocks.(Array.length blocks - 1).hi;
+            stat_events_fired =
+              Array.fold_left (fun acc r -> acc + r.events_fired) 0 blocks;
+            stat_wall_s = wall_s;
           })
-        results;
+        domains;
     trace;
   }
 
@@ -609,17 +667,29 @@ let run ?(seed = 11) ?(domains = 1) discipline config =
   if domains < 1 then invalid_arg "Multi_sa.run: domains must be positive";
   if domains > config.sa_count then
     invalid_arg "Multi_sa.run: more domains than SAs";
-  let shards = partition ~sa_count:config.sa_count ~shards:domains in
-  let run_shard = run_shard ~seed discipline config in
+  let blocks =
+    partition ~sa_count:config.sa_count
+      ~shards:(max domains ((config.sa_count + block_sas - 1) / block_sas))
+  in
+  (* Domain [i] runs the blocks of [spans.(i)], one after another. *)
+  let spans = partition ~sa_count:(Array.length blocks) ~shards:domains in
+  let run_domain (first, last) =
+    let wall_start = Unix.gettimeofday () in
+    let results =
+      Array.init (last - first) (fun j ->
+          run_block ~seed discipline config blocks.(first + j))
+    in
+    (results, Unix.gettimeofday () -. wall_start)
+  in
   let results =
     if domains = 1 then
       (* No parallelism requested: run inline, no domain spawned. *)
-      [| run_shard shards.(0) |]
+      [| run_domain spans.(0) |]
     else begin
       let spawned =
-        Array.map (fun range -> Domain.spawn (fun () -> run_shard range)) shards
+        Array.map (fun span -> Domain.spawn (fun () -> run_domain span)) spans
       in
-      (* Join every shard before re-raising any failure, so no domain
+      (* Join every domain before re-raising any failure, so no domain
          outlives the run. *)
       let joined =
         Array.map

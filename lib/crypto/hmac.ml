@@ -8,7 +8,11 @@ let normalize_key key =
   Bytes.unsafe_to_string padded
 
 let xor_with s byte =
-  String.map (fun c -> Char.chr (Char.code c lxor byte)) s
+  let b = Bytes.create (String.length s) in
+  for i = 0 to String.length s - 1 do
+    Bytes.set b i (Char.unsafe_chr (Char.code s.[i] lxor byte))
+  done;
+  Bytes.unsafe_to_string b
 
 (* Keyed state: the ipad/opad key blocks are compressed once at key
    setup and resumed per MAC, saving two of the four SHA-256 block

@@ -6,14 +6,20 @@ let expand ~prk ~info ~length =
   if length <= 0 || length > 255 * hash_len then
     invalid_arg "Kdf.expand: length out of range";
   let blocks = (length + hash_len - 1) / hash_len in
-  let buf = Buffer.create (blocks * hash_len) in
-  let previous = ref "" in
+  (* T(i) = HMAC(prk, T(i-1) | info | i), T(0) empty. One keyed state
+     serves every block, so the PRK's pads are compressed once. *)
+  let st = Hmac.state ~key:prk in
+  let out = Bytes.create (blocks * hash_len) in
+  let counter = Bytes.create 1 in
   for i = 1 to blocks do
-    let data = !previous ^ info ^ String.make 1 (Char.chr i) in
-    previous := Hmac.mac ~key:prk data;
-    Buffer.add_string buf !previous
+    Hmac.start st;
+    if i > 1 then Hmac.add_bytes st out ~off:((i - 2) * hash_len) ~len:hash_len;
+    Hmac.add_string st info;
+    Bytes.set counter 0 (Char.chr i);
+    Hmac.add_bytes st counter ~off:0 ~len:1;
+    Hmac.finish_into st ~bytes:hash_len ~dst:out ~dst_off:((i - 1) * hash_len)
   done;
-  String.sub (Buffer.contents buf) 0 length
+  Bytes.sub_string out 0 length
 
 let derive ~salt ~ikm ~info ~length = expand ~prk:(extract ~salt ~ikm) ~info ~length
 

@@ -56,14 +56,15 @@ trap 'rm -rf "$out"' EXIT
 # Endpoint/Multi_sa datapath plus the domain sweep: the same workloads
 # at 1 and 2 domains. Smoke sizes keep the sweep fast; the committed
 # artifact uses the full 256/1024/4096 sweep and the full 100k/1M scale
-# sweep. Every gate on these artifacts is a check in the section that
-# measures it, and the bench exits 2 when one fails (naming it on
-# stderr): E14's protocol outcomes identical across domain counts and
-# its speedup (>= 1.3x at 1024 SAs on 2 domains, checked only on a
-# machine with >= 2 cores; otherwise it prints a [skip] line), E16's
-# frontier.
+# sweep. The smoke's 10^5-SA scale row (about 5 s at 1 and 2 domains)
+# runs the 1-vs-2-domain determinism check over 1,563 blocks. Every
+# gate on these artifacts is a check in the section that measures it,
+# and the bench exits 2 when one fails (naming it on stderr): E14's
+# protocol outcomes identical across domain counts and its speedup
+# (>= 1.3x at 1024 SAs on 2 domains, checked only on a machine with
+# >= 2 cores; otherwise it prints a [skip] line), E16's frontier.
 dune exec bench/main.exe -- $pinned E14 --json="$out" \
-  --domains=1,2 --sweep-sizes=64,256,1024 --scale-sizes=512,2048
+  --domains=1,2 --sweep-sizes=64,256,1024 --scale-sizes=512,2048,100000
 
 echo "== committed-artifact gate ($pinned identity) =="
 # The simulated paths must stay byte-identical: every artifact

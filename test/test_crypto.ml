@@ -362,6 +362,25 @@ let test_hkdf_deterministic_and_info_sensitive () =
   check_bool "deterministic" true (d1 = d2);
   check_bool "info-sensitive" true (d1 <> d3)
 
+(* RFC 5869's expand, one [Hmac.mac] per output block: the reference
+   [Kdf.expand] must match byte for byte. *)
+let expand_reference ~prk ~info ~length =
+  let buf = Buffer.create (length + 32) in
+  let previous = ref "" in
+  let i = ref 1 in
+  while Buffer.length buf < length do
+    previous := Hmac.mac ~key:prk (!previous ^ info ^ String.make 1 (Char.chr !i));
+    Buffer.add_string buf !previous;
+    incr i
+  done;
+  Buffer.sub buf 0 length
+
+let hkdf_expand_matches_reference =
+  QCheck.Test.make ~name:"Kdf.expand = per-block Hmac.mac reference" ~count:200
+    QCheck.(triple string string (int_range 1 300))
+    (fun (prk, info, length) ->
+      Kdf.expand ~prk ~info ~length = expand_reference ~prk ~info ~length)
+
 let test_stretch () =
   check_str "0 iterations is identity" "x" (Kdf.stretch ~iterations:0 "x");
   check_str "1 iteration is sha256" (Sha256.digest "x") (Kdf.stretch ~iterations:1 "x");
@@ -632,6 +651,7 @@ let () =
           Alcotest.test_case "RFC5869 case 1" `Quick test_hkdf_rfc5869_case1;
           Alcotest.test_case "lengths" `Quick test_hkdf_lengths;
           Alcotest.test_case "determinism" `Quick test_hkdf_deterministic_and_info_sensitive;
+          qt hkdf_expand_matches_reference;
           Alcotest.test_case "stretch" `Quick test_stretch;
         ] );
       ( "ct",

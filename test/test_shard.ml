@@ -1,9 +1,10 @@
-(* The sharded simulation's contract: protocol-level outcomes are a
-   function of the scenario, not of how many domains carry it. The
-   suite diffs the inline 1-domain run against runs whose shards are
-   spawned on 2 and 4 domains, field by field and trace by trace, and
-   property-checks the two deterministic foundations: keyed PRNG
-   streams and the partition. *)
+(* The blocked simulation's contract: protocol-level outcomes are a
+   function of the scenario, not of how many blocks or domains carry
+   it. The suite diffs the inline 1-domain run against runs whose
+   blocks are spawned on 2 and 4 domains, field by field and trace by
+   trace; pins a run of three blocks to the outcome the one-engine
+   runner gave it; and property-checks the two deterministic
+   foundations: keyed PRNG streams and the partition. *)
 
 open Resets_util
 open Resets_sim
@@ -33,8 +34,8 @@ let cfg ?(attack = Endpoint.No_attack) n =
     attack;
   }
 
-(* Every protocol-level field. events_fired and (for coalesced)
-   disk_writes are per-shard bookkeeping, checked separately. *)
+(* Every protocol-level field. events_fired is per-block bookkeeping;
+   the disk counts are checked separately. *)
 let check_same_outcome name (a : Multi_sa.outcome) (b : Multi_sa.outcome) =
   let tag f = Printf.sprintf "%s: %s" name f in
   Alcotest.(check int64) (tag "ready_time") (Time.to_ns a.ready_time)
@@ -74,13 +75,12 @@ let test_domain_count_invariance () =
                 Printf.sprintf "%s/%s 1 vs %d domains%s" dname aname domains f
               in
               check_same_outcome (name "") seq sharded;
-              (* per-sa and reestablish write per SA, so even the write
-                 counts must agree; coalesced snapshots once per shard *)
-              match d with
-              | `Save_fetch_per_sa | `Reestablish ->
-                check_int (name " disk_writes") seq.Multi_sa.disk_writes
-                  sharded.Multi_sa.disk_writes
-              | `Save_fetch_coalesced -> ())
+              (* per-SA writes sum; a coalesced snapshot the blocks
+                 write at one instant counts once *)
+              check_int (name " disk_writes") seq.Multi_sa.disk_writes
+                sharded.Multi_sa.disk_writes;
+              check_int (name " disk_saves_lost") seq.Multi_sa.disk_saves_lost
+                sharded.Multi_sa.disk_saves_lost)
             [ 2; 4 ])
         attacks)
     disciplines
@@ -125,22 +125,22 @@ let test_shard_failure_reraised () =
         (fun () -> ignore (Multi_sa.run ~domains `Save_fetch_coalesced bad)))
     [ 1; 2; 4 ]
 
+(* Disk bookkeeping is per block (a crash or snapshot record from every
+   block instead of one); every other event stream must match exactly,
+   so compare the multiset of non-disk events. *)
+let packet_events (o : Multi_sa.outcome) =
+  List.filter_map
+    (fun (e : Trace.entry) ->
+      if String.length e.source >= 4 && String.sub e.source 0 4 = "disk" then
+        None
+      else
+        Some
+          (Printf.sprintf "%Ld %s %s %s" (Time.to_ns e.time) e.source e.event
+             e.detail))
+    o.Multi_sa.trace
+  |> List.sort String.compare
+
 let test_trace_packet_events_domain_invariant () =
-  let packet_events (o : Multi_sa.outcome) =
-    (* disk bookkeeping is per-shard (D crash/snapshot records instead
-       of one); every other event stream must match exactly, so compare
-       the multiset of non-disk events *)
-    List.filter_map
-      (fun (e : Trace.entry) ->
-        if String.length e.source >= 4 && String.sub e.source 0 4 = "disk" then
-          None
-        else
-          Some
-            (Printf.sprintf "%Ld %s %s %s" (Time.to_ns e.time) e.source e.event
-               e.detail))
-      o.Multi_sa.trace
-    |> List.sort String.compare
-  in
   List.iter
     (fun (dname, d) ->
       List.iter
@@ -160,6 +160,118 @@ let test_trace_packet_events_domain_invariant () =
             [ 2; 4 ])
         attacks)
     disciplines
+
+(* ------------------------------------------------------------------ *)
+(* Above one block: the one-engine outcome, pinned *)
+
+(* Two blocks and five more SAs: [run] cuts them into three blocks. A
+   lean operating point (1 ms gap, K = 2, a 240 us handshake) lets every
+   discipline recover within the horizon while the one-engine trace
+   stays below the recorder's 65,536 entries, so no entry was dropped. *)
+let golden_sas = 133
+
+let golden_cfg attack =
+  {
+    Multi_sa.default_config with
+    Multi_sa.sa_count = golden_sas;
+    k = 2;
+    message_gap = ms 1;
+    reset_at = ms 5;
+    downtime = ms 1;
+    horizon = ms 50;
+    ike_cost = { Resets_ipsec.Ike.compute = us 10; rtt = us 100; kdf_iterations = 256 };
+    attack;
+    keep_trace = true;
+  }
+
+type golden = {
+  ready_ns : int64;
+  recovery_ns : int64;
+  recovered_fully : bool;
+  messages_lost : int;
+  replay_accepted : int;
+  adversary_injected : int;
+  duplicate_deliveries : int;
+  handshake_messages : int;
+  delivered : int;
+  disk_writes : int;
+  disk_saves_lost : int;
+  trace_digest : string;  (** MD5 of [packet_events], one entry a line *)
+}
+
+(* Recorded from the runner that simulated all SAs on one engine, before
+   it ran them in blocks; with that runner gone, these stand in for its
+   oracle above one block. *)
+let goldens =
+  [
+    ( "per-sa", "clean",
+      { ready_ns = 14300000L; recovery_ns = 14852282L; recovered_fully = true;
+        messages_lost = 1017; replay_accepted = 0; adversary_injected = 0;
+        duplicate_deliveries = 0; handshake_messages = 0; delivered = 5456;
+        disk_writes = 2838; disk_saves_lost = 19;
+        trace_digest = "c07b15631e9f224e5f86aabbe824cd73" } );
+    ( "per-sa", "replay-all",
+      { ready_ns = 14300000L; recovery_ns = 14852282L; recovered_fully = true;
+        messages_lost = 1598; replay_accepted = 10; adversary_injected = 931;
+        duplicate_deliveries = 0; handshake_messages = 0; delivered = 5466;
+        disk_writes = 2838; disk_saves_lost = 19;
+        trace_digest = "823c94d2ac874d2341fc91f710cf07e9" } );
+    ( "coalesced", "clean",
+      { ready_ns = 1100000L; recovery_ns = 3993113L; recovered_fully = true;
+        messages_lost = 146; replay_accepted = 0; adversary_injected = 0;
+        duplicate_deliveries = 0; handshake_messages = 0; delivered = 6116;
+        disk_writes = 23; disk_saves_lost = 0;
+        trace_digest = "3c9ccf56f7aafbcd2b01b06b07be013b" } );
+    ( "coalesced", "replay-all",
+      { ready_ns = 1100000L; recovery_ns = 3993113L; recovered_fully = true;
+        messages_lost = 146; replay_accepted = 0; adversary_injected = 931;
+        duplicate_deliveries = 0; handshake_messages = 0; delivered = 6116;
+        disk_writes = 23; disk_saves_lost = 0;
+        trace_digest = "fa226d62d676ae454232312e73353c65" } );
+    ( "reestablish", "clean",
+      { ready_ns = 32920000L; recovery_ns = 33679363L; recovered_fully = true;
+        messages_lost = 2270; replay_accepted = 0; adversary_injected = 0;
+        duplicate_deliveries = 0; handshake_messages = 532; delivered = 4245;
+        disk_writes = 0; disk_saves_lost = 0;
+        trace_digest = "415703e80d776fee10ed9d4a49aa5569" } );
+    ( "reestablish", "replay-all",
+      { ready_ns = 32920000L; recovery_ns = 33679363L; recovered_fully = true;
+        messages_lost = 3194; replay_accepted = 0; adversary_injected = 931;
+        duplicate_deliveries = 0; handshake_messages = 532; delivered = 4245;
+        disk_writes = 0; disk_saves_lost = 0;
+        trace_digest = "2a4c889b9ed188cb0ab540cd45ffdb57" } );
+  ]
+
+let test_one_engine_goldens () =
+  check_bool "the golden run spans three blocks" true
+    (golden_sas > 2 * Multi_sa.block_sas);
+  List.iter
+    (fun (dname, aname, g) ->
+      let cfg = golden_cfg (List.assoc aname attacks) in
+      List.iter
+        (fun domains ->
+          let o = Multi_sa.run ~domains (List.assoc dname disciplines) cfg in
+          let tag f = Printf.sprintf "%s/%s at %d domains: %s" dname aname domains f in
+          Alcotest.(check int64) (tag "ready_time") g.ready_ns
+            (Time.to_ns o.Multi_sa.ready_time);
+          Alcotest.(check int64) (tag "recovery_time") g.recovery_ns
+            (Time.to_ns o.Multi_sa.recovery_time);
+          check_bool (tag "recovered_fully") g.recovered_fully o.Multi_sa.recovered_fully;
+          check_int (tag "messages_lost") g.messages_lost o.Multi_sa.messages_lost;
+          check_int (tag "replay_accepted") g.replay_accepted o.Multi_sa.replay_accepted;
+          check_int (tag "adversary_injected") g.adversary_injected
+            o.Multi_sa.adversary_injected;
+          check_int (tag "duplicate_deliveries") g.duplicate_deliveries
+            o.Multi_sa.duplicate_deliveries;
+          check_int (tag "handshake_messages") g.handshake_messages
+            o.Multi_sa.handshake_messages;
+          check_int (tag "delivered") g.delivered o.Multi_sa.delivered;
+          check_int (tag "disk_writes") g.disk_writes o.Multi_sa.disk_writes;
+          check_int (tag "disk_saves_lost") g.disk_saves_lost o.Multi_sa.disk_saves_lost;
+          Alcotest.(check string) (tag "packet-level trace digest") g.trace_digest
+            (Digest.to_hex (Digest.string (String.concat "\n" (packet_events o)))))
+        [ 1; 2; 3 ])
+    goldens
 
 (* ------------------------------------------------------------------ *)
 (* Properties: keyed PRNG streams and the partition *)
@@ -279,6 +391,8 @@ let () =
             test_shard_failure_reraised;
           Alcotest.test_case "packet-level trace invariant" `Quick
             test_trace_packet_events_domain_invariant;
+          Alcotest.test_case "one-engine goldens above one block" `Quick
+            test_one_engine_goldens;
         ] );
       ( "properties",
         [
